@@ -74,12 +74,10 @@ from .experiments import (
     RocPoint,
     RocSweepResult,
     SweepGrid,
-    desk_experiment_config,
     detect_online,
     error_vs_T,
     error_vs_beta,
     make_detection_corpus,
-    full_scale_experiment_config,
     prepare_training,
     roc_sweep,
     split_topics,

@@ -1,8 +1,16 @@
 """Voting and nearest-neighbor classifiers over shift-minimized distances.
 
+Every classifier here is a thin caller of one engine. Distance grids come from
+`core.shifted_windows` and `core.sq_dists` (batches in `log_lambda_many` use the
+inner-product expansion instead); `_class_log_votes` turns one class's grid
+into its log vote through `_logsumexp`; `_tie_order` ranks examples for k-NN and
+nearest neighbor; `_outcome` turns the two class votes into a verdict.
+
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
-underflows to a 0/0 ratio.
+underflows to a 0/0 ratio. A ratio that is still undefined (both classes' votes
+are zero because gamma * distance overflowed) raises ParamError instead of
+becoming a verdict.
 """
 
 from __future__ import annotations
@@ -12,29 +20,66 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Label, LabeledDataset, TimeSeries, VotingParams, stacked_windows
+from .core import Label, LabeledDataset, TimeSeries, VotingParams, shifted_windows, sq_dists
 from .errors import ParamError
 from .synth import LatentSourceModel
 
 NEG_INF = float("-inf")
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    if m == NEG_INF:
-        return NEG_INF
-    return m + float(np.log(np.sum(np.exp(a - m))))
+@dataclass(frozen=True)
+class ClassificationOutcome:
+    """Decision plus the log vote ratio and the per-class log votes behind it."""
+
+    label: Label
+    log_lambda: float
+    per_class_log_votes: tuple[float, float]
 
 
-def _log_votes_from_dists(dists: np.ndarray, gamma: float, shift_mode: str) -> float:
-    """log sum of exp(-gamma * d) votes from a (n_examples, n_shifts) distance grid."""
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along axis 0; -inf where that axis is empty or all -inf."""
+    m = a.max(axis=0, initial=NEG_INF)
+    shift = np.where(m == NEG_INF, 0.0, m)
+    with np.errstate(divide="ignore"):  # log(0): a class that casts no vote
+        return shift + np.log(np.exp(a - shift).sum(axis=0))
+
+
+def _class_log_votes(dists: np.ndarray, gamma: float, shift_mode: str) -> np.ndarray:
+    """log sum of exp(-gamma * d) votes from one class's (examples, shifts[, batch]) grid."""
     if shift_mode == "min":
         exponents = -gamma * dists.min(axis=1)
     else:  # every (example, shift) pair votes
-        exponents = (-gamma * dists).ravel()
+        exponents = (-gamma * dists).reshape(-1, *dists.shape[2:])
     return _logsumexp(exponents)
+
+
+def _tie_order(dmin: np.ndarray) -> np.ndarray:
+    """Example indices by distance, then class +1 before -1, then insertion order.
+
+    Rows are in insertion order with the positives first, so a stable sort by
+    distance alone gives exactly this order.
+    """
+    return np.argsort(dmin, kind="stable")
+
+
+def _log_ratio(pos, neg):
+    """pos - neg; ParamError where that is NaN, since no threshold can judge it."""
+    ratio = pos - neg
+    if np.isnan(ratio).any():
+        raise ParamError(
+            "log vote ratio is undefined: both classes' votes are zero in floating point "
+            "(gamma * distance overflowed); use a smaller gamma"
+        )
+    return ratio
+
+
+def _outcome(pos, neg, log_threshold: float) -> ClassificationOutcome:
+    """Label +1 iff the log vote ratio reaches log_threshold."""
+    pos, neg = float(pos), float(neg)
+    log_lambda = _log_ratio(pos, neg)
+    label = Label.POSITIVE if log_lambda >= log_threshold else Label.NEGATIVE
+    return ClassificationOutcome(label, log_lambda, (pos, neg))
 
 
 class VotingKernel:
@@ -48,79 +93,63 @@ class VotingKernel:
         data.require_both_classes()
         self.data = data
         self.params = params
-        T, dmax = params.T, params.delta_max
-        self._W = stacked_windows(data.examples(), 1 - dmax, T + dmax)
-        self._views = sliding_window_view(self._W, T, axis=1)  # (n, 2*dmax+1, T)
+        dmax = params.delta_max
+        self._views = shifted_windows(data.examples(), params.T, -dmax, dmax)
         self.n_pos = data.n_pos
         self.n = data.n
 
     def shift_sq_dists(self, s: TimeSeries) -> np.ndarray:
         """(n, 2*delta_max+1) squared distances of s to every shifted window."""
-        sw = s.window(1, self.params.T)
-        return ((self._views - sw) ** 2).sum(axis=-1)
+        return sq_dists(self._views, s.window(1, self.params.T))
+
+    def _min_from_dists(self, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        j = dists.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
+        return dists[np.arange(self.n), j], j - self.params.delta_max
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Per-example minimum distance and its first minimizing shift."""
-        d = self.shift_sq_dists(s)
-        j = d.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
-        return d[np.arange(self.n), j], j - self.params.delta_max
+        return self._min_from_dists(self.shift_sq_dists(s))
 
-    def _gwmv_from_dists(self, dists: np.ndarray) -> "ClassificationOutcome":
+    def _class_votes(self, dists: np.ndarray) -> tuple:
         g, mode = self.params.gamma, self.params.shift_mode
-        pos = _log_votes_from_dists(dists[: self.n_pos], g, mode)
-        neg = _log_votes_from_dists(dists[self.n_pos :], g, mode)
-        log_lambda = pos - neg
-        label = Label.POSITIVE if log_lambda >= math.log(self.params.theta) else Label.NEGATIVE
-        return ClassificationOutcome(label, log_lambda, (pos, neg))
+        return (
+            _class_log_votes(dists[: self.n_pos], g, mode),
+            _class_log_votes(dists[self.n_pos :], g, mode),
+        )
 
-    def _knn_from_dists(self, dists: np.ndarray, k: int) -> "ClassificationOutcome":
+    def _gwmv_from_dists(self, dists: np.ndarray) -> ClassificationOutcome:
+        return _outcome(*self._class_votes(dists), math.log(self.params.theta))
+
+    def _knn_from_dists(self, dists: np.ndarray, k: int) -> ClassificationOutcome:
         k = int(k)
         if k < 1:
             raise ParamError(f"k must be >= 1, got {k}")
         if k > self.n:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
-        dmin = dists[np.arange(self.n), dists.argmin(axis=1)]
-        # tie order: distance, then class +1 before -1, then insertion order
-        class_rank = np.concatenate(
-            [np.zeros(self.n_pos, dtype=np.int64), np.ones(self.n - self.n_pos, dtype=np.int64)]
-        )
-        order = np.lexsort((np.arange(self.n), class_rank, dmin))
-        selected = np.sort(order[:k])  # back to insertion order for stable accumulation
-        g = self.params.gamma
-        pos_sel = selected[selected < self.n_pos]
-        neg_sel = selected[selected >= self.n_pos]
-        pos = _logsumexp(-g * dmin[pos_sel]) if pos_sel.size else NEG_INF
-        neg = _logsumexp(-g * dmin[neg_sel]) if neg_sel.size else NEG_INF
-        log_lambda = pos - neg  # one side is always finite since k >= 1
-        label = Label.POSITIVE if log_lambda >= math.log(self.params.theta) else Label.NEGATIVE
-        return ClassificationOutcome(label, log_lambda, (pos, neg))
+        dmin = dists.min(axis=1)
+        selected = np.sort(_tie_order(dmin)[:k])  # back to insertion order for stable accumulation
+        exponents = -self.params.gamma * dmin[selected]
+        split = int(np.searchsorted(selected, self.n_pos))
+        pos, neg = _logsumexp(exponents[:split]), _logsumexp(exponents[split:])
+        return _outcome(pos, neg, math.log(self.params.theta))
 
-    def class_log_votes(self, s: TimeSeries) -> tuple[float, float]:
-        d = self.shift_sq_dists(s)
-        g, mode = self.params.gamma, self.params.shift_mode
-        return (
-            _log_votes_from_dists(d[: self.n_pos], g, mode),
-            _log_votes_from_dists(d[self.n_pos :], g, mode),
-        )
+    def _nearest_from_dists(self, dists: np.ndarray) -> tuple[int, float, int]:
+        dmin, shifts = self._min_from_dists(dists)
+        idx = int(_tie_order(dmin)[0])
+        return idx, float(dmin[idx]), int(shifts[idx])
 
     def log_lambda(self, s: TimeSeries) -> float:
-        pos, neg = self.class_log_votes(s)
-        return pos - neg
+        return self.gwmv(s).log_lambda
 
-    def gwmv(self, s: TimeSeries) -> "ClassificationOutcome":
+    def gwmv(self, s: TimeSeries) -> ClassificationOutcome:
         return self._gwmv_from_dists(self.shift_sq_dists(s))
 
-    def knn(self, s: TimeSeries, k: int) -> "ClassificationOutcome":
+    def knn(self, s: TimeSeries, k: int) -> ClassificationOutcome:
         return self._knn_from_dists(self.shift_sq_dists(s), k)
 
     def nearest(self, s: TimeSeries) -> tuple[int, float, int]:
         """Index (insertion order), distance, and shift of the nearest example."""
-        dmin, shifts = self.min_dists(s)
-        class_rank = np.concatenate(
-            [np.zeros(self.n_pos, dtype=np.int64), np.ones(self.n - self.n_pos, dtype=np.int64)]
-        )
-        idx = int(np.lexsort((np.arange(self.n), class_rank, dmin))[0])
-        return idx, float(dmin[idx]), int(shifts[idx])
+        return self._nearest_from_dists(self.shift_sq_dists(s))
 
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix.
@@ -135,45 +164,22 @@ class VotingKernel:
         sq = np.einsum("ij,ij->i", flat, flat)
         cross = flat @ obs.T  # (n * n_shifts, P)
         d = np.maximum(sq[:, None] - 2.0 * cross + np.einsum("ij,ij->i", obs, obs)[None, :], 0.0)
-        n_shifts = self._views.shape[1]
-        d = d.reshape(self.n, n_shifts, -1)
-        g, mode = self.params.gamma, self.params.shift_mode
-        if mode == "min":
-            e = -g * d.min(axis=1)  # (n, P)
-        else:
-            e = (-g * d).reshape(self.n * n_shifts, -1)
-        split = self.n_pos if mode == "min" else self.n_pos * n_shifts
-        m_pos = e[:split].max(axis=0)
-        m_neg = e[split:].max(axis=0)
-        pos = m_pos + np.log(np.exp(e[:split] - m_pos).sum(axis=0))
-        neg = m_neg + np.log(np.exp(e[split:] - m_neg).sum(axis=0))
-        return pos - neg
-
-
-@dataclass(frozen=True)
-class ClassificationOutcome:
-    """Decision plus the log vote ratio and the per-class log votes behind it."""
-
-    label: Label
-    log_lambda: float
-    per_class_log_votes: tuple[float, float]
+        d = d.reshape(self.n, self._views.shape[1], -1)
+        return _log_ratio(*self._class_votes(d))
 
 
 def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingParams) -> float:
     """log of the summed exp(-gamma * d) votes cast by one class of examples."""
     if not examples:
         raise ParamError("examples must be non-empty")
-    T, dmax = params.T, params.delta_max
-    W = stacked_windows(examples, 1 - dmax, T + dmax)
-    views = sliding_window_view(W, T, axis=1)
-    dists = ((views - s.window(1, T)) ** 2).sum(axis=-1)
-    return _log_votes_from_dists(dists, params.gamma, params.shift_mode)
+    views = shifted_windows(examples, params.T, -params.delta_max, params.delta_max)
+    dists = sq_dists(views, s.window(1, params.T))
+    return float(_class_log_votes(dists, params.gamma, params.shift_mode))
 
 
 def lambda_ratio(s: TimeSeries, data: LabeledDataset, params: VotingParams) -> float:
     """log of the positive-to-negative vote ratio."""
-    data.require_both_classes()
-    return log_vote_sum(data.positives, s, params) - log_vote_sum(data.negatives, s, params)
+    return VotingKernel(data, params).log_lambda(s)
 
 
 def classify_gwmv(
@@ -203,11 +209,8 @@ class MapKernel:
         if not pos or not neg:
             raise ParamError("the model must contain sources of both labels")
         self.params = params
-        T, dmax = params.T, params.delta_max
-        self._W_pos = stacked_windows(pos, 1, T + dmax)
-        self._W_neg = stacked_windows(neg, 1, T + dmax)
-        self._views_pos = sliding_window_view(self._W_pos, T, axis=1)
-        self._views_neg = sliding_window_view(self._W_neg, T, axis=1)
+        self._views_pos = shifted_windows(pos, params.T, 0, params.delta_max)
+        self._views_neg = shifted_windows(neg, params.T, 0, params.delta_max)
         if model.weights is not None:
             w = np.asarray(model.weights, dtype=np.float64)
             labels = np.array([int(lab) for _, lab in model.sources])
@@ -217,23 +220,16 @@ class MapKernel:
         else:
             self._logw_pos = self._logw_neg = 0.0
 
-    def _class_votes(self, s: TimeSeries) -> tuple[float, float]:
-        sw = s.window(1, self.params.T)
-        g = self.params.gamma
-        e_pos = -g * ((self._views_pos - sw) ** 2).sum(axis=-1) + self._logw_pos
-        e_neg = -g * ((self._views_neg - sw) ** 2).sum(axis=-1) + self._logw_neg
-        return _logsumexp(e_pos.ravel()), _logsumexp(e_neg.ravel())
-
     def log_lambda(self, s: TimeSeries) -> float:
-        pos, neg = self._class_votes(s)
-        return pos - neg
+        return self.classify(s).log_lambda
 
     def classify(self, s: TimeSeries) -> ClassificationOutcome:
-        pos, neg = self._class_votes(s)
-        log_lambda = pos - neg
+        sw = s.window(1, self.params.T)
+        g = self.params.gamma
+        pos = _logsumexp((-g * sq_dists(self._views_pos, sw) + self._logw_pos).ravel())
+        neg = _logsumexp((-g * sq_dists(self._views_neg, sw) + self._logw_neg).ravel())
         # decision threshold fixed at a ratio of 1; theta plays no role here
-        label = Label.POSITIVE if log_lambda >= 0.0 else Label.NEGATIVE
-        return ClassificationOutcome(label, log_lambda, (pos, neg))
+        return _outcome(pos, neg, 0.0)
 
 
 def classify_map(

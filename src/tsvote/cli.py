@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import dataio
-from .classify import MapKernel, VotingKernel, nearest_neighbor
+from .classify import MapKernel, VotingKernel
 from .core import Label, VotingParams
 from .errors import (
     ConfigError,
@@ -26,7 +26,6 @@ from .errors import (
     SupportError,
 )
 from .experiments import (
-    detect_online,
     error_vs_T,
     error_vs_beta,
     make_detection_corpus,
@@ -34,7 +33,6 @@ from .experiments import (
     split_topics,
 )
 from .gapbounds import (
-    GaussianConditionsReport,
     gap,
     gaussian_conditions,
     is_vacuous,
@@ -160,20 +158,21 @@ def cmd_classify(args) -> int:
         raise ConfigError(f"--method {method} needs --train")
     if method == "map" and model is None:
         raise ConfigError("--method map needs --model")
+    series = dataio.read_series_file(args.series)
+    kernel = MapKernel(model, params) if method == "map" else VotingKernel(train, params)
     verdicts = []
-    for ts, _ in dataio.read_series_file(args.series):
+    for ts, _ in series:
         if method == "map":
-            outcome = MapKernel(model, params).classify(ts)
+            outcome = kernel.classify(ts)
             nn_id, nn_dist = None, None
         else:
-            kernel = VotingKernel(train, params)
+            d = kernel.shift_sq_dists(ts)  # one grid for the verdict and the nearest example
             if method == "wmv":
-                outcome = kernel.gwmv(ts)
+                outcome = kernel._gwmv_from_dists(d)
             else:
-                k = 1 if method == "nn" else args.k
-                outcome = kernel.knn(ts, k)
-            nearest, dist, _, _ = nearest_neighbor(ts, train, params)
-            nn_id, nn_dist = nearest.id, dist
+                outcome = kernel._knn_from_dists(d, 1 if method == "nn" else args.k)
+            idx, nn_dist, _ = kernel._nearest_from_dists(d)
+            nn_id = train.examples()[idx].id
         verdict = {
             "schema_version": dataio.SCHEMA_VERSION,
             "id": ts.id,

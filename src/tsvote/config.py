@@ -8,6 +8,7 @@ keys.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,8 @@ def _as_float(key, raw):
     v = _parse_scalar(raw)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field {key!r}: expected a number, got {raw!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"field {key!r}: must be finite, got {raw!r}")
     return float(v)
 
 

@@ -7,11 +7,13 @@ here are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParamError, SupportError
 
@@ -185,10 +187,10 @@ class VotingParams:
     shift_mode: str = "min"
 
     def __post_init__(self):
-        if not (self.gamma >= 0.0):
-            raise ParamError(f"gamma must be >= 0, got {self.gamma}")
-        if not (self.theta > 0.0):
-            raise ParamError(f"theta must be > 0, got {self.theta}")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (0.0 < self.theta < math.inf):
+            raise ParamError(f"theta must be finite and > 0, got {self.theta}")
         if int(self.T) < 1:
             raise ParamError(f"T must be >= 1, got {self.T}")
         if int(self.delta_max) < 0:
@@ -250,3 +252,17 @@ def stacked_windows(seriess: Sequence[TimeSeries], first: int, last: int) -> np.
     if not seriess:
         raise ParamError("need at least one series")
     return np.stack([ts.window(first, last) for ts in seriess])
+
+
+def shifted_windows(
+    seriess: Sequence[TimeSeries], T: int, first_shift: int, last_shift: int
+) -> np.ndarray:
+    """Read-only (len(seriess), last_shift - first_shift + 1, T) view whose entry
+    [i, j] is seriess[i] on [1 + delta, T + delta] with delta = first_shift + j."""
+    W = stacked_windows(seriess, 1 + first_shift, T + last_shift)
+    return sliding_window_view(W, T, axis=1)
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances along the last axis, broadcasting a against b."""
+    return ((a - b) ** 2).sum(axis=-1)

@@ -95,12 +95,6 @@ class ErrorCurves:
                 yield x, clf, float(m), float(s)
 
 
-def _trial_model(cfg: ExperimentConfig, src_stream: np.random.SeedSequence):
-    gen_seed = int(src_stream.generate_state(1, np.uint64)[0])
-    gcfg = replace(cfg.model_cfg, seed=gen_seed)
-    return make_latent_sources(gcfg, delta_max=cfg.delta_max, noise=cfg.noise())
-
-
 def _sample_draws(model, n, stream, *, window_start=None, window_length=None, id_prefix="ex"):
     draws = []
     for i, rng in enumerate(derive_streams(stream, n)):
@@ -127,20 +121,36 @@ def _dataset_from_draws(draws) -> LabeledDataset:
     )
 
 
-def _error_rates(vk: VotingKernel, mk: MapKernel, tests) -> dict:
-    wrong = {clf: 0 for clf in CLASSIFIERS}
+def _trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, n_train: int, T: int):
+    """One trial's fresh sources, n_train training draws, and test draws on [1, T].
+
+    Both error curves draw their trials here, so equal (n_train, T) means equal data.
+    """
+    src_ss, train_ss, test_ss = trial_ss.spawn(3)
+    gen_seed = int(src_ss.generate_state(1, np.uint64)[0])
+    model = make_latent_sources(
+        replace(cfg.model_cfg, seed=gen_seed), delta_max=cfg.delta_max, noise=cfg.noise()
+    )
+    train = _sample_draws(model, n_train, train_ss, id_prefix="train")
+    tests = _sample_draws(
+        model, cfg.test_size, test_ss, window_start=1, window_length=T, id_prefix="test"
+    )
+    return model, train, tests
+
+
+def _map_wrong(mk: MapKernel, tests) -> int:
+    return sum(mk.classify(s).label != label for s, label, _ in tests)
+
+
+def _error_rates(vk: VotingKernel, tests, map_wrong: int) -> dict:
+    """Error rate per classifier. The oracle ignores training data, so its
+    misclassification count comes in precomputed."""
+    wrong = {"wmv": 0, "nn": 0, "map": map_wrong}
     for s, label, _ in tests:
-        d = vk.shift_sq_dists(s)
-        out_wmv = vk._gwmv_from_dists(d)
-        out_nn = vk._knn_from_dists(d, 1)
-        if out_wmv.label != label:
-            wrong["wmv"] += 1
-        if out_nn.label != label:
-            wrong["nn"] += 1
-        if mk.classify(s).label != label:
-            wrong["map"] += 1
-    n = len(tests)
-    return {clf: wrong[clf] / n for clf in CLASSIFIERS}
+        d = vk.shift_sq_dists(s)  # one grid serves both voting and nearest neighbor
+        wrong["wmv"] += vk._gwmv_from_dists(d).label != label
+        wrong["nn"] += vk._knn_from_dists(d, 1).label != label
+    return {clf: wrong[clf] / len(tests) for clf in CLASSIFIERS}
 
 
 def error_vs_T(cfg: ExperimentConfig) -> ErrorCurves:
@@ -151,15 +161,12 @@ def error_vs_T(cfg: ExperimentConfig) -> ErrorCurves:
     per_trial = {clf: np.zeros((cfg.trials, len(cfg.T_grid))) for clf in CLASSIFIERS}
     trial_streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     for t, trial_ss in enumerate(trial_streams):
-        src_ss, train_ss, test_ss = trial_ss.spawn(3)
-        model = _trial_model(cfg, src_ss)
-        train = _dataset_from_draws(_sample_draws(model, n, train_ss, id_prefix="train"))
-        tests = _sample_draws(
-            model, cfg.test_size, test_ss, window_start=1, window_length=T_max, id_prefix="test"
-        )
+        model, draws, tests = _trial(cfg, trial_ss, n, T_max)
+        train = _dataset_from_draws(draws)
         for j, T in enumerate(cfg.T_grid):
             params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
-            rates = _error_rates(VotingKernel(train, params), MapKernel(model, params), tests)
+            map_wrong = _map_wrong(MapKernel(model, params), tests)
+            rates = _error_rates(VotingKernel(train, params), tests, map_wrong)
             for clf in CLASSIFIERS:
                 per_trial[clf][t, j] = rates[clf]
     return ErrorCurves("T", cfg.T_grid, per_trial)
@@ -176,31 +183,15 @@ def error_vs_beta(cfg: ExperimentConfig) -> ErrorCurves:
     n_max = training_size(max(cfg.beta_grid), cfg.model_cfg.m)
     per_trial = {clf: np.zeros((cfg.trials, len(cfg.beta_grid))) for clf in CLASSIFIERS}
     trial_streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    params = None
+    params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
     for t, trial_ss in enumerate(trial_streams):
-        src_ss, train_ss, test_ss = trial_ss.spawn(3)
-        model = _trial_model(cfg, src_ss)
-        pool = _sample_draws(model, n_max, train_ss, id_prefix="train")
-        tests = _sample_draws(
-            model, cfg.test_size, test_ss, window_start=1, window_length=T, id_prefix="test"
-        )
-        params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
-        mk = MapKernel(model, params)
-        map_wrong = sum(1 for s, lab, _ in tests if mk.classify(s).label != lab)
+        model, pool, tests = _trial(cfg, trial_ss, n_max, T)
+        map_wrong = _map_wrong(MapKernel(model, params), tests)
         for j, beta in enumerate(cfg.beta_grid):
-            n_b = training_size(beta, cfg.model_cfg.m)
-            train = _dataset_from_draws(pool[:n_b])
-            vk = VotingKernel(train, params)
-            wrong = {"wmv": 0, "nn": 0}
-            for s, lab, _ in tests:
-                d = vk.shift_sq_dists(s)
-                if vk._gwmv_from_dists(d).label != lab:
-                    wrong["wmv"] += 1
-                if vk._knn_from_dists(d, 1).label != lab:
-                    wrong["nn"] += 1
-            per_trial["wmv"][t, j] = wrong["wmv"] / cfg.test_size
-            per_trial["nn"][t, j] = wrong["nn"] / cfg.test_size
-            per_trial["map"][t, j] = map_wrong / cfg.test_size
+            train = _dataset_from_draws(pool[: training_size(beta, cfg.model_cfg.m)])
+            rates = _error_rates(VotingKernel(train, params), tests, map_wrong)
+            for clf in CLASSIFIERS:
+                per_trial[clf][t, j] = rates[clf]
     return ErrorCurves("beta", cfg.beta_grid, per_trial)
 
 
@@ -232,12 +223,15 @@ class DetectionConfig:
             object.__setattr__(self, "window_hours", 2.0 * self.h_hours)
         if int(self.T) < 1:
             raise ParamError(f"T must be >= 1, got {self.T}")
-        if not (self.gamma >= 0.0):
-            raise ParamError(f"gamma must be >= 0, got {self.gamma}")
-        if not (self.theta > 0.0):
-            raise ParamError(f"theta must be > 0, got {self.theta}")
-        if not (self.h_hours > 0.0) or not (self.window_hours > 0.0):
-            raise ParamError("h_hours and window_hours must be positive")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (0.0 < self.theta < math.inf):
+            raise ParamError(f"theta must be finite and > 0, got {self.theta}")
+        hours = (self.h_hours, self.window_hours, self.bucket_width_minutes)
+        if not all(0.0 < v < math.inf for v in hours):
+            raise ParamError(
+                "h_hours, window_hours and bucket_width_minutes must be positive and finite"
+            )
         object.__setattr__(self, "T", int(self.T))
 
 
@@ -599,44 +593,3 @@ def roc_sweep(
         )
         per_point_results.append(tuple(results))
     return RocSweepResult(tuple(points), tuple(per_point_results))
-
-
-# ---------------------------------------------------------------------------
-# Ready-made profiles
-# ---------------------------------------------------------------------------
-
-
-def desk_experiment_config(seed: int = 0) -> ExperimentConfig:
-    """Small configuration that runs the full synthetic suite in minutes."""
-    return ExperimentConfig(
-        model_cfg=GeneratorConfig(
-            m=10, series_length=120, amplitude_variance=100.0, smoothing_scale=10.0, seed=seed
-        ),
-        beta=8.0,
-        gamma=0.125,
-        delta_max=10,
-        T_grid=(10, 20, 40, 70, 100),
-        beta_grid=(2.0, 4.0, 6.0, 8.0),
-        test_size=200,
-        trials=20,
-        seed=seed,
-        sigma=1.0,
-    )
-
-
-def full_scale_experiment_config(seed: int = 0) -> ExperimentConfig:
-    """Benchmark profile at full scale; expect a long run."""
-    return ExperimentConfig(
-        model_cfg=GeneratorConfig(
-            m=200, series_length=300, amplitude_variance=100.0, smoothing_scale=30.0, seed=seed
-        ),
-        beta=8.0,
-        gamma=0.125,
-        delta_max=100,
-        T_grid=(10, 25, 50, 75, 100),
-        beta_grid=(2.0, 4.0, 6.0, 8.0),
-        test_size=1000,
-        trials=20,
-        seed=seed,
-        sigma=1.0,
-    )

@@ -6,30 +6,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LabeledDataset, stacked_windows
+from .core import LabeledDataset, shifted_windows, sq_dists, stacked_windows
 from .errors import ParamError
 from .synth import LatentSourceModel
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _shift_window_matrix(seriess, T: int, delta_max: int) -> np.ndarray:
-    """(n * n_shifts, T) matrix of every shifted window of every series."""
-    W = stacked_windows(seriess, 1 - delta_max, T + delta_max)
-    return sliding_window_view(W, T, axis=1).reshape(-1, T)
-
-
 def _min_cross_sq(A: np.ndarray, B: np.ndarray, block: int = 256) -> float:
     """Minimum squared Euclidean distance between rows of A and rows of B."""
     best = math.inf
     for i in range(0, A.shape[0], block):
-        a = A[i : i + block]
+        a = A[i : i + block, None, :]
         for j in range(0, B.shape[0], block):
-            b = B[j : j + block]
-            d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-            m = float(d.min())
+            m = float(sq_dists(a, B[None, j : j + block]).min())
             if m < best:
                 best = m
     return best
@@ -51,33 +42,23 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = False) -
         raise ParamError(f"T must be >= 1, got {T}")
     if delta_max < 0:
         raise ParamError(f"delta_max must be >= 0, got {delta_max}")
+    pos = shifted_windows(data.positives, T, -delta_max, delta_max)  # (n+, n_shifts, T)
+    neg = shifted_windows(data.negatives, T, -delta_max, delta_max)
     if not cutoff:
-        A = _shift_window_matrix(data.positives, T, delta_max)
-        B = _shift_window_matrix(data.negatives, T, delta_max)
-        return _min_cross_sq(A, B)
+        return _min_cross_sq(pos.reshape(-1, T), neg.reshape(-1, T))
 
-    def per_series(seriess):
-        mats, lo, hi = [], [], []
-        for ts in seriess:
-            M = _shift_window_matrix([ts], T, delta_max)
-            norms = np.sqrt((M**2).sum(axis=1))
-            mats.append(M)
-            lo.append(float(norms.min()))
-            hi.append(float(norms.max()))
-        return mats, lo, hi
-
-    pos_mats, pos_lo, pos_hi = per_series(data.positives)
-    neg_mats, neg_lo, neg_hi = per_series(data.negatives)
+    pos_norms = np.sqrt((pos**2).sum(axis=-1))
+    neg_norms = np.sqrt((neg**2).sum(axis=-1))
+    pos_lo, pos_hi = pos_norms.min(axis=1).tolist(), pos_norms.max(axis=1).tolist()
+    neg_lo, neg_hi = neg_norms.min(axis=1).tolist(), neg_norms.max(axis=1).tolist()
     best = math.inf
-    for i, a in enumerate(pos_mats):
-        for j, b in enumerate(neg_mats):
+    for i, a in enumerate(pos):
+        for j, b in enumerate(neg):
             sep = max(neg_lo[j] - pos_hi[i], pos_lo[i] - neg_hi[j], 0.0)
             # conservative factor keeps float rounding from pruning a true minimum
             if sep * sep * (1.0 - 1e-9) > best:
                 continue
-            m = float(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1).min())
-            if m < best:
-                best = m
+            best = min(best, _min_cross_sq(a, b))
     return best
 
 
@@ -91,8 +72,7 @@ def gap_star(model: LatentSourceModel, T: int) -> float:
     W = stacked_windows([src for src, _ in model.sources], 1, T)
     best = math.inf
     for i in range(model.m - 1):
-        d = ((W[i + 1 :] - W[i]) ** 2).sum(axis=1)
-        m = float(d.min())
+        m = float(sq_dists(W[i + 1 :], W[i]).min())
         if m < best:
             best = m
     return best
@@ -122,18 +102,18 @@ class BoundInputs:
             raise ParamError(
                 f"m_plus + m_minus must equal m ({self.m_plus} + {self.m_minus} != {self.m})"
             )
-        if not (self.beta > 1.0):
-            raise ParamError(f"beta must be > 1, got {self.beta}")
-        if not (self.sigma > 0.0):
-            raise ParamError(f"sigma must be > 0, got {self.sigma}")
-        if not (self.gamma >= 0.0):
-            raise ParamError(f"gamma must be >= 0, got {self.gamma}")
-        if not (self.theta > 0.0):
-            raise ParamError(f"theta must be > 0, got {self.theta}")
+        if not (1.0 < self.beta < math.inf):
+            raise ParamError(f"beta must be finite and > 1, got {self.beta}")
+        if not (0.0 < self.sigma < math.inf):
+            raise ParamError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (0.0 < self.theta < math.inf):
+            raise ParamError(f"theta must be finite and > 0, got {self.theta}")
         if int(self.delta_max) < 0:
             raise ParamError(f"delta_max must be >= 0, got {self.delta_max}")
-        if not (self.gap >= 0.0):
-            raise ParamError(f"gap must be >= 0, got {self.gap}")
+        if not (0.0 <= self.gap < math.inf):
+            raise ParamError(f"gap must be finite and >= 0, got {self.gap}")
 
 
 def _exp(x: float) -> float:

@@ -30,7 +30,6 @@ from tsvote import (
     classify_gwmv,
     classify_knn,
     coverage_counts,
-    desk_experiment_config,
     error_vs_T,
     gap,
     make_detection_corpus,
@@ -48,6 +47,7 @@ from tsvote import (
 )
 from tsvote.classify import VotingKernel
 from tsvote.cli import main as cli_main
+from tsvote.config import experiment_config, load_config
 from tsvote.synth import derive_streams
 
 
@@ -221,7 +221,7 @@ def test_criterion_3_empirical_bound_soundness():
 
 def test_criterion_4_error_curve_pattern():
     start = time.monotonic()
-    cfg = desk_experiment_config(seed=0)
+    cfg = experiment_config(load_config(Path(__file__).parents[1] / "configs" / "desk.cfg"))
     curves = error_vs_T(cfg)
     wmv, nn, oracle = curves.mean("wmv"), curves.mean("nn"), curves.mean("map")
     elapsed = time.monotonic() - start

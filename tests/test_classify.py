@@ -367,3 +367,41 @@ class TestKernelConsistency:
             )
         assert checked > 50
         assert agree == checked
+
+
+class TestUndefinedRatio:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", math.inf), ("gamma", math.nan), ("theta", math.inf), ("theta", math.nan)],
+    )
+    def test_params_must_be_finite(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            VotingParams(**{"gamma": 1.0, "T": 3, field: value})
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda data, model, p: classify_gwmv(ZERO3, data, p),
+            lambda data, model, p: classify_knn(ZERO3, data, p, k=1),
+            lambda data, model, p: classify_knn(ZERO3, data, p, k=2),
+            lambda data, model, p: classify_map(TimeSeries(1, np.full(3, 2.0)), model, p),
+            lambda data, model, p: VotingKernel(data, p).log_lambda_many(np.zeros((2, 3))),
+        ],
+        ids=["gwmv", "knn1", "knn2", "map", "log_lambda_many"],
+    )
+    def test_overflowing_gamma_is_an_error_not_a_verdict(self, run):
+        # 1e308 * distance overflows to an -inf vote for every example of both classes
+        data = LabeledDataset(
+            (series_at_distance(4.0, 3, "p"),), (series_at_distance(9.0, 3, "n"),)
+        )
+        params = VotingParams(gamma=1e308, T=3)
+        with pytest.raises(ParamError, match="undefined"):
+            run(data, two_source_model(T=3, delta_max=0), params)
+
+    def test_infinite_ratio_is_still_a_verdict(self):
+        data = LabeledDataset(
+            (series_at_distance(0.0, 3, "p"),), (series_at_distance(9.0, 3, "n"),)
+        )
+        out = classify_gwmv(ZERO3, data, VotingParams(gamma=1e308, T=3))
+        assert out.label == Label.POSITIVE
+        assert out.log_lambda == math.inf

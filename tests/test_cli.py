@@ -65,6 +65,22 @@ class TestConfig:
             load_config(cfg_file, [])
 
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "voting.gamma=Infinity",
+            "voting.gamma=1e400",
+            "voting.theta=NaN",
+            "bounds.gap=-Infinity",
+            "detection.gamma_grid=1, Infinity",
+            "experiment.beta_grid=[2, 1e400]",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, override):
+        with pytest.raises(ConfigError, match=override.split("=")[0] + ".*finite"):
+            load_config(None, [override])
+
+
 class TestSerialization:
     def test_dataset_round_trip(self, tmp_path, rng):
         pos = tuple(TimeSeries(-2, rng.standard_normal(8), id=f"p{i}") for i in range(3))
@@ -247,6 +263,32 @@ class TestClassify:
         assert code == 3
         assert "non-empty" in err
         assert stdout == ""
+
+
+    def test_undefined_vote_ratio_exits_3(self, generated, tmp_path, capsys):
+        code, stdout, err = run_cli(
+            [
+                "classify", "--train", str(generated / "train.jsonl"),
+                "--series", str(generated / "test.jsonl"), "--method", "wmv",
+                "--gamma", "1e308", "--T", "20", "--delta-max", "3", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert "undefined" in err
+        assert stdout == ""
+
+    def test_infinite_gamma_setting_exits_1(self, generated, tmp_path, capsys):
+        code, _, err = run_cli(
+            [
+                "classify", "--train", str(generated / "train.jsonl"),
+                "--series", str(generated / "test.jsonl"), "--set", "voting.gamma=Infinity",
+                "--T", "20", "--delta-max", "3", "--out", str(tmp_path),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "voting.gamma" in err
 
 
 class TestPreprocessCommand:

@@ -166,6 +166,14 @@ class TestDetectOnline:
         assert result.detection_index > 20
         assert result.relative_minutes > 0
 
+    @pytest.mark.parametrize(
+        "field", ["gamma", "theta", "h_hours", "window_hours", "bucket_width_minutes"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            self.cfg(**{field: value})
+
     def test_result_invariant_enforced(self):
         with pytest.raises(ParamError):
             DetectionResult("x", True, None, None, Label.POSITIVE)

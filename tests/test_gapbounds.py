@@ -230,6 +230,12 @@ class TestBounds:
         with pytest.raises(ParamError):
             BoundInputs(**{**WORKED, "gap": -1.0})
 
+    @pytest.mark.parametrize("field", ["beta", "sigma", "gamma", "theta", "gap"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            BoundInputs(**{**WORKED, field: value})
+
 
 class TestRequiredGap:
     def test_balanced_theta_one(self):
