@@ -2,15 +2,16 @@
 
 Every classifier here is a thin caller of one engine. Distance grids come from
 `core.shifted_windows` and `core.sq_dists` (batches in `log_lambda_many` use the
-inner-product expansion instead); `_class_log_votes` turns one class's grid
-into its log vote through `_logsumexp`; `_tie_order` ranks examples for k-NN and
-nearest neighbor; `_outcome` turns the two class votes into a verdict.
+inner-product expansion instead); `_vote_ratio` turns both classes' distances
+into their log votes (through `_logsumexp`) and the log ratio; `_tie_order`
+ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into a
+verdict.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
-underflows to a 0/0 ratio. A ratio that is still undefined (both classes' votes
-are zero because gamma * distance overflowed) raises ParamError instead of
-becoming a verdict.
+underflows to a 0/0 ratio. gamma * distance overflowing to inf is a vote of
+exactly zero; a ratio that is still undefined (both classes' votes are zero)
+raises ParamError instead of becoming a verdict.
 """
 
 from __future__ import annotations
@@ -45,13 +46,31 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return shift + np.log(np.exp(a - shift).sum(axis=0))
 
 
-def _class_log_votes(dists: np.ndarray, gamma: float, shift_mode: str) -> np.ndarray:
-    """log sum of exp(-gamma * d) votes from one class's (examples, shifts[, batch]) grid."""
+def _class_dists(dists: np.ndarray, shift_mode: str) -> np.ndarray:
+    """The voting distances of an (examples, shifts[, batch]) grid along axis 0:
+    each example's minimum over shifts, or every (example, shift) pair."""
     if shift_mode == "min":
-        exponents = -gamma * dists.min(axis=1)
-    else:  # every (example, shift) pair votes
-        exponents = (-gamma * dists).reshape(-1, *dists.shape[2:])
-    return _logsumexp(exponents)
+        return dists.min(axis=1)
+    return dists.reshape(-1, *dists.shape[2:])
+
+
+def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
+    """(log ratio, positive log vote, negative log vote); each class casts
+    exp(-gamma * d + log_w) votes, summed along axis 0. A NaN ratio raises
+    ParamError, since no threshold can judge it.
+    """
+    # gamma * d overflowing to inf is a zero vote and two zero votes give a NaN
+    # ratio; both are handled here, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = _logsumexp(-gamma * pos_d + pos_log_w)
+        neg = _logsumexp(-gamma * neg_d + neg_log_w)
+        ratio = pos - neg
+    if np.isnan(ratio).any():
+        raise ParamError(
+            "log vote ratio is undefined: both classes' votes are zero in floating point "
+            "(gamma * distance overflowed); use a smaller gamma"
+        )
+    return ratio, pos, neg
 
 
 def _tie_order(dmin: np.ndarray) -> np.ndarray:
@@ -63,21 +82,9 @@ def _tie_order(dmin: np.ndarray) -> np.ndarray:
     return np.argsort(dmin, kind="stable")
 
 
-def _log_ratio(pos, neg):
-    """pos - neg; ParamError where that is NaN, since no threshold can judge it."""
-    ratio = pos - neg
-    if np.isnan(ratio).any():
-        raise ParamError(
-            "log vote ratio is undefined: both classes' votes are zero in floating point "
-            "(gamma * distance overflowed); use a smaller gamma"
-        )
-    return ratio
-
-
-def _outcome(pos, neg, log_threshold: float) -> ClassificationOutcome:
-    """Label +1 iff the log vote ratio reaches log_threshold."""
-    pos, neg = float(pos), float(neg)
-    log_lambda = _log_ratio(pos, neg)
+def _outcome(votes: tuple, log_threshold: float) -> ClassificationOutcome:
+    """Label +1 iff the log vote ratio of _vote_ratio's votes reaches log_threshold."""
+    log_lambda, pos, neg = (float(v) for v in votes)
     label = Label.POSITIVE if log_lambda >= log_threshold else Label.NEGATIVE
     return ClassificationOutcome(label, log_lambda, (pos, neg))
 
@@ -110,15 +117,14 @@ class VotingKernel:
         """Per-example minimum distance and its first minimizing shift."""
         return self._min_from_dists(self.shift_sq_dists(s))
 
-    def _class_votes(self, dists: np.ndarray) -> tuple:
+    def _votes(self, dists: np.ndarray) -> tuple:
         g, mode = self.params.gamma, self.params.shift_mode
-        return (
-            _class_log_votes(dists[: self.n_pos], g, mode),
-            _class_log_votes(dists[self.n_pos :], g, mode),
+        return _vote_ratio(
+            g, _class_dists(dists[: self.n_pos], mode), _class_dists(dists[self.n_pos :], mode)
         )
 
     def _gwmv_from_dists(self, dists: np.ndarray) -> ClassificationOutcome:
-        return _outcome(*self._class_votes(dists), math.log(self.params.theta))
+        return _outcome(self._votes(dists), math.log(self.params.theta))
 
     def _knn_from_dists(self, dists: np.ndarray, k: int) -> ClassificationOutcome:
         k = int(k)
@@ -128,10 +134,10 @@ class VotingKernel:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
         dmin = dists.min(axis=1)
         selected = np.sort(_tie_order(dmin)[:k])  # back to insertion order for stable accumulation
-        exponents = -self.params.gamma * dmin[selected]
+        d = dmin[selected]
         split = int(np.searchsorted(selected, self.n_pos))
-        pos, neg = _logsumexp(exponents[:split]), _logsumexp(exponents[split:])
-        return _outcome(pos, neg, math.log(self.params.theta))
+        votes = _vote_ratio(self.params.gamma, d[:split], d[split:])
+        return _outcome(votes, math.log(self.params.theta))
 
     def _nearest_from_dists(self, dists: np.ndarray) -> tuple[int, float, int]:
         dmin, shifts = self._min_from_dists(dists)
@@ -165,7 +171,7 @@ class VotingKernel:
         cross = flat @ obs.T  # (n * n_shifts, P)
         d = np.maximum(sq[:, None] - 2.0 * cross + np.einsum("ij,ij->i", obs, obs)[None, :], 0.0)
         d = d.reshape(self.n, self._views.shape[1], -1)
-        return _log_ratio(*self._class_votes(d))
+        return self._votes(d)[0]
 
 
 def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingParams) -> float:
@@ -173,8 +179,8 @@ def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingPa
     if not examples:
         raise ParamError("examples must be non-empty")
     views = shifted_windows(examples, params.T, -params.delta_max, params.delta_max)
-    dists = sq_dists(views, s.window(1, params.T))
-    return float(_class_log_votes(dists, params.gamma, params.shift_mode))
+    dists = _class_dists(sq_dists(views, s.window(1, params.T)), params.shift_mode)
+    return float(_logsumexp(-params.gamma * dists))
 
 
 def lambda_ratio(s: TimeSeries, data: LabeledDataset, params: VotingParams) -> float:
@@ -212,11 +218,12 @@ class MapKernel:
         self._views_pos = shifted_windows(pos, params.T, 0, params.delta_max)
         self._views_neg = shifted_windows(neg, params.T, 0, params.delta_max)
         if model.weights is not None:
-            w = np.asarray(model.weights, dtype=np.float64)
-            labels = np.array([int(lab) for _, lab in model.sources])
+            # one log weight per (source, shift) pair, in flattened distance order
+            n_shifts = params.delta_max + 1
+            labels = np.repeat([int(lab) for _, lab in model.sources], n_shifts)
             with np.errstate(divide="ignore"):  # zero weight: a source that never votes
-                self._logw_pos = np.log(w[labels == 1])[:, None]
-                self._logw_neg = np.log(w[labels == -1])[:, None]
+                logw = np.repeat(np.log(np.asarray(model.weights, dtype=np.float64)), n_shifts)
+            self._logw_pos, self._logw_neg = logw[labels == 1], logw[labels == -1]
         else:
             self._logw_pos = self._logw_neg = 0.0
 
@@ -225,11 +232,10 @@ class MapKernel:
 
     def classify(self, s: TimeSeries) -> ClassificationOutcome:
         sw = s.window(1, self.params.T)
-        g = self.params.gamma
-        pos = _logsumexp((-g * sq_dists(self._views_pos, sw) + self._logw_pos).ravel())
-        neg = _logsumexp((-g * sq_dists(self._views_neg, sw) + self._logw_neg).ravel())
+        pos, neg = (sq_dists(v, sw).ravel() for v in (self._views_pos, self._views_neg))
+        votes = _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
         # decision threshold fixed at a ratio of 1; theta plays no role here
-        return _outcome(pos, neg, 0.0)
+        return _outcome(votes, 0.0)
 
 
 def classify_map(

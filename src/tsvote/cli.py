@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -381,38 +382,15 @@ def cmd_detect(args) -> int:
     result = roc_sweep(
         corpus, training, cfgmod.sweep_grid(cfg), cfgmod.detection_config(cfg), seed=sweep_seed
     )
-    points_doc = []
-    detection_rows = []
-    for gi, point in enumerate(result.points):
-        points_doc.append(
-            {
-                "fpr": point.fpr,
-                "tpr": point.tpr,
-                "mean_relative_minutes": point.mean_relative_minutes,
-                "early_fraction_detected": point.early_fraction_detected,
-                "early_fraction_all": point.early_fraction_all,
-                "n_detected_trends": point.n_detected_trends,
-                "n_detected_non_trends": point.n_detected_non_trends,
-                "n_trends": point.n_trends,
-                "n_non_trends": point.n_non_trends,
-                "params": point.params,
-            }
-        )
-        for r in result.results[gi]:
-            detection_rows.append(
-                {
-                    "grid_index": gi,
-                    "topic_id": r.topic_id,
-                    "detected": r.detected,
-                    "detection_index": r.detection_index,
-                    "relative_minutes": r.relative_minutes,
-                    "truth": int(r.truth),
-                }
-            )
+    detection_rows = [
+        {"grid_index": gi, **asdict(r), "truth": int(r.truth)}
+        for gi, results in enumerate(result.results)
+        for r in results
+    ]
     doc = {
         "schema_version": dataio.SCHEMA_VERSION,
         "command": "detect",
-        "points": points_doc,
+        "points": [asdict(point) for point in result.points],
         "envelope": [[f, t] for f, t in result.envelope()],
         "n_train": len(training),
         "n_test": len(corpus),

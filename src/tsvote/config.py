@@ -147,7 +147,10 @@ SCHEMA: dict[str, FieldSpec] = {
     "experiment.mode": FieldSpec(_as_str, "both", _choice("T", "beta", "both")),
     # online detection
     "detection.h_hours": FieldSpec(_as_float, 1.0, _gt(0)),
-    "detection.window_hours": FieldSpec(_none_or(_as_float), None),
+    # retired; it stays, unset, so manifests and their config hashes are unchanged
+    "detection.window_hours": FieldSpec(
+        _none_or(_as_float), None, lambda v: "is retired: detection spans h_hours around the anchor"
+    ),
     "detection.T": FieldSpec(_as_int, 12, _ge(1)),
     "detection.gamma": FieldSpec(_as_float, 1.0, _ge(0)),
     "detection.theta": FieldSpec(_as_float, 1.0, _gt(0)),
@@ -246,11 +249,7 @@ def load_config(path=None, overrides: Optional[list] = None) -> RunConfig:
     raw: dict = {}
     if path is not None:
         p = Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError:
-            raise
-        raw.update(parse_config_text(text, where=str(p)))
+        raw.update(parse_config_text(p.read_text(encoding="utf-8"), where=str(p)))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
@@ -340,7 +339,6 @@ def detection_config(cfg: RunConfig) -> DetectionConfig:
         T=cfg["detection.T"],
         gamma=cfg["detection.gamma"],
         theta=cfg["detection.theta"],
-        window_hours=cfg["detection.window_hours"],
         pipeline=pipeline_params(cfg),
         bucket_width_minutes=cfg["detection.bucket_width_minutes"],
         delta_max=cfg["detection.delta_max"],

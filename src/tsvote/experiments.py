@@ -200,38 +200,36 @@ def error_vs_beta(cfg: ExperimentConfig) -> ErrorCurves:
 # ---------------------------------------------------------------------------
 
 
+def _check_theta(theta: float) -> None:
+    if not (0.0 < theta < math.inf):
+        raise ParamError(f"theta must be finite and > 0, got {theta}")
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     """Settings for sliding-window online detection.
 
-    The detector classifies the most recent T buckets at every position of a
-    window_hours region centered on the anchor (trend onset for trends, a
-    random anchor otherwise); the first positive verdict is the detection.
+    The detector classifies the most recent T buckets at every position within
+    h_hours either side of the anchor (trend onset for trends, a random anchor
+    otherwise); the first positive verdict is the detection.
     """
 
     h_hours: float = 7.0
     T: int = 115
     gamma: float = 10.0
     theta: float = 1.0
-    window_hours: Optional[float] = None  # defaults to 2 * h_hours
     pipeline: PipelineParams = PipelineParams()
     bucket_width_minutes: float = 2.0
     delta_max: Optional[int] = None  # None: widest shift every training slice supports
 
     def __post_init__(self):
-        if self.window_hours is None:
-            object.__setattr__(self, "window_hours", 2.0 * self.h_hours)
         if int(self.T) < 1:
             raise ParamError(f"T must be >= 1, got {self.T}")
         if not (0.0 <= self.gamma < math.inf):
             raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 < self.theta < math.inf):
-            raise ParamError(f"theta must be finite and > 0, got {self.theta}")
-        hours = (self.h_hours, self.window_hours, self.bucket_width_minutes)
-        if not all(0.0 < v < math.inf for v in hours):
-            raise ParamError(
-                "h_hours, window_hours and bucket_width_minutes must be positive and finite"
-            )
+        _check_theta(self.theta)
+        if not all(0.0 < v < math.inf for v in (self.h_hours, self.bucket_width_minutes)):
+            raise ParamError("h_hours and bucket_width_minutes must be positive and finite")
         object.__setattr__(self, "T", int(self.T))
 
 
@@ -262,6 +260,27 @@ def _max_supported_shift(training: LabeledDataset, T: int) -> int:
     return dmax
 
 
+def _detection_kernel(training: LabeledDataset, cfg: DetectionConfig) -> VotingKernel:
+    dmax = cfg.delta_max if cfg.delta_max is not None else _max_supported_shift(training, cfg.T)
+    return VotingKernel(training, VotingParams(cfg.gamma, cfg.T, dmax, cfg.theta))
+
+
+def _log_ratio_trace(series: TimeSeries, kernel: VotingKernel, anchor: int, half: int):
+    """log vote ratio of the T buckets ending at each position anchor-half..anchor+half."""
+    T = kernel.params.T
+    region = series.window(anchor - half - T + 1, anchor + half)  # SupportError if too short
+    return kernel.log_lambda_many(np.lib.stride_tricks.sliding_window_view(region, T))
+
+
+def _first_crossing(trace, log_theta, series_id, anchor, half, bw, truth) -> DetectionResult:
+    """Detection at the first trace position whose log ratio reaches log_theta."""
+    hits = trace >= log_theta
+    if not hits.any():
+        return DetectionResult(series_id, False, None, None, truth)
+    position = anchor - half + int(np.argmax(hits))
+    return DetectionResult(series_id, True, position, (position - anchor) * bw, truth)
+
+
 def detect_online(
     series: TimeSeries,
     training: LabeledDataset,
@@ -269,27 +288,16 @@ def detect_online(
     anchor: int,
     truth: Label,
 ) -> DetectionResult:
-    """Slide a T-bucket observation window across the region centered at anchor.
+    """Slide a T-bucket observation window across the region h_hours either side of anchor.
 
     Detection fires at the first position whose vote ratio clears theta;
     relative_minutes is negative when that happens before the anchor.
     """
     anchor = int(anchor)
     bw = cfg.bucket_width_minutes
-    half = window_buckets(cfg.window_hours / 2.0, bw)
-    first_needed = anchor - half - cfg.T + 1
-    last_needed = anchor + half
-    region = series.window(first_needed, last_needed)  # SupportError if too short
-    dmax = cfg.delta_max if cfg.delta_max is not None else _max_supported_shift(training, cfg.T)
-    params = VotingParams(cfg.gamma, cfg.T, dmax, cfg.theta)
-    kernel = VotingKernel(training, params)
-    observations = np.lib.stride_tricks.sliding_window_view(region, cfg.T)
-    log_lambda = kernel.log_lambda_many(observations)
-    hits = log_lambda >= math.log(cfg.theta)
-    if not hits.any():
-        return DetectionResult(series.id, False, None, None, truth)
-    position = anchor - half + int(np.argmax(hits))
-    return DetectionResult(series.id, True, position, (position - anchor) * bw, truth)
+    half = window_buckets(cfg.h_hours, bw)
+    trace = _log_ratio_trace(series, _detection_kernel(training, cfg), anchor, half)
+    return _first_crossing(trace, math.log(cfg.theta), series.id, anchor, half, bw, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +488,8 @@ class SweepGrid:
         for name in ("gammas", "Ts", "t_smooths", "h_hours", "thetas"):
             if not getattr(self, name):
                 raise ParamError(f"sweep grid {name} must be non-empty")
-
-    def points(self):
-        return itertools.product(self.gammas, self.Ts, self.t_smooths, self.h_hours, self.thetas)
+        for theta in self.thetas:
+            _check_theta(theta)
 
 
 @dataclass(frozen=True)
@@ -506,6 +513,27 @@ class RocSweepResult:
         return out
 
 
+def _roc_point(results: tuple, params: dict) -> RocPoint:
+    trends = [r for r in results if r.truth == Label.POSITIVE]
+    bgs = [r for r in results if r.truth == Label.NEGATIVE]
+    det_trends = [r for r in trends if r.detected]
+    det_bgs = [r for r in bgs if r.detected]
+    early = [r for r in det_trends if r.relative_minutes < 0]
+    mean_rel = float(np.mean([r.relative_minutes for r in det_trends])) if det_trends else None
+    return RocPoint(
+        fpr=len(det_bgs) / len(bgs) if bgs else 0.0,
+        tpr=len(det_trends) / len(trends) if trends else 0.0,
+        mean_relative_minutes=mean_rel,
+        early_fraction_detected=len(early) / len(det_trends) if det_trends else None,
+        early_fraction_all=len(early) / len(trends) if trends else 0.0,
+        n_trends=len(trends),
+        n_non_trends=len(bgs),
+        n_detected_trends=len(det_trends),
+        n_detected_non_trends=len(det_bgs),
+        params=params,
+    )
+
+
 def roc_sweep(
     corpus: Sequence,
     training: Sequence,
@@ -516,7 +544,9 @@ def roc_sweep(
     """Run detection over the test topics at every grid point and aggregate rates.
 
     corpus and training are sequences of (RateSeries, Label) from split_topics;
-    the two sides must be disjoint by topic id.
+    the two sides must be disjoint by topic id. Each (gamma, T, t_smooth, h)
+    setting builds its training set, kernel and per-topic log-ratio traces
+    once; every theta then only thresholds those traces.
     """
     corpus_ids = {rate.topic_id for rate, _ in corpus}
     train_ids = {rate.topic_id for rate, _ in training}
@@ -524,31 +554,24 @@ def roc_sweep(
         raise ParamError(
             f"training and test topics overlap: {sorted(corpus_ids & train_ids)[:5]}"
         )
-    grid_points = list(grid.points())
     # common random numbers across grid points: slice placement and anchors are
     # drawn once per topic, so settings differ only in their parameters
     train_ss, anchor_ss = np.random.SeedSequence(seed).spawn(2)
     train_children = train_ss.spawn(len(training))
     anchor_children = anchor_ss.spawn(len(corpus))
+    bw = base_cfg.bucket_width_minutes
     points, per_point_results = [], []
-    for gi, (gamma, T, t_smooth, h, theta) in enumerate(grid_points):
-        cfg = DetectionConfig(
-            h_hours=h,
-            T=T,
-            gamma=gamma,
-            theta=theta,
-            window_hours=None,
-            pipeline=replace(base_cfg.pipeline, t_smooth=t_smooth),
-            bucket_width_minutes=base_cfg.bucket_width_minutes,
-            delta_max=base_cfg.delta_max,
-        )
+    settings = itertools.product(grid.gammas, grid.Ts, grid.t_smooths, grid.h_hours)
+    for gamma, T, t_smooth, h in settings:
+        pipeline = replace(base_cfg.pipeline, t_smooth=t_smooth)
+        cfg = replace(base_cfg, h_hours=h, T=T, gamma=gamma, pipeline=pipeline)
         train_data = prepare_training(
             training, cfg, [np.random.default_rng(c) for c in train_children]
         )
-        half = window_buckets(cfg.window_hours / 2.0, cfg.bucket_width_minutes)
-        anchor_streams = [np.random.default_rng(c) for c in anchor_children]
-        results = []
-        for (rate, label), stream in zip(corpus, anchor_streams):
+        kernel = _detection_kernel(train_data, cfg)
+        half = window_buckets(h, bw)
+        traces = []  # (topic id, truth, anchor, log-ratio trace) per test topic
+        for (rate, label), child in zip(corpus, anchor_children):
             processed = preprocess(rate, cfg.pipeline)
             if label == Label.POSITIVE:
                 if rate.onset_index is None:
@@ -561,35 +584,16 @@ def roc_sweep(
                     raise SupportError(
                         f"topic {rate.topic_id!r} is too short for the detection region"
                     )
-                anchor = lo + int(as_generator(stream).integers(0, hi - lo + 1))
-            results.append(detect_online(processed, train_data, cfg, anchor, label))
-        trends = [r for r in results if r.truth == Label.POSITIVE]
-        bgs = [r for r in results if r.truth == Label.NEGATIVE]
-        det_trends = [r for r in trends if r.detected]
-        det_bgs = [r for r in bgs if r.detected]
-        early = [r for r in det_trends if r.relative_minutes < 0]
-        mean_rel = (
-            float(np.mean([r.relative_minutes for r in det_trends])) if det_trends else None
-        )
-        points.append(
-            RocPoint(
-                fpr=len(det_bgs) / len(bgs) if bgs else 0.0,
-                tpr=len(det_trends) / len(trends) if trends else 0.0,
-                mean_relative_minutes=mean_rel,
-                early_fraction_detected=len(early) / len(det_trends) if det_trends else None,
-                early_fraction_all=len(early) / len(trends) if trends else 0.0,
-                n_trends=len(trends),
-                n_non_trends=len(bgs),
-                n_detected_trends=len(det_trends),
-                n_detected_non_trends=len(det_bgs),
-                params={
-                    "gamma": gamma,
-                    "T": T,
-                    "t_smooth": t_smooth,
-                    "h_hours": h,
-                    "theta": theta,
-                },
+                anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
+            trace = _log_ratio_trace(processed, kernel, anchor, half)
+            traces.append((processed.id, label, anchor, trace))
+        for theta in grid.thetas:
+            log_theta = math.log(theta)
+            results = tuple(
+                _first_crossing(trace, log_theta, sid, anchor, half, bw, label)
+                for sid, label, anchor, trace in traces
             )
-        )
-        per_point_results.append(tuple(results))
+            params = {"gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta}
+            points.append(_roc_point(results, params))
+            per_point_results.append(results)
     return RocSweepResult(tuple(points), tuple(per_point_results))

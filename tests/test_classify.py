@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -395,13 +396,20 @@ class TestUndefinedRatio:
             (series_at_distance(4.0, 3, "p"),), (series_at_distance(9.0, 3, "n"),)
         )
         params = VotingParams(gamma=1e308, T=3)
-        with pytest.raises(ParamError, match="undefined"):
-            run(data, two_source_model(T=3, delta_max=0), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the error is the only report
+            with pytest.raises(ParamError, match="undefined"):
+                run(data, two_source_model(T=3, delta_max=0), params)
 
     def test_infinite_ratio_is_still_a_verdict(self):
         data = LabeledDataset(
             (series_at_distance(0.0, 3, "p"),), (series_at_distance(9.0, 3, "n"),)
         )
-        out = classify_gwmv(ZERO3, data, VotingParams(gamma=1e308, T=3))
+        params = VotingParams(gamma=1e308, T=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # only the negative class overflows
+            out = classify_gwmv(ZERO3, data, params)
+            many = VotingKernel(data, params).log_lambda_many(np.zeros((2, 3)))
         assert out.label == Label.POSITIVE
         assert out.log_lambda == math.inf
+        assert many.tolist() == [math.inf, math.inf]

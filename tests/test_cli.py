@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,16 +267,19 @@ class TestClassify:
 
 
     def test_undefined_vote_ratio_exits_3(self, generated, tmp_path, capsys):
-        code, stdout, err = run_cli(
-            [
-                "classify", "--train", str(generated / "train.jsonl"),
-                "--series", str(generated / "test.jsonl"), "--method", "wmv",
-                "--gamma", "1e308", "--T", "20", "--delta-max", "3", "--out", str(tmp_path),
-            ],
-            capsys,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy must stay quiet
+            code, stdout, err = run_cli(
+                [
+                    "classify", "--train", str(generated / "train.jsonl"),
+                    "--series", str(generated / "test.jsonl"), "--method", "wmv",
+                    "--gamma", "1e308", "--T", "20", "--delta-max", "3", "--out", str(tmp_path),
+                ],
+                capsys,
+            )
         assert code == 3
         assert "undefined" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert stdout == ""
 
     def test_infinite_gamma_setting_exits_1(self, generated, tmp_path, capsys):
@@ -429,6 +433,26 @@ class TestDetectCommand:
             assert code == 0
         assert read_tree_bytes(out_a) == read_tree_bytes(out_b)
 
+    def test_multi_setting_grid_deterministic(self, tmp_path, capsys):
+        grid = ["--set", "detection.t_grid=[12, 15]", "--set", "detection.h_grid=[1.0, 1.5]"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            argv = ["detect", "--seed", "3", "--out", str(out)] + self.DETECT_ARGS + grid
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+        assert read_tree_bytes(out_a) == read_tree_bytes(out_b)
+        doc = json.loads((out_a / "roc.json").read_text())
+        # T, then h, then theta (the innermost axis)
+        got = [(p["params"]["T"], p["params"]["h_hours"], p["params"]["theta"]) for p in doc["points"]]
+        assert got == [(T, h, th) for T in (12, 15) for h in (1.0, 1.5) for th in (0.5, 2.0)]
+
+    @pytest.mark.parametrize("value", ["0.5", "9"])
+    def test_window_hours_is_retired(self, tmp_path, capsys, value):
+        argv = ["detect", "--set", f"detection.window_hours={value}", "--out", str(tmp_path)]
+        code, _, err = run_cli(argv + self.DETECT_ARGS, capsys)
+        assert code == 1
+        assert "detection.window_hours" in err
+
 
 class TestOutputDirResolution:
     def test_env_var_sets_default(self, tmp_path, capsys, monkeypatch):
@@ -453,6 +477,9 @@ class TestExitCodes:
             ["gap", "--train", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path)], capsys
         )
         assert code == 2
+        code, _, err = run_cli(["bounds", "--config", str(tmp_path / "absent.cfg")], capsys)
+        assert code == 2
+        assert "absent.cfg" in err
 
     def test_bad_flag_is_validation(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsvote import (
     CorpusConfig,
@@ -128,7 +131,6 @@ class TestDetectOnline:
             T=6,
             gamma=50.0,
             theta=1.0,
-            window_hours=0.4,
             pipeline=PipelineParams(alpha=1.2, t_smooth=2, log_floor=1e-12),
             bucket_width_minutes=2.0,
             delta_max=0,
@@ -166,9 +168,7 @@ class TestDetectOnline:
         assert result.detection_index > 20
         assert result.relative_minutes > 0
 
-    @pytest.mark.parametrize(
-        "field", ["gamma", "theta", "h_hours", "window_hours", "bucket_width_minutes"]
-    )
+    @pytest.mark.parametrize("field", ["gamma", "theta", "h_hours", "bucket_width_minutes"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_config_rejected(self, field, value):
         with pytest.raises(ParamError, match=field):
@@ -282,6 +282,11 @@ class TestCorpusAndSweep:
         assert fprs == sorted(fprs, reverse=True)
         assert tprs == sorted(tprs, reverse=True)
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+    def test_grid_rejects_bad_theta(self, theta):
+        with pytest.raises(ParamError, match="theta"):
+            SweepGrid(thetas=(1.0, theta))
+
     def test_detection_rows_consistent(self):
         trends, bgs = small_corpus()
         train, test = split_topics(trends, bgs, 3)
@@ -296,3 +301,40 @@ class TestCorpusAndSweep:
                 assert (r.relative_minutes < 0) == (r.detection_index < onsets[r.topic_id])
         n_det_trends = sum(1 for r in results if r.truth == Label.POSITIVE and r.detected)
         assert point.n_detected_trends == n_det_trends
+
+
+@functools.lru_cache(maxsize=None)
+def theta_sweep_topics():
+    trends, bgs = small_corpus(seed=7, n=8)
+    train, test = split_topics(trends, bgs, 5)
+    return tuple(test), tuple(train)
+
+
+def theta_sweep(thetas):
+    test, train = theta_sweep_topics()
+    grid = SweepGrid(gammas=(1.0,), Ts=(15,), t_smooths=(20,), h_hours=(1.0,), thetas=thetas)
+    return roc_sweep(test, train, grid, small_base_cfg(), seed=13)
+
+
+class TestThetaAxis:
+    """theta only thresholds each topic's log-ratio trace, so a sweep over many
+    thetas equals one sweep per theta, and raising theta never adds a detection."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-12.0, max_value=12.0).map(math.exp),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    def test_sweep_equals_one_sweep_per_theta(self, thetas):
+        together = theta_sweep(tuple(thetas))
+        for i, theta in enumerate(thetas):
+            alone = theta_sweep((theta,))
+            assert together.points[i] == alone.points[0]
+            assert together.results[i] == alone.results[0]
+        by_theta = sorted(zip(thetas, together.points))
+        for (_, lo), (_, hi) in zip(by_theta, by_theta[1:]):
+            assert hi.tpr <= lo.tpr and hi.fpr <= lo.fpr
