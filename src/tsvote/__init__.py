@@ -75,6 +75,7 @@ from .experiments import (
     RocSweepResult,
     SweepGrid,
     detect_online,
+    error_curves,
     error_vs_T,
     error_vs_beta,
     make_detection_corpus,

@@ -2,10 +2,10 @@
 
 Every classifier here is a thin caller of one engine. Distance grids come from
 `core.shifted_windows` and `core.sq_dists` (batches in `log_lambda_many` use the
-inner-product expansion instead); `_vote_ratio` turns both classes' distances
-into their log votes (through `_logsumexp`) and the log ratio; `_tie_order`
-ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into a
-verdict.
+inner-product expansion instead); `_log_votes` turns one class's distances into
+its log vote (through `_logsumexp`) and `_vote_ratio` both classes' into the log
+ratio; `_tie_order` ranks examples for k-NN and nearest neighbor; `_outcome`
+turns the votes into a verdict.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
@@ -54,16 +54,19 @@ def _class_dists(dists: np.ndarray, shift_mode: str) -> np.ndarray:
     return dists.reshape(-1, *dists.shape[2:])
 
 
-def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
-    """(log ratio, positive log vote, negative log vote); each class casts
-    exp(-gamma * d + log_w) votes, summed along axis 0. A NaN ratio raises
-    ParamError, since no threshold can judge it.
-    """
-    # gamma * d overflowing to inf is a zero vote and two zero votes give a NaN
-    # ratio; both are handled here, so numpy need not warn about them
+def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
+    """log of the exp(-gamma * d + log_w) votes summed along axis 0."""
+    # gamma * d overflowing to inf is a zero vote, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        pos = _logsumexp(-gamma * pos_d + pos_log_w)
-        neg = _logsumexp(-gamma * neg_d + neg_log_w)
+        return _logsumexp(-gamma * d + log_w)
+
+
+def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
+    """(log ratio, positive log vote, negative log vote) of the two classes'
+    _log_votes. A NaN ratio raises ParamError, since no threshold can judge it.
+    """
+    pos, neg = _log_votes(gamma, pos_d, pos_log_w), _log_votes(gamma, neg_d, neg_log_w)
+    with np.errstate(invalid="ignore"):  # two zero votes give a NaN ratio, raised below
         ratio = pos - neg
     if np.isnan(ratio).any():
         raise ParamError(
@@ -180,7 +183,7 @@ def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingPa
         raise ParamError("examples must be non-empty")
     views = shifted_windows(examples, params.T, -params.delta_max, params.delta_max)
     dists = _class_dists(sq_dists(views, s.window(1, params.T)), params.shift_mode)
-    return float(_logsumexp(-params.gamma * dists))
+    return float(_log_votes(params.gamma, dists))
 
 
 def lambda_ratio(s: TimeSeries, data: LabeledDataset, params: VotingParams) -> float:

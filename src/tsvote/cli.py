@@ -27,8 +27,7 @@ from .errors import (
     SupportError,
 )
 from .experiments import (
-    error_vs_T,
-    error_vs_beta,
+    error_curves,
     make_detection_corpus,
     roc_sweep,
     split_topics,
@@ -306,19 +305,7 @@ def cmd_bounds(args) -> int:
         "nn_vacuous": is_vacuous(nn),
         "required_gap": req,
         "conditions": conditions,
-        "inputs": {
-            "m": inputs.m,
-            "m_plus": inputs.m_plus,
-            "m_minus": inputs.m_minus,
-            "n": inputs.n,
-            "beta": inputs.beta,
-            "sigma": inputs.sigma,
-            "gamma": inputs.gamma,
-            "theta": inputs.theta,
-            "delta_max": inputs.delta_max,
-            "gap": inputs.gap,
-            "delta": cfg["bounds.delta"],
-        },
+        "inputs": {**asdict(inputs), "delta": cfg["bounds.delta"]},
     }
     _write_json(out / "bounds.json", doc)
     _write_csv(
@@ -350,10 +337,8 @@ def cmd_experiment(args) -> int:
     mode = args.mode or cfg["experiment.mode"]
     exp_cfg = cfgmod.experiment_config(cfg)
     doc = {"schema_version": dataio.SCHEMA_VERSION, "command": "experiment", "mode": mode}
-    for name, runner in (("T", error_vs_T), ("beta", error_vs_beta)):
-        if mode not in (name, "both"):
-            continue
-        curves = runner(exp_cfg)
+    axes = ("T", "beta") if mode == "both" else (mode,)
+    for name, curves in error_curves(exp_cfg, axes).items():
         doc[f"curves_{name}"] = _curves_doc(curves)
         _write_csv(
             out / f"curves_{name}.csv",

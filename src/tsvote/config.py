@@ -108,11 +108,7 @@ def _choice(*options):
 
 
 def _positive_list(v):
-    return all(x > 0 for x in v) or "entries must be positive"
-
-
-def _nonempty(v):
-    return len(v) > 0 or "must be non-empty"
+    return (len(v) > 0 and all(x > 0 for x in v)) or "must be non-empty with positive entries"
 
 
 SCHEMA: dict[str, FieldSpec] = {
@@ -140,8 +136,8 @@ SCHEMA: dict[str, FieldSpec] = {
     "pipeline.log_floor": FieldSpec(_as_float, 1e-12, _gt(0)),
     # synthetic error-curve experiments
     "experiment.beta": FieldSpec(_as_float, 8.0, _gt(1.0)),
-    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _nonempty),
-    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _nonempty),
+    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _positive_list),
+    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _positive_list),
     "experiment.test_size": FieldSpec(_as_int, 200, _ge(1)),
     "experiment.trials": FieldSpec(_as_int, 20, _ge(1)),
     "experiment.mode": FieldSpec(_as_str, "both", _choice("T", "beta", "both")),

@@ -51,14 +51,15 @@ class ExperimentConfig:
     noise_family: str = "gaussian"
 
     def __post_init__(self):
-        if not self.T_grid or not self.beta_grid:
-            raise ParamError("T_grid and beta_grid must be non-empty")
         if int(self.trials) < 1:
             raise ParamError(f"trials must be >= 1, got {self.trials}")
         if int(self.test_size) < 1:
             raise ParamError(f"test_size must be >= 1, got {self.test_size}")
         object.__setattr__(self, "T_grid", tuple(int(t) for t in self.T_grid))
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
+        for name, grid in (("T_grid", self.T_grid), ("beta_grid", self.beta_grid)):
+            if not grid or not all(0 < x < math.inf for x in grid):
+                raise ParamError(f"{name} must be non-empty, positive and finite, got {grid}")
         needed = max(self.T_grid) + 2 * int(self.delta_max)
         if self.model_cfg.series_length < needed:
             raise ParamError(
@@ -95,19 +96,11 @@ class ErrorCurves:
                 yield x, clf, float(m), float(s)
 
 
-def _sample_draws(model, n, stream, *, window_start=None, window_length=None, id_prefix="ex"):
-    draws = []
-    for i, rng in enumerate(derive_streams(stream, n)):
-        draws.append(
-            sample_series(
-                model,
-                rng,
-                window_start=window_start,
-                window_length=window_length,
-                id=f"{id_prefix}-{i:05d}",
-            )
-        )
-    return draws
+def _sample_draws(model, n, stream, id_prefix, **window) -> list:
+    return [
+        sample_series(model, rng, id=f"{id_prefix}-{i:05d}", **window)
+        for i, rng in enumerate(derive_streams(stream, n))
+    ]
 
 
 def _dataset_from_draws(draws) -> LabeledDataset:
@@ -121,78 +114,94 @@ def _dataset_from_draws(draws) -> LabeledDataset:
     )
 
 
-def _trial(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, n_train: int, T: int):
-    """One trial's fresh sources, n_train training draws, and test draws on [1, T].
+def _axis_cells(cfg: ExperimentConfig, axes: Sequence[str]) -> dict:
+    """The (training size, T) cell behind each point of each requested axis: the
+    T axis trains on n(beta) at every T, the beta axis on n(b) at max(T_grid)."""
+    m, T_max = cfg.model_cfg.m, max(cfg.T_grid)
+    cells = {
+        "T": [(training_size(cfg.beta, m), T) for T in cfg.T_grid],
+        "beta": [(training_size(b, m), T_max) for b in cfg.beta_grid],
+    }
+    if not axes or not set(axes) <= set(cells):
+        raise ParamError(f"axes must be a non-empty subset of ('T', 'beta'), got {axes!r}")
+    return {axis: cells[axis] for axis in axes}
 
-    Both error curves draw their trials here, so equal (n_train, T) means equal data.
+
+def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells) -> dict:
+    """Error rate per classifier of every (training size, T) cell in one trial.
+
+    One draw of sources, training pool and tests serves every cell: a smaller
+    pool is a prefix of the pool draws and a shorter observation is a prefix of
+    each test. Each T builds one oracle kernel and computes one distance grid
+    per test against the largest pool it needs; every pool size at that T reads
+    its rows of the grid (its first positives and first negatives).
     """
     src_ss, train_ss, test_ss = trial_ss.spawn(3)
     gen_seed = int(src_ss.generate_state(1, np.uint64)[0])
     model = make_latent_sources(
         replace(cfg.model_cfg, seed=gen_seed), delta_max=cfg.delta_max, noise=cfg.noise()
     )
-    train = _sample_draws(model, n_train, train_ss, id_prefix="train")
+    pool = _sample_draws(model, max(n for n, _ in cells), train_ss, "train")
     tests = _sample_draws(
-        model, cfg.test_size, test_ss, window_start=1, window_length=T, id_prefix="test"
+        model, cfg.test_size, test_ss, "test", window_start=1, window_length=max(cfg.T_grid)
     )
-    return model, train, tests
+    rates = {}
+    for T in dict.fromkeys(T for _, T in cells):
+        params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
+        sizes = sorted({n for n, t in cells if t == T})
+        kernels = {n: VotingKernel(_dataset_from_draws(pool[:n]), params) for n in sizes}
+        pool_kernel = kernels[sizes[-1]]
+        P = pool_kernel.n_pos
+        rows = {n: np.r_[: k.n_pos, P : P + k.n - k.n_pos] for n, k in kernels.items()}
+        oracle = MapKernel(model, params)
+        wrong = {n: {"wmv": 0, "nn": 0} for n in sizes}
+        map_wrong = 0
+        for s, label, _ in tests:
+            map_wrong += oracle.classify(s).label != label
+            grid = pool_kernel.shift_sq_dists(s)
+            for n, kernel in kernels.items():
+                d = grid[rows[n]]
+                wrong[n]["wmv"] += kernel._gwmv_from_dists(d).label != label
+                wrong[n]["nn"] += kernel._knn_from_dists(d, 1).label != label
+        for n in sizes:
+            counts = {**wrong[n], "map": map_wrong}
+            rates[n, T] = {clf: counts[clf] / len(tests) for clf in CLASSIFIERS}
+    return rates
 
 
-def _map_wrong(mk: MapKernel, tests) -> int:
-    return sum(mk.classify(s).label != label for s, label, _ in tests)
+def error_curves(cfg: ExperimentConfig, axes: Sequence[str] = ("T", "beta")) -> dict:
+    """Misclassification rate of voting, nearest-neighbor, and the oracle along
+    each requested axis ("T": the observed prefix length grows at beta; "beta":
+    the training pool grows at T = max(T_grid)), keyed by axis name.
 
-
-def _error_rates(vk: VotingKernel, tests, map_wrong: int) -> dict:
-    """Error rate per classifier. The oracle ignores training data, so its
-    misclassification count comes in precomputed."""
-    wrong = {"wmv": 0, "nn": 0, "map": map_wrong}
-    for s, label, _ in tests:
-        d = vk.shift_sq_dists(s)  # one grid serves both voting and nearest neighbor
-        wrong["wmv"] += vk._gwmv_from_dists(d).label != label
-        wrong["nn"] += vk._knn_from_dists(d, 1).label != label
-    return {clf: wrong[clf] / len(tests) for clf in CLASSIFIERS}
+    Fresh sources, training, and test data per trial, shared by both axes.
+    Training pools are nested across beta within a trial (prefixes of one draw
+    sequence), so larger beta strictly adds examples. The oracle ignores
+    training data, so its beta row is constant within a trial.
+    """
+    axis_cells = _axis_cells(cfg, axes)
+    cells = list(dict.fromkeys(c for points in axis_cells.values() for c in points))
+    per_trial = {
+        axis: {clf: np.zeros((cfg.trials, len(points))) for clf in CLASSIFIERS}
+        for axis, points in axis_cells.items()
+    }
+    for t, trial_ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        rates = _trial_rates(cfg, trial_ss, cells)
+        for axis, points in axis_cells.items():
+            for clf in CLASSIFIERS:
+                per_trial[axis][clf][t] = [rates[cell][clf] for cell in points]
+    values = {"T": cfg.T_grid, "beta": cfg.beta_grid}
+    return {axis: ErrorCurves(axis, values[axis], per_trial[axis]) for axis in axis_cells}
 
 
 def error_vs_T(cfg: ExperimentConfig) -> ErrorCurves:
-    """Misclassification rate of voting, nearest-neighbor, and the oracle as the
-    observed prefix length grows. Fresh sources, training, and test data per trial."""
-    T_max = max(cfg.T_grid)
-    n = training_size(cfg.beta, cfg.model_cfg.m)
-    per_trial = {clf: np.zeros((cfg.trials, len(cfg.T_grid))) for clf in CLASSIFIERS}
-    trial_streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    for t, trial_ss in enumerate(trial_streams):
-        model, draws, tests = _trial(cfg, trial_ss, n, T_max)
-        train = _dataset_from_draws(draws)
-        for j, T in enumerate(cfg.T_grid):
-            params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
-            map_wrong = _map_wrong(MapKernel(model, params), tests)
-            rates = _error_rates(VotingKernel(train, params), tests, map_wrong)
-            for clf in CLASSIFIERS:
-                per_trial[clf][t, j] = rates[clf]
-    return ErrorCurves("T", cfg.T_grid, per_trial)
+    """error_curves along the T axis alone."""
+    return error_curves(cfg, ("T",))["T"]
 
 
 def error_vs_beta(cfg: ExperimentConfig) -> ErrorCurves:
-    """Misclassification rate at fixed T = max(T_grid) as the training pool grows.
-
-    Training pools are nested across beta within a trial (prefixes of one draw
-    sequence), so larger beta strictly adds examples. The oracle ignores
-    training data, so its row is constant within a trial.
-    """
-    T = max(cfg.T_grid)
-    n_max = training_size(max(cfg.beta_grid), cfg.model_cfg.m)
-    per_trial = {clf: np.zeros((cfg.trials, len(cfg.beta_grid))) for clf in CLASSIFIERS}
-    trial_streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
-    for t, trial_ss in enumerate(trial_streams):
-        model, pool, tests = _trial(cfg, trial_ss, n_max, T)
-        map_wrong = _map_wrong(MapKernel(model, params), tests)
-        for j, beta in enumerate(cfg.beta_grid):
-            train = _dataset_from_draws(pool[: training_size(beta, cfg.model_cfg.m)])
-            rates = _error_rates(VotingKernel(train, params), tests, map_wrong)
-            for clf in CLASSIFIERS:
-                per_trial[clf][t, j] = rates[clf]
-    return ErrorCurves("beta", cfg.beta_grid, per_trial)
+    """error_curves along the beta axis alone."""
+    return error_curves(cfg, ("beta",))["beta"]
 
 
 # ---------------------------------------------------------------------------

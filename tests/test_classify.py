@@ -401,6 +401,13 @@ class TestUndefinedRatio:
             with pytest.raises(ParamError, match="undefined"):
                 run(data, two_source_model(T=3, delta_max=0), params)
 
+    def test_overflowing_class_vote_is_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow is a zero vote, not noise
+            params = VotingParams(gamma=1e308, T=3)
+            out = log_vote_sum([series_at_distance(9.0, 3, "r")], ZERO3, params)
+        assert out == -math.inf
+
     def test_infinite_ratio_is_still_a_verdict(self):
         data = LabeledDataset(
             (series_at_distance(0.0, 3, "p"),), (series_at_distance(9.0, 3, "n"),)

@@ -397,6 +397,24 @@ class TestExperimentCommand:
         doc = json.loads((out / "experiment.json").read_text())
         assert set(doc["curves_T"]["classifiers"]) == {"map", "nn", "wmv"}
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "experiment.t_grid=0",
+            "experiment.t_grid=[10, -5]",
+            "experiment.t_grid=[]",
+            "experiment.beta_grid=-1",
+            "experiment.beta_grid=[2, 0]",
+            "experiment.beta_grid=[]",
+        ],
+    )
+    def test_grids_must_be_positive(self, tmp_path, capsys, override):
+        args = ["experiment", "--mode", "both", "--out", str(tmp_path), "--set", override]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert override.split("=")[0] in err
+        assert not any(tmp_path.iterdir())  # rejected before any work
+
 
 class TestDetectCommand:
     DETECT_ARGS = [

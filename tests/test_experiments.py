@@ -20,6 +20,7 @@ from tsvote import (
     SweepGrid,
     TimeSeries,
     detect_online,
+    error_curves,
     error_vs_T,
     error_vs_beta,
     make_detection_corpus,
@@ -73,6 +74,20 @@ class TestErrorCurves:
         for clf in ("wmv", "nn", "map"):
             assert np.all(curves.per_trial[clf] == 0.0)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"T_grid": ()},
+            {"T_grid": (8, 0)},
+            {"beta_grid": ()},
+            {"beta_grid": (-1.0,)},
+            {"beta_grid": (2.0, math.inf)},
+        ],
+    )
+    def test_grids_must_be_positive(self, grid):
+        with pytest.raises(ParamError, match=next(iter(grid))):
+            tiny_config(**grid)
+
     def test_series_length_guard(self):
         with pytest.raises(ParamError):
             tiny_config(T_grid=(40,), delta_max=3)
@@ -115,6 +130,57 @@ class TestErrorCurves:
         rows = list(curves.rows())
         assert len(rows) == 3 * len(curves.axis)
         assert {r[1] for r in rows} == {"wmv", "nn", "map"}
+
+
+# Misclassified test counts (of 30) per trial and grid point, recorded from the
+# two separate per-axis loops that error_curves replaced. Noisier than
+# tiny_config's default so that few counts are zero.
+PINNED_SIGMA = 4.0
+PINNED_BETA_AXIS = {
+    "wmv": [[11, 11], [12, 10]],
+    "nn": [[11, 11], [12, 10]],
+    "map": [[2, 2], [3, 3]],
+}
+PINNED_T_AXIS = {
+    4.0: {"wmv": [[14, 11], [10, 10]], "nn": [[15, 11], [10, 10]], "map": [[6, 2], [6, 3]]},
+    3.0: {"wmv": [[12, 12], [10, 11]], "nn": [[13, 12], [10, 11]], "map": [[6, 2], [6, 3]]},
+    6.0: {"wmv": [[10, 11], [7, 9]], "nn": [[13, 11], [7, 9]], "map": [[6, 2], [6, 3]]},
+}
+
+
+class TestPinnedCurves:
+    """error_curves, error_vs_T and error_vs_beta reproduce the recorded rates
+    exactly, with beta at the top of beta_grid (4), between its values (3), and
+    above it (6, so the beta axis reads rows of a larger pool's grid)."""
+
+    @staticmethod
+    def assert_pinned(curves, counts, test_size):
+        for clf in ("wmv", "nn", "map"):
+            assert np.array_equal(curves.per_trial[clf], np.array(counts[clf]) / test_size), clf
+
+    @pytest.mark.parametrize("beta", [4.0, 3.0, 6.0])
+    def test_matches_recorded_rates(self, beta):
+        cfg = tiny_config(beta=beta, sigma=PINNED_SIGMA)
+        both = error_curves(cfg, ("T", "beta"))
+        assert list(both) == ["T", "beta"]
+        for curves in (both["T"], error_vs_T(cfg)):
+            assert curves.axis_name == "T" and curves.axis == cfg.T_grid
+            self.assert_pinned(curves, PINNED_T_AXIS[beta], cfg.test_size)
+        for curves in (both["beta"], error_vs_beta(cfg)):
+            assert curves.axis_name == "beta" and curves.axis == cfg.beta_grid
+            self.assert_pinned(curves, PINNED_BETA_AXIS, cfg.test_size)
+
+    def test_shared_cell_agrees_across_axes(self):
+        cfg = tiny_config(sigma=PINNED_SIGMA)
+        assert cfg.beta == max(cfg.beta_grid)
+        curves = error_curves(cfg)
+        for clf in ("wmv", "nn", "map"):
+            t_last = curves["T"].per_trial[clf][:, -1]
+            assert np.array_equal(curves["beta"].per_trial[clf][:, -1], t_last)
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ParamError, match="axes"):
+            error_curves(tiny_config(), ("gamma",))
 
 
 def toy_training(T=6, margin=3):

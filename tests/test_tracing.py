@@ -6,11 +6,13 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tsvote.classify as classify
 import tsvote.gapbounds as gapbounds
 from conftest import random_instance
-from tsvote import Label, LatentSourceModel, NoiseSpec, TimeSeries, VotingParams
+from test_experiments import tiny_config
+from tsvote import Label, LatentSourceModel, NoiseSpec, TimeSeries, VotingParams, error_curves
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -67,3 +69,21 @@ def test_traced_names_resolve_and_hooks_bind(rng):
     assert flat["classify.shift_sq_dists.cells"] == data.n * S * T
     assert flat["classify.log_lambda_many.cells"] == data.n * S * 3 * T
     assert flat["gapbounds.gap.pairs"] == (data.n_pos * S) * (data.n_neg * S)
+
+
+@pytest.mark.parametrize(
+    "beta, beta_grid",
+    [(4.0, (2.0, 4.0)), (3.0, (2.0, 4.0, 6.0)), (6.0, (2.0,)), (4.0, (8.0, 2.0, 3.0, 4.0, 6.0))],
+)
+def test_error_curves_compute_one_grid_per_test_and_T(beta, beta_grid):
+    # every pool size reads its rows of the largest pool's grid, so the count
+    # does not depend on how many pool sizes the beta grid asks for
+    cfg = tiny_config(beta=beta, beta_grid=beta_grid)
+    tracer = load_tracer_class()()
+    try:
+        tracer.install()
+        error_curves(cfg, ("T", "beta"))
+    finally:
+        tracer.uninstall()
+    calls = tracer.flat()["classify.shift_sq_dists.calls"]
+    assert calls == cfg.trials * len(set(cfg.T_grid)) * cfg.test_size
