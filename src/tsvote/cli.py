@@ -18,7 +18,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dataio
 from .classify import MapKernel, VotingKernel
-from .core import Label, VotingParams
+from .core import Label
 from .errors import (
     ConfigError,
     EmptyPrefixError,
@@ -44,12 +44,22 @@ from .pipeline import preprocess, slice_training_window
 from .synth import make_latent_sources, sample_dataset, training_size
 
 
+# flags that are shorthand for one config key; appended after --set, so a flag wins
+_FLAG_KEYS = {
+    "seed": "seed",
+    "out": "output_dir",
+    "mode": "experiment.mode",
+    "slice_hours": "detection.h_hours",
+    **{flag: f"voting.{flag}" for flag in ("gamma", "theta", "T", "delta_max", "shift_mode")},
+}
+
+
 def _load(args) -> cfgmod.RunConfig:
     overrides = list(args.set or [])
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"seed={args.seed}")
-    if getattr(args, "out", None) is not None:
-        overrides.append(f"output_dir={args.out}")
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides.append(f"{key}={value}")
     return cfgmod.load_config(args.config, overrides)
 
 
@@ -133,24 +143,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _classify_params(cfg: cfgmod.RunConfig, args) -> VotingParams:
-    overrides = {}
-    for flag, key in (
-        ("gamma", "gamma"),
-        ("theta", "theta"),
-        ("T", "T"),
-        ("delta_max", "delta_max"),
-        ("shift_mode", "shift_mode"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return cfgmod.voting_params(cfg, **overrides)
-
-
 def cmd_classify(args) -> int:
     cfg = _load(args)
-    params = _classify_params(cfg, args)
+    params = cfgmod.voting_params(cfg)
     method = args.method
     train = dataio.read_dataset(args.train) if args.train else None
     model = dataio.read_model(args.model) if args.model else None
@@ -219,7 +214,7 @@ def cmd_preprocess(args) -> int:
             series = slice_training_window(
                 series,
                 anchor,
-                args.slice_hours if args.slice_hours is not None else cfg["detection.h_hours"],
+                cfg["detection.h_hours"],
                 rate.bucket_width_minutes,
                 args.slice_mode,
                 rng_stream=slice_streams[i],
@@ -239,8 +234,7 @@ def cmd_gap(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
     data = dataio.read_dataset(args.train)
-    T = args.T if args.T is not None else cfg["voting.T"]
-    delta_max = args.delta_max if args.delta_max is not None else cfg["voting.delta_max"]
+    T, delta_max = cfg["voting.T"], cfg["voting.delta_max"]
     value = gap(data, T, delta_max)
     doc = {
         "schema_version": dataio.SCHEMA_VERSION,
@@ -334,7 +328,7 @@ def _curves_doc(curves) -> dict:
 def cmd_experiment(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    mode = args.mode or cfg["experiment.mode"]
+    mode = cfg["experiment.mode"]
     exp_cfg = cfgmod.experiment_config(cfg)
     doc = {"schema_version": dataio.SCHEMA_VERSION, "command": "experiment", "mode": mode}
     axes = ("T", "beta") if mode == "both" else (mode,)

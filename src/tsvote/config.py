@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+from .core import VotingParams
 from .errors import ConfigError
 from .experiments import CorpusConfig, DetectionConfig, ExperimentConfig, SweepGrid
 from .gapbounds import BoundInputs
@@ -107,8 +108,9 @@ def _choice(*options):
     return lambda v: v in options or f"must be one of {options}"
 
 
-def _positive_list(v):
-    return (len(v) > 0 and all(x > 0 for x in v)) or "must be non-empty with positive entries"
+def _entries_gt(limit):
+    message = f"must be non-empty with entries > {limit}"
+    return lambda v: (v and all(x > limit for x in v)) or message
 
 
 SCHEMA: dict[str, FieldSpec] = {
@@ -136,8 +138,8 @@ SCHEMA: dict[str, FieldSpec] = {
     "pipeline.log_floor": FieldSpec(_as_float, 1e-12, _gt(0)),
     # synthetic error-curve experiments
     "experiment.beta": FieldSpec(_as_float, 8.0, _gt(1.0)),
-    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _positive_list),
-    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _positive_list),
+    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _entries_gt(0)),
+    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _entries_gt(1.0)),
     "experiment.test_size": FieldSpec(_as_int, 200, _ge(1)),
     "experiment.trials": FieldSpec(_as_int, 20, _ge(1)),
     "experiment.mode": FieldSpec(_as_str, "both", _choice("T", "beta", "both")),
@@ -290,18 +292,14 @@ def noise_spec(cfg: RunConfig) -> NoiseSpec:
     return NoiseSpec(cfg["model.noise_family"], cfg["model.noise_sigma"])
 
 
-def voting_params(cfg: RunConfig, **overrides):
-    from .core import VotingParams
-
-    kwargs = {
-        "gamma": cfg["voting.gamma"],
-        "T": cfg["voting.T"],
-        "delta_max": cfg["voting.delta_max"],
-        "theta": cfg["voting.theta"],
-        "shift_mode": cfg["voting.shift_mode"],
-    }
-    kwargs.update(overrides)
-    return VotingParams(**kwargs)
+def voting_params(cfg: RunConfig) -> VotingParams:
+    return VotingParams(
+        gamma=cfg["voting.gamma"],
+        T=cfg["voting.T"],
+        delta_max=cfg["voting.delta_max"],
+        theta=cfg["voting.theta"],
+        shift_mode=cfg["voting.shift_mode"],
+    )
 
 
 def pipeline_params(cfg: RunConfig) -> PipelineParams:

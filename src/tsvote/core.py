@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,9 +93,6 @@ class TimeSeries:
     def value_at(self, t: int) -> float:
         return float(self.window(t, t)[0])
 
-    def with_id(self, new_id: str) -> "TimeSeries":
-        return TimeSeries(self.start_index, self.values, id=new_id)
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -127,6 +124,29 @@ class LabeledDataset:
                 raise ParamError("negative_provenance length must match negatives")
         if self.n == 0:
             raise ParamError("dataset must contain at least one example")
+
+    @classmethod
+    def from_draws(cls, draws: Iterable) -> "LabeledDataset":
+        """Dataset of (series, label, provenance or None) draws: positives first,
+        each class in draw order; provenance is kept only if every draw has it."""
+        draws = tuple(draws)
+        pos = [d for d in draws if d[1] == Label.POSITIVE]
+        neg = [d for d in draws if d[1] != Label.POSITIVE]
+        keep = all(p is not None for _, _, p in draws)
+        return cls(
+            tuple(s for s, _, _ in pos),
+            tuple(s for s, _, _ in neg),
+            tuple(p for _, _, p in pos) if keep else None,
+            tuple(p for _, _, p in neg) if keep else None,
+        )
+
+    def draws(self) -> tuple:
+        """(series, label, provenance or None) per example in row order; from_draws inverts it."""
+        labels = (Label.POSITIVE,) * self.n_pos + (Label.NEGATIVE,) * self.n_neg
+        provs = (self.positive_provenance or (None,) * self.n_pos) + (
+            self.negative_provenance or (None,) * self.n_neg
+        )
+        return tuple(zip(self.examples(), labels, provs))
 
     @property
     def n(self) -> int:

@@ -80,37 +80,19 @@ def record_to_series(rec: dict, where: str = "") -> tuple:
 
 
 def write_dataset(path, data: LabeledDataset) -> None:
-    pos_prov = data.positive_provenance or [None] * data.n_pos
-    neg_prov = data.negative_provenance or [None] * data.n_neg
-    records = [
-        series_to_record(ts, Label.POSITIVE, p) for ts, p in zip(data.positives, pos_prov)
-    ] + [series_to_record(ts, Label.NEGATIVE, p) for ts, p in zip(data.negatives, neg_prov)]
-    write_jsonl(path, records)
+    write_jsonl(path, [series_to_record(*draw) for draw in data.draws()])
 
 
 def read_dataset(path) -> LabeledDataset:
-    pos, neg, pos_prov, neg_prov = [], [], [], []
-    has_prov = True
+    draws = []
     for i, rec in enumerate(read_jsonl(path), start=1):
-        ts, label, prov = record_to_series(rec, where=f"{path}:{i}")
-        if label is None:
+        draw = record_to_series(rec, where=f"{path}:{i}")
+        if draw[1] is None:
             raise ConfigError(f"{path}:{i}: dataset records must carry a label")
-        if prov is None:
-            has_prov = False
-        if label == Label.POSITIVE:
-            pos.append(ts)
-            pos_prov.append(prov)
-        else:
-            neg.append(ts)
-            neg_prov.append(prov)
-    if not pos and not neg:
+        draws.append(draw)
+    if not draws:
         raise ConfigError(f"{path}: dataset file is empty")
-    return LabeledDataset(
-        tuple(pos),
-        tuple(neg),
-        tuple(pos_prov) if has_prov else None,
-        tuple(neg_prov) if has_prov else None,
-    )
+    return LabeledDataset.from_draws(draws)
 
 
 def read_series_file(path) -> list:

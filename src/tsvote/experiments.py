@@ -26,7 +26,7 @@ from .synth import (
     as_generator,
     derive_streams,
     make_latent_sources,
-    sample_series,
+    sample_draws,
     training_size,
 )
 
@@ -57,9 +57,10 @@ class ExperimentConfig:
             raise ParamError(f"test_size must be >= 1, got {self.test_size}")
         object.__setattr__(self, "T_grid", tuple(int(t) for t in self.T_grid))
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        for name, grid in (("T_grid", self.T_grid), ("beta_grid", self.beta_grid)):
-            if not grid or not all(0 < x < math.inf for x in grid):
-                raise ParamError(f"{name} must be non-empty, positive and finite, got {grid}")
+        # a pool of n(beta <= 1) draws can miss a class, as for experiment.beta
+        for name, grid, low in (("T_grid", self.T_grid, 0), ("beta_grid", self.beta_grid, 1)):
+            if not grid or not all(low < x < math.inf for x in grid):
+                raise ParamError(f"{name} must be non-empty, finite and > {low}, got {grid}")
         needed = max(self.T_grid) + 2 * int(self.delta_max)
         if self.model_cfg.series_length < needed:
             raise ParamError(
@@ -96,24 +97,6 @@ class ErrorCurves:
                 yield x, clf, float(m), float(s)
 
 
-def _sample_draws(model, n, stream, id_prefix, **window) -> list:
-    return [
-        sample_series(model, rng, id=f"{id_prefix}-{i:05d}", **window)
-        for i, rng in enumerate(derive_streams(stream, n))
-    ]
-
-
-def _dataset_from_draws(draws) -> LabeledDataset:
-    pos = [(s, p) for s, lab, p in draws if lab == Label.POSITIVE]
-    neg = [(s, p) for s, lab, p in draws if lab == Label.NEGATIVE]
-    return LabeledDataset(
-        tuple(s for s, _ in pos),
-        tuple(s for s, _ in neg),
-        tuple(p for _, p in pos),
-        tuple(p for _, p in neg),
-    )
-
-
 def _axis_cells(cfg: ExperimentConfig, axes: Sequence[str]) -> dict:
     """The (training size, T) cell behind each point of each requested axis: the
     T axis trains on n(beta) at every T, the beta axis on n(b) at max(T_grid)."""
@@ -141,15 +124,14 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
     model = make_latent_sources(
         replace(cfg.model_cfg, seed=gen_seed), delta_max=cfg.delta_max, noise=cfg.noise()
     )
-    pool = _sample_draws(model, max(n for n, _ in cells), train_ss, "train")
-    tests = _sample_draws(
-        model, cfg.test_size, test_ss, "test", window_start=1, window_length=max(cfg.T_grid)
-    )
+    pool = sample_draws(model, max(n for n, _ in cells), train_ss)
+    tests = sample_draws(model, cfg.test_size, test_ss, window_start=1,
+                         window_length=max(cfg.T_grid), id_prefix="test")
     rates = {}
     for T in dict.fromkeys(T for _, T in cells):
         params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
         sizes = sorted({n for n, t in cells if t == T})
-        kernels = {n: VotingKernel(_dataset_from_draws(pool[:n]), params) for n in sizes}
+        kernels = {n: VotingKernel(LabeledDataset.from_draws(pool[:n]), params) for n in sizes}
         pool_kernel = kernels[sizes[-1]]
         P = pool_kernel.n_pos
         rows = {n: np.r_[: k.n_pos, P : P + k.n - k.n_pos] for n, k in kernels.items()}
@@ -445,7 +427,7 @@ def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> Labe
         raise ParamError(f"h={cfg.h_hours}h gives {w}-bucket slices, shorter than T={cfg.T}")
     dmax = (w - cfg.T) // 2
     target_start = 1 - dmax
-    pos, neg = [], []
+    draws = []
     if isinstance(rng_stream, (list, tuple)):
         streams = list(rng_stream)
         if len(streams) != len(topics):
@@ -464,9 +446,8 @@ def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> Labe
             sl = slice_training_window(
                 processed, 0, cfg.h_hours, cfg.bucket_width_minutes, "random", stream
             )
-        sl = advance(sl, sl.start_index - target_start)
-        (pos if label == Label.POSITIVE else neg).append(sl)
-    return LabeledDataset(tuple(pos), tuple(neg))
+        draws.append((advance(sl, sl.start_index - target_start), label, None))
+    return LabeledDataset.from_draws(draws)
 
 
 @dataclass(frozen=True)

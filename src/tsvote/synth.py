@@ -239,6 +239,26 @@ def sample_series(
     return TimeSeries(start, values, id=id), label, Provenance(idx, shift)
 
 
+def sample_draws(
+    model: LatentSourceModel,
+    n: int,
+    rng_stream: RngStream,
+    *,
+    window_start: Optional[int] = None,
+    window_length: Optional[int] = None,
+    id_prefix: str = "train",
+) -> list:
+    """n independent sample_series draws, one child stream each, in draw order."""
+    n = int(n)
+    if n < 1:
+        raise ParamError(f"n must be >= 1, got {n}")
+    window = {"window_start": window_start, "window_length": window_length}
+    return [
+        sample_series(model, rng, id=f"{id_prefix}-{i:05d}", **window)
+        for i, rng in enumerate(derive_streams(rng_stream, n))
+    ]
+
+
 def sample_dataset(
     model: LatentSourceModel,
     n: int,
@@ -249,26 +269,11 @@ def sample_dataset(
     id_prefix: str = "train",
 ) -> LabeledDataset:
     """n independent draws, split into the two classes with provenance retained."""
-    n = int(n)
-    if n < 1:
-        raise ParamError(f"n must be >= 1, got {n}")
-    streams = derive_streams(rng_stream, n)
-    pos, neg, pos_prov, neg_prov = [], [], [], []
-    for i, rng in enumerate(streams):
-        series, label, prov = sample_series(
-            model,
-            rng,
-            window_start=window_start,
-            window_length=window_length,
-            id=f"{id_prefix}-{i:05d}",
-        )
-        if label == Label.POSITIVE:
-            pos.append(series)
-            pos_prov.append(prov)
-        else:
-            neg.append(series)
-            neg_prov.append(prov)
-    return LabeledDataset(tuple(pos), tuple(neg), tuple(pos_prov), tuple(neg_prov))
+    draws = sample_draws(
+        model, n, rng_stream, window_start=window_start, window_length=window_length,
+        id_prefix=id_prefix,
+    )
+    return LabeledDataset.from_draws(draws)
 
 
 def coverage_counts(data: LabeledDataset, model: LatentSourceModel) -> list[int]:

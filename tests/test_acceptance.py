@@ -14,8 +14,6 @@ import pytest
 from conftest import dyadic_values
 from tsvote import (
     BoundInputs,
-    CorpusConfig,
-    DetectionConfig,
     GeneratorConfig,
     Label,
     LabeledDataset,
@@ -23,7 +21,6 @@ from tsvote import (
     NoiseSpec,
     PipelineParams,
     RateSeries,
-    SweepGrid,
     TimeSeries,
     VotingParams,
     baseline_normalize,
@@ -47,7 +44,13 @@ from tsvote import (
 )
 from tsvote.classify import VotingKernel
 from tsvote.cli import main as cli_main
-from tsvote.config import experiment_config, load_config
+from tsvote.config import (
+    corpus_config,
+    detection_config,
+    experiment_config,
+    load_config,
+    sweep_grid,
+)
 from tsvote.synth import derive_streams
 
 
@@ -296,42 +299,18 @@ def test_criterion_6_pipeline_exactness():
 def test_criterion_7_detection_surrogate():
     start = time.monotonic()
     theta_always, theta_agg, theta_cons, theta_never = 1e-300, 0.3, 3.0, 1e300
-    base = DetectionConfig(
-        h_hours=1.0,
-        T=15,
-        gamma=1.0,
-        theta=1.0,
-        pipeline=PipelineParams(alpha=1.2, t_smooth=20, log_floor=1e-12),
-        bucket_width_minutes=2.0,
-    )
-    grid = SweepGrid(
-        gammas=(1.0,),
-        Ts=(15,),
-        t_smooths=(20,),
-        h_hours=(1.0,),
-        thetas=(theta_always, theta_agg, theta_cons, theta_never),
-    )
+    thetas = f"detection.theta_grid=[{theta_always}, {theta_agg}, {theta_cons}, {theta_never}]"
+    detect_cfg = Path(__file__).parents[1] / "configs" / "detect.cfg"
     n_seeds = 20
     strict_wins = 0
     endpoints_ok = True
     envelopes_ok = True
     margins = []
     for seed in range(n_seeds):
-        corpus_cfg = CorpusConfig(
-            n_trends=200,
-            n_non_trends=200,
-            length=300,
-            base_rate=50.0,
-            burst_scale=6.0,
-            ramp_buckets=60,
-            onset_low=120,
-            onset_high=200,
-            noise_frac=0.10,
-            seed=seed,
-        )
-        trends, bgs = make_detection_corpus(corpus_cfg)
+        cfg = load_config(detect_cfg, [f"seed={seed}", thetas])
+        trends, bgs = make_detection_corpus(corpus_config(cfg))
         train, test = split_topics(trends, bgs, 10_000 + seed)
-        result = roc_sweep(test, train, grid, base, seed=20_000 + seed)
+        result = roc_sweep(test, train, sweep_grid(cfg), detection_config(cfg), seed=20_000 + seed)
         always, agg, cons, never = result.points
         endpoints_ok &= (always.fpr, always.tpr) == (1.0, 1.0)
         endpoints_ok &= (never.fpr, never.tpr) == (0.0, 0.0)

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import dyadic_values, random_instance
 from tsvote import (
     Label,
     LabeledDataset,
@@ -349,6 +351,33 @@ class TestKernelConsistency:
         for i in range(4):
             single = kernel.log_lambda(TimeSeries(1, obs[i], id=f"o{i}"))
             assert batched[i] == pytest.approx(single, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_pos=st.integers(1, 8),
+        n_neg=st.integers(1, 8),
+        T=st.integers(1, 8),
+        delta_max=st.integers(0, 3),
+        P=st.integers(1, 6),
+        shift_mode=st.sampled_from(["min", "sum"]),
+        gamma=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_rows_match_direct_path(
+        self, n_pos, n_neg, T, delta_max, P, shift_mode, gamma, seed
+    ):
+        # distances of dyadic inputs are exact on both paths, but the batched
+        # log-sum-exp may add in another order: rows agree to a few ulps, not bitwise
+        rng = np.random.default_rng(seed)
+        data, _ = random_instance(rng, n_pos, n_neg, T=T, delta_max=delta_max, dyadic=True)
+        params = VotingParams(gamma=gamma, T=T, delta_max=delta_max, shift_mode=shift_mode)
+        kernel = VotingKernel(data, params)
+        obs = dyadic_values(rng, (P, T))
+        for row, batched in zip(obs, kernel.log_lambda_many(obs)):
+            direct = kernel.gwmv(TimeSeries(1, row, id="o"))
+            assert abs(batched - direct.log_lambda) <= 1e-12 * max(1.0, abs(direct.log_lambda))
+            if abs(direct.log_lambda) > 1e-9:
+                assert (batched >= 0.0) == (direct.label == Label.POSITIVE)
 
     def test_gamma_limit_agrees_with_nearest_neighbor(self, rng):
         agree = checked = 0

@@ -351,6 +351,19 @@ class TestGapAndBounds:
         assert doc["gap"] >= 0.0
         assert json.loads((tmp_path / "gap.json").read_text()) == doc
 
+    def test_flag_beats_set(self, generated, tmp_path, capsys):
+        code, _, _ = run_cli(
+            [
+                "gap", "--train", str(generated / "train.jsonl"), "--out", str(tmp_path),
+                "--set", "voting.T=5", "--T", "20",
+                "--delta-max", "1", "--set", "voting.delta_max=3",
+            ],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "gap.json").read_text())
+        assert (doc["T"], doc["delta_max"]) == (20, 1)
+
     def test_bounds_worked_example(self, tmp_path, capsys):
         code, stdout, _ = run_cli(
             [
@@ -374,21 +387,22 @@ class TestGapAndBounds:
 
 
 class TestExperimentCommand:
+    SMOKE_ARGS = [
+        "--seed", "2",
+        "--set", "generator.m=4",
+        "--set", "generator.series_length=26",
+        "--set", "generator.smoothing_scale=3.0",
+        "--set", "model.delta_max=3",
+        "--set", "experiment.beta=4.0",
+        "--set", "experiment.t_grid=[10, 20]",
+        "--set", "experiment.trials=1",
+        "--set", "experiment.test_size=10",
+    ]
+
     def test_smoke_emits_rows(self, tmp_path, capsys):
         out = tmp_path / "exp"
         code, stdout, _ = run_cli(
-            [
-                "experiment", "--mode", "T", "--seed", "2", "--out", str(out),
-                "--set", "generator.m=4",
-                "--set", "generator.series_length=26",
-                "--set", "generator.smoothing_scale=3.0",
-                "--set", "model.delta_max=3",
-                "--set", "experiment.beta=4.0",
-                "--set", "experiment.t_grid=[10, 20]",
-                "--set", "experiment.trials=1",
-                "--set", "experiment.test_size=10",
-            ],
-            capsys,
+            ["experiment", "--mode", "T", "--out", str(out)] + self.SMOKE_ARGS, capsys
         )
         assert code == 0
         rows = (out / "curves_T.csv").read_text().splitlines()
@@ -396,6 +410,13 @@ class TestExperimentCommand:
         assert len(rows) == 1 + 2 * 3  # two grid points, three classifiers
         doc = json.loads((out / "experiment.json").read_text())
         assert set(doc["curves_T"]["classifiers"]) == {"map", "nn", "wmv"}
+
+    def test_mode_flag_beats_set(self, tmp_path, capsys):
+        args = self.SMOKE_ARGS + ["--out", str(tmp_path), "--set", "experiment.mode=both"]
+        code, _, _ = run_cli(["experiment", "--mode", "beta"] + args, capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curves_beta.csv", "experiment.json"]
+        assert json.loads((tmp_path / "experiment.json").read_text())["mode"] == "beta"
 
     @pytest.mark.parametrize(
         "override",
@@ -406,6 +427,8 @@ class TestExperimentCommand:
             "experiment.beta_grid=-1",
             "experiment.beta_grid=[2, 0]",
             "experiment.beta_grid=[]",
+            "experiment.beta_grid=0.01",  # a one-draw pool cannot hold both classes
+            "experiment.beta_grid=[2, 1]",
         ],
     )
     def test_grids_must_be_positive(self, tmp_path, capsys, override):
@@ -502,6 +525,38 @@ class TestExitCodes:
     def test_bad_flag_is_validation(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["classify", "--series", "s.jsonl", "--gamma", "-1"], "voting.gamma"),
+            (["classify", "--series", "s.jsonl", "--theta", "0"], "voting.theta"),
+            (["classify", "--series", "s.jsonl", "--T", "0"], "voting.T"),
+            (["classify", "--series", "s.jsonl", "--delta-max", "-1"], "voting.delta_max"),
+            (["classify", "--series", "s.jsonl", "--gamma", "inf"], "voting.gamma"),
+            (["gap", "--train", "t.jsonl", "--T", "0"], "voting.T"),
+            (["gap", "--train", "t.jsonl", "--delta-max", "-2"], "voting.delta_max"),
+            (["preprocess", "--rates", "r.jsonl", "--slice-hours", "0"], "detection.h_hours"),
+        ],
+    )
+    def test_bad_flag_value_names_its_key(self, tmp_path, capsys, argv, key):
+        # each flag is shorthand for a --set key, so the schema check covers it
+        code, stdout, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert key in err
+        assert stdout == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["classify", "--series", "s.jsonl", "--shift-mode", "max"], "--shift-mode"),
+            (["experiment", "--mode", "gamma"], "--mode"),
+        ],
+    )
+    def test_bad_choice_flag_names_the_flag(self, tmp_path, capsys, argv, flag):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert flag in err
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

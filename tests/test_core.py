@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import dyadic_series
 from tsvote import (
+    Label,
     LabeledDataset,
     ParamError,
+    Provenance,
     SupportError,
     TimeSeries,
     VotingParams,
@@ -211,3 +213,58 @@ class TestParamsAndDataset:
         p = dyadic_series(rng, 1, 4, id="p")
         with pytest.raises(ParamError):
             LabeledDataset((p,), (p,), positive_provenance=())
+
+
+class TestDraws:
+    """from_draws puts positives first, each class in draw order, and keeps
+    provenance only when every draw has it; draws() is its inverse."""
+
+    @staticmethod
+    def mixed_draws(rng, n=7, with_provenance=True):
+        labels = [Label.NEGATIVE, Label.POSITIVE, Label.NEGATIVE] + [
+            Label.POSITIVE if rng.random() < 0.5 else Label.NEGATIVE for _ in range(n - 3)
+        ]
+        return [
+            (
+                dyadic_series(rng, -1, 5, id=f"d{i}"),
+                label,
+                Provenance(i % 3, i % 2) if with_provenance else None,
+            )
+            for i, label in enumerate(labels)
+        ]
+
+    @pytest.mark.parametrize("with_provenance", [True, False])
+    def test_round_trip(self, rng, with_provenance):
+        draws = self.mixed_draws(rng, with_provenance=with_provenance)
+        data = LabeledDataset.from_draws(draws)
+        assert LabeledDataset.from_draws(data.draws()) == data
+        in_row_order = sorted(draws, key=lambda d: d[1] != Label.POSITIVE)  # stable
+        assert [(s.id, lab, p) for s, lab, p in data.draws()] == [
+            (s.id, lab, p) for s, lab, p in in_row_order
+        ]
+        assert (data.positive_provenance is None) == (not with_provenance)
+
+    def test_class_order_kept(self, rng):
+        draws = self.mixed_draws(rng, n=12)
+        data = LabeledDataset.from_draws(draws)
+        assert [s.id for s in data.positives] == [s.id for s, lab, _ in draws if lab == 1]
+        assert [s.id for s in data.negatives] == [s.id for s, lab, _ in draws if lab == -1]
+        assert data.labels().tolist() == sorted((int(lab) for _, lab, _ in draws), reverse=True)
+        assert data.provenance() == tuple(
+            p for lab in (1, -1) for _, d_lab, p in draws if d_lab == lab
+        )
+
+    def test_provenance_dropped_when_any_draw_lacks_it(self, rng):
+        draws = self.mixed_draws(rng)
+        draws[4] = (draws[4][0], draws[4][1], None)
+        data = LabeledDataset.from_draws(draws)
+        assert data.positive_provenance is None and data.negative_provenance is None
+        assert all(p is None for _, _, p in data.draws())
+
+    def test_one_class_and_no_draws(self, rng):
+        draws = [d for d in self.mixed_draws(rng) if d[1] == Label.NEGATIVE]
+        data = LabeledDataset.from_draws(draws)
+        assert (data.n_pos, data.n_neg) == (0, len(draws))
+        assert LabeledDataset.from_draws(data.draws()) == data
+        with pytest.raises(ParamError):
+            LabeledDataset.from_draws([])

@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvote import (
-    CorpusConfig,
     DetectionConfig,
     DetectionResult,
     ExperimentConfig,
@@ -28,6 +28,7 @@ from tsvote import (
     roc_sweep,
     split_topics,
 )
+from tsvote.config import corpus_config, detection_config, load_config
 
 
 def tiny_config(**overrides):
@@ -82,6 +83,8 @@ class TestErrorCurves:
             {"beta_grid": ()},
             {"beta_grid": (-1.0,)},
             {"beta_grid": (2.0, math.inf)},
+            {"beta_grid": (0.5,)},  # a pool of n(beta <= 1) draws can miss a class
+            {"beta_grid": (2.0, 1.0)},
         ],
     )
     def test_grids_must_be_positive(self, grid):
@@ -247,31 +250,21 @@ class TestDetectOnline:
             DetectionResult("x", False, 3, -1.0, Label.POSITIVE)
 
 
+DETECT_CFG = Path(__file__).resolve().parents[1] / "configs" / "detect.cfg"
+
+
+def detect_profile(seed=0, n=16):
+    """configs/detect.cfg with its seed and topic counts overridden."""
+    counts = [f"corpus.n_trends={n}", f"corpus.n_non_trends={n}"]
+    return load_config(DETECT_CFG, [f"seed={seed}", *counts])
+
+
 def small_corpus(seed=0, n=16):
-    cfg = CorpusConfig(
-        n_trends=n,
-        n_non_trends=n,
-        length=300,
-        base_rate=50.0,
-        burst_scale=6.0,
-        ramp_buckets=60,
-        onset_low=120,
-        onset_high=200,
-        noise_frac=0.10,
-        seed=seed,
-    )
-    return make_detection_corpus(cfg)
+    return make_detection_corpus(corpus_config(detect_profile(seed, n)))
 
 
 def small_base_cfg():
-    return DetectionConfig(
-        h_hours=1.0,
-        T=15,
-        gamma=1.0,
-        theta=1.0,
-        pipeline=PipelineParams(alpha=1.2, t_smooth=20, log_floor=1e-12),
-        bucket_width_minutes=2.0,
-    )
+    return detection_config(detect_profile())
 
 
 class TestCorpusAndSweep:
