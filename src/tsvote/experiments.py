@@ -57,7 +57,9 @@ class ExperimentConfig:
             raise ParamError(f"test_size must be >= 1, got {self.test_size}")
         object.__setattr__(self, "T_grid", tuple(int(t) for t in self.T_grid))
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        # a pool of n(beta <= 1) draws can miss a class, as for experiment.beta
+        # a pool of n(beta <= 1) draws can miss a class
+        if not (1.0 < self.beta < math.inf):
+            raise ParamError(f"beta must be finite and > 1, got {self.beta}")
         for name, grid, low in (("T_grid", self.T_grid, 0), ("beta_grid", self.beta_grid, 1)):
             if not grid or not all(low < x < math.inf for x in grid):
                 raise ParamError(f"{name} must be non-empty, finite and > {low}, got {grid}")

@@ -26,14 +26,41 @@ def _min_cross_sq(A: np.ndarray, B: np.ndarray, block: int = 256) -> float:
     return best
 
 
-def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = False) -> float:
+def _bound_and_verify(P: np.ndarray, N: np.ndarray) -> float:
+    """_min_cross_sq(P, N) bit for bit, verifying only the pairs a GEMM bound keeps."""
+    p_sq, n_sq = np.einsum("ij,ij->i", P, P), np.einsum("ij,ij->i", N, N)
+    if not math.isfinite(4.0 * (p_sq.max() + n_sq.max())):
+        return _min_cross_sq(P, N)
+    k, u, tiny = P.shape[1] + 4, np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
+    rel, floor = 8.0 * k * u / (1.0 - k * u), 4.0 * k * tiny
+    threshold = best = math.inf
+    block = max(1, 65536 // N.shape[0])  # verify temporaries as small as _min_cross_sq's
+    for i in range(0, P.shape[0], block):
+        norms = p_sq[i : i + block, None] + n_sq
+        approx = norms - 2.0 * (P[i : i + block] @ N.T)
+        slack = rel * norms + floor
+        threshold = min(threshold, float((approx + slack).min()))
+        rows, cols = np.nonzero(approx - slack <= threshold)
+        if rows.size:
+            best = min(best, float(sq_dists(P[i + rows], N[cols]).min()))
+    return best
+
+
+def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) -> float:
     """Minimum squared distance between the classes over [1, T], both sides shifted.
 
     Minimizes over every positive example, negative example, and pair of shifts
     in {-delta_max..delta_max}. Each series must be defined on
-    [1 - delta_max, T + delta_max]. With cutoff=True, pairs whose norm-interval
-    separation already exceeds the best value are skipped; the result is
-    identical either way.
+    [1 - delta_max, T + delta_max]. The result is exactly the core.sq_dists float
+    of the closest pair; ParamError if it overflows float64.
+
+    cutoff=True bounds, then verifies. One GEMM per block of positive windows a
+    gives d~ = |a|^2 + |b|^2 - 2a.b for every negative window b. Both d~ and the
+    direct sum lie within g (|a| + |b|)^2 <= 2g (|a|^2 + |b|^2) of the exact
+    distance, g = (T+4)u / (1 - (T+4)u), so with a safety factor 2 and a term for
+    underflow, eps = 8g (|a|^2 + |b|^2) + 4 (T+4) tiny bounds |d~ - sq_dists|.
+    Only pairs with d~ - eps <= min(d~ + eps) are verified. If a squared norm
+    overflows, the unpruned path (cutoff=False, kept as the reference) runs.
     """
     data.require_both_classes()
     T = int(T)
@@ -42,23 +69,12 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = False) -
         raise ParamError(f"T must be >= 1, got {T}")
     if delta_max < 0:
         raise ParamError(f"delta_max must be >= 0, got {delta_max}")
-    pos = shifted_windows(data.positives, T, -delta_max, delta_max)  # (n+, n_shifts, T)
-    neg = shifted_windows(data.negatives, T, -delta_max, delta_max)
-    if not cutoff:
-        return _min_cross_sq(pos.reshape(-1, T), neg.reshape(-1, T))
-
-    pos_norms = np.sqrt((pos**2).sum(axis=-1))
-    neg_norms = np.sqrt((neg**2).sum(axis=-1))
-    pos_lo, pos_hi = pos_norms.min(axis=1).tolist(), pos_norms.max(axis=1).tolist()
-    neg_lo, neg_hi = neg_norms.min(axis=1).tolist(), neg_norms.max(axis=1).tolist()
-    best = math.inf
-    for i, a in enumerate(pos):
-        for j, b in enumerate(neg):
-            sep = max(neg_lo[j] - pos_hi[i], pos_lo[i] - neg_hi[j], 0.0)
-            # conservative factor keeps float rounding from pruning a true minimum
-            if sep * sep * (1.0 - 1e-9) > best:
-                continue
-            best = min(best, _min_cross_sq(a, b))
+    pos = shifted_windows(data.positives, T, -delta_max, delta_max).reshape(-1, T)
+    neg = shifted_windows(data.negatives, T, -delta_max, delta_max).reshape(-1, T)
+    with np.errstate(over="ignore"):
+        best = _bound_and_verify(pos, neg) if cutoff else _min_cross_sq(pos, neg)
+    if not math.isfinite(best):
+        raise ParamError(f"the class gap overflows float64 (T={T}, delta_max={delta_max})")
     return best
 
 

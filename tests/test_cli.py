@@ -351,6 +351,30 @@ class TestGapAndBounds:
         assert doc["gap"] >= 0.0
         assert json.loads((tmp_path / "gap.json").read_text()) == doc
 
+    def test_overflowing_gap_exits_3(self, tmp_path, capsys):
+        train = tmp_path / "train.jsonl"
+        dataio.write_jsonl(
+            train,
+            [
+                dataio.series_to_record(TimeSeries(1, [1e160, 0.0], id="p"), Label.POSITIVE),
+                dataio.series_to_record(TimeSeries(1, [-1e160, 0.0], id="n"), Label.NEGATIVE),
+            ],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy must stay quiet
+            code, stdout, err = run_cli(
+                [
+                    "gap", "--train", str(train), "--T", "2", "--delta-max", "0",
+                    "--out", str(tmp_path / "out"),
+                ],
+                capsys,
+            )
+        assert code == 3
+        assert "overflows" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert stdout == ""
+        assert not (tmp_path / "out" / "gap.json").exists()
+
     def test_flag_beats_set(self, generated, tmp_path, capsys):
         code, _, _ = run_cli(
             [

@@ -91,6 +91,12 @@ class TestErrorCurves:
         with pytest.raises(ParamError, match=next(iter(grid))):
             tiny_config(**grid)
 
+    @pytest.mark.parametrize("beta", [0.3, 1.0, math.inf, math.nan])
+    def test_beta_must_exceed_one(self, beta):
+        # rejected when the config is built, before any trial samples a pool
+        with pytest.raises(ParamError, match="^beta must be finite and > 1"):
+            error_vs_T(tiny_config(beta=beta))
+
     def test_series_length_guard(self):
         with pytest.raises(ParamError):
             tiny_config(T_grid=(40,), delta_max=3)

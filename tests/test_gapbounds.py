@@ -1,8 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsvote.gapbounds as gapbounds
 from conftest import dyadic_values
 from tsvote import (
     BoundInputs,
@@ -23,6 +28,10 @@ from tsvote import (
     required_gap,
     wmv_bound,
 )
+from tsvote import dataio
+from tsvote.cli import main
+
+DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
 
 def brute_gap(data, T, delta_max):
@@ -75,6 +84,82 @@ class TestGap:
             data = random_gap_instance(rng, 4, 3, T=5, delta_max=2)
             assert gap(data, 5, 2, cutoff=True) == gap(data, 5, 2, cutoff=False)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_pos=st.integers(1, 4),
+        n_neg=st.integers(1, 4),
+        T=st.integers(1, 12),
+        delta_max=st.integers(0, 3),
+        # subnormal squares, ordinary values, and norms that overflow float64
+        scale_exp=st.one_of(st.integers(-170, -145), st.integers(-145, 140), st.integers(140, 160)),
+        offset=st.sampled_from([0.0, 1e3, -1e8, 1e12]),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cutoff_is_exact_on_any_scale(
+        self, n_pos, n_neg, T, delta_max, scale_exp, offset, duplicate, seed
+    ):
+        # non-dyadic values, so both paths round; offsets make norms dwarf the
+        # distances, and a window shared by the classes makes the gap 0
+        rng = np.random.default_rng(seed)
+        scale = 1.37 * 10.0**scale_exp
+        length = T + 2 * delta_max
+
+        def make(tag, i):
+            vals = scale * (offset + rng.standard_normal(length))
+            return TimeSeries(1 - delta_max, vals, id=f"{tag}{i}")
+
+        pos = [make("p", i) for i in range(n_pos)]
+        neg = [make("n", i) for i in range(n_neg)]
+        if duplicate:
+            neg[0] = TimeSeries(1 - delta_max, pos[0].values, id="dup")
+        data = LabeledDataset(tuple(pos), tuple(neg))
+        outcomes = []
+        for cutoff in (True, False):
+            try:
+                outcomes.append(gap(data, T, delta_max, cutoff=cutoff))
+            except ParamError as exc:  # the gap itself overflows
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if duplicate:
+            assert outcomes[0] == 0.0
+
+    def test_subnormal_distances_survive_the_bound(self):
+        # squares below tiny round by an absolute amount no relative slack covers
+        data = LabeledDataset(
+            (TimeSeries(1, np.array([2.9]) * 1e-161, id="p"),),
+            (
+                TimeSeries(1, np.array([2.6]) * 1e-161, id="n1"),
+                TimeSeries(1, np.array([2.7]) * 1e-161, id="n2"),
+            ),
+        )
+        assert gap(data, 1, 0) == gap(data, 1, 0, cutoff=False) == 5e-324
+
+    def test_overflowing_norms_fall_back_to_unpruned(self, rng):
+        # |a|^2 overflows, so the bound would be NaN; the gap (about 1e302) does not
+        length = 8 + 2 * 2
+        data = LabeledDataset(
+            tuple(
+                TimeSeries(-1, 1e160 + 1e150 * rng.standard_normal(length), id=f"p{i}")
+                for i in range(3)
+            ),
+            tuple(
+                TimeSeries(-1, 1e160 + 1e150 * rng.standard_normal(length), id=f"n{i}")
+                for i in range(2)
+            ),
+        )
+        got = gap(data, 8, 2)
+        assert math.isfinite(got) and got > 1e300
+        assert got == gap(data, 8, 2, cutoff=False)
+
+    @pytest.mark.parametrize("cutoff", [True, False])
+    def test_overflowing_gap_is_an_error(self, cutoff):
+        data = LabeledDataset(
+            (TimeSeries(1, [1e160, 0.0], id="p"),), (TimeSeries(1, [-1e160, 0.0], id="n"),)
+        )
+        with pytest.raises(ParamError, match="overflows"):
+            gap(data, 2, 0, cutoff=cutoff)
+
     def test_zero_shift_equals_min_pairwise(self, rng):
         from tsvote import window_sq_dist
 
@@ -102,6 +187,37 @@ class TestGap:
         )
         with pytest.raises(SupportError):
             gap(data, 2, 1)
+
+
+@pytest.fixture(scope="module")
+def desk_train(tmp_path_factory):
+    out = tmp_path_factory.mktemp("desk")
+    assert main(["generate", "--config", str(DESK_CFG), "--seed", "1", "--out", str(out)]) == 0
+    return out / "train.jsonl"
+
+
+class TestGapAtDeskScale:
+    """A desk train set: about 185 series, 21 shifts, T = 100."""
+
+    def test_pruned_equals_unpruned(self, desk_train):
+        data = dataio.read_dataset(desk_train)
+        assert gap(data, 100, 10) == gap(data, 100, 10, cutoff=False)
+
+    def test_cli_gap_verifies_few_pairs(self, desk_train, tmp_path, monkeypatch):
+        # a silent fallback to the unpruned path would pass every exactness test
+        verified = []
+        direct = gapbounds.sq_dists
+
+        def counting(a, b):
+            verified.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+            return direct(a, b)
+
+        monkeypatch.setattr(gapbounds, "sq_dists", counting)
+        argv = ["gap", "--train", str(desk_train), "--T", "100", "--delta-max", "10"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "gap.json").read_text())
+        pairs = (doc["n_pos"] * 21) * (doc["n_neg"] * 21)
+        assert 0 < sum(verified) < 0.01 * pairs
 
 
 class TestGapStar:
