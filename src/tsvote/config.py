@@ -2,7 +2,7 @@
 
 Unknown keys are rejected; every value is validated against the owning module's
 constraints before any work starts. Command-line --set overrides use the same
-keys.
+keys. A `section.field` key feeds the settings-object field of that name.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -93,7 +93,6 @@ class FieldSpec:
     parse: Callable
     default: object
     check: Optional[Callable] = None
-    help: str = ""
 
 
 def _ge(limit):
@@ -108,14 +107,25 @@ def _choice(*options):
     return lambda v: v in options or f"must be one of {options}"
 
 
-def _entries_gt(limit):
-    message = f"must be non-empty with entries > {limit}"
-    return lambda v: (v and all(x > limit for x in v)) or message
+def _entries(check):
+    """A list check: non-empty, and check (a _ge or _gt) holds for every entry."""
+
+    def run(v):
+        if not v:
+            return "must be non-empty"
+        return next((f"every entry {m}" for m in map(check, v) if m is not True), True)
+
+    return run
+
+
+def _weights(v):
+    ok = all(x >= 0.0 for x in v) and abs(sum(v) - 1.0) <= 1e-12
+    return ok or "must be nonnegative and sum to 1"
 
 
 SCHEMA: dict[str, FieldSpec] = {
-    "seed": FieldSpec(_as_int, 0, help="root seed for every random draw"),
-    "output_dir": FieldSpec(_as_str, None, help="where result files go"),
+    "seed": FieldSpec(_as_int, 0),
+    "output_dir": FieldSpec(_as_str, None),
     # synthetic latent sources
     "generator.m": FieldSpec(_as_int, 10, _ge(2)),
     "generator.series_length": FieldSpec(_as_int, 120, _ge(1)),
@@ -125,7 +135,7 @@ SCHEMA: dict[str, FieldSpec] = {
     "model.delta_max": FieldSpec(_as_int, 10, _ge(0)),
     "model.noise_family": FieldSpec(_as_str, "gaussian", _choice("gaussian", "uniform")),
     "model.noise_sigma": FieldSpec(_as_float, 1.0, _ge(0)),
-    "model.weights": FieldSpec(_none_or(_float_list), None),
+    "model.weights": FieldSpec(_none_or(_float_list), None, _weights),
     # voting classifier
     "voting.gamma": FieldSpec(_as_float, 0.125, _ge(0)),
     "voting.theta": FieldSpec(_as_float, 1.0, _gt(0)),
@@ -138,8 +148,8 @@ SCHEMA: dict[str, FieldSpec] = {
     "pipeline.log_floor": FieldSpec(_as_float, 1e-12, _gt(0)),
     # synthetic error-curve experiments
     "experiment.beta": FieldSpec(_as_float, 8.0, _gt(1.0)),
-    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _entries_gt(0)),
-    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _entries_gt(1.0)),
+    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _entries(_gt(0))),
+    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _entries(_gt(1.0))),
     "experiment.test_size": FieldSpec(_as_int, 200, _ge(1)),
     "experiment.trials": FieldSpec(_as_int, 20, _ge(1)),
     "experiment.mode": FieldSpec(_as_str, "both", _choice("T", "beta", "both")),
@@ -153,12 +163,13 @@ SCHEMA: dict[str, FieldSpec] = {
     "detection.gamma": FieldSpec(_as_float, 1.0, _ge(0)),
     "detection.theta": FieldSpec(_as_float, 1.0, _gt(0)),
     "detection.bucket_width_minutes": FieldSpec(_as_float, 2.0, _gt(0)),
-    "detection.delta_max": FieldSpec(_none_or(_as_int), None),
-    "detection.gamma_grid": FieldSpec(_none_or(_float_list), None),
-    "detection.t_grid": FieldSpec(_none_or(_int_list), None),
-    "detection.t_smooth_grid": FieldSpec(_none_or(_int_list), None),
-    "detection.h_grid": FieldSpec(_none_or(_float_list), None),
-    "detection.theta_grid": FieldSpec(_none_or(_float_list), None),
+    "detection.delta_max": FieldSpec(_none_or(_as_int), None, _ge(0)),
+    # sweep grids; an unset grid sweeps the single setting above
+    "detection.gamma_grid": FieldSpec(_none_or(_float_list), None, _entries(_ge(0))),
+    "detection.t_grid": FieldSpec(_none_or(_int_list), None, _entries(_ge(1))),
+    "detection.t_smooth_grid": FieldSpec(_none_or(_int_list), None, _entries(_ge(1))),
+    "detection.h_grid": FieldSpec(_none_or(_float_list), None, _entries(_gt(0))),
+    "detection.theta_grid": FieldSpec(_none_or(_float_list), None, _entries(_gt(0))),
     # synthetic detection corpus
     "corpus.n_trends": FieldSpec(_as_int, 200, _ge(1)),
     "corpus.n_non_trends": FieldSpec(_as_int, 200, _ge(1)),
@@ -166,7 +177,7 @@ SCHEMA: dict[str, FieldSpec] = {
     "corpus.base_rate": FieldSpec(_as_float, 50.0, _gt(0)),
     "corpus.burst_scale": FieldSpec(_as_float, 6.0, _gt(0)),
     "corpus.ramp_buckets": FieldSpec(_as_int, 30, _ge(1)),
-    "corpus.n_patterns": FieldSpec(_as_int, 4, _ge(1)),
+    "corpus.n_patterns": FieldSpec(_as_int, 4, _choice(1, 2, 3, 4)),
     "corpus.onset_low": FieldSpec(_as_int, 90, _ge(1)),
     "corpus.onset_high": FieldSpec(_as_int, 150, _ge(1)),
     "corpus.noise_frac": FieldSpec(_as_float, 0.12, _ge(0)),
@@ -199,9 +210,6 @@ class RunConfig:
 
     def get(self, key, default=None):
         return self.values.get(key, default)
-
-    def to_dict(self) -> dict:
-        return dict(sorted(self.values.items()))
 
     def science_dict(self) -> dict:
         """Settings that define the run's results; excludes file placement, so
@@ -268,6 +276,11 @@ def load_config(path=None, overrides: Optional[list] = None) -> RunConfig:
         values[key] = value
     if values["corpus.onset_low"] > values["corpus.onset_high"]:
         raise ConfigError("field 'corpus.onset_low': must not exceed corpus.onset_high")
+    if values["corpus.onset_high"] > values["corpus.length"]:
+        raise ConfigError("field 'corpus.onset_high': must not exceed corpus.length")
+    weights = values["model.weights"]
+    if weights is not None and len(weights) != values["generator.m"]:
+        raise ConfigError("field 'model.weights': must have one entry per source (generator.m)")
     if values["bounds.m_plus"] + values["bounds.m_minus"] != values["bounds.m"]:
         raise ConfigError("field 'bounds.m': must equal bounds.m_plus + bounds.m_minus")
     return RunConfig(values)
@@ -278,14 +291,14 @@ def load_config(path=None, overrides: Optional[list] = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _section(cfg: RunConfig, cls, section: str, **given):
+    """cls from the keys `section.<field>` named after its fields, plus the given fields."""
+    names = {f"{section}.{f.name}": f.name for f in fields(cls)}
+    return cls(**{names[k]: v for k, v in cfg.values.items() if k in names}, **given)
+
+
 def generator_config(cfg: RunConfig) -> GeneratorConfig:
-    return GeneratorConfig(
-        m=cfg["generator.m"],
-        series_length=cfg["generator.series_length"],
-        amplitude_variance=cfg["generator.amplitude_variance"],
-        smoothing_scale=cfg["generator.smoothing_scale"],
-        seed=cfg["seed"],
-    )
+    return _section(cfg, GeneratorConfig, "generator", seed=cfg["seed"])
 
 
 def noise_spec(cfg: RunConfig) -> NoiseSpec:
@@ -293,50 +306,31 @@ def noise_spec(cfg: RunConfig) -> NoiseSpec:
 
 
 def voting_params(cfg: RunConfig) -> VotingParams:
-    return VotingParams(
-        gamma=cfg["voting.gamma"],
-        T=cfg["voting.T"],
-        delta_max=cfg["voting.delta_max"],
-        theta=cfg["voting.theta"],
-        shift_mode=cfg["voting.shift_mode"],
-    )
+    return _section(cfg, VotingParams, "voting")
 
 
 def pipeline_params(cfg: RunConfig) -> PipelineParams:
-    return PipelineParams(
-        alpha=cfg["pipeline.alpha"],
-        t_smooth=cfg["pipeline.t_smooth"],
-        log_floor=cfg["pipeline.log_floor"],
-    )
+    return _section(cfg, PipelineParams, "pipeline")
 
 
 def experiment_config(cfg: RunConfig) -> ExperimentConfig:
-    return ExperimentConfig(
+    return _section(
+        cfg,
+        ExperimentConfig,
+        "experiment",
         model_cfg=generator_config(cfg),
-        beta=cfg["experiment.beta"],
+        T_grid=tuple(cfg["experiment.t_grid"]),
         gamma=cfg["voting.gamma"],
         theta=cfg["voting.theta"],
         delta_max=cfg["model.delta_max"],
-        T_grid=tuple(cfg["experiment.t_grid"]),
-        beta_grid=tuple(cfg["experiment.beta_grid"]),
-        test_size=cfg["experiment.test_size"],
-        trials=cfg["experiment.trials"],
-        seed=cfg["seed"],
         sigma=cfg["model.noise_sigma"],
         noise_family=cfg["model.noise_family"],
+        seed=cfg["seed"],
     )
 
 
 def detection_config(cfg: RunConfig) -> DetectionConfig:
-    return DetectionConfig(
-        h_hours=cfg["detection.h_hours"],
-        T=cfg["detection.T"],
-        gamma=cfg["detection.gamma"],
-        theta=cfg["detection.theta"],
-        pipeline=pipeline_params(cfg),
-        bucket_width_minutes=cfg["detection.bucket_width_minutes"],
-        delta_max=cfg["detection.delta_max"],
-    )
+    return _section(cfg, DetectionConfig, "detection", pipeline=pipeline_params(cfg))
 
 
 def sweep_grid(cfg: RunConfig) -> SweepGrid:
@@ -350,33 +344,9 @@ def sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 
 def corpus_config(cfg: RunConfig) -> CorpusConfig:
-    return CorpusConfig(
-        n_trends=cfg["corpus.n_trends"],
-        n_non_trends=cfg["corpus.n_non_trends"],
-        length=cfg["corpus.length"],
-        bucket_width_minutes=cfg["detection.bucket_width_minutes"],
-        base_rate=cfg["corpus.base_rate"],
-        burst_scale=cfg["corpus.burst_scale"],
-        ramp_buckets=cfg["corpus.ramp_buckets"],
-        n_patterns=cfg["corpus.n_patterns"],
-        onset_low=cfg["corpus.onset_low"],
-        onset_high=cfg["corpus.onset_high"],
-        noise_frac=cfg["corpus.noise_frac"],
-        bump_scale=cfg["corpus.bump_scale"],
-        seed=cfg["seed"],
-    )
+    width = cfg["detection.bucket_width_minutes"]
+    return _section(cfg, CorpusConfig, "corpus", bucket_width_minutes=width, seed=cfg["seed"])
 
 
 def bound_inputs(cfg: RunConfig) -> BoundInputs:
-    return BoundInputs(
-        m=cfg["bounds.m"],
-        m_plus=cfg["bounds.m_plus"],
-        m_minus=cfg["bounds.m_minus"],
-        n=cfg["bounds.n"],
-        beta=cfg["bounds.beta"],
-        sigma=cfg["bounds.sigma"],
-        gamma=cfg["bounds.gamma"],
-        theta=cfg["bounds.theta"],
-        delta_max=cfg["bounds.delta_max"],
-        gap=cfg["bounds.gap"],
-    )
+    return _section(cfg, BoundInputs, "bounds")

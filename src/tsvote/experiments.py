@@ -298,6 +298,9 @@ def detect_online(
 # ---------------------------------------------------------------------------
 
 
+_N_BURST_SHAPES = 4  # the envelopes _burst_shape defines
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """Synthetic rate corpus: bursty trend topics and flat background topics.
@@ -328,6 +331,8 @@ class CorpusConfig:
             raise ParamError("corpus needs at least one topic per class")
         if not (1 <= int(self.onset_low) <= int(self.onset_high) <= int(self.length)):
             raise ParamError("onset range must fit inside the series")
+        if not (1 <= int(self.n_patterns) <= _N_BURST_SHAPES):
+            raise ParamError(f"n_patterns must be in 1..{_N_BURST_SHAPES}, got {self.n_patterns}")
         if not (0.0 < self.spike_rate <= 1.0):
             raise ParamError(f"spike_rate must be in (0, 1], got {self.spike_rate}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 from tsvote import Label, LabeledDataset, Provenance, TimeSeries
 from tsvote.cli import main
 from tsvote import dataio
-from tsvote.config import load_config
+from tsvote import config
+from tsvote.config import SCHEMA, load_config
 from tsvote.errors import ConfigError
 
 
@@ -65,6 +67,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(cfg_file, [])
 
+    # keys that feed no field of their section's class, and fields that have no key
+    KEYS_NOT_FIELDS = {
+        "detection.gamma_grid", "detection.t_grid", "detection.t_smooth_grid",
+        "detection.h_grid", "detection.theta_grid", "detection.window_hours",
+        "bounds.delta", "bounds.g_star", "bounds.T", "experiment.t_grid", "experiment.mode",
+    }
+    FIELDS_NOT_KEYS = {"corpus.spike_rate"}  # CorpusConfig keeps its default
+
+    def test_section_keys_are_field_names(self, monkeypatch):
+        # a renamed field or key must fail here rather than silently drop a setting
+        sections, build = set(), config._section
+
+        def spy(cfg, cls, section, **given):
+            sections.add((cls, section, frozenset(given)))
+            return build(cfg, cls, section, **given)
+
+        monkeypatch.setattr(config, "_section", spy)
+        cfg = load_config(None, [])
+        for builder in (
+            config.generator_config, config.noise_spec, config.voting_params,
+            config.pipeline_params, config.experiment_config, config.detection_config,
+            config.sweep_grid, config.corpus_config, config.bound_inputs,
+        ):
+            builder(cfg)
+        assert {section for _, section, _ in sections} == {
+            "generator", "voting", "pipeline", "experiment", "detection", "corpus", "bounds"
+        }
+        for cls, section, given in sections:
+            keys = {k for k in SCHEMA if k.startswith(section + ".")} - self.KEYS_NOT_FIELDS
+            names = {f"{section}.{f.name}" for f in dataclasses.fields(cls) if f.name not in given}
+            assert keys == names - self.FIELDS_NOT_KEYS, cls.__name__
 
     @pytest.mark.parametrize(
         "override",
@@ -565,6 +598,31 @@ class TestExitCodes:
     )
     def test_bad_flag_value_names_its_key(self, tmp_path, capsys, argv, key):
         # each flag is shorthand for a --set key, so the schema check covers it
+        code, stdout, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert key in err
+        assert stdout == "" and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["detect", "--set", "detection.gamma_grid=1,-1"], "detection.gamma_grid"),
+            (["detect", "--set", "detection.gamma_grid="], "detection.gamma_grid"),
+            (["detect", "--set", "detection.t_grid=0"], "detection.t_grid"),
+            (["detect", "--set", "detection.t_smooth_grid=20,0"], "detection.t_smooth_grid"),
+            (["detect", "--set", "detection.h_grid=0"], "detection.h_grid"),
+            (["detect", "--set", "detection.theta_grid=-1"], "detection.theta_grid"),
+            (["detect", "--set", "detection.theta_grid="], "detection.theta_grid"),
+            (["detect", "--set", "detection.delta_max=-1"], "detection.delta_max"),
+            (["detect", "--set", "corpus.onset_high=400"], "corpus.onset_high"),
+            (["detect", "--set", "corpus.n_patterns=5"], "corpus.n_patterns"),
+            (["generate", "--set", "model.weights=0.1,0.9"], "model.weights"),
+            (["generate", "--set", "generator.m=2", "--set", "model.weights=0.5,0.4"], "model.weights"),
+            (["generate", "--set", "generator.m=2", "--set", "model.weights=-1,2"], "model.weights"),
+        ],
+    )
+    def test_bad_setting_names_its_key(self, tmp_path, capsys, argv, key):
+        # checked in load_config, before any corpus or model is drawn
         code, stdout, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 1
         assert key in err

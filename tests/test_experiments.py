@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsvote import (
+    CorpusConfig,
     DetectionConfig,
     DetectionResult,
     ExperimentConfig,
@@ -290,6 +291,11 @@ class TestCorpusAndSweep:
         assert all(
             np.array_equal(x.counts, y.counts) for x, y in zip(a_trends + a_bgs, b_trends + b_bgs)
         )
+
+    @pytest.mark.parametrize("n_patterns", [0, 5])
+    def test_corpus_has_four_burst_shapes(self, n_patterns):
+        with pytest.raises(ParamError, match="n_patterns"):
+            CorpusConfig(n_patterns=n_patterns)
 
     def test_split_disjoint_and_half(self):
         trends, bgs = small_corpus()
