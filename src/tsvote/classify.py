@@ -1,16 +1,23 @@
 """Voting and nearest-neighbor classifiers over shift-minimized distances.
 
-Every classifier here is a thin caller of one engine. Distance grids come from
-`core.shifted_windows` and `core.sq_dists` (batches in `log_lambda_many` use the
-inner-product expansion instead); `_log_votes` turns one class's distances into
-its log vote (through `_logsumexp`) and `_vote_ratio` both classes' into the log
-ratio; `_tie_order` ranks examples for k-NN and nearest neighbor; `_outcome`
-turns the votes into a verdict.
+Every classifier here is a thin caller of one engine. `_ShiftWindows` holds the
+training windows at every shift: its `grid` is the full (examples, shifts)
+`core.sq_dists` grid, and its `minimum` the per-example minimum over shifts,
+found by bound-and-verify (one GEMM bounds every cell, `core.sq_dists`
+recomputes the few that can be the minimum), bit for bit the grid's min and
+first argmin. `min`-mode voting, k-NN and nearest neighbor read the minimum;
+`sum` mode, which votes with every cell, reads the grid. Batches in
+`log_lambda_many` use the inner-product expansion of the whole grid instead.
+`_log_votes` turns one class's distances into its log vote (through
+`_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
+ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into a
+verdict.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
-underflows to a 0/0 ratio. gamma * distance overflowing to inf is a vote of
-exactly zero; a ratio that is still undefined (both classes' votes are zero)
+underflows to a 0/0 ratio. A squared distance or gamma * distance overflowing
+to inf is a vote of exactly zero (at gamma = 0 an infinite distance leaves the
+vote undefined); a ratio that is still undefined (both classes' votes are zero)
 raises ParamError instead of becoming a verdict.
 """
 
@@ -21,8 +28,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Label, LabeledDataset, TimeSeries, VotingParams, shifted_windows, sq_dists
+from .core import (
+    Label,
+    LabeledDataset,
+    TimeSeries,
+    VotingParams,
+    expansion_slack,
+    shifted_windows,
+    sq_dists,
+    stacked_windows,
+)
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -71,7 +88,8 @@ def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
     if np.isnan(ratio).any():
         raise ParamError(
             "log vote ratio is undefined: both classes' votes are zero in floating point "
-            "(gamma * distance overflowed); use a smaller gamma"
+            "(a squared distance or gamma * distance overflowed); rescale the series "
+            "or use a smaller gamma"
         )
     return ratio, pos, neg
 
@@ -92,6 +110,69 @@ def _outcome(votes: tuple, log_threshold: float) -> ClassificationOutcome:
     return ClassificationOutcome(label, log_lambda, (pos, neg))
 
 
+class _ShiftWindows:
+    """Windows of stacked series at every shift, with the norms that bound them.
+
+    Row i holds series i on [1 - delta_max, T + delta_max] (L = T + 2 delta_max
+    values); window j of row i, shift j - delta_max, is its values j..j+T-1.
+    """
+
+    def __init__(self, seriess, T: int, delta_max: int):
+        self.T, self.delta_max = T, delta_max
+        self.rows = stacked_windows(seriess, 1 - delta_max, T + delta_max)
+        self.views = sliding_window_view(self.rows, T, axis=1)  # (n, S, T), read-only
+        n, L = self.rows.shape
+        # an overflowing norm (inf, or inf - inf in a window) selects the full grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.zeros((n, L + 1))
+            np.cumsum(self.rows * self.rows, axis=1, out=cum[:, 1:])
+            self.window_sq = cum[:, T:] - cum[:, : L + 1 - T]  # (n, S)
+        self.row_sq = cum[:, -1]
+
+    def grid(self, q: np.ndarray) -> np.ndarray:
+        """(n, S) squared distances of q to every window: the exact reference."""
+        return sq_dists(self.views, q)
+
+    def minimum(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row minimum of grid(q) and its first minimizing shift, bit for bit,
+        without building the (n, S, T) grid.
+
+        One GEMM of the rows against the S placements of q (row s of the
+        placement matrix is q at offset s in zeros) gives
+        d~ = |w|^2 - 2 w.q + |q|^2 for every window w. Let N_i = R_i + |q|^2,
+        with R_i the squared norm of row i, and g = (L+4)u / (1 - (L+4)u). Then
+        the cumulative-sum window norm |w|^2 is within 3g R_i of exact, 2 w.q
+        (L products) within g (|w|^2 + |q|^2) <= g N_i, |q|^2 within g |q|^2,
+        the two additions within g N_i, and sq_dists (T squares) within
+        g D <= 2g N_i of the exact distance D. So both d~ and sq_dists lie
+        within 7g N_i of D, and eps_i = 8g N_i + 4 (L+4) tiny
+        (core.expansion_slack) leaves room for second-order and subnormal
+        rounding. A cell holding the row's minimum has d~ <= min(d~) + 2 eps_i;
+        sq_dists recomputes exactly those cells, and argmin over them (every
+        other cell +inf) picks the first minimizing shift. If a squared norm
+        overflows, the full grid is used instead.
+        """
+        (n, S), L = self.window_sq.shape, self.rows.shape[1]
+        with np.errstate(over="ignore"):
+            q_sq = float(q @ q)
+        if not math.isfinite(4.0 * (float(self.row_sq.max()) + q_sq)):
+            dists = self.grid(q)
+        else:
+            padded = np.zeros(L + S - 1)
+            padded[S - 1 : S - 1 + self.T] = q
+            placements = np.ascontiguousarray(sliding_window_view(padded, L)[::-1])
+            approx = self.window_sq - 2.0 * (self.rows @ placements.T) + q_sq
+            slack = expansion_slack(self.row_sq + q_sq, L + 4)
+            rows, cols = np.nonzero(approx <= (approx.min(axis=1) + 2.0 * slack)[:, None])
+            dists = np.full((n, S), np.inf)
+            block = max(1, 65536 // self.T)  # bounded temporaries even if every cell ties
+            for i in range(0, rows.size, block):
+                r, c = rows[i : i + block], cols[i : i + block]
+                dists[r, c] = sq_dists(self.views[r, c], q)
+        j = dists.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
+        return dists[np.arange(n), j], j - self.delta_max
+
+
 class VotingKernel:
     """Precomputed alignment windows for classifying many series against one dataset.
 
@@ -103,47 +184,50 @@ class VotingKernel:
         data.require_both_classes()
         self.data = data
         self.params = params
-        dmax = params.delta_max
-        self._views = shifted_windows(data.examples(), params.T, -dmax, dmax)
+        self._windows = _ShiftWindows(data.examples(), params.T, params.delta_max)
         self.n_pos = data.n_pos
         self.n = data.n
 
     def shift_sq_dists(self, s: TimeSeries) -> np.ndarray:
         """(n, 2*delta_max+1) squared distances of s to every shifted window."""
-        return sq_dists(self._views, s.window(1, self.params.T))
-
-    def _min_from_dists(self, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        j = dists.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
-        return dists[np.arange(self.n), j], j - self.params.delta_max
+        return self._windows.grid(s.window(1, self.params.T))
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-        """Per-example minimum distance and its first minimizing shift."""
-        return self._min_from_dists(self.shift_sq_dists(s))
+        """Per-example minimum distance and its first minimizing shift: exactly
+        the min and first argmin of shift_sq_dists(s), without building it."""
+        return self._windows.minimum(s.window(1, self.params.T))
 
-    def _votes(self, dists: np.ndarray) -> tuple:
-        g, mode = self.params.gamma, self.params.shift_mode
-        return _vote_ratio(
-            g, _class_dists(dists[: self.n_pos], mode), _class_dists(dists[self.n_pos :], mode)
-        )
+    def _vote_dists(self, s: TimeSeries, dmin=None) -> np.ndarray:
+        """The distances s votes with along axis 0 (see _votes): its per-example
+        minima (dmin when given) in min mode, every grid cell in sum mode."""
+        if self.params.shift_mode == "sum":
+            return _class_dists(self.shift_sq_dists(s), "sum")
+        return self.min_dists(s)[0] if dmin is None else dmin
 
-    def _gwmv_from_dists(self, dists: np.ndarray) -> ClassificationOutcome:
-        return _outcome(self._votes(dists), math.log(self.params.theta))
+    def _votes(self, d: np.ndarray) -> tuple:
+        """_vote_ratio of voting distances whose axis 0 runs over the examples
+        (min mode) or over every (example, shift) cell (sum mode)."""
+        per_example = 1 if self.params.shift_mode == "min" else self._windows.views.shape[1]
+        split = self.n_pos * per_example
+        return _vote_ratio(self.params.gamma, d[:split], d[split:])
 
-    def _knn_from_dists(self, dists: np.ndarray, k: int) -> ClassificationOutcome:
+    def _gwmv_from_dists(self, d: np.ndarray) -> ClassificationOutcome:
+        return _outcome(self._votes(d), math.log(self.params.theta))
+
+    def _knn_from_dists(self, dmin: np.ndarray, k: int) -> ClassificationOutcome:
+        """k-NN verdict from the per-example minimum distances."""
         k = int(k)
         if k < 1:
             raise ParamError(f"k must be >= 1, got {k}")
         if k > self.n:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
-        dmin = dists.min(axis=1)
         selected = np.sort(_tie_order(dmin)[:k])  # back to insertion order for stable accumulation
         d = dmin[selected]
         split = int(np.searchsorted(selected, self.n_pos))
         votes = _vote_ratio(self.params.gamma, d[:split], d[split:])
         return _outcome(votes, math.log(self.params.theta))
 
-    def _nearest_from_dists(self, dists: np.ndarray) -> tuple[int, float, int]:
-        dmin, shifts = self._min_from_dists(dists)
+    def _nearest_from_min(self, dmin: np.ndarray, shifts: np.ndarray) -> tuple[int, float, int]:
         idx = int(_tie_order(dmin)[0])
         return idx, float(dmin[idx]), int(shifts[idx])
 
@@ -151,14 +235,24 @@ class VotingKernel:
         return self.gwmv(s).log_lambda
 
     def gwmv(self, s: TimeSeries) -> ClassificationOutcome:
-        return self._gwmv_from_dists(self.shift_sq_dists(s))
+        return self._gwmv_from_dists(self._vote_dists(s))
 
     def knn(self, s: TimeSeries, k: int) -> ClassificationOutcome:
-        return self._knn_from_dists(self.shift_sq_dists(s), k)
+        return self._knn_from_dists(self.min_dists(s)[0], k)
 
     def nearest(self, s: TimeSeries) -> tuple[int, float, int]:
         """Index (insertion order), distance, and shift of the nearest example."""
-        return self._nearest_from_dists(self.shift_sq_dists(s))
+        return self._nearest_from_min(*self.min_dists(s))
+
+    def verdict_and_nearest(self, s: TimeSeries, k=None) -> tuple:
+        """(gwmv(s), or knn(s, k) when k is given, and nearest(s)) from one
+        shift minimum."""
+        dmin, shifts = self.min_dists(s)
+        if k is None:
+            outcome = self._gwmv_from_dists(self._vote_dists(s, dmin))
+        else:
+            outcome = self._knn_from_dists(dmin, k)
+        return outcome, self._nearest_from_min(dmin, shifts)
 
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix.
@@ -169,20 +263,25 @@ class VotingKernel:
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 2 or obs.shape[1] != self.params.T:
             raise ParamError(f"observations must have shape (P, {self.params.T})")
-        flat = self._views.reshape(-1, self.params.T)  # (n * n_shifts, T)
+        views = self._windows.views
+        flat = views.reshape(-1, self.params.T)  # (n * n_shifts, T)
         sq = np.einsum("ij,ij->i", flat, flat)
         cross = flat @ obs.T  # (n * n_shifts, P)
         d = np.maximum(sq[:, None] - 2.0 * cross + np.einsum("ij,ij->i", obs, obs)[None, :], 0.0)
-        d = d.reshape(self.n, self._views.shape[1], -1)
-        return self._votes(d)[0]
+        d = d.reshape(self.n, views.shape[1], -1)
+        return self._votes(_class_dists(d, self.params.shift_mode))[0]
 
 
 def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingParams) -> float:
     """log of the summed exp(-gamma * d) votes cast by one class of examples."""
     if not examples:
         raise ParamError("examples must be non-empty")
-    views = shifted_windows(examples, params.T, -params.delta_max, params.delta_max)
-    dists = _class_dists(sq_dists(views, s.window(1, params.T)), params.shift_mode)
+    windows = _ShiftWindows(examples, params.T, params.delta_max)
+    q = s.window(1, params.T)
+    if params.shift_mode == "min":
+        dists = windows.minimum(q)[0]
+    else:
+        dists = _class_dists(windows.grid(q), "sum")
     return float(_log_votes(params.gamma, dists))
 
 

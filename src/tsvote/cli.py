@@ -161,12 +161,8 @@ def cmd_classify(args) -> int:
             outcome = kernel.classify(ts)
             nn_id, nn_dist = None, None
         else:
-            d = kernel.shift_sq_dists(ts)  # one grid for the verdict and the nearest example
-            if method == "wmv":
-                outcome = kernel._gwmv_from_dists(d)
-            else:
-                outcome = kernel._knn_from_dists(d, 1 if method == "nn" else args.k)
-            idx, nn_dist, _ = kernel._nearest_from_dists(d)
+            k = None if method == "wmv" else 1 if method == "nn" else args.k
+            outcome, (idx, nn_dist, _) = kernel.verdict_and_nearest(ts, k)
             nn_id = train.examples()[idx].id
         verdict = {
             "schema_version": dataio.SCHEMA_VERSION,
@@ -327,9 +323,9 @@ def _curves_doc(curves) -> dict:
 
 def cmd_experiment(args) -> int:
     cfg = _load(args)
+    exp_cfg = cfgmod.experiment_config(cfg)
     out = _out_dir(cfg)
     mode = cfg["experiment.mode"]
-    exp_cfg = cfgmod.experiment_config(cfg)
     doc = {"schema_version": dataio.SCHEMA_VERSION, "command": "experiment", "mode": mode}
     axes = ("T", "beta") if mode == "both" else (mode,)
     for name, curves in error_curves(exp_cfg, axes).items():
@@ -346,6 +342,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = _load(args)
+    grid, det_cfg = cfgmod.sweep_grid(cfg), cfgmod.detection_config(cfg)
     out = _out_dir(cfg)
     if args.trends or args.non_trends:
         if not (args.trends and args.non_trends):
@@ -358,9 +355,7 @@ def cmd_detect(args) -> int:
     split_ss, sweep_ss = root.spawn(2)
     training, corpus = split_topics(trends, non_trends, split_ss)
     sweep_seed = int(sweep_ss.generate_state(1, np.uint64)[0])
-    result = roc_sweep(
-        corpus, training, cfgmod.sweep_grid(cfg), cfgmod.detection_config(cfg), seed=sweep_seed
-    )
+    result = roc_sweep(corpus, training, grid, det_cfg, seed=sweep_seed)
     detection_rows = [
         {"grid_index": gi, **asdict(r), "truth": int(r.truth)}
         for gi, results in enumerate(result.results)

@@ -15,10 +15,10 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .core import VotingParams
-from .errors import ConfigError
+from .errors import ConfigError, ParamError
 from .experiments import CorpusConfig, DetectionConfig, ExperimentConfig, SweepGrid
 from .gapbounds import BoundInputs
-from .pipeline import PipelineParams
+from .pipeline import PipelineParams, window_buckets
 from .synth import GeneratorConfig, NoiseSpec
 
 OUTPUT_DIR_ENV = "TSVOTE_OUTPUT_DIR"
@@ -314,6 +314,14 @@ def pipeline_params(cfg: RunConfig) -> PipelineParams:
 
 
 def experiment_config(cfg: RunConfig) -> ExperimentConfig:
+    # checked here rather than in load_config: only experiment observes t_grid,
+    # and generate may well draw series shorter than its default
+    needed = max(cfg["experiment.t_grid"]) + 2 * cfg["model.delta_max"]
+    if needed > cfg["generator.series_length"]:
+        raise ConfigError(
+            f"field 'experiment.t_grid': max(experiment.t_grid) + 2*model.delta_max = {needed} "
+            f"exceeds generator.series_length = {cfg['generator.series_length']}"
+        )
     return _section(
         cfg,
         ExperimentConfig,
@@ -333,7 +341,35 @@ def detection_config(cfg: RunConfig) -> DetectionConfig:
     return _section(cfg, DetectionConfig, "detection", pipeline=pipeline_params(cfg))
 
 
+def _detection_regions(cfg: RunConfig):
+    """(h key, h, T, half) for every (h, T) pair the sweep runs, half being the
+    buckets in h hours: each training slice and each half of a test topic's
+    detection region around its anchor."""
+    h_grid = cfg["detection.h_grid"]
+    h_key = "detection.h_grid" if h_grid else "detection.h_hours"
+    width = cfg["detection.bucket_width_minutes"]
+    for h in h_grid or [cfg["detection.h_hours"]]:
+        try:
+            half = window_buckets(h, width)
+        except ParamError as exc:
+            raise ConfigError(f"field {h_key!r}: {exc}") from None
+        for T in cfg["detection.t_grid"] or [cfg["detection.T"]]:
+            yield h_key, h, T, half
+
+
 def sweep_grid(cfg: RunConfig) -> SweepGrid:
+    """The sweep's grid; every training slice must hold a T window at every shift."""
+    dmax = cfg["detection.delta_max"]
+    for h_key, h, T, half in _detection_regions(cfg):
+        if half < T:
+            raise ConfigError(
+                f"field {h_key!r}: h={h} gives {half}-bucket training slices, shorter than T={T}"
+            )
+        if dmax is not None and dmax > (half - T) // 2:
+            raise ConfigError(
+                f"field 'detection.delta_max': h={h} and T={T} leave shifts up to "
+                f"{(half - T) // 2}, got {dmax}"
+            )
     return SweepGrid(
         gammas=tuple(cfg["detection.gamma_grid"] or [cfg["detection.gamma"]]),
         Ts=tuple(cfg["detection.t_grid"] or [cfg["detection.T"]]),
@@ -344,6 +380,14 @@ def sweep_grid(cfg: RunConfig) -> SweepGrid:
 
 
 def corpus_config(cfg: RunConfig) -> CorpusConfig:
+    """The synthetic corpus; every detection region around an onset must fit in it."""
+    low, high, length = cfg["corpus.onset_low"], cfg["corpus.onset_high"], cfg["corpus.length"]
+    for h_key, h, T, half in _detection_regions(cfg):
+        if half + T > low or high + half > length:
+            raise ConfigError(
+                f"field {h_key!r}: h={h} ({half} buckets) and T={T} need "
+                f"corpus.onset_low >= {half + T} and corpus.length >= corpus.onset_high + {half}"
+            )
     width = cfg["detection.bucket_width_minutes"]
     return _section(cfg, CorpusConfig, "corpus", bucket_width_minutes=width, seed=cfg["seed"])
 

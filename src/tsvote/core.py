@@ -284,5 +284,22 @@ def shifted_windows(
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances along the last axis, broadcasting a against b."""
-    return ((a - b) ** 2).sum(axis=-1)
+    """Squared Euclidean distances along the last axis, broadcasting a against b.
+
+    A distance beyond float64 is +inf (numpy need not warn about it).
+    """
+    with np.errstate(over="ignore"):
+        return ((a - b) ** 2).sum(axis=-1)
+
+
+def expansion_slack(norms, k: int):
+    """8 g_k norms + 4 k tiny, with g_k = k u / (1 - k u) and u the unit roundoff.
+
+    The rounding slack of the inner-product expansion |a|^2 - 2a.b + |b|^2 of a
+    squared distance against sq_dists(a, b), for callers whose summations are
+    at most k - 4 terms long and whose norms bound every magnitude involved;
+    each caller states why. The 4 k tiny term covers subnormal rounding, which
+    no relative slack does.
+    """
+    u, tiny = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
+    return 8.0 * k * u / (1.0 - k * u) * norms + 4.0 * k * tiny

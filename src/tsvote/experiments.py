@@ -117,9 +117,9 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
 
     One draw of sources, training pool and tests serves every cell: a smaller
     pool is a prefix of the pool draws and a shorter observation is a prefix of
-    each test. Each T builds one oracle kernel and computes one distance grid
-    per test against the largest pool it needs; every pool size at that T reads
-    its rows of the grid (its first positives and first negatives).
+    each test. Each T builds one oracle kernel and computes one exact shift
+    minimum per test against the largest pool it needs; every pool size at that
+    T reads its rows of it (its first positives and first negatives).
     """
     src_ss, train_ss, test_ss = trial_ss.spawn(3)
     gen_seed = int(src_ss.generate_state(1, np.uint64)[0])
@@ -142,9 +142,9 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
         map_wrong = 0
         for s, label, _ in tests:
             map_wrong += oracle.classify(s).label != label
-            grid = pool_kernel.shift_sq_dists(s)
+            dmin = pool_kernel.min_dists(s)[0]
             for n, kernel in kernels.items():
-                d = grid[rows[n]]
+                d = dmin[rows[n]]
                 wrong[n]["wmv"] += kernel._gwmv_from_dists(d).label != label
                 wrong[n]["nn"] += kernel._knn_from_dists(d, 1).label != label
         for n in sizes:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, shifted_windows, sq_dists, stacked_windows
+from .core import LabeledDataset, expansion_slack, shifted_windows, sq_dists, stacked_windows
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -31,14 +31,12 @@ def _bound_and_verify(P: np.ndarray, N: np.ndarray) -> float:
     p_sq, n_sq = np.einsum("ij,ij->i", P, P), np.einsum("ij,ij->i", N, N)
     if not math.isfinite(4.0 * (p_sq.max() + n_sq.max())):
         return _min_cross_sq(P, N)
-    k, u, tiny = P.shape[1] + 4, np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
-    rel, floor = 8.0 * k * u / (1.0 - k * u), 4.0 * k * tiny
     threshold = best = math.inf
     block = max(1, 65536 // N.shape[0])  # verify temporaries as small as _min_cross_sq's
     for i in range(0, P.shape[0], block):
         norms = p_sq[i : i + block, None] + n_sq
         approx = norms - 2.0 * (P[i : i + block] @ N.T)
-        slack = rel * norms + floor
+        slack = expansion_slack(norms, P.shape[1] + 4)
         threshold = min(threshold, float((approx + slack).min()))
         rows, cols = np.nonzero(approx - slack <= threshold)
         if rows.size:
@@ -58,7 +56,8 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
     gives d~ = |a|^2 + |b|^2 - 2a.b for every negative window b. Both d~ and the
     direct sum lie within g (|a| + |b|)^2 <= 2g (|a|^2 + |b|^2) of the exact
     distance, g = (T+4)u / (1 - (T+4)u), so with a safety factor 2 and a term for
-    underflow, eps = 8g (|a|^2 + |b|^2) + 4 (T+4) tiny bounds |d~ - sq_dists|.
+    underflow, eps = 8g (|a|^2 + |b|^2) + 4 (T+4) tiny (core.expansion_slack)
+    bounds |d~ - sq_dists|.
     Only pairs with d~ - eps <= min(d~ + eps) are verified. If a squared norm
     overflows, the unpruned path (cutoff=False, kept as the reference) runs.
     """

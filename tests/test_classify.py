@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,17 @@ from tsvote import (
     ParamError,
     TimeSeries,
     VotingParams,
+    advance,
     classify_gwmv,
     classify_knn,
     classify_map,
     lambda_ratio,
     log_vote_sum,
 )
-from tsvote.classify import MapKernel, VotingKernel
+import tsvote.classify as classify
+from tsvote import dataio
+from tsvote.classify import MapKernel, VotingKernel, _log_votes
+from tsvote.cli import main
 
 
 def series_at_distance(d, T, id):
@@ -449,3 +455,268 @@ class TestUndefinedRatio:
         assert out.label == Label.POSITIVE
         assert out.log_lambda == math.inf
         assert many.tolist() == [math.inf, math.inf]
+
+
+def grid_minimum(kernel, s):
+    """Per-example min and first argmin shift of the full shift_sq_dists grid."""
+    grid = kernel.shift_sq_dists(s)
+    j = grid.argmin(axis=1)
+    return grid[np.arange(kernel.n), j], j - kernel.params.delta_max
+
+
+def outcome_of(run):
+    """run()'s value, or the message of the ParamError it raised."""
+    try:
+        return run()
+    except ParamError as exc:
+        return str(exc)
+
+
+class TestExactShiftMinimum:
+    """min_dists bounds every cell with one GEMM and verifies a few with
+    sq_dists; it must give the full grid's min and first argmin bit for bit."""
+
+    def assert_matches_grid(self, data, s, params):
+        kernel = VotingKernel(data, params)
+        dmin, shifts = kernel.min_dists(s)
+        want_d, want_shift = grid_minimum(kernel, s)
+        assert dmin.tobytes() == want_d.tobytes()
+        assert shifts.tolist() == want_shift.tolist()
+        votes = want_d if params.shift_mode == "min" else kernel.shift_sq_dists(s).reshape(-1)
+        pairs = [
+            (lambda: kernel.gwmv(s), lambda: kernel._gwmv_from_dists(votes)),
+            (lambda: kernel.knn(s, 1), lambda: kernel._knn_from_dists(want_d, 1)),
+            (lambda: kernel.knn(s, kernel.n), lambda: kernel._knn_from_dists(want_d, kernel.n)),
+            (lambda: kernel.nearest(s), lambda: kernel._nearest_from_min(want_d, want_shift)),
+        ]
+        for got, want in pairs:
+            assert outcome_of(got) == outcome_of(want)
+        if params.shift_mode == "min":
+            want = float(_log_votes(params.gamma, want_d[: data.n_pos]))
+            got = log_vote_sum(data.positives, s, params)
+            assert got == want or math.isnan(got) and math.isnan(want)  # NaN: 0 * inf
+        return dmin, shifts
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_pos=st.integers(1, 4),
+        n_neg=st.integers(1, 4),
+        T=st.integers(1, 12),
+        delta_max=st.integers(0, 4),
+        # subnormal squares, ordinary values, and norms that overflow float64
+        scale_exp=st.one_of(st.integers(-170, -145), st.integers(-145, 140), st.integers(140, 160)),
+        offset=st.sampled_from([0.0, 1e3, -1e8, 1e12]),
+        values=st.sampled_from(["normal", "dyadic", "periodic"]),
+        duplicate=st.booleans(),
+        member_query=st.booleans(),
+        shift_mode=st.sampled_from(["min", "sum"]),
+        gamma=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_minimum_is_the_grids_on_any_scale(
+        self, n_pos, n_neg, T, delta_max, scale_exp, offset, values, duplicate, member_query,
+        shift_mode, gamma, seed,
+    ):
+        # non-dyadic values round on both paths and offsets make the norms dwarf
+        # the distances; dyadic values tie exactly across examples, periodic ones
+        # across shifts; a window shared by the classes or with the query is at 0
+        rng = np.random.default_rng(seed)
+        scale = 1.37 * 10.0**scale_exp
+        length = T + 2 * delta_max
+
+        def draw(size):
+            if values == "normal":
+                return scale * (offset + rng.standard_normal(size))
+            if values == "dyadic":
+                return dyadic_values(rng, size, denom=4, span=8)
+            return np.resize(dyadic_values(rng, 2, denom=4, span=8), size)
+
+        pos = [TimeSeries(1 - delta_max, draw(length), id=f"p{i}") for i in range(n_pos)]
+        neg = [TimeSeries(1 - delta_max, draw(length), id=f"n{i}") for i in range(n_neg)]
+        if duplicate:
+            neg[0] = TimeSeries(1 - delta_max, pos[0].values, id="dup")
+        q = pos[-1].window(1, T) if member_query else draw(T)
+        params = VotingParams(gamma=gamma, T=T, delta_max=delta_max, shift_mode=shift_mode)
+        data = LabeledDataset(tuple(pos), tuple(neg))
+        dmin, _ = self.assert_matches_grid(data, TimeSeries(1, q, id="q"), params)
+        if member_query:
+            assert dmin[n_pos - 1] == 0.0
+
+    def test_overflowing_norms_take_the_full_grid(self, rng):
+        # |w|^2 overflows, so the bound would be NaN; the distances (about 1e302) do not
+        T, dmax = 8, 2
+        data = LabeledDataset(
+            tuple(
+                TimeSeries(1 - dmax, 1e160 + 1e150 * rng.standard_normal(T + 2 * dmax), id=f"p{i}")
+                for i in range(3)
+            ),
+            (TimeSeries(1 - dmax, 1e160 + 1e150 * rng.standard_normal(T + 2 * dmax), id="n"),),
+        )
+        s = TimeSeries(1, 1e160 + 1e150 * rng.standard_normal(T), id="s")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dmin, _ = self.assert_matches_grid(data, s, VotingParams(1e-303, T, dmax))
+        assert np.isfinite(dmin).all() and dmin.min() > 1e300
+
+    def test_overflowing_distances_are_zero_votes(self):
+        # the distances themselves overflow: +inf, quietly, then the ratio is undefined
+        data = LabeledDataset(
+            (TimeSeries(1, np.full(5, 1e200), id="p"),),
+            (TimeSeries(1, np.full(5, -1e200), id="n"),),
+        )
+        s = TimeSeries(1, np.zeros(5), id="s")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dmin, _ = self.assert_matches_grid(data, s, VotingParams(0.1, 5, 0))
+            with pytest.raises(ParamError, match="squared distance"):
+                classify_gwmv(s, data, VotingParams(0.1, 5, 0))
+        assert dmin.tolist() == [math.inf, math.inf]
+
+    def test_subnormal_near_tie_survives_the_bound(self):
+        # squares below tiny round by an absolute amount no relative slack covers:
+        # the two shifts' distances are 1e-323 and 5e-324
+        data = LabeledDataset(
+            (TimeSeries(0, np.array([2.6, 2.7, 0.0]) * 1e-161, id="p"),),
+            (TimeSeries(0, np.array([0.0, 2.7, 2.6]) * 1e-161, id="n"),),
+        )
+        s = TimeSeries(1, np.array([2.9e-161]), id="s")
+        dmin, shifts = self.assert_matches_grid(data, s, VotingParams(1.0, 1, 1))
+        assert dmin.tolist() == [5e-324, 5e-324]
+        assert shifts.tolist() == [0, 0]
+
+    def test_every_cell_tied_verifies_in_blocks(self):
+        # constant series tie at every shift, so all 40 * 41 cells are verified,
+        # more than one block of rows; the first shift wins each tie
+        T, dmax = 64, 20
+
+        def const(v, id):
+            return TimeSeries(1 - dmax, np.full(T + 2 * dmax, v), id=id)
+
+        data = LabeledDataset(
+            tuple(const(float(i % 3), f"p{i}") for i in range(20)),
+            tuple(const(float(i % 3) + 0.25, f"n{i}") for i in range(20)),
+        )
+        s = TimeSeries(1, np.full(T, 0.5), id="s")
+        _, shifts = self.assert_matches_grid(data, s, VotingParams(0.5, T, dmax))
+        assert shifts.tolist() == [-dmax] * 40
+
+    def test_desk_queries_verify_few_cells(self, tmp_path, monkeypatch):
+        # a silent fallback to the full grid would pass every exactness test
+        desk_cfg = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        argv = ["generate", "--config", str(desk_cfg), "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        train = dataio.read_dataset(tmp_path / "train.jsonl")
+        tests = [ts for ts, _ in dataio.read_series_file(tmp_path / "test.jsonl")]
+        kernel = VotingKernel(train, VotingParams(0.125, 100, 10))
+        verified, direct = [], classify.sq_dists
+
+        def counting(a, b):
+            verified.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+            return direct(a, b)
+
+        monkeypatch.setattr(classify, "sq_dists", counting)
+        for s in tests:
+            verified.clear()
+            kernel.min_dists(s)
+            assert 0 < sum(verified) <= 2 * kernel.n
+
+    def test_min_mode_calls_allocate_no_grid(self, rng):
+        T, dmax = 100, 20
+        data, s = random_instance(rng, 100, 100, T=T, delta_max=dmax)
+        kernel = VotingKernel(data, VotingParams(0.5, T, dmax))
+        grid_bytes = kernel.n * (2 * dmax + 1) * T * 8
+        calls = {
+            "min_dists": lambda: kernel.min_dists(s),
+            "gwmv": lambda: kernel.gwmv(s),
+            "knn": lambda: kernel.knn(s, 3),
+            "nearest": lambda: kernel.nearest(s),
+            "verdict_and_nearest": lambda: kernel.verdict_and_nearest(s),
+            "shift_sq_dists": lambda: kernel.shift_sq_dists(s),
+        }
+        peaks = {}
+        for name, call in calls.items():
+            call()  # warm up
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks.pop("shift_sq_dists") >= grid_bytes  # the probe sees the grid
+        assert max(peaks.values()) < grid_bytes / 4, peaks
+
+
+class TestShiftInvariance:
+    """Advancing every training series, source and query by k is the same as
+    observing the originals k steps later: every output equals that of series
+    that hold only those later windows, surrounded by unrelated values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_pos=st.integers(1, 3),
+        n_neg=st.integers(1, 3),
+        T=st.integers(1, 8),
+        delta_max=st.integers(0, 3),
+        k=st.integers(-4, 4),
+        shift_mode=st.sampled_from(["min", "sum"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_advancing_every_series_changes_nothing(
+        self, n_pos, n_neg, T, delta_max, k, shift_mode, seed
+    ):
+        rng = np.random.default_rng(seed)
+        K = 4  # every series reaches K steps beyond what any k observes
+
+        def wide(first, last, id):
+            return TimeSeries(first - K, rng.standard_normal(last - first + 1 + 2 * K), id=id)
+
+        def later(ts, first, last):
+            # ts on [first + k, last + k], moved to [first, last] between fresh values
+            pad = int(rng.integers(0, 3))
+            vals = np.concatenate(
+                (rng.standard_normal(pad), ts.window(first + k, last + k), rng.standard_normal(2))
+            )
+            return TimeSeries(first - pad, vals, id=ts.id)
+
+        lo, hi = 1 - delta_max, T + delta_max
+        pos = [wide(lo, hi, f"p{i}") for i in range(n_pos)]
+        neg = [wide(lo, hi, f"n{i}") for i in range(n_neg)]
+        labels = (Label.POSITIVE, Label.NEGATIVE)
+        sources = [(wide(1, hi, f"v{i}"), lab) for i, lab in enumerate(labels)]
+        s = wide(1, T, "s")
+
+        def model(srcs):
+            return LatentSourceModel(
+                sources=tuple(srcs), delta_max=delta_max, noise=NoiseSpec("gaussian", 1.0),
+                window_start=1, window_length=T,
+            )
+
+        advanced = (
+            LabeledDataset(tuple(advance(r, k) for r in pos), tuple(advance(r, k) for r in neg)),
+            model((advance(v, k), lab) for v, lab in sources),
+            advance(s, k),
+        )
+        observed_later = (
+            LabeledDataset(
+                tuple(later(r, lo, hi) for r in pos), tuple(later(r, lo, hi) for r in neg)
+            ),
+            model((later(v, 1, hi), lab) for v, lab in sources),
+            later(s, 1, T),
+        )
+        params = VotingParams(gamma=0.5, T=T, delta_max=delta_max, shift_mode=shift_mode)
+
+        def outputs(data, m, q):
+            kernel = VotingKernel(data, params)
+            return (
+                kernel.gwmv(q),
+                kernel.knn(q, 1),
+                kernel.knn(q, data.n),
+                kernel.nearest(q),
+                kernel.verdict_and_nearest(q),
+                kernel.min_dists(q)[0].tobytes(),
+                kernel.min_dists(q)[1].tolist(),
+                kernel.shift_sq_dists(q).tobytes(),
+                MapKernel(m, params).classify(q),
+            )
+
+        assert outputs(*advanced) == outputs(*observed_later)

@@ -16,6 +16,9 @@ from tsvote.config import SCHEMA, load_config
 from tsvote.errors import ConfigError
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -314,6 +317,29 @@ class TestClassify:
         assert "undefined" in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert stdout == ""
+
+    def test_overflowing_distance_exits_3_quietly(self, tmp_path):
+        # the squared distances themselves overflow, so no gamma helps; numpy's
+        # overflow warning must not reach stderr ahead of the one error line
+        train, series = tmp_path / "train.jsonl", tmp_path / "series.jsonl"
+        dataio.write_jsonl(train, [
+            dataio.series_to_record(TimeSeries(1, np.full(5, v), id=f"r{i}"), label)
+            for i, (v, label) in enumerate(((1e200, Label.POSITIVE), (-1e200, Label.NEGATIVE)))
+        ])
+        dataio.write_jsonl(series, [dataio.series_to_record(TimeSeries(1, np.zeros(5), id="q"))])
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "tsvote.cli", "classify", "--train", str(train),
+                "--series", str(series), "--method", "wmv", "--T", "5", "--delta-max", "0",
+                "--gamma", "0.1", "--out", str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+        assert "squared distance" in result.stderr
+        assert result.stdout == ""
 
     def test_infinite_gamma_setting_exits_1(self, generated, tmp_path, capsys):
         code, _, err = run_cli(
@@ -619,6 +645,19 @@ class TestExitCodes:
             (["generate", "--set", "model.weights=0.1,0.9"], "model.weights"),
             (["generate", "--set", "generator.m=2", "--set", "model.weights=0.5,0.4"], "model.weights"),
             (["generate", "--set", "generator.m=2", "--set", "model.weights=-1,2"], "model.weights"),
+            # cross-field checks of the builders each command calls before any work
+            (["experiment", "--config", str(CONFIGS / "desk.cfg"),
+              "--set", "experiment.t_grid=10,200"], "experiment.t_grid"),
+            (["detect", "--config", str(CONFIGS / "detect.cfg"),
+              "--set", "detection.h_grid=1,50"], "detection.h_grid"),
+            (["detect", "--config", str(CONFIGS / "detect.cfg"),
+              "--set", "detection.h_hours=4"], "detection.h_hours"),
+            (["detect", "--config", str(CONFIGS / "detect.cfg"),
+              "--set", "detection.h_grid=0.01"], "detection.h_grid"),
+            (["detect", "--config", str(CONFIGS / "detect.cfg"),
+              "--set", "detection.t_grid=15,31"], "detection.h_hours"),
+            (["detect", "--config", str(CONFIGS / "detect.cfg"),
+              "--set", "detection.delta_max=8"], "detection.delta_max"),
         ],
     )
     def test_bad_setting_names_its_key(self, tmp_path, capsys, argv, key):
