@@ -1,13 +1,14 @@
 """Voting and nearest-neighbor classifiers over shift-minimized distances.
 
-Every classifier here is a thin caller of one engine. `_ShiftWindows` holds the
-training windows at every shift: its `grid` is the full (examples, shifts)
-`core.sq_dists` grid, and its `minimum` the per-example minimum over shifts,
-found by bound-and-verify (one GEMM bounds every cell, `core.sq_dists`
-recomputes the few that can be the minimum), bit for bit the grid's min and
-first argmin. `min`-mode voting, k-NN and nearest neighbor read the minimum;
-`sum` mode, which votes with every cell, reads the grid. Batches in
-`log_lambda_many` use the inner-product expansion of the whole grid instead.
+Every classifier here is a thin caller of one engine, `core.ShiftWindows`: the
+training windows (or, for the oracle, the sources) at every shift. Its `grid`
+is the full (examples, shifts) `core.sq_dists` grid and its `expansion` the same
+distances from one GEMM, within a stated bound. `_shift_minimum` finds the
+per-example minimum over shifts by bound-and-verify (the expansion bounds every
+cell, `sq_dists` recomputes the few that can be the minimum), bit for bit the
+grid's min and first argmin. `min`-mode voting, k-NN and nearest neighbor read
+the minimum; `sum` mode and the oracle, which vote with every cell, read the
+grid; batches in `log_lambda_many` vote on the expansion itself.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
 ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into a
@@ -16,9 +17,9 @@ verdict.
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
 underflows to a 0/0 ratio. A squared distance or gamma * distance overflowing
-to inf is a vote of exactly zero (at gamma = 0 an infinite distance leaves the
-vote undefined); a ratio that is still undefined (both classes' votes are zero)
-raises ParamError instead of becoming a verdict.
+to inf is a vote of exactly zero, except at gamma = 0, where every vote is 1; a
+ratio that is still undefined (both classes' votes are zero) raises ParamError
+instead of becoming a verdict.
 """
 
 from __future__ import annotations
@@ -28,18 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (
-    Label,
-    LabeledDataset,
-    TimeSeries,
-    VotingParams,
-    expansion_slack,
-    shifted_windows,
-    sq_dists,
-    stacked_windows,
-)
+from .core import Label, LabeledDataset, ShiftWindows, TimeSeries, VotingParams, sq_dists
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -72,9 +63,12 @@ def _class_dists(dists: np.ndarray, shift_mode: str) -> np.ndarray:
 
 
 def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
-    """log of the exp(-gamma * d + log_w) votes summed along axis 0."""
+    """log of the exp(-gamma * d + log_w) votes summed along axis 0; at gamma = 0
+    every vote is exp(log_w), even where d is +inf."""
+    if gamma == 0.0:
+        d = np.zeros_like(d)  # 0 * inf would be NaN
     # gamma * d overflowing to inf is a zero vote, so numpy need not warn about it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         return _logsumexp(-gamma * d + log_w)
 
 
@@ -110,67 +104,25 @@ def _outcome(votes: tuple, log_threshold: float) -> ClassificationOutcome:
     return ClassificationOutcome(label, log_lambda, (pos, neg))
 
 
-class _ShiftWindows:
-    """Windows of stacked series at every shift, with the norms that bound them.
+def _shift_minimum(windows: ShiftWindows, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row minimum of windows.grid(q) and its first minimizing shift, bit for
+    bit, without building the (n, S, T) grid.
 
-    Row i holds series i on [1 - delta_max, T + delta_max] (L = T + 2 delta_max
-    values); window j of row i, shift j - delta_max, is its values j..j+T-1.
+    A cell holding row i's minimum has d~ <= min(d~) + 2 eps_i (see
+    ShiftWindows.expansion); sq_dists recomputes exactly those cells, and argmin
+    over them (every other cell +inf) picks the first minimizing shift.
     """
-
-    def __init__(self, seriess, T: int, delta_max: int):
-        self.T, self.delta_max = T, delta_max
-        self.rows = stacked_windows(seriess, 1 - delta_max, T + delta_max)
-        self.views = sliding_window_view(self.rows, T, axis=1)  # (n, S, T), read-only
-        n, L = self.rows.shape
-        # an overflowing norm (inf, or inf - inf in a window) selects the full grid
-        with np.errstate(over="ignore", invalid="ignore"):
-            cum = np.zeros((n, L + 1))
-            np.cumsum(self.rows * self.rows, axis=1, out=cum[:, 1:])
-            self.window_sq = cum[:, T:] - cum[:, : L + 1 - T]  # (n, S)
-        self.row_sq = cum[:, -1]
-
-    def grid(self, q: np.ndarray) -> np.ndarray:
-        """(n, S) squared distances of q to every window: the exact reference."""
-        return sq_dists(self.views, q)
-
-    def minimum(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row minimum of grid(q) and its first minimizing shift, bit for bit,
-        without building the (n, S, T) grid.
-
-        One GEMM of the rows against the S placements of q (row s of the
-        placement matrix is q at offset s in zeros) gives
-        d~ = |w|^2 - 2 w.q + |q|^2 for every window w. Let N_i = R_i + |q|^2,
-        with R_i the squared norm of row i, and g = (L+4)u / (1 - (L+4)u). Then
-        the cumulative-sum window norm |w|^2 is within 3g R_i of exact, 2 w.q
-        (L products) within g (|w|^2 + |q|^2) <= g N_i, |q|^2 within g |q|^2,
-        the two additions within g N_i, and sq_dists (T squares) within
-        g D <= 2g N_i of the exact distance D. So both d~ and sq_dists lie
-        within 7g N_i of D, and eps_i = 8g N_i + 4 (L+4) tiny
-        (core.expansion_slack) leaves room for second-order and subnormal
-        rounding. A cell holding the row's minimum has d~ <= min(d~) + 2 eps_i;
-        sq_dists recomputes exactly those cells, and argmin over them (every
-        other cell +inf) picks the first minimizing shift. If a squared norm
-        overflows, the full grid is used instead.
-        """
-        (n, S), L = self.window_sq.shape, self.rows.shape[1]
-        with np.errstate(over="ignore"):
-            q_sq = float(q @ q)
-        if not math.isfinite(4.0 * (float(self.row_sq.max()) + q_sq)):
-            dists = self.grid(q)
-        else:
-            padded = np.zeros(L + S - 1)
-            padded[S - 1 : S - 1 + self.T] = q
-            placements = np.ascontiguousarray(sliding_window_view(padded, L)[::-1])
-            approx = self.window_sq - 2.0 * (self.rows @ placements.T) + q_sq
-            slack = expansion_slack(self.row_sq + q_sq, L + 4)
-            rows, cols = np.nonzero(approx <= (approx.min(axis=1) + 2.0 * slack)[:, None])
-            dists = np.full((n, S), np.inf)
-            block = max(1, 65536 // self.T)  # bounded temporaries even if every cell ties
-            for i in range(0, rows.size, block):
-                r, c = rows[i : i + block], cols[i : i + block]
-                dists[r, c] = sq_dists(self.views[r, c], q)
-        j = dists.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
-        return dists[np.arange(n), j], j - self.delta_max
+    approx, slack = windows.expansion(q[None])
+    dists = approx[:, :, 0]
+    if slack is not None:
+        rows, cols = np.nonzero(dists <= (dists.min(axis=1) + 2.0 * slack[:, 0])[:, None])
+        dists = np.full(dists.shape, np.inf)
+        block = max(1, 65536 // windows.T)  # bounded temporaries even if every cell ties
+        for i in range(0, rows.size, block):
+            r, c = rows[i : i + block], cols[i : i + block]
+            dists[r, c] = sq_dists(windows.views[r, c], q)
+    j = dists.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
+    return dists[np.arange(dists.shape[0]), j], j + windows.first_shift
 
 
 class VotingKernel:
@@ -184,7 +136,7 @@ class VotingKernel:
         data.require_both_classes()
         self.data = data
         self.params = params
-        self._windows = _ShiftWindows(data.examples(), params.T, params.delta_max)
+        self._windows = ShiftWindows(data.examples(), params.T, -params.delta_max, params.delta_max)
         self.n_pos = data.n_pos
         self.n = data.n
 
@@ -195,7 +147,7 @@ class VotingKernel:
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Per-example minimum distance and its first minimizing shift: exactly
         the min and first argmin of shift_sq_dists(s), without building it."""
-        return self._windows.minimum(s.window(1, self.params.T))
+        return _shift_minimum(self._windows, s.window(1, self.params.T))
 
     def _vote_dists(self, s: TimeSeries, dmin=None) -> np.ndarray:
         """The distances s votes with along axis 0 (see _votes): its per-example
@@ -257,18 +209,17 @@ class VotingKernel:
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix.
 
-        Uses the inner-product expansion of the squared distance, so values can
-        differ from the direct path at floating-point level only.
+        Votes on ShiftWindows.expansion clamped at 0, unverified. Each distance
+        is then within 2 eps_i of the direct path's, and a class's log vote moves
+        by at most gamma times the largest change of its distances, so a row is
+        within 4 gamma max_i eps_i of gwmv's log ratio, plus log-sum-exp rounding.
         """
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 2 or obs.shape[1] != self.params.T:
             raise ParamError(f"observations must have shape (P, {self.params.T})")
-        views = self._windows.views
-        flat = views.reshape(-1, self.params.T)  # (n * n_shifts, T)
-        sq = np.einsum("ij,ij->i", flat, flat)
-        cross = flat @ obs.T  # (n * n_shifts, P)
-        d = np.maximum(sq[:, None] - 2.0 * cross + np.einsum("ij,ij->i", obs, obs)[None, :], 0.0)
-        d = d.reshape(self.n, views.shape[1], -1)
+        if not np.isfinite(obs).all():
+            raise ParamError("observations must be finite")
+        d = np.maximum(self._windows.expansion(obs)[0], 0.0)
         return self._votes(_class_dists(d, self.params.shift_mode))[0]
 
 
@@ -276,10 +227,10 @@ def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingPa
     """log of the summed exp(-gamma * d) votes cast by one class of examples."""
     if not examples:
         raise ParamError("examples must be non-empty")
-    windows = _ShiftWindows(examples, params.T, params.delta_max)
+    windows = ShiftWindows(examples, params.T, -params.delta_max, params.delta_max)
     q = s.window(1, params.T)
     if params.shift_mode == "min":
-        dists = windows.minimum(q)[0]
+        dists = _shift_minimum(windows, q)[0]
     else:
         dists = _class_dists(windows.grid(q), "sum")
     return float(_log_votes(params.gamma, dists))
@@ -317,8 +268,8 @@ class MapKernel:
         if not pos or not neg:
             raise ParamError("the model must contain sources of both labels")
         self.params = params
-        self._views_pos = shifted_windows(pos, params.T, 0, params.delta_max)
-        self._views_neg = shifted_windows(neg, params.T, 0, params.delta_max)
+        self._pos = ShiftWindows(pos, params.T, 0, params.delta_max)
+        self._neg = ShiftWindows(neg, params.T, 0, params.delta_max)
         if model.weights is not None:
             # one log weight per (source, shift) pair, in flattened distance order
             n_shifts = params.delta_max + 1
@@ -334,7 +285,7 @@ class MapKernel:
 
     def classify(self, s: TimeSeries) -> ClassificationOutcome:
         sw = s.window(1, self.params.T)
-        pos, neg = (sq_dists(v, sw).ravel() for v in (self._views_pos, self._views_neg))
+        pos, neg = (w.grid(sw).ravel() for w in (self._pos, self._neg))
         votes = _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
         # decision threshold fixed at a ratio of 1; theta plays no role here
         return _outcome(votes, 0.0)

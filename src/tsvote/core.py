@@ -2,7 +2,10 @@
 
 A series is defined exactly on [start_index, start_index + len - 1]; reading
 outside that range raises SupportError rather than fabricating zeros. All types
-here are immutable and all operations are pure functions.
+here are immutable and all operations are pure functions, except that
+ShiftWindows, the one builder of shifted windows, computes its norms on first
+use. Its `grid` is the direct `sq_dists` reference and its `expansion` the GEMM
+form of the same distances, with their rounding bound.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -274,15 +278,6 @@ def stacked_windows(seriess: Sequence[TimeSeries], first: int, last: int) -> np.
     return np.stack([ts.window(first, last) for ts in seriess])
 
 
-def shifted_windows(
-    seriess: Sequence[TimeSeries], T: int, first_shift: int, last_shift: int
-) -> np.ndarray:
-    """Read-only (len(seriess), last_shift - first_shift + 1, T) view whose entry
-    [i, j] is seriess[i] on [1 + delta, T + delta] with delta = first_shift + j."""
-    W = stacked_windows(seriess, 1 + first_shift, T + last_shift)
-    return sliding_window_view(W, T, axis=1)
-
-
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances along the last axis, broadcasting a against b.
 
@@ -303,3 +298,60 @@ def expansion_slack(norms, k: int):
     """
     u, tiny = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
     return 8.0 * k * u / (1.0 - k * u) * norms + 4.0 * k * tiny
+
+
+class ShiftWindows:
+    """Series at every shift in first_shift..last_shift: row i of rows is
+    seriess[i] on [1 + first_shift, T + last_shift] (L values), and views[i, j],
+    at shift first_shift + j, is its values j..j+T-1 (a read-only view)."""
+
+    def __init__(self, seriess: Sequence[TimeSeries], T: int, first_shift: int, last_shift: int):
+        self.T, self.first_shift = T, first_shift
+        self.rows = stacked_windows(seriess, 1 + first_shift, T + last_shift)
+        self.views = sliding_window_view(self.rows, T, axis=1)
+
+    @cached_property
+    def norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, S) window and (n,) row squared norms from one cumulative sum,
+        computed on first use; an overflow gives inf, or NaN in a window."""
+        (n, L), T = self.rows.shape, self.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.zeros((n, L + 1))
+            np.cumsum(self.rows * self.rows, axis=1, out=cum[:, 1:])
+            return cum[:, T:] - cum[:, : L + 1 - T], cum[:, -1]
+
+    def grid(self, q: np.ndarray) -> np.ndarray:
+        """(n, S) squared distances of q to every window: the exact reference."""
+        return sq_dists(self.views, q)
+
+    def expansion(self, Q: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(d~, eps): the (n, S, P) d~ = |w|^2 - 2 w.q + |q|^2 of every window w
+        and row q of the (P, T) block Q, and the (n, P) eps that bounds how far
+        both d~ and sq_dists(w, q) lie from the exact distance. If a squared
+        norm overflows, (the exact grids, None).
+
+        One GEMM of the rows against the S P placements (q at offset j in zeros)
+        gives every w.q. Let N = R_i + |q|^2, with R_i the squared norm of row i,
+        and g = (L+4)u / (1 - (L+4)u). Then the cumulative-sum |w|^2 is within
+        3g R_i of exact, 2 w.q (L products) within g (|w|^2 + |q|^2) <= g N,
+        |q|^2 within g |q|^2, the two additions within g N, and sq_dists
+        (T squares) within g D <= 2g N of the exact distance D. So both lie
+        within 7g N of D, and eps = 8g N + 4 (L+4) tiny (expansion_slack)
+        leaves room for second-order and subnormal rounding.
+        """
+        (n, L), S, P = self.rows.shape, self.views.shape[1], Q.shape[0]
+        window_sq, row_sq = self.norms
+        with np.errstate(over="ignore"):
+            q_sq = np.einsum("ij,ij->i", Q, Q)
+        if not math.isfinite(4.0 * (float(row_sq.max()) + float(q_sq.max()))):
+            return np.stack([self.grid(q) for q in Q], axis=-1), None
+        # S copies of the block of queries zero-padded to L values, each with one
+        # more zero: read as rows of L values, copy j moves right by j, so row
+        # j P + p of the stack is Q[p] at offset j (a Toeplitz stack)
+        block = np.zeros((P, L))
+        block[:, : self.T] = Q
+        stack = np.zeros((S, P * L + 1))
+        stack[:, :-1] = block.reshape(-1)
+        cross = (self.rows @ stack.reshape(-1)[: S * P * L].reshape(S * P, L).T).reshape(n, S, P)
+        d = window_sq[:, :, None] - 2.0 * cross + q_sq
+        return d, expansion_slack(row_sq[:, None] + q_sq, L + 4)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, expansion_slack, shifted_windows, sq_dists, stacked_windows
+from .core import LabeledDataset, ShiftWindows, expansion_slack, sq_dists, stacked_windows
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -68,8 +68,8 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
         raise ParamError(f"T must be >= 1, got {T}")
     if delta_max < 0:
         raise ParamError(f"delta_max must be >= 0, got {delta_max}")
-    pos = shifted_windows(data.positives, T, -delta_max, delta_max).reshape(-1, T)
-    neg = shifted_windows(data.negatives, T, -delta_max, delta_max).reshape(-1, T)
+    pos = ShiftWindows(data.positives, T, -delta_max, delta_max).views.reshape(-1, T)
+    neg = ShiftWindows(data.negatives, T, -delta_max, delta_max).views.reshape(-1, T)
     with np.errstate(over="ignore"):
         best = _bound_and_verify(pos, neg) if cutoff else _min_cross_sq(pos, neg)
     if not math.isfinite(best):

@@ -27,6 +27,7 @@ from tsvote import (
 import tsvote.classify as classify
 from tsvote import dataio
 from tsvote.classify import MapKernel, VotingKernel, _log_votes
+from tsvote.core import expansion_slack
 from tsvote.cli import main
 
 
@@ -53,6 +54,16 @@ class TestLogVoteSum:
         data, s = random_instance(rng, 4, 3, T=5, delta_max=1)
         params = VotingParams(gamma=0.0, T=5, delta_max=1)
         assert log_vote_sum(data.positives, s, params) == pytest.approx(math.log(4), abs=1e-12)
+
+    def test_gamma_zero_votes_one_at_infinite_distance(self):
+        # the squared distance overflows to +inf, and gamma = 0 still votes exp(0)
+        far = TimeSeries(1, np.full(5, 1e200), id="far")
+        zero5, params = TimeSeries(1, np.zeros(5), id="s"), VotingParams(0.0, 5)
+        assert log_vote_sum([far], zero5, params) == 0.0
+        data = LabeledDataset((far, far), (TimeSeries(1, np.full(5, -1e200), id="n"),))
+        assert classify_gwmv(zero5, data, params).log_lambda == math.log(2.0)
+        many = VotingKernel(data, params).log_lambda_many(np.zeros((1, 5)))
+        assert many.tolist() == [math.log(2.0)]
 
     def test_no_underflow_at_huge_exponents(self):
         examples = [series_at_distance(5000.0, 3, "far")]
@@ -385,6 +396,70 @@ class TestKernelConsistency:
             if abs(direct.log_lambda) > 1e-9:
                 assert (batched >= 0.0) == (direct.label == Label.POSITIVE)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_pos=st.integers(1, 4),
+        n_neg=st.integers(1, 4),
+        T=st.integers(1, 12),
+        delta_max=st.integers(0, 3),
+        P=st.integers(1, 4),
+        scale_exp=st.integers(-150, 150),
+        offset=st.sampled_from([0.0, 1e3, -1e6]),
+        spread=st.integers(0, 6),
+        shift_mode=st.sampled_from(["min", "sum"]),
+        gamma=st.sampled_from([0.0, 1e-3, 0.5, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_rows_match_direct_path_on_any_scale(
+        self, n_pos, n_neg, T, delta_max, P, scale_exp, offset, spread, shift_mode, gamma, seed
+    ):
+        # non-dyadic values round on both paths, offsets make the norms dwarf the
+        # distances, and each value of a row has its own magnitude, up to
+        # 10**spread apart; the rows may differ by the bound of log_lambda_many
+        rng = np.random.default_rng(seed)
+        scale, L = 1.37 * 10.0**scale_exp, T + 2 * delta_max
+
+        def draw(*size):
+            magnitudes = 10.0 ** rng.uniform(-spread, 0, size)
+            return scale * (offset + rng.standard_normal(size) * magnitudes)
+
+        data = LabeledDataset(
+            tuple(TimeSeries(1 - delta_max, draw(L), id=f"p{i}") for i in range(n_pos)),
+            tuple(TimeSeries(1 - delta_max, draw(L), id=f"n{i}") for i in range(n_neg)),
+        )
+        params = VotingParams(gamma=gamma, T=T, delta_max=delta_max, shift_mode=shift_mode)
+        kernel = VotingKernel(data, params)
+        obs = draw(P, T)
+        with np.errstate(over="ignore"):
+            R = np.array([r.values @ r.values for r in data.examples()])
+            slack = [expansion_slack(R + q @ q, L + 4).max() for q in obs]
+        for row, batched, eps in zip(obs, kernel.log_lambda_many(obs), slack):
+            direct = kernel.gwmv(TimeSeries(1, row, id="o")).log_lambda
+            assert abs(batched - direct) <= 4.0 * gamma * eps + 1e-12 * max(1.0, abs(direct))
+
+    def test_batched_overflowing_norms_take_the_exact_grid(self):
+        # |w|^2 = 8e310 overflows, so the expansion would be inf - inf
+        data = LabeledDataset(
+            (TimeSeries(1, np.full(8, 1.0e155), id="p"),),
+            (TimeSeries(1, np.full(8, 1.04e155), id="n"),),
+        )
+        kernel = VotingKernel(data, VotingParams(gamma=1e-300, T=8))
+        q = np.full(8, 1.001e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            many = kernel.log_lambda_many(q[None])
+        direct = kernel.gwmv(TimeSeries(1, q, id="q")).log_lambda
+        assert many.tolist() == [direct]
+        assert direct == pytest.approx(1.216e8, rel=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_batched_rejects_non_finite_observations(self, rng, bad):
+        data, _ = random_instance(rng, 2, 2, T=4, delta_max=1)
+        obs = rng.standard_normal((3, 4))
+        obs[1, 2] = bad
+        with pytest.raises(ParamError, match="observations must be finite"):
+            VotingKernel(data, VotingParams(gamma=0.5, T=4, delta_max=1)).log_lambda_many(obs)
+
     def test_gamma_limit_agrees_with_nearest_neighbor(self, rng):
         agree = checked = 0
         for _ in range(100):
@@ -494,7 +569,7 @@ class TestExactShiftMinimum:
         if params.shift_mode == "min":
             want = float(_log_votes(params.gamma, want_d[: data.n_pos]))
             got = log_vote_sum(data.positives, s, params)
-            assert got == want or math.isnan(got) and math.isnan(want)  # NaN: 0 * inf
+            assert got == want
         return dmin, shifts
 
     @settings(max_examples=300, deadline=None)
