@@ -2,13 +2,12 @@
 
 Every classifier here is a thin caller of one engine, `core.ShiftWindows`: the
 training windows (or, for the oracle, the sources) at every shift. Its `grid`
-is the full (examples, shifts) `core.sq_dists` grid and its `expansion` the same
-distances from one GEMM, within a stated bound. `_shift_minimum` finds the
-per-example minimum over shifts by bound-and-verify (the expansion bounds every
-cell, `sq_dists` recomputes the few that can be the minimum), bit for bit the
-grid's min and first argmin. `min`-mode voting, k-NN and nearest neighbor read
-the minimum; `sum` mode and the oracle, which vote with every cell, read the
-grid; batches in `log_lambda_many` vote on the expansion itself.
+is the full (examples, shifts) distance grid, its `expansion` the same
+distances from one GEMM within a stated bound, and its `minimum` the
+per-example minimum over shifts, bit for bit the grid's min and first argmin.
+`min`-mode voting, k-NN and nearest neighbor read the minimum; `sum` mode and
+the oracle, which vote with every cell, read the grid; batches in
+`log_lambda_many` vote on the expansion itself.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
 ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into a
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Label, LabeledDataset, ShiftWindows, TimeSeries, VotingParams, sq_dists
+from .core import Label, LabeledDataset, ShiftWindows, TimeSeries, VotingParams
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -104,27 +103,6 @@ def _outcome(votes: tuple, log_threshold: float) -> ClassificationOutcome:
     return ClassificationOutcome(label, log_lambda, (pos, neg))
 
 
-def _shift_minimum(windows: ShiftWindows, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row minimum of windows.grid(q) and its first minimizing shift, bit for
-    bit, without building the (n, S, T) grid.
-
-    A cell holding row i's minimum has d~ <= min(d~) + 2 eps_i (see
-    ShiftWindows.expansion); sq_dists recomputes exactly those cells, and argmin
-    over them (every other cell +inf) picks the first minimizing shift.
-    """
-    approx, slack = windows.expansion(q[None])
-    dists = approx[:, :, 0]
-    if slack is not None:
-        rows, cols = np.nonzero(dists <= (dists.min(axis=1) + 2.0 * slack[:, 0])[:, None])
-        dists = np.full(dists.shape, np.inf)
-        block = max(1, 65536 // windows.T)  # bounded temporaries even if every cell ties
-        for i in range(0, rows.size, block):
-            r, c = rows[i : i + block], cols[i : i + block]
-            dists[r, c] = sq_dists(windows.views[r, c], q)
-    j = dists.argmin(axis=1)  # argmin returns the first minimum: ascending shifts
-    return dists[np.arange(dists.shape[0]), j], j + windows.first_shift
-
-
 class VotingKernel:
     """Precomputed alignment windows for classifying many series against one dataset.
 
@@ -147,7 +125,8 @@ class VotingKernel:
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Per-example minimum distance and its first minimizing shift: exactly
         the min and first argmin of shift_sq_dists(s), without building it."""
-        return _shift_minimum(self._windows, s.window(1, self.params.T))
+        dmin, j = self._windows.minimum(s.window(1, self.params.T)[None], 1)
+        return dmin[:, 0], j[:, 0] + self._windows.first_shift
 
     def _vote_dists(self, s: TimeSeries, dmin=None) -> np.ndarray:
         """The distances s votes with along axis 0 (see _votes): its per-example
@@ -219,6 +198,8 @@ class VotingKernel:
             raise ParamError(f"observations must have shape (P, {self.params.T})")
         if not np.isfinite(obs).all():
             raise ParamError("observations must be finite")
+        if obs.shape[0] == 0:
+            return np.empty(0)
         d = np.maximum(self._windows.expansion(obs)[0], 0.0)
         return self._votes(_class_dists(d, self.params.shift_mode))[0]
 
@@ -230,7 +211,7 @@ def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingPa
     windows = ShiftWindows(examples, params.T, -params.delta_max, params.delta_max)
     q = s.window(1, params.T)
     if params.shift_mode == "min":
-        dists = _shift_minimum(windows, q)[0]
+        dists = windows.minimum(q[None], 1)[0][:, 0]
     else:
         dists = _class_dists(windows.grid(q), "sum")
     return float(_log_votes(params.gamma, dists))

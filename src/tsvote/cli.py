@@ -403,6 +403,13 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="directory with model.json and sources.jsonl (for map)")
     p.add_argument("--series", required=True, help="series to classify (JSONL)")
     p.add_argument("--method", choices=("wmv", "nn", "knn", "map"), default="wmv")
-    p.add_argument("--k", type=int, default=1, help="neighbors for --method knn")
+    p.add_argument("--k", type=_positive_int, default=1, help="neighbors for --method knn")
     p.add_argument("--gamma", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--T", type=int)

@@ -4,8 +4,10 @@ A series is defined exactly on [start_index, start_index + len - 1]; reading
 outside that range raises SupportError rather than fabricating zeros. All types
 here are immutable and all operations are pure functions, except that
 ShiftWindows, the one builder of shifted windows, computes its norms on first
-use. Its `grid` is the direct `sq_dists` reference and its `expansion` the GEMM
-form of the same distances, with their rounding bound.
+use. Its `grid` is the direct `sq_dists` reference, its `expansion` the GEMM
+form of the same distances with their rounding bound, and its `minimum` the one
+bound-and-verify: the exact minimum of the grids from the expansion, verifying
+with `sq_dists` only the cells that can hold it.
 """
 
 from __future__ import annotations
@@ -194,6 +196,15 @@ class LabeledDataset:
 _SHIFT_MODES = ("min", "sum")
 
 
+def integer_at_least(name: str, value, low: int) -> int:
+    """value as an int; ParamError naming it unless it is integral and >= low."""
+    if int(value) != value:
+        raise ParamError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParamError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class VotingParams:
     """Knobs of the voting classifiers.
@@ -215,14 +226,10 @@ class VotingParams:
             raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 < self.theta < math.inf):
             raise ParamError(f"theta must be finite and > 0, got {self.theta}")
-        if int(self.T) < 1:
-            raise ParamError(f"T must be >= 1, got {self.T}")
-        if int(self.delta_max) < 0:
-            raise ParamError(f"delta_max must be >= 0, got {self.delta_max}")
+        object.__setattr__(self, "T", integer_at_least("T", self.T, 1))
+        object.__setattr__(self, "delta_max", integer_at_least("delta_max", self.delta_max, 0))
         if self.shift_mode not in _SHIFT_MODES:
             raise ParamError(f"shift_mode must be one of {_SHIFT_MODES}, got {self.shift_mode!r}")
-        object.__setattr__(self, "T", int(self.T))
-        object.__setattr__(self, "delta_max", int(self.delta_max))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "theta", float(self.theta))
 
@@ -240,9 +247,7 @@ def window_sq_dist(r: TimeSeries, s: TimeSeries, delta: int, T: int) -> float:
 
     Requires r defined on [1 + delta, T + delta] and s on [1, T].
     """
-    T = int(T)
-    if T < 1:
-        raise ParamError(f"T must be >= 1, got {T}")
+    T = integer_at_least("T", T, 1)
     delta = int(delta)
     diff = r.window(1 + delta, T + delta) - s.window(1, T)
     return float(np.sum(diff**2))
@@ -257,10 +262,7 @@ def shift_min_distance(
     ascending shift order so runs are reproducible. Requires r defined on
     [1 - delta_max, T + delta_max] and s on [1, T].
     """
-    T = int(T)
-    delta_max = int(delta_max)
-    if delta_max < 0:
-        raise ParamError(f"delta_max must be >= 0, got {delta_max}")
+    T, delta_max = integer_at_least("T", T, 1), integer_at_least("delta_max", delta_max, 0)
     best_val = None
     best_delta = 0
     for delta in range(-delta_max, delta_max + 1):
@@ -355,3 +357,31 @@ class ShiftWindows:
         cross = (self.rows @ stack.reshape(-1)[: S * P * L].reshape(S * P, L).T).reshape(n, S, P)
         d = window_sq[:, :, None] - 2.0 * cross + q_sq
         return d, expansion_slack(row_sq[:, None] + q_sq, L + 4)
+
+    def minimum(self, Q: np.ndarray, axis: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(min, first argmin) along axis of the (n, S, P) exact grids of the
+        (P, T) block Q, bit for bit, without building them: axis=1 reduces over
+        shifts for each row and query, axis=None over the whole block.
+
+        A cell holding the minimum has d~ <= min(d~) + 2 max(eps) over the axis
+        (see expansion); sq_dists recomputes exactly those cells, every other
+        cell is +inf, and argmin picks the first minimizer.
+        """
+        d, eps = self.expansion(Q)
+        if eps is not None:
+            slack = 2.0 * (eps[:, None] if axis == 1 else eps.max())
+            # flat indices: a 3-D np.nonzero costs ~20x more at P = 1
+            cells = np.flatnonzero(d <= d.min(axis=axis, keepdims=True) + slack)
+            rows, shifts, queries = np.unravel_index(cells, d.shape)
+            d = np.full(d.shape, np.inf)
+            step = max(1, 65536 // self.T)  # bounded temporaries even if every cell ties
+            for i in range(0, cells.size, step):
+                part = slice(i, i + step)
+                # a block of one query broadcasts, with no gathered copy of it
+                q = Q[queries[part]] if len(Q) > 1 else Q[0]
+                np.put(d, cells[part], sq_dists(self.views[rows[part], shifts[part]], q))
+        j = d.argmin(axis=axis)  # argmin returns the first minimum
+        if axis is None:
+            return d.reshape(-1)[j], j
+        # a gather: a min over many short rows costs several times the argmin
+        return d[np.arange(d.shape[0])[:, None], j, np.arange(d.shape[2])], j

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import MapKernel, VotingKernel
-from .core import Label, LabeledDataset, TimeSeries, VotingParams, advance
+from .core import Label, LabeledDataset, TimeSeries, VotingParams, advance, integer_at_least
 from .errors import ParamError, SupportError
 from .pipeline import (
     PipelineParams,
@@ -216,14 +216,12 @@ class DetectionConfig:
     delta_max: Optional[int] = None  # None: widest shift every training slice supports
 
     def __post_init__(self):
-        if int(self.T) < 1:
-            raise ParamError(f"T must be >= 1, got {self.T}")
+        object.__setattr__(self, "T", integer_at_least("T", self.T, 1))
         if not (0.0 <= self.gamma < math.inf):
             raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
         _check_theta(self.theta)
         if not all(0.0 < v < math.inf for v in (self.h_hours, self.bucket_width_minutes)):
             raise ParamError("h_hours and bucket_width_minutes must be positive and finite")
-        object.__setattr__(self, "T", int(self.T))
 
 
 @dataclass(frozen=True)

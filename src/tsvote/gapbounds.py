@@ -1,4 +1,8 @@
-"""Separation statistics of labeled data and closed-form misclassification bounds."""
+"""Separation statistics of labeled data and closed-form misclassification bounds.
+
+The class gap is exact through the distance engine's one bound-and-verify,
+`core.ShiftWindows.minimum`; `_min_cross_sq` is the direct reference.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, ShiftWindows, expansion_slack, sq_dists, stacked_windows
+from .core import LabeledDataset, ShiftWindows, integer_at_least, sq_dists, stacked_windows
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -26,24 +30,6 @@ def _min_cross_sq(A: np.ndarray, B: np.ndarray, block: int = 256) -> float:
     return best
 
 
-def _bound_and_verify(P: np.ndarray, N: np.ndarray) -> float:
-    """_min_cross_sq(P, N) bit for bit, verifying only the pairs a GEMM bound keeps."""
-    p_sq, n_sq = np.einsum("ij,ij->i", P, P), np.einsum("ij,ij->i", N, N)
-    if not math.isfinite(4.0 * (p_sq.max() + n_sq.max())):
-        return _min_cross_sq(P, N)
-    threshold = best = math.inf
-    block = max(1, 65536 // N.shape[0])  # verify temporaries as small as _min_cross_sq's
-    for i in range(0, P.shape[0], block):
-        norms = p_sq[i : i + block, None] + n_sq
-        approx = norms - 2.0 * (P[i : i + block] @ N.T)
-        slack = expansion_slack(norms, P.shape[1] + 4)
-        threshold = min(threshold, float((approx + slack).min()))
-        rows, cols = np.nonzero(approx - slack <= threshold)
-        if rows.size:
-            best = min(best, float(sq_dists(P[i + rows], N[cols]).min()))
-    return best
-
-
 def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) -> float:
     """Minimum squared distance between the classes over [1, T], both sides shifted.
 
@@ -52,26 +38,20 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
     [1 - delta_max, T + delta_max]. The result is exactly the core.sq_dists float
     of the closest pair; ParamError if it overflows float64.
 
-    cutoff=True bounds, then verifies. One GEMM per block of positive windows a
-    gives d~ = |a|^2 + |b|^2 - 2a.b for every negative window b. Both d~ and the
-    direct sum lie within g (|a| + |b|)^2 <= 2g (|a|^2 + |b|^2) of the exact
-    distance, g = (T+4)u / (1 - (T+4)u), so with a safety factor 2 and a term for
-    underflow, eps = 8g (|a|^2 + |b|^2) + 4 (T+4) tiny (core.expansion_slack)
-    bounds |d~ - sq_dists|.
-    Only pairs with d~ - eps <= min(d~ + eps) are verified. If a squared norm
-    overflows, the unpruned path (cutoff=False, kept as the reference) runs.
+    cutoff=True takes, per block of positive windows, the exact minimum of
+    ShiftWindows(negatives).minimum, which verifies only the pairs its GEMM
+    bound keeps; cutoff=False, the reference, computes every pair directly.
     """
     data.require_both_classes()
-    T = int(T)
-    delta_max = int(delta_max)
-    if T < 1:
-        raise ParamError(f"T must be >= 1, got {T}")
-    if delta_max < 0:
-        raise ParamError(f"delta_max must be >= 0, got {delta_max}")
+    T, delta_max = integer_at_least("T", T, 1), integer_at_least("delta_max", delta_max, 0)
     pos = ShiftWindows(data.positives, T, -delta_max, delta_max).views.reshape(-1, T)
-    neg = ShiftWindows(data.negatives, T, -delta_max, delta_max).views.reshape(-1, T)
-    with np.errstate(over="ignore"):
-        best = _bound_and_verify(pos, neg) if cutoff else _min_cross_sq(pos, neg)
+    neg = ShiftWindows(data.negatives, T, -delta_max, delta_max)
+    if cutoff:
+        step = max(1, 65536 // math.prod(neg.views.shape[:2]))  # (n-, S, step) cells
+        blocks = (pos[i : i + step] for i in range(0, len(pos), step))
+        best = min(float(neg.minimum(block, None)[0]) for block in blocks)
+    else:
+        best = _min_cross_sq(pos, neg.views.reshape(-1, T))
     if not math.isfinite(best):
         raise ParamError(f"the class gap overflows float64 (T={T}, delta_max={delta_max})")
     return best
@@ -81,9 +61,7 @@ def gap_star(model: LatentSourceModel, T: int) -> float:
     """Minimum squared separation over [1, T] between distinct sources, labels ignored."""
     if model.m < 2:
         raise ParamError(f"need at least two sources, got m={model.m}")
-    T = int(T)
-    if T < 1:
-        raise ParamError(f"T must be >= 1, got {T}")
+    T = integer_at_least("T", T, 1)
     W = stacked_windows([src for src, _ in model.sources], 1, T)
     best = math.inf
     for i in range(model.m - 1):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_values, random_instance
@@ -24,7 +24,7 @@ from tsvote import (
     lambda_ratio,
     log_vote_sum,
 )
-import tsvote.classify as classify
+import tsvote.core as core
 from tsvote import dataio
 from tsvote.classify import MapKernel, VotingKernel, _log_votes
 from tsvote.core import expansion_slack
@@ -397,6 +397,10 @@ class TestKernelConsistency:
                 assert (batched >= 0.0) == (direct.label == Label.POSITIVE)
 
     @settings(max_examples=300, deadline=None)
+    @example(  # R + |q|^2 overflows at gamma = 0, where both sides are 0
+        n_pos=1, n_neg=1, T=1, delta_max=0, P=1, scale_exp=148, offset=-1e6, spread=0,
+        shift_mode="min", gamma=0.0, seed=0,
+    )
     @given(
         n_pos=st.integers(1, 4),
         n_neg=st.integers(1, 4),
@@ -435,7 +439,8 @@ class TestKernelConsistency:
             slack = [expansion_slack(R + q @ q, L + 4).max() for q in obs]
         for row, batched, eps in zip(obs, kernel.log_lambda_many(obs), slack):
             direct = kernel.gwmv(TimeSeries(1, row, id="o")).log_lambda
-            assert abs(batched - direct) <= 4.0 * gamma * eps + 1e-12 * max(1.0, abs(direct))
+            vote_slack = 4.0 * gamma * eps if gamma else 0.0  # 0 * inf would be NaN
+            assert abs(batched - direct) <= vote_slack + 1e-12 * max(1.0, abs(direct))
 
     def test_batched_overflowing_norms_take_the_exact_grid(self):
         # |w|^2 = 8e310 overflows, so the expansion would be inf - inf
@@ -459,6 +464,13 @@ class TestKernelConsistency:
         obs[1, 2] = bad
         with pytest.raises(ParamError, match="observations must be finite"):
             VotingKernel(data, VotingParams(gamma=0.5, T=4, delta_max=1)).log_lambda_many(obs)
+
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    def test_batched_empty_block_gives_empty_trace(self, rng, shift_mode):
+        data, _ = random_instance(rng, 2, 2, T=4, delta_max=1)
+        kernel = VotingKernel(data, VotingParams(0.5, 4, 1, shift_mode=shift_mode))
+        trace = kernel.log_lambda_many(np.empty((0, 4)))
+        assert trace.shape == (0,) and trace.dtype == np.float64
 
     def test_gamma_limit_agrees_with_nearest_neighbor(self, rng):
         agree = checked = 0
@@ -683,13 +695,13 @@ class TestExactShiftMinimum:
         train = dataio.read_dataset(tmp_path / "train.jsonl")
         tests = [ts for ts, _ in dataio.read_series_file(tmp_path / "test.jsonl")]
         kernel = VotingKernel(train, VotingParams(0.125, 100, 10))
-        verified, direct = [], classify.sq_dists
+        verified, direct = [], core.sq_dists
 
         def counting(a, b):
             verified.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
             return direct(a, b)
 
-        monkeypatch.setattr(classify, "sq_dists", counting)
+        monkeypatch.setattr(core, "sq_dists", counting)
         for s in tests:
             verified.clear()
             kernel.min_dists(s)

@@ -672,12 +672,14 @@ class TestExitCodes:
         [
             (["classify", "--series", "s.jsonl", "--shift-mode", "max"], "--shift-mode"),
             (["experiment", "--mode", "gamma"], "--mode"),
+            (["classify", "--series", "s.jsonl", "--method", "knn", "--k", "0"], "--k"),
         ],
     )
     def test_bad_choice_flag_names_the_flag(self, tmp_path, capsys, argv, flag):
         code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 1
         assert flag in err
+        assert not any(tmp_path.iterdir())
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -197,6 +197,18 @@ class TestParamsAndDataset:
         with pytest.raises(ParamError):
             VotingParams(gamma=0.1, T=5, shift_mode="max")
 
+    def test_voting_params_take_integral_sizes_only(self):
+        with pytest.raises(ParamError, match="T must be an integer"):
+            VotingParams(1.0, 2.7)
+        with pytest.raises(ParamError, match="T must be an integer"):
+            VotingParams(1.0, np.float64(3.5))
+        with pytest.raises(ParamError, match="delta_max must be an integer"):
+            VotingParams(1.0, 4, 1.5)
+        for T, delta_max in ((3, 1), (np.int64(3), np.int32(1)), (3.0, 1.0), (np.float64(3.0), 1)):
+            params = VotingParams(1.0, T, delta_max)
+            assert (params.T, params.delta_max) == (3, 1)
+            assert type(params.T) is int and type(params.delta_max) is int
+
     def test_dataset_needs_an_example(self):
         with pytest.raises(ParamError):
             LabeledDataset((), ())

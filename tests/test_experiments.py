@@ -250,6 +250,11 @@ class TestDetectOnline:
         with pytest.raises(ParamError, match=field):
             self.cfg(**{field: value})
 
+    def test_non_integral_T_rejected(self):
+        with pytest.raises(ParamError, match="T must be an integer"):
+            self.cfg(T=6.5)
+        assert self.cfg(T=6.0).T == 6 and type(self.cfg(T=6.0).T) is int
+
     def test_result_invariant_enforced(self):
         with pytest.raises(ParamError):
             DetectionResult("x", True, None, None, Label.POSITIVE)

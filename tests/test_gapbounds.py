@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tsvote.gapbounds as gapbounds
+import tsvote.core as core
 from conftest import dyadic_values
 from tsvote import (
     BoundInputs,
@@ -181,6 +181,17 @@ class TestGap:
         with pytest.raises(ParamError):
             gap(data, 2, 0)
 
+    @pytest.mark.parametrize(
+        "T, delta_max, field",
+        [(2.7, 1, "T"), (2, 0.5, "delta_max"), (0, 1, "T"), (2, -1, "delta_max")],
+    )
+    def test_rejects_bad_sizes(self, T, delta_max, field):
+        data = LabeledDataset(
+            (TimeSeries(-1, [0.0] * 6, id="p"),), (TimeSeries(-1, [1.0] * 6, id="n"),)
+        )
+        with pytest.raises(ParamError, match=field):
+            gap(data, T, delta_max)
+
     def test_support_error(self):
         data = LabeledDataset(
             (TimeSeries(1, [0.0, 0.0], id="p"),), (TimeSeries(1, [1.0, 1.0], id="n"),)
@@ -206,13 +217,13 @@ class TestGapAtDeskScale:
     def test_cli_gap_verifies_few_pairs(self, desk_train, tmp_path, monkeypatch):
         # a silent fallback to the unpruned path would pass every exactness test
         verified = []
-        direct = gapbounds.sq_dists
+        direct = core.sq_dists
 
         def counting(a, b):
             verified.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
             return direct(a, b)
 
-        monkeypatch.setattr(gapbounds, "sq_dists", counting)
+        monkeypatch.setattr(core, "sq_dists", counting)
         argv = ["gap", "--train", str(desk_train), "--T", "100", "--delta-max", "10"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "gap.json").read_text())
