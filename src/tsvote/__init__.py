@@ -6,6 +6,7 @@ misclassification bounds, rate preprocessing, and an experiment harness.
 """
 
 from .classify import (
+    BlockOutcome,
     ClassificationOutcome,
     MapKernel,
     VotingKernel,

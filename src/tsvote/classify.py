@@ -10,8 +10,15 @@ the oracle, which vote with every cell, read the grid; batches in
 `log_lambda_many` vote on the expansion itself.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
-ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into a
-verdict.
+ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into
+verdicts.
+
+Each classifier scores a block of queries at once: `VotingKernel.min_dists_block`
+takes a (P, T) block of query windows, `gwmv_block` and `knn_block` a (P, n)
+block of voting distances, `MapKernel.classify_block` a (P, T) block. Every
+vote is reduced along the last axis of a C-ordered block, the accumulation
+order of a single 1-D row, so row p of a block is bit for bit the verdict of
+query p alone; the per-series methods are the blocks of one.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,12 +52,27 @@ class ClassificationOutcome:
     per_class_log_votes: tuple[float, float]
 
 
+class BlockOutcome(NamedTuple):
+    """The verdicts of a block of P queries: (P,) arrays of labels (+1 or -1),
+    log vote ratios and each class's log votes."""
+
+    labels: np.ndarray
+    log_lambda: np.ndarray
+    per_class_log_votes: tuple[np.ndarray, np.ndarray]
+
+    def row(self, p: int) -> ClassificationOutcome:
+        """The verdict of query p."""
+        pos, neg = self.per_class_log_votes
+        label = Label.POSITIVE if self.labels[p] == 1 else Label.NEGATIVE
+        return ClassificationOutcome(label, float(self.log_lambda[p]), (float(pos[p]), float(neg[p])))
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) along axis 0; -inf where that axis is empty or all -inf."""
-    m = a.max(axis=0, initial=NEG_INF)
+    """log(sum(exp(a))) along the last axis; -inf where it is empty or all -inf."""
+    m = a.max(axis=-1, initial=NEG_INF)
     shift = np.where(m == NEG_INF, 0.0, m)
     with np.errstate(divide="ignore"):  # log(0): a class that casts no vote
-        return shift + np.log(np.exp(a - shift).sum(axis=0))
+        return shift + np.log(np.exp(a - shift[..., None]).sum(axis=-1))
 
 
 def _class_dists(dists: np.ndarray, shift_mode: str) -> np.ndarray:
@@ -62,8 +84,8 @@ def _class_dists(dists: np.ndarray, shift_mode: str) -> np.ndarray:
 
 
 def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
-    """log of the exp(-gamma * d + log_w) votes summed along axis 0; at gamma = 0
-    every vote is exp(log_w), even where d is +inf."""
+    """log of the exp(-gamma * d + log_w) votes summed along the last axis; at
+    gamma = 0 every vote is exp(log_w), even where d is +inf."""
     if gamma == 0.0:
         d = np.zeros_like(d)  # 0 * inf would be NaN
     # gamma * d overflowing to inf is a zero vote, so numpy need not warn about it
@@ -88,19 +110,28 @@ def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
 
 
 def _tie_order(dmin: np.ndarray) -> np.ndarray:
-    """Example indices by distance, then class +1 before -1, then insertion order.
+    """Example indices by distance along the last axis, then class +1 before -1,
+    then insertion order.
 
-    Rows are in insertion order with the positives first, so a stable sort by
-    distance alone gives exactly this order.
+    Examples are in insertion order with the positives first, so a stable sort
+    by distance alone gives exactly this order.
     """
-    return np.argsort(dmin, kind="stable")
+    return np.argsort(dmin, axis=-1, kind="stable")
 
 
-def _outcome(votes: tuple, log_threshold: float) -> ClassificationOutcome:
+def _outcome(votes: tuple, log_threshold: float) -> BlockOutcome:
     """Label +1 iff the log vote ratio of _vote_ratio's votes reaches log_threshold."""
-    log_lambda, pos, neg = (float(v) for v in votes)
-    label = Label.POSITIVE if log_lambda >= log_threshold else Label.NEGATIVE
-    return ClassificationOutcome(label, log_lambda, (pos, neg))
+    log_lambda, pos, neg = votes
+    return BlockOutcome(np.where(log_lambda >= log_threshold, 1, -1), log_lambda, (pos, neg))
+
+
+def _block(D, width: int) -> np.ndarray:
+    """D as a C-ordered (P, width) float64 block, so that each row's votes
+    accumulate in the order of a 1-D row's; ParamError for another shape."""
+    D = np.ascontiguousarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[1] != width:
+        raise ParamError(f"a block must have shape (P, {width}), got {D.shape}")
+    return D
 
 
 class VotingKernel:
@@ -117,46 +148,74 @@ class VotingKernel:
         self._windows = ShiftWindows(data.examples(), params.T, -params.delta_max, params.delta_max)
         self.n_pos = data.n_pos
         self.n = data.n
+        # voting distances per example: its minimum, or one per shift
+        self._per_example = 1 if params.shift_mode == "min" else 2 * params.delta_max + 1
 
     def shift_sq_dists(self, s: TimeSeries) -> np.ndarray:
         """(n, 2*delta_max+1) squared distances of s to every shifted window."""
         return self._windows.grid(s.window(1, self.params.T))
 
+    def min_dists_block(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, n) per-example minimum distances and first minimizing shifts of
+        the rows of a (P, T) block of query windows: row p is min_dists of a
+        series whose [1, T] window is Q[p]."""
+        dmin, j = self._windows.minimum(_block(Q, self.params.T), 1)
+        return dmin.T, j.T + self._windows.first_shift
+
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Per-example minimum distance and its first minimizing shift: exactly
         the min and first argmin of shift_sq_dists(s), without building it."""
-        dmin, j = self._windows.minimum(s.window(1, self.params.T)[None], 1)
-        return dmin[:, 0], j[:, 0] + self._windows.first_shift
+        dmin, shifts = self.min_dists_block(s.window(1, self.params.T)[None])
+        return dmin[0], shifts[0]
 
     def _vote_dists(self, s: TimeSeries, dmin=None) -> np.ndarray:
-        """The distances s votes with along axis 0 (see _votes): its per-example
-        minima (dmin when given) in min mode, every grid cell in sum mode."""
+        """The distances s votes with (see _votes): its per-example minima (dmin
+        when given) in min mode, every grid cell in sum mode."""
         if self.params.shift_mode == "sum":
             return _class_dists(self.shift_sq_dists(s), "sum")
         return self.min_dists(s)[0] if dmin is None else dmin
 
-    def _votes(self, d: np.ndarray) -> tuple:
-        """_vote_ratio of voting distances whose axis 0 runs over the examples
+    def _votes(self, D: np.ndarray) -> tuple:
+        """_vote_ratio of voting distances whose last axis runs over the examples
         (min mode) or over every (example, shift) cell (sum mode)."""
-        per_example = 1 if self.params.shift_mode == "min" else self._windows.views.shape[1]
-        split = self.n_pos * per_example
-        return _vote_ratio(self.params.gamma, d[:split], d[split:])
+        split = self.n_pos * self._per_example
+        return _vote_ratio(self.params.gamma, D[..., :split], D[..., split:])
 
-    def _gwmv_from_dists(self, d: np.ndarray) -> ClassificationOutcome:
-        return _outcome(self._votes(d), math.log(self.params.theta))
+    def gwmv_block(self, D) -> BlockOutcome:
+        """Voting verdicts of a (P, n) block of per-example minimum distances
+        (min mode), or of every (example, shift) cell in (P, n S) (sum mode)."""
+        D = _block(D, self.n * self._per_example)
+        return _outcome(self._votes(D), math.log(self.params.theta))
 
-    def _knn_from_dists(self, dmin: np.ndarray, k: int) -> ClassificationOutcome:
-        """k-NN verdict from the per-example minimum distances."""
+    def knn_block(self, D, k: int) -> BlockOutcome:
+        """k-NN verdicts of a (P, n) block of per-example minimum distances.
+
+        Each row votes with its k nearest examples (_tie_order), taken in
+        insertion order. Rows that select the same number of positives vote as
+        one rectangular block, so each row accumulates as it would alone.
+        """
         k = int(k)
         if k < 1:
             raise ParamError(f"k must be >= 1, got {k}")
         if k > self.n:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
-        selected = np.sort(_tie_order(dmin)[:k])  # back to insertion order for stable accumulation
-        d = dmin[selected]
-        split = int(np.searchsorted(selected, self.n_pos))
-        votes = _vote_ratio(self.params.gamma, d[:split], d[split:])
-        return _outcome(votes, math.log(self.params.theta))
+        D = _block(D, self.n)
+        selected = np.sort(_tie_order(D)[:, :k], axis=-1)  # back to insertion order
+        d = D[np.arange(len(D))[:, None], selected]
+        positives = (selected < self.n_pos).sum(axis=-1)
+        votes = np.empty((3, len(D)))
+        for c in set(positives.tolist()):
+            rows = positives == c
+            group = d[rows]
+            votes[:, rows] = _vote_ratio(self.params.gamma, group[:, :c], group[:, c:])
+        return _outcome(tuple(votes), math.log(self.params.theta))
+
+    def _gwmv_from_dists(self, d: np.ndarray) -> ClassificationOutcome:
+        return self.gwmv_block(d[None]).row(0)
+
+    def _knn_from_dists(self, dmin: np.ndarray, k: int) -> ClassificationOutcome:
+        """k-NN verdict from the per-example minimum distances."""
+        return self.knn_block(dmin[None], k).row(0)
 
     def _nearest_from_min(self, dmin: np.ndarray, shifts: np.ndarray) -> tuple[int, float, int]:
         idx = int(_tie_order(dmin)[0])
@@ -200,8 +259,11 @@ class VotingKernel:
             raise ParamError("observations must be finite")
         if obs.shape[0] == 0:
             return np.empty(0)
-        d = np.maximum(self._windows.expansion(obs)[0], 0.0)
-        return self._votes(_class_dists(d, self.params.shift_mode))[0]
+        d = self._windows.expansion(obs)[0]
+        np.maximum(d, 0.0, out=d)
+        # voting on the transpose accumulates along axis 0 of the (cells, P)
+        # distances, in memory order, as these traces always have
+        return self._votes(_class_dists(d, self.params.shift_mode).T)[0]
 
 
 def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingParams) -> float:
@@ -265,8 +327,13 @@ class MapKernel:
         return self.classify(s).log_lambda
 
     def classify(self, s: TimeSeries) -> ClassificationOutcome:
-        sw = s.window(1, self.params.T)
-        pos, neg = (w.grid(sw).ravel() for w in (self._pos, self._neg))
+        return self.classify_block(s.window(1, self.params.T)[None]).row(0)
+
+    def classify_block(self, Q: np.ndarray) -> BlockOutcome:
+        """Verdicts of the rows of a (P, T) block of query windows: row p is
+        classify of a series whose [1, T] window is Q[p]."""
+        Q = _block(Q, self.params.T)
+        pos, neg = (w.grid(Q).reshape(len(Q), -1) for w in (self._pos, self._neg))
         votes = _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
         # decision threshold fixed at a ratio of 1; theta plays no role here
         return _outcome(votes, 0.0)

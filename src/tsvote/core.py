@@ -7,7 +7,10 @@ ShiftWindows, the one builder of shifted windows, computes its norms on first
 use. Its `grid` is the direct `sq_dists` reference, its `expansion` the GEMM
 form of the same distances with their rounding bound, and its `minimum` the one
 bound-and-verify: the exact minimum of the grids from the expansion, verifying
-with `sq_dists` only the cells that can hold it.
+with `sq_dists` only the cells that can hold it. `grid` and `minimum` take a
+block of queries and walk it in `blocks`, so that no temporary holds more than
+BLOCK_VALUES float64 values beyond what one query needs, however many queries
+the block has.
 """
 
 from __future__ import annotations
@@ -198,7 +201,11 @@ _SHIFT_MODES = ("min", "sum")
 
 def integer_at_least(name: str, value, low: int) -> int:
     """value as an int; ParamError naming it unless it is integral and >= low."""
-    if int(value) != value:
+    try:
+        integral = int(value) == value
+    except (OverflowError, ValueError):  # inf or NaN
+        integral = False
+    if not integral:
         raise ParamError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ParamError(f"{name} must be >= {low}, got {value}")
@@ -289,6 +296,19 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return ((a - b) ** 2).sum(axis=-1)
 
 
+# float64 values (0.5 MB) that the temporaries of one block of work may hold,
+# so that memory stays bounded however many queries or cells a call is given
+BLOCK_VALUES = 65536
+
+
+def blocks(count: int, size: int) -> list:
+    """Slices that cover range(count) in order, each of at most
+    BLOCK_VALUES // size items (at least one): the blocks of items that take
+    size values each. An empty range is one empty slice."""
+    step = max(1, BLOCK_VALUES // size)
+    return [slice(i, i + step) for i in range(0, max(count, 1), step)]
+
+
 def expansion_slack(norms, k: int):
     """8 g_k norms + 4 k tiny, with g_k = k u / (1 - k u) and u the unit roundoff.
 
@@ -323,8 +343,18 @@ class ShiftWindows:
             return cum[:, T:] - cum[:, : L + 1 - T], cum[:, -1]
 
     def grid(self, q: np.ndarray) -> np.ndarray:
-        """(n, S) squared distances of q to every window: the exact reference."""
-        return sq_dists(self.views, q)
+        """(n, S) squared distances of a (T,) q to every window, or (P, n, S) of
+        each row of a (P, T) block: the exact reference."""
+        if q.ndim == 1:
+            return sq_dists(self.views, q)
+        parts = blocks(len(q), math.prod(self.views.shape))  # (p, n, S, T) differences
+        return np.concatenate([sq_dists(self.views, q[b, None, None]) for b in parts])
+
+    def query_blocks(self, count: int) -> list:
+        """blocks of count queries whose expansion (n S values per query) and
+        GEMM stack (S L per query) together hold at most BLOCK_VALUES values."""
+        (n, S), L = self.views.shape[:2], self.rows.shape[1]
+        return blocks(count, S * (n + L))
 
     def expansion(self, Q: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(d~, eps): the (n, S, P) d~ = |w|^2 - 2 w.q + |q|^2 of every window w
@@ -355,7 +385,11 @@ class ShiftWindows:
         stack = np.zeros((S, P * L + 1))
         stack[:, :-1] = block.reshape(-1)
         cross = (self.rows @ stack.reshape(-1)[: S * P * L].reshape(S * P, L).T).reshape(n, S, P)
-        d = window_sq[:, :, None] - 2.0 * cross + q_sq
+        # in place, rounding as window_sq - 2 cross + q_sq: -2c is exact and w + (-2c) is w - 2c
+        d = cross
+        d *= -2.0
+        d += window_sq[:, :, None]
+        d += q_sq
         return d, expansion_slack(row_sq[:, None] + q_sq, L + 4)
 
     def minimum(self, Q: np.ndarray, axis: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -365,18 +399,29 @@ class ShiftWindows:
 
         A cell holding the minimum has d~ <= min(d~) + 2 max(eps) over the axis
         (see expansion); sq_dists recomputes exactly those cells, every other
-        cell is +inf, and argmin picks the first minimizer.
+        cell is +inf, and argmin picks the first minimizer. With axis=1 the
+        queries are independent, so Q is taken in query_blocks; axis=None takes
+        Q whole, so its caller bounds it (gapbounds.gap does).
         """
+        if axis is None:
+            return self._block_minimum(Q, None)
+        parts = [self._block_minimum(Q[b], 1) for b in self.query_blocks(len(Q))]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+
+    def _block_minimum(self, Q: np.ndarray, axis: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+        """minimum of Q as one block: one expansion, then the verify."""
         d, eps = self.expansion(Q)
         if eps is not None:
             slack = 2.0 * (eps[:, None] if axis == 1 else eps.max())
             # flat indices: a 3-D np.nonzero costs ~20x more at P = 1
             cells = np.flatnonzero(d <= d.min(axis=axis, keepdims=True) + slack)
             rows, shifts, queries = np.unravel_index(cells, d.shape)
-            d = np.full(d.shape, np.inf)
-            step = max(1, 65536 // self.T)  # bounded temporaries even if every cell ties
-            for i in range(0, cells.size, step):
-                part = slice(i, i + step)
+            d.fill(np.inf)
+            # the windows, the queries and their differences: 3 T values a cell,
+            # bounded even if every cell ties
+            for part in blocks(cells.size, 3 * self.T):
                 # a block of one query broadcasts, with no gathered copy of it
                 q = Q[queries[part]] if len(Q) > 1 else Q[0]
                 np.put(d, cells[part], sq_dists(self.views[rows[part], shifts[part]], q))

@@ -10,7 +10,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import MapKernel, VotingKernel
-from .core import Label, LabeledDataset, TimeSeries, VotingParams, advance, integer_at_least
+from .core import (
+    Label,
+    LabeledDataset,
+    TimeSeries,
+    VotingParams,
+    advance,
+    integer_at_least,
+    stacked_windows,
+)
 from .errors import ParamError, SupportError
 from .pipeline import (
     PipelineParams,
@@ -51,11 +59,10 @@ class ExperimentConfig:
     noise_family: str = "gaussian"
 
     def __post_init__(self):
-        if int(self.trials) < 1:
-            raise ParamError(f"trials must be >= 1, got {self.trials}")
-        if int(self.test_size) < 1:
-            raise ParamError(f"test_size must be >= 1, got {self.test_size}")
-        object.__setattr__(self, "T_grid", tuple(int(t) for t in self.T_grid))
+        for name, low in (("trials", 1), ("test_size", 1), ("delta_max", 0)):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
+        T_grid = tuple(integer_at_least("T_grid", t, 1) for t in self.T_grid)
+        object.__setattr__(self, "T_grid", T_grid)
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
         # a pool of n(beta <= 1) draws can miss a class
         if not (1.0 < self.beta < math.inf):
@@ -63,7 +70,7 @@ class ExperimentConfig:
         for name, grid, low in (("T_grid", self.T_grid, 0), ("beta_grid", self.beta_grid, 1)):
             if not grid or not all(low < x < math.inf for x in grid):
                 raise ParamError(f"{name} must be non-empty, finite and > {low}, got {grid}")
-        needed = max(self.T_grid) + 2 * int(self.delta_max)
+        needed = max(self.T_grid) + 2 * self.delta_max
         if self.model_cfg.series_length < needed:
             raise ParamError(
                 f"series_length={self.model_cfg.series_length} is shorter than "
@@ -117,9 +124,10 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
 
     One draw of sources, training pool and tests serves every cell: a smaller
     pool is a prefix of the pool draws and a shorter observation is a prefix of
-    each test. Each T builds one oracle kernel and computes one exact shift
-    minimum per test against the largest pool it needs; every pool size at that
-    T reads its rows of it (its first positives and first negatives).
+    each test. Each T scores the (tests, T) block of observations at once: one
+    oracle block, and one exact shift minimum against the largest pool it
+    needs; every pool size at that T gathers its columns of it (its first
+    positives and first negatives) and votes on them as one block.
     """
     src_ss, train_ss, test_ss = trial_ss.spawn(3)
     gen_seed = int(src_ss.generate_state(1, np.uint64)[0])
@@ -129,26 +137,27 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
     pool = sample_draws(model, max(n for n, _ in cells), train_ss)
     tests = sample_draws(model, cfg.test_size, test_ss, window_start=1,
                          window_length=max(cfg.T_grid), id_prefix="test")
+    observed = stacked_windows([s for s, _, _ in tests], 1, max(cfg.T_grid))
+    labels = np.array([int(label) for _, label, _ in tests])
     rates = {}
     for T in dict.fromkeys(T for _, T in cells):
         params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
+        Q = np.ascontiguousarray(observed[:, :T])
         sizes = sorted({n for n, t in cells if t == T})
         kernels = {n: VotingKernel(LabeledDataset.from_draws(pool[:n]), params) for n in sizes}
         pool_kernel = kernels[sizes[-1]]
-        P = pool_kernel.n_pos
-        rows = {n: np.r_[: k.n_pos, P : P + k.n - k.n_pos] for n, k in kernels.items()}
-        oracle = MapKernel(model, params)
-        wrong = {n: {"wmv": 0, "nn": 0} for n in sizes}
-        map_wrong = 0
-        for s, label, _ in tests:
-            map_wrong += oracle.classify(s).label != label
-            dmin = pool_kernel.min_dists(s)[0]
-            for n, kernel in kernels.items():
-                d = dmin[rows[n]]
-                wrong[n]["wmv"] += kernel._gwmv_from_dists(d).label != label
-                wrong[n]["nn"] += kernel._knn_from_dists(d, 1).label != label
-        for n in sizes:
-            counts = {**wrong[n], "map": map_wrong}
+        D = pool_kernel.min_dists_block(Q)[0]
+        pool_pos = pool_kernel.n_pos
+        map_wrong = np.count_nonzero(MapKernel(model, params).classify_block(Q).labels != labels)
+        for n, kernel in kernels.items():
+            # a gathered block is not C-ordered; its copy is, so each row votes as alone
+            cols = np.r_[: kernel.n_pos, pool_pos : pool_pos + kernel.n - kernel.n_pos]
+            d = np.ascontiguousarray(D[:, cols])
+            counts = {
+                "wmv": np.count_nonzero(kernel.gwmv_block(d).labels != labels),
+                "nn": np.count_nonzero(kernel.knn_block(d, 1).labels != labels),
+                "map": map_wrong,
+            }
             rates[n, T] = {clf: counts[clf] / len(tests) for clf in CLASSIFIERS}
     return rates
 

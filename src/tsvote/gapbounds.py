@@ -47,9 +47,7 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
     pos = ShiftWindows(data.positives, T, -delta_max, delta_max).views.reshape(-1, T)
     neg = ShiftWindows(data.negatives, T, -delta_max, delta_max)
     if cutoff:
-        step = max(1, 65536 // math.prod(neg.views.shape[:2]))  # (n-, S, step) cells
-        blocks = (pos[i : i + step] for i in range(0, len(pos), step))
-        best = min(float(neg.minimum(block, None)[0]) for block in blocks)
+        best = min(float(neg.minimum(pos[b], None)[0]) for b in neg.query_blocks(len(pos)))
     else:
         best = _min_cross_sq(pos, neg.views.reshape(-1, T))
     if not math.isfinite(best):

@@ -733,6 +733,123 @@ class TestExactShiftMinimum:
         assert max(peaks.values()) < grid_bytes / 4, peaks
 
 
+def knn_reference(gamma, d, n_pos, k):
+    """k-NN log ratio of one 1-D row of minimum distances, class by class: the
+    k nearest in stable order, back in insertion order, each class's 1-D votes."""
+    selected = np.sort(np.argsort(d, kind="stable")[:k])
+    split = int(np.searchsorted(selected, n_pos))
+    return _log_votes(gamma, d[selected[:split]]) - _log_votes(gamma, d[selected[split:]])
+
+
+def outcome_bytes(outcomes):
+    """Labels, log ratios and per-class log votes of outcomes, as bytes."""
+    return [
+        np.array([o.label for o in outcomes], dtype=np.int64).tobytes(),
+        np.array([o.log_lambda for o in outcomes]).tobytes(),
+        np.array([o.per_class_log_votes for o in outcomes]).tobytes(),
+    ]
+
+
+def block_bytes(block):
+    pos, neg = block.per_class_log_votes
+    return [block.labels.astype(np.int64).tobytes(), block.log_lambda.tobytes(),
+            np.stack([pos, neg], axis=1).tobytes()]
+
+
+class TestBlocks:
+    """A block of queries scores each row bit for bit as the per-query path
+    scores that query alone."""
+
+    T, DMAX = 9, 2
+
+    def instance(self, rng, gamma, P=40):
+        data, _ = random_instance(rng, 24, 20, T=self.T, delta_max=self.DMAX)
+        kernel = VotingKernel(data, VotingParams(gamma, self.T, self.DMAX))
+        Q = rng.standard_normal((P, self.T))
+        return kernel, Q, [TimeSeries(1, q, id=f"q{p}") for p, q in enumerate(Q)]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.125, 3.0])
+    def test_votes_and_knn_equal_the_per_query_path(self, rng, gamma):
+        kernel, Q, queries = self.instance(rng, gamma)
+        D, shifts = kernel.min_dists_block(Q)
+        singles = [kernel.min_dists(s) for s in queries]
+        assert D.tobytes() == np.array([d for d, _ in singles]).tobytes()
+        assert shifts.tolist() == [j.tolist() for _, j in singles]
+        block = kernel.gwmv_block(D)
+        assert block_bytes(block) == outcome_bytes([kernel.gwmv(s) for s in queries])
+        n_pos = kernel.n_pos
+        reference = [_log_votes(gamma, d[:n_pos]) - _log_votes(gamma, d[n_pos:]) for d in D]
+        assert block.log_lambda.tobytes() == np.array(reference).tobytes()
+        # k = 30 selects 10 to 20 positives, sums long enough that padding a
+        # class with zero votes would reassociate them
+        for k in (1, 3, 30, kernel.n):
+            block = kernel.knn_block(D, k)
+            assert block_bytes(block) == outcome_bytes([kernel.knn(s, k) for s in queries])
+            reference = [knn_reference(gamma, d, kernel.n_pos, k) for d in D]
+            assert block.log_lambda.tobytes() == np.array(reference).tobytes()
+
+    def test_gathered_columns_vote_as_a_smaller_pool(self, rng):
+        # a prefix pool reads its columns of the full pool's minima, as error_curves does
+        kernel, Q, queries = self.instance(rng, 0.5)
+        data = kernel.data
+        small = VotingKernel(
+            LabeledDataset(data.positives[:15], data.negatives[:12]), kernel.params
+        )
+        D = kernel.min_dists_block(Q)[0][:, np.r_[:15, 24:36]]
+        assert not D.flags.c_contiguous
+        assert block_bytes(small.gwmv_block(D)) == outcome_bytes([small.gwmv(s) for s in queries])
+        for k in (1, 3, 20, small.n):
+            want = outcome_bytes([small.knn(s, k) for s in queries])
+            assert block_bytes(small.knn_block(D, k)) == want
+
+    def test_an_undefined_row_raises_as_alone(self, rng):
+        kernel, Q, _ = self.instance(rng, 0.5, P=6)
+        D = np.ascontiguousarray(kernel.min_dists_block(Q)[0])
+        D[3] = np.inf  # every vote of row 3 is zero
+        for block, row in (
+            (lambda: kernel.gwmv_block(D), lambda: kernel._gwmv_from_dists(D[3])),
+            (lambda: kernel.knn_block(D, 1), lambda: kernel._knn_from_dists(D[3], 1)),
+            (lambda: kernel.knn_block(D, 5), lambda: kernel._knn_from_dists(D[3], 5)),
+        ):
+            with pytest.raises(ParamError, match="undefined") as from_block:
+                block()
+            with pytest.raises(ParamError) as from_row:
+                row()
+            assert str(from_block.value) == str(from_row.value)
+
+    def test_rejects_a_block_of_another_width(self, rng):
+        kernel, Q, _ = self.instance(rng, 0.5, P=3)
+        with pytest.raises(ParamError, match="shape"):
+            kernel.gwmv_block(np.zeros((3, kernel.n + 1)))
+        with pytest.raises(ParamError, match="shape"):
+            kernel.min_dists_block(Q[:, :-1])
+
+    @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2)])
+    def test_oracle_equals_the_per_query_path(self, rng, weights):
+        T, dmax = self.T, self.DMAX
+        sources = tuple(
+            (TimeSeries(1, rng.standard_normal(T + dmax), id=f"v{i}"),
+             Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE)
+            for i in range(4)
+        )
+        model = LatentSourceModel(
+            sources=sources, weights=weights, delta_max=dmax, noise=NoiseSpec("gaussian", 1.0),
+            window_start=1, window_length=T,
+        )
+        oracle = MapKernel(model, VotingParams(0.5, T, dmax))
+        Q = rng.standard_normal((40, T))
+        want = outcome_bytes([oracle.classify(TimeSeries(1, q)) for q in Q])
+        block = oracle.classify_block(Q)
+        assert block_bytes(block) == want
+        # each query's 1-D grid of cells, voted class by class
+        reference = [
+            _log_votes(0.5, oracle._pos.grid(q).ravel(), oracle._logw_pos)
+            - _log_votes(0.5, oracle._neg.grid(q).ravel(), oracle._logw_neg)
+            for q in Q
+        ]
+        assert block.log_lambda.tobytes() == np.array(reference).tobytes()
+
+
 class TestShiftInvariance:
     """Advancing every training series, source and query by k is the same as
     observing the originals k steps later: every output equals that of series

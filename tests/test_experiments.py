@@ -29,6 +29,7 @@ from tsvote import (
     roc_sweep,
     split_topics,
 )
+import tsvote.core as core
 from tsvote.config import corpus_config, detection_config, load_config
 
 
@@ -97,6 +98,28 @@ class TestErrorCurves:
         # rejected when the config is built, before any trial samples a pool
         with pytest.raises(ParamError, match="^beta must be finite and > 1"):
             error_vs_T(tiny_config(beta=beta))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", 0),
+            ("test_size", 3.9),
+            ("delta_max", 2.5),
+            ("delta_max", -1),
+            ("T_grid", (10.7, 20)),
+            ("T_grid", (8, math.inf)),
+        ],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        # a non-integral size used to be truncated (T_grid) or kept until a trial failed
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            tiny_config(**{field: value})
+
+    def test_integral_float_sizes_become_ints(self):
+        cfg = tiny_config(trials=2.0, test_size=30.0, delta_max=3.0, T_grid=(8.0, 24))
+        assert (cfg.trials, cfg.test_size, cfg.delta_max, cfg.T_grid) == (2, 30, 3, (8, 24))
+        assert all(type(x) is int for x in (cfg.trials, cfg.test_size, cfg.delta_max, *cfg.T_grid))
 
     def test_series_length_guard(self):
         with pytest.raises(ParamError):
@@ -191,6 +214,48 @@ class TestPinnedCurves:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ParamError, match="axes"):
             error_curves(tiny_config(), ("gamma",))
+
+
+class TestBlocks:
+    """Each trial scores its tests in blocks of at most core.BLOCK_VALUES values;
+    the block size changes no rate and bounds every temporary."""
+
+    @pytest.mark.parametrize("values", [1, 500, 2**30])
+    def test_rates_do_not_depend_on_the_block_size(self, values, monkeypatch):
+        # 1: one query per block and one verified cell at a time; 2**30: one block
+        cfg = tiny_config(sigma=PINNED_SIGMA)
+        want = error_curves(cfg)
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        got = error_curves(cfg)
+        for axis, curves in want.items():
+            for clf in ("wmv", "nn", "map"):
+                assert got[axis].per_trial[clf].tobytes() == curves.per_trial[clf].tobytes()
+
+    @pytest.mark.parametrize("values", [500, core.BLOCK_VALUES])
+    def test_no_temporary_exceeds_the_block_size(self, values, monkeypatch):
+        # every (n, S, P) expansion and every sq_dists broadcast: the verified
+        # cells, and the oracle's (P, sources, shifts, T) differences
+        sizes = {"expansion": [], "sq_dists": []}
+        expansion, direct = core.ShiftWindows.expansion, core.sq_dists
+
+        def recording_expansion(self, Q):
+            out = expansion(self, Q)
+            sizes["expansion"].append(out[0].size)
+            return out
+
+        def recording_sq_dists(a, b):
+            sizes["sq_dists"].append(math.prod(np.broadcast_shapes(a.shape, b.shape)))
+            return direct(a, b)
+
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        monkeypatch.setattr(core.ShiftWindows, "expansion", recording_expansion)
+        monkeypatch.setattr(core, "sq_dists", recording_sq_dists)
+        cfg = tiny_config()
+        error_curves(cfg)
+        trials_and_T = cfg.trials * len(cfg.T_grid)
+        assert len(sizes["expansion"]) > (trials_and_T if values == 500 else 0)
+        assert 0 < max(sizes["expansion"]) <= values
+        assert 0 < max(sizes["sq_dists"]) <= values
 
 
 def toy_training(T=6, margin=3):

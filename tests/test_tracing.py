@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tsvote.classify as classify
+import tsvote.core as core
 import tsvote.gapbounds as gapbounds
 from conftest import random_instance
 from test_experiments import tiny_config
@@ -81,19 +82,19 @@ def test_error_curves_compute_one_grid_per_test_and_T(beta, beta_grid, monkeypat
     # every pool size reads its rows of the largest pool's shift minimum, so the
     # count does not depend on how many pool sizes the beta grid asks for
     cfg = tiny_config(beta=beta, beta_grid=beta_grid)
-    calls = []
-    exact_min = classify.VotingKernel.min_dists
+    queries = []
+    exact_min = core.ShiftWindows.minimum
 
-    def counting(self, s):
-        calls.append(self.n)
-        return exact_min(self, s)
+    def counting(self, Q, axis):
+        queries.append(len(Q))
+        return exact_min(self, Q, axis)
 
-    monkeypatch.setattr(classify.VotingKernel, "min_dists", counting)
+    monkeypatch.setattr(core.ShiftWindows, "minimum", counting)
     tracer = load_tracer_class()()
     try:
         tracer.install()
         error_curves(cfg, ("T", "beta"))
     finally:
         tracer.uninstall()
-    assert len(calls) == cfg.trials * len(set(cfg.T_grid)) * cfg.test_size
+    assert sum(queries) == cfg.trials * len(set(cfg.T_grid)) * cfg.test_size
     assert tracer.flat().get("classify.shift_sq_dists.calls", 0) == 0

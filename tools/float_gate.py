@@ -3,16 +3,22 @@
     python tools/float_gate.py PARENT_SRC CHANGE_SRC
 
 Each src directory is imported in a process of its own, which records every
-per-example log lambda in call order, through the names perfbench's tracer
-patches: wmv from VotingKernel._gwmv_from_dists, nn from _knn_from_dists (k-NN
-of any k), map from MapKernel.classify and trace from log_lambda_many. The
-runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote detect`
-on configs/detect.cfg and one pass of perfbench's PoolStream at seed 0.
+per-example log lambda: wmv from VotingKernel.gwmv_block, nn from knn_block
+(k-NN of any k), map from MapKernel.classify_block and trace from
+log_lambda_many. A tree without the block entry points is hooked at the
+per-example methods they replaced: _gwmv_from_dists, _knn_from_dists and
+MapKernel.classify. Values are kept under a (T, n, k) key per stream (n is the
+training size, None for the oracle; k for nn only), in call order within each
+key, so a tree that scores queries one at a time and one that scores them in
+blocks record the same sequence per key. The runs are `tsvote experiment` on
+configs/desk.cfg with 2 trials, `tsvote detect` on configs/detect.cfg and one
+pass of perfbench's PoolStream at seed 0.
 
-Exits 1 unless both trees record the same number of values per stream, every
-value has |change - parent| <= 1e-12 max(1, |parent|), and every label flip is
-a near-tie, |parent - log theta| <= 1e-9. The flip point is 0 for wmv, nn and
-map (every run uses theta = 1) and each log theta of detect.cfg for traces.
+Exits 1 unless both trees record the same keys with the same number of values
+per key, every value has |change - parent| <= 1e-12 max(1, |parent|), and
+every label flip is a near-tie, |parent - log theta| <= 1e-9. The flip point
+is 0 for wmv, nn and map (every run uses theta = 1) and each log theta of
+detect.cfg for traces.
 """
 
 from __future__ import annotations
@@ -31,25 +37,32 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 REL, NEAR_TIE = 1e-12, 1e-9
+# stream: (class, block entry point, the per-example method of older trees)
+HOOKS = {
+    "wmv": ("VotingKernel", "gwmv_block", "_gwmv_from_dists"),
+    "nn": ("VotingKernel", "knn_block", "_knn_from_dists"),
+    "map": ("MapKernel", "classify_block", "classify"),
+    "trace": ("VotingKernel", "log_lambda_many", "log_lambda_many"),
+}
 
 
 def record(src: str, path: str) -> None:
     """Run the three workloads on the tsvote in src; write the streams to path."""
     sys.path.insert(0, src)
+    import tsvote.classify
     import tsvote.cli
-    from tsvote.classify import MapKernel, VotingKernel
     from tsvote.config import load_config, sweep_grid
 
-    streams = {"wmv": [], "nn": [], "map": [], "trace": []}
-    for cls, name, stream in (
-        (VotingKernel, "_gwmv_from_dists", "wmv"),
-        (VotingKernel, "_knn_from_dists", "nn"),
-        (MapKernel, "classify", "map"),
-        (VotingKernel, "log_lambda_many", "trace"),
-    ):
-        def wrapper(*args, _original=getattr(cls, name), _values=streams[stream], **kwargs):
-            out = _original(*args, **kwargs)
-            _values.extend(np.ravel(getattr(out, "log_lambda", out)).tolist())
+    streams = {stream: {} for stream in HOOKS}
+    for stream, (cls_name, block, per_example) in HOOKS.items():
+        cls = getattr(tsvote.classify, cls_name)
+        name = block if hasattr(cls, block) else per_example
+
+        def wrapper(self, *args, _original=getattr(cls, name), _keys=streams[stream], **kwargs):
+            out = _original(self, *args, **kwargs)
+            k = kwargs.get("k", args[1] if len(args) > 1 else None)
+            key = f"T={self.params.T} n={getattr(self, 'n', None)} k={k}"
+            _keys.setdefault(key, []).extend(np.ravel(getattr(out, "log_lambda", out)).tolist())
             return out
 
         setattr(cls, name, wrapper)
@@ -75,11 +88,13 @@ def record(src: str, path: str) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def compare(name: str, parent: list, change: list, points: list) -> bool:
-    if len(parent) != len(change):
-        print(f"{name}: {len(parent)} parent values against {len(change)} change values")
+def compare(name: str, parent: dict, change: dict, points: list) -> bool:
+    """parent and change map each key of the stream to its values in call order."""
+    counts = [{key: len(values) for key, values in run.items()} for run in (parent, change)]
+    if counts[0] != counts[1]:
+        print(f"{name}: values per key, parent {counts[0]} against change {counts[1]}")
         return False
-    a, b = np.array(parent), np.array(change)
+    a, b = (np.array([x for key in sorted(run) for x in run[key]]) for run in (parent, change))
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(invalid="ignore"):
         rel = np.where(same, 0.0, np.abs(b - a) / np.maximum(1.0, np.abs(a)))
@@ -87,9 +102,9 @@ def compare(name: str, parent: list, change: list, points: list) -> bool:
     ok = bool(np.all(rel <= REL) and np.all(margins <= NEAR_TIE))
     closest = min(np.abs(a - p).min(initial=math.inf) for p in points)
     print(
-        f"{name}: {a.size} values, {int((~same).sum())} differ, largest relative change "
-        f"{rel.max(initial=0.0):.3g}, {margins.size} flips, closest parent value to a "
-        f"flip point {closest:.3g}: {'ok' if ok else 'FAIL'}"
+        f"{name}: {a.size} values in {len(parent)} keys, {int((~same).sum())} differ, "
+        f"largest relative change {rel.max(initial=0.0):.3g}, {margins.size} flips, "
+        f"closest parent value to a flip point {closest:.3g}: {'ok' if ok else 'FAIL'}"
     )
     return ok
 
