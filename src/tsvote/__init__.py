@@ -9,6 +9,7 @@ from .classify import (
     BlockOutcome,
     ClassificationOutcome,
     MapKernel,
+    NearestBlock,
     VotingKernel,
     classify_gwmv,
     classify_knn,

@@ -10,15 +10,16 @@ the oracle, which vote with every cell, read the grid; batches in
 `log_lambda_many` vote on the expansion itself.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
-ranks examples for k-NN and nearest neighbor; `_outcome` turns the votes into
-verdicts.
+ranks examples for k-NN, and nearest neighbor (`_nearest`) takes the first
+example in that order; `_outcome` turns the votes into verdicts.
 
 Each classifier scores a block of queries at once: `VotingKernel.min_dists_block`
 takes a (P, T) block of query windows, `gwmv_block` and `knn_block` a (P, n)
-block of voting distances, `MapKernel.classify_block` a (P, T) block. Every
-vote is reduced along the last axis of a C-ordered block, the accumulation
-order of a single 1-D row, so row p of a block is bit for bit the verdict of
-query p alone; the per-series methods are the blocks of one.
+block of voting distances, `verdict_and_nearest_block` and
+`MapKernel.classify_block` a (P, T) block. Every vote is reduced along the last
+axis of a C-ordered block, the accumulation order of a single 1-D row, so row p
+of a block is bit for bit the verdict of query p alone; the per-series methods
+are the blocks of one. A block of no queries gives empty results.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
@@ -119,6 +120,34 @@ def _tie_order(dmin: np.ndarray) -> np.ndarray:
     return np.argsort(dmin, axis=-1, kind="stable")
 
 
+class NearestBlock(NamedTuple):
+    """The nearest examples of a block of P queries: (P,) arrays of example
+    indices (insertion order), distances and minimizing shifts."""
+
+    indices: np.ndarray
+    distances: np.ndarray
+    shifts: np.ndarray
+
+    def row(self, p: int) -> tuple[int, float, int]:
+        """Index, distance and shift of the example nearest to query p."""
+        return int(self.indices[p]), float(self.distances[p]), int(self.shifts[p])
+
+
+def _nearest(dmin: np.ndarray, shifts: np.ndarray) -> NearestBlock:
+    """The first example in _tie_order along each row of (P, n) minimum
+    distances and their shifts. That is the first minimizer, which argmin
+    returns without a sort, since distances are never NaN."""
+    idx = dmin.argmin(axis=-1)
+    rows = np.arange(len(dmin))
+    return NearestBlock(idx, dmin[rows, idx], shifts[rows, idx])
+
+
+def _cells(grids: np.ndarray) -> np.ndarray:
+    """A (P, n, S) block of distance grids as (P, n S) rows of cells."""
+    P, n, S = grids.shape
+    return grids.reshape(P, n * S)
+
+
 def _outcome(votes: tuple, log_threshold: float) -> BlockOutcome:
     """Label +1 iff the log vote ratio of _vote_ratio's votes reaches log_threshold."""
     log_lambda, pos, neg = votes
@@ -150,6 +179,7 @@ class VotingKernel:
         self.n = data.n
         # voting distances per example: its minimum, or one per shift
         self._per_example = 1 if params.shift_mode == "min" else 2 * params.delta_max + 1
+        self.width = self.n * self._per_example  # voting distances per query
 
     def shift_sq_dists(self, s: TimeSeries) -> np.ndarray:
         """(n, 2*delta_max+1) squared distances of s to every shifted window."""
@@ -168,12 +198,13 @@ class VotingKernel:
         dmin, shifts = self.min_dists_block(s.window(1, self.params.T)[None])
         return dmin[0], shifts[0]
 
-    def _vote_dists(self, s: TimeSeries, dmin=None) -> np.ndarray:
-        """The distances s votes with (see _votes): its per-example minima (dmin
-        when given) in min mode, every grid cell in sum mode."""
+    def _vote_dists(self, Q: np.ndarray, dmin=None) -> np.ndarray:
+        """The (P, width) distances the rows of a (P, T) block Q vote with (see
+        _votes): their per-example minima (dmin when given) in min mode, every
+        grid cell in sum mode."""
         if self.params.shift_mode == "sum":
-            return _class_dists(self.shift_sq_dists(s), "sum")
-        return self.min_dists(s)[0] if dmin is None else dmin
+            return _cells(self._windows.grid(Q))
+        return self.min_dists_block(Q)[0] if dmin is None else dmin
 
     def _votes(self, D: np.ndarray) -> tuple:
         """_vote_ratio of voting distances whose last axis runs over the examples
@@ -184,7 +215,7 @@ class VotingKernel:
     def gwmv_block(self, D) -> BlockOutcome:
         """Voting verdicts of a (P, n) block of per-example minimum distances
         (min mode), or of every (example, shift) cell in (P, n S) (sum mode)."""
-        D = _block(D, self.n * self._per_example)
+        D = _block(D, self.width)
         return _outcome(self._votes(D), math.log(self.params.theta))
 
     def knn_block(self, D, k: int) -> BlockOutcome:
@@ -218,14 +249,13 @@ class VotingKernel:
         return self.knn_block(dmin[None], k).row(0)
 
     def _nearest_from_min(self, dmin: np.ndarray, shifts: np.ndarray) -> tuple[int, float, int]:
-        idx = int(_tie_order(dmin)[0])
-        return idx, float(dmin[idx]), int(shifts[idx])
+        return _nearest(dmin[None], shifts[None]).row(0)
 
     def log_lambda(self, s: TimeSeries) -> float:
         return self.gwmv(s).log_lambda
 
     def gwmv(self, s: TimeSeries) -> ClassificationOutcome:
-        return self._gwmv_from_dists(self._vote_dists(s))
+        return self._gwmv_from_dists(self._vote_dists(s.window(1, self.params.T)[None])[0])
 
     def knn(self, s: TimeSeries, k: int) -> ClassificationOutcome:
         return self._knn_from_dists(self.min_dists(s)[0], k)
@@ -234,15 +264,24 @@ class VotingKernel:
         """Index (insertion order), distance, and shift of the nearest example."""
         return self._nearest_from_min(*self.min_dists(s))
 
-    def verdict_and_nearest(self, s: TimeSeries, k=None) -> tuple:
-        """(gwmv(s), or knn(s, k) when k is given, and nearest(s)) from one
-        shift minimum."""
-        dmin, shifts = self.min_dists(s)
+    def verdict_and_nearest_block(self, Q, k=None) -> tuple[BlockOutcome, NearestBlock]:
+        """The verdicts of the rows of a (P, T) block of query windows (voting,
+        or k-NN when k is given) and their nearest examples, from one block
+        shift minimum: row p is verdict_and_nearest of a series whose [1, T]
+        window is Q[p]."""
+        Q = _block(Q, self.params.T)
+        dmin, shifts = self.min_dists_block(Q)
         if k is None:
-            outcome = self._gwmv_from_dists(self._vote_dists(s, dmin))
+            outcome = self.gwmv_block(self._vote_dists(Q, dmin))
         else:
-            outcome = self._knn_from_dists(dmin, k)
-        return outcome, self._nearest_from_min(dmin, shifts)
+            outcome = self.knn_block(dmin, k)
+        return outcome, _nearest(dmin, shifts)
+
+    def verdict_and_nearest(self, s: TimeSeries, k=None) -> tuple:
+        """(gwmv(s), or knn(s, k) when k is given, and nearest(s)): row 0 of
+        verdict_and_nearest_block."""
+        outcome, nearest = self.verdict_and_nearest_block(s.window(1, self.params.T)[None], k)
+        return outcome.row(0), nearest.row(0)
 
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix.
@@ -311,6 +350,7 @@ class MapKernel:
         if not pos or not neg:
             raise ParamError("the model must contain sources of both labels")
         self.params = params
+        self.width = len(model.sources) * (params.delta_max + 1)  # cells each query votes with
         self._pos = ShiftWindows(pos, params.T, 0, params.delta_max)
         self._neg = ShiftWindows(neg, params.T, 0, params.delta_max)
         if model.weights is not None:
@@ -333,7 +373,7 @@ class MapKernel:
         """Verdicts of the rows of a (P, T) block of query windows: row p is
         classify of a series whose [1, T] window is Q[p]."""
         Q = _block(Q, self.params.T)
-        pos, neg = (w.grid(Q).reshape(len(Q), -1) for w in (self._pos, self._neg))
+        pos, neg = (_cells(w.grid(Q)) for w in (self._pos, self._neg))
         votes = _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
         # decision threshold fixed at a ratio of 1; theta plays no role here
         return _outcome(votes, 0.0)

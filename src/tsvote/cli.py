@@ -2,7 +2,9 @@
 
 Subcommands: generate, classify, preprocess, gap, bounds, experiment, detect.
 Diagnostics go to stderr, data to files and stdout. Exit codes: 0 success,
-1 validation, 2 IO, 3 numeric precondition.
+1 validation, 2 IO, 3 numeric precondition. classify reads the window of
+every series, scores the windows in core.blocks and prints the verdicts only
+once all are known, so a file that fails prints none.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import config as cfgmod
 from . import dataio
 from .classify import MapKernel, VotingKernel
-from .core import Label
+from .core import Label, blocks, stacked_windows
 from .errors import (
     ConfigError,
     EmptyPrefixError,
@@ -155,27 +157,34 @@ def cmd_classify(args) -> int:
         raise ConfigError("--method map needs --model")
     series = dataio.read_series_file(args.series)
     kernel = MapKernel(model, params) if method == "map" else VotingKernel(train, params)
+    k = None if method in ("wmv", "map") else 1 if method == "nn" else args.k
+    # every window is read, so a short series raises, before any verdict is out
+    windows = stacked_windows([ts for ts, _ in series], 1, params.T)
     verdicts = []
-    for ts, _ in series:
+    for b in blocks(len(series), kernel.width):
         if method == "map":
-            outcome = kernel.classify(ts)
-            nn_id, nn_dist = None, None
+            outcomes, nearest = kernel.classify_block(windows[b]), None
         else:
-            k = None if method == "wmv" else 1 if method == "nn" else args.k
-            outcome, (idx, nn_dist, _) = kernel.verdict_and_nearest(ts, k)
-            nn_id = train.examples()[idx].id
-        verdict = {
-            "schema_version": dataio.SCHEMA_VERSION,
-            "id": ts.id,
-            "method": method,
-            "label": int(outcome.label),
-            "log_lambda": outcome.log_lambda,
-            "log_votes_pos": outcome.per_class_log_votes[0],
-            "log_votes_neg": outcome.per_class_log_votes[1],
-            "nearest_id": nn_id,
-            "nearest_distance": nn_dist,
-        }
-        verdicts.append(verdict)
+            outcomes, nearest = kernel.verdict_and_nearest_block(windows[b], k)
+        for p, (ts, _) in enumerate(series[b]):
+            outcome = outcomes.row(p)
+            nn_id, nn_dist = None, None
+            if nearest is not None:
+                idx, nn_dist, _ = nearest.row(p)
+                nn_id = train.examples()[idx].id
+            verdict = {
+                "schema_version": dataio.SCHEMA_VERSION,
+                "id": ts.id,
+                "method": method,
+                "label": int(outcome.label),
+                "log_lambda": outcome.log_lambda,
+                "log_votes_pos": outcome.per_class_log_votes[0],
+                "log_votes_neg": outcome.per_class_log_votes[1],
+                "nearest_id": nn_id,
+                "nearest_distance": nn_dist,
+            }
+            verdicts.append(verdict)
+    for verdict in verdicts:
         _emit(verdict)
     out = _out_dir(cfg)
     dataio.write_jsonl(out / "verdicts.jsonl", verdicts)

@@ -10,7 +10,7 @@ bound-and-verify: the exact minimum of the grids from the expansion, verifying
 with `sq_dists` only the cells that can hold it. `grid` and `minimum` take a
 block of queries and walk it in `blocks`, so that no temporary holds more than
 BLOCK_VALUES float64 values beyond what one query needs, however many queries
-the block has.
+the block has; a block of no queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -375,8 +375,8 @@ class ShiftWindows:
         window_sq, row_sq = self.norms
         with np.errstate(over="ignore"):
             q_sq = np.einsum("ij,ij->i", Q, Q)
-        if not math.isfinite(4.0 * (float(row_sq.max()) + float(q_sq.max()))):
-            return np.stack([self.grid(q) for q in Q], axis=-1), None
+        if not math.isfinite(4.0 * (float(row_sq.max()) + float(q_sq.max(initial=0.0)))):
+            return np.moveaxis(self.grid(Q), 0, -1), None
         # S copies of the block of queries zero-padded to L values, each with one
         # more zero: read as rows of L values, copy j moves right by j, so row
         # j P + p of the stack is Q[p] at offset j (a Toeplitz stack)
@@ -423,7 +423,7 @@ class ShiftWindows:
             # bounded even if every cell ties
             for part in blocks(cells.size, 3 * self.T):
                 # a block of one query broadcasts, with no gathered copy of it
-                q = Q[queries[part]] if len(Q) > 1 else Q[0]
+                q = Q[0] if len(Q) == 1 else Q[queries[part]]
                 np.put(d, cells[part], sq_dists(self.views[rows[part], shifts[part]], q))
         j = d.argmin(axis=axis)  # argmin returns the first minimum
         if axis is None:

@@ -26,7 +26,7 @@ from tsvote import (
 )
 import tsvote.core as core
 from tsvote import dataio
-from tsvote.classify import MapKernel, VotingKernel, _log_votes
+from tsvote.classify import MapKernel, VotingKernel, _log_votes, _tie_order
 from tsvote.core import expansion_slack
 from tsvote.cli import main
 
@@ -824,8 +824,7 @@ class TestBlocks:
         with pytest.raises(ParamError, match="shape"):
             kernel.min_dists_block(Q[:, :-1])
 
-    @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2)])
-    def test_oracle_equals_the_per_query_path(self, rng, weights):
+    def oracle(self, rng, weights=None):
         T, dmax = self.T, self.DMAX
         sources = tuple(
             (TimeSeries(1, rng.standard_normal(T + dmax), id=f"v{i}"),
@@ -836,7 +835,12 @@ class TestBlocks:
             sources=sources, weights=weights, delta_max=dmax, noise=NoiseSpec("gaussian", 1.0),
             window_start=1, window_length=T,
         )
-        oracle = MapKernel(model, VotingParams(0.5, T, dmax))
+        return MapKernel(model, VotingParams(0.5, T, dmax))
+
+    @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2)])
+    def test_oracle_equals_the_per_query_path(self, rng, weights):
+        T = self.T
+        oracle = self.oracle(rng, weights)
         Q = rng.standard_normal((40, T))
         want = outcome_bytes([oracle.classify(TimeSeries(1, q)) for q in Q])
         block = oracle.classify_block(Q)
@@ -848,6 +852,72 @@ class TestBlocks:
             for q in Q
         ]
         assert block.log_lambda.tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    def test_verdict_and_nearest_equal_the_per_query_path(self, rng, shift_mode, k):
+        data, _ = random_instance(rng, 24, 20, T=self.T, delta_max=self.DMAX)
+        # a negative that repeats positive 5: a query on it ties the two at distance 0
+        twin = TimeSeries(data.positives[5].start_index, data.positives[5].values, id="twin")
+        data = LabeledDataset(data.positives, (twin,) + data.negatives)
+        params = VotingParams(0.5, self.T, self.DMAX, shift_mode=shift_mode)
+        kernel = VotingKernel(data, params)
+        Q = rng.standard_normal((40, self.T))
+        Q[7] = twin.window(1, self.T)
+        queries = [TimeSeries(1, q) for q in Q]
+        block, nearest = kernel.verdict_and_nearest_block(Q, k)
+        singles = [kernel.verdict_and_nearest(s, k) for s in queries]
+        assert block_bytes(block) == outcome_bytes([outcome for outcome, _ in singles])
+        verdicts = [kernel.gwmv(s) if k is None else kernel.knn(s, k) for s in queries]
+        assert block_bytes(block) == outcome_bytes(verdicts)
+        idx, dist, shift = (np.array(column) for column in zip(*(nn for _, nn in singles)))
+        assert nearest.indices.tobytes() == idx.astype(nearest.indices.dtype).tobytes()
+        assert nearest.distances.tobytes() == dist.tobytes()
+        assert nearest.shifts.tobytes() == shift.astype(nearest.shifts.dtype).tobytes()
+        # the first example in tie order, by a stable sort of each row
+        D, shifts = kernel.min_dists_block(Q)
+        first = _tie_order(D)[:, 0]
+        rows = np.arange(len(Q))
+        assert nearest.indices.tolist() == first.tolist()
+        assert nearest.distances.tobytes() == D[rows, first].tobytes()
+        assert nearest.shifts.tolist() == shifts[rows, first].tolist()
+        assert nearest.row(7) == (5, 0.0, 0)  # the positive, not its twin at index 24
+        assert D[7, 24] == 0.0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "ShiftWindows.grid", "ShiftWindows.minimum", "min_dists_block", "gwmv_block",
+            "knn_block", "log_lambda_many", "verdict_and_nearest_block",
+            "MapKernel.classify_block",
+        ],
+    )
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    def test_an_empty_block_gives_empty_results(self, rng, entry, shift_mode):
+        data, _ = random_instance(rng, 4, 3, T=self.T, delta_max=self.DMAX)
+        kernel = VotingKernel(data, VotingParams(0.5, self.T, self.DMAX, shift_mode=shift_mode))
+        n, S = kernel.n, 2 * self.DMAX + 1
+        Q = np.empty((0, self.T))
+        outcome = [(0,)] * 4  # labels, log ratios and each class's log votes
+        calls = {
+            "ShiftWindows.grid": (lambda: kernel._windows.grid(Q), [(0, n, S)]),
+            "ShiftWindows.minimum": (lambda: kernel._windows.minimum(Q, 1), [(n, 0)] * 2),
+            "min_dists_block": (lambda: kernel.min_dists_block(Q), [(0, n)] * 2),
+            "gwmv_block": (lambda: kernel.gwmv_block(np.empty((0, kernel.width))), outcome),
+            "knn_block": (lambda: kernel.knn_block(np.empty((0, n)), 3), outcome),
+            "log_lambda_many": (lambda: kernel.log_lambda_many(Q), [(0,)]),
+            "verdict_and_nearest_block": (
+                lambda: kernel.verdict_and_nearest_block(Q, None if shift_mode == "sum" else 3),
+                outcome + [(0,)] * 3,
+            ),
+            "MapKernel.classify_block": (lambda: self.oracle(rng).classify_block(Q), outcome),
+        }
+        call, shapes = calls[entry]
+
+        def arrays(x):
+            return [x] if isinstance(x, np.ndarray) else [a for part in x for a in arrays(part)]
+
+        assert [a.shape for a in arrays(call())] == shapes
 
 
 class TestShiftInvariance:

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvote import Label, LabeledDataset, Provenance, TimeSeries
+import tsvote.core as core
+from tsvote import Label, LabeledDataset, Provenance, TimeSeries, VotingParams
+from tsvote.classify import MapKernel, VotingKernel
 from tsvote.cli import main
 from tsvote import dataio
 from tsvote import config
@@ -281,6 +283,75 @@ class TestClassify:
         assert code == 0
         verdict = json.loads(stdout.splitlines()[0])
         assert verdict["label"] in (1, -1)
+
+    METHODS = (("wmv", None), ("nn", 1), ("knn", 3), ("map", None))
+
+    def classify_args(self, generated, series_file, method, k, out, *extra):
+        source = ["--train", str(generated / "train.jsonl")]
+        if method == "map":
+            source = ["--model", str(generated)]
+        elif method == "knn":
+            source += ["--k", str(k)]
+        return [
+            "classify", *source, "--series", str(series_file), "--method", method,
+            "--gamma", "0.5", "--T", "20", "--delta-max", "3", *extra, "--out", str(out),
+        ]
+
+    @pytest.mark.parametrize("block_values", [1, 2**30])  # one series a block; one block
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    def test_verdicts_equal_the_per_series_library(
+        self, generated, tmp_path, capsys, monkeypatch, block_values, shift_mode
+    ):
+        params = VotingParams(0.5, 20, 3, shift_mode=shift_mode)
+        train = dataio.read_dataset(generated / "train.jsonl")
+        kernel = VotingKernel(train, params)
+        oracle = MapKernel(dataio.read_model(generated), params)
+        series = [ts for ts, _ in dataio.read_series_file(generated / "test.jsonl")]
+        want = {}
+        for method, k in self.METHODS:
+            lines = []
+            for s in series:
+                if method == "map":
+                    outcome, nn_id, nn_dist = oracle.classify(s), None, None
+                else:
+                    outcome, (idx, nn_dist, _) = kernel.verdict_and_nearest(s, k)
+                    nn_id = train.examples()[idx].id
+                lines.append(dataio.dumps_canonical({
+                    "schema_version": dataio.SCHEMA_VERSION,
+                    "id": s.id,
+                    "method": method,
+                    "label": int(outcome.label),
+                    "log_lambda": outcome.log_lambda,
+                    "log_votes_pos": outcome.per_class_log_votes[0],
+                    "log_votes_neg": outcome.per_class_log_votes[1],
+                    "nearest_id": nn_id,
+                    "nearest_distance": nn_dist,
+                }) + "\n")
+            want[method] = "".join(lines)
+        monkeypatch.setattr(core, "BLOCK_VALUES", block_values)
+        for method, k in self.METHODS:
+            out = tmp_path / method
+            argv = self.classify_args(
+                generated, generated / "test.jsonl", method, k, out, "--shift-mode", shift_mode
+            )
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert (out / "verdicts.jsonl").read_text() == want[method], method
+            assert stdout == want[method], method
+
+    @pytest.mark.parametrize("method, k", METHODS)
+    def test_a_short_last_series_prints_no_verdict(self, generated, tmp_path, capsys, method, k):
+        series = [ts for ts, _ in dataio.read_series_file(generated / "test.jsonl")]
+        short = TimeSeries(1, series[-1].values[:19], id="short")  # T is 20
+        series_file = tmp_path / "series.jsonl"
+        dataio.write_jsonl(series_file, [dataio.series_to_record(ts) for ts in series + [short]])
+        argv = self.classify_args(generated, series_file, method, k, tmp_path / "out")
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "'short'" in err
+        assert stdout == ""
+        assert not (tmp_path / "out" / "verdicts.jsonl").exists()
 
     def test_single_class_dataset_is_an_error(self, generated, tmp_path, capsys):
         train = dataio.read_dataset(generated / "train.jsonl")

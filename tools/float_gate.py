@@ -11,8 +11,10 @@ MapKernel.classify. Values are kept under a (T, n, k) key per stream (n is the
 training size, None for the oracle; k for nn only), in call order within each
 key, so a tree that scores queries one at a time and one that scores them in
 blocks record the same sequence per key. The runs are `tsvote experiment` on
-configs/desk.cfg with 2 trials, `tsvote detect` on configs/detect.cfg and one
-pass of perfbench's PoolStream at seed 0.
+configs/desk.cfg with 2 trials, `tsvote detect` on configs/detect.cfg, one
+pass of perfbench's PoolStream at seed 0, then `tsvote generate` on
+configs/desk.cfg and `tsvote classify` of its test.jsonl with wmv, nn,
+knn --k 5 and map.
 
 Exits 1 unless both trees record the same keys with the same number of values
 per key, every value has |change - parent| <= 1e-12 max(1, |parent|), and
@@ -73,15 +75,25 @@ def record(src: str, path: str) -> None:
     sys.modules[spec.name] = workloads  # its dataclasses look their module up by name
     spec.loader.exec_module(workloads)
     desk, detect = ROOT / "configs" / "desk.cfg", ROOT / "configs" / "detect.cfg"
+
+    def cli(*argv):
+        if tsvote.cli.main([str(a) for a in argv]) != 0:
+            raise SystemExit(f"{src}: tsvote {argv[0]} failed")
+
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
-        trials = ["--set", "experiment.trials=2"]
-        for argv in (
-            ["experiment", "--config", desk, *trials, "--out", f"{work}/exp"],
-            ["detect", "--config", detect, "--out", f"{work}/detect"],
-        ):
-            if tsvote.cli.main([str(a) for a in argv]) != 0:
-                raise SystemExit(f"{src}: tsvote {argv[0]} failed")
+        cli("experiment", "--config", desk, "--set", "experiment.trials=2", "--out", f"{work}/exp")
+        cli("detect", "--config", detect, "--out", f"{work}/detect")
         workloads.PoolStream(0, Path(work)).run_pass()
+        data = f"{work}/data"
+        cli("generate", "--config", desk, "--out", data)
+        for method, *source in (
+            ("wmv", "--train", f"{data}/train.jsonl"),
+            ("nn", "--train", f"{data}/train.jsonl"),
+            ("knn", "--train", f"{data}/train.jsonl", "--k", "5"),
+            ("map", "--model", data),
+        ):
+            cli("classify", "--config", desk, *source, "--series", f"{data}/test.jsonl",
+                "--method", method, "--out", f"{work}/{method}")
     points = {"wmv": [0.0], "nn": [0.0], "map": [0.0]}
     points["trace"] = [math.log(t) for t in sweep_grid(load_config(detect)).thetas]
     doc = {"source": tsvote.__file__, "streams": streams, "points": points}
