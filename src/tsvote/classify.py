@@ -5,9 +5,10 @@ training windows (or, for the oracle, the sources) at every shift. Its `grid`
 is the full (examples, shifts) distance grid, its `expansion` the same
 distances from one GEMM within a stated bound, and its `minimum` the
 per-example minimum over shifts, bit for bit the grid's min and first argmin.
-`min`-mode voting, k-NN and nearest neighbor read the minimum; `sum` mode and
-the oracle, which vote with every cell, read the grid; batches in
-`log_lambda_many` vote on the expansion itself.
+`_vote_dists` is the one rule for the exact distances a query votes with: the
+minimum in `min` mode, every grid cell in `sum` mode and for the oracle; k-NN
+and nearest neighbor read the minimum, and batches in `log_lambda_many` vote
+on the expansion itself.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
 ranks examples for k-NN, and nearest neighbor (`_nearest`) takes the first
@@ -19,7 +20,9 @@ block of voting distances, `verdict_and_nearest_block` and
 `MapKernel.classify_block` a (P, T) block. Every vote is reduced along the last
 axis of a C-ordered block, the accumulation order of a single 1-D row, so row p
 of a block is bit for bit the verdict of query p alone; the per-series methods
-are the blocks of one. A block of no queries gives empty results.
+are the blocks of one. A block of no queries gives empty results. `_queries`
+checks every (P, T) block: a NaN or infinite observation raises ParamError
+rather than voting.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
@@ -74,14 +77,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     shift = np.where(m == NEG_INF, 0.0, m)
     with np.errstate(divide="ignore"):  # log(0): a class that casts no vote
         return shift + np.log(np.exp(a - shift[..., None]).sum(axis=-1))
-
-
-def _class_dists(dists: np.ndarray, shift_mode: str) -> np.ndarray:
-    """The voting distances of an (examples, shifts[, batch]) grid along axis 0:
-    each example's minimum over shifts, or every (example, shift) pair."""
-    if shift_mode == "min":
-        return dists.min(axis=1)
-    return dists.reshape(-1, *dists.shape[2:])
 
 
 def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
@@ -142,12 +137,6 @@ def _nearest(dmin: np.ndarray, shifts: np.ndarray) -> NearestBlock:
     return NearestBlock(idx, dmin[rows, idx], shifts[rows, idx])
 
 
-def _cells(grids: np.ndarray) -> np.ndarray:
-    """A (P, n, S) block of distance grids as (P, n S) rows of cells."""
-    P, n, S = grids.shape
-    return grids.reshape(P, n * S)
-
-
 def _outcome(votes: tuple, log_threshold: float) -> BlockOutcome:
     """Label +1 iff the log vote ratio of _vote_ratio's votes reaches log_threshold."""
     log_lambda, pos, neg = votes
@@ -161,6 +150,24 @@ def _block(D, width: int) -> np.ndarray:
     if D.ndim != 2 or D.shape[1] != width:
         raise ParamError(f"a block must have shape (P, {width}), got {D.shape}")
     return D
+
+
+def _queries(Q, T: int) -> np.ndarray:
+    """Q as a (P, T) _block of query windows; ParamError unless it is finite,
+    since a NaN or inf observation has no distance to vote with."""
+    Q = _block(Q, T)
+    if not np.isfinite(Q).all():
+        raise ParamError("observations must be finite")
+    return Q
+
+
+def _vote_dists(windows: ShiftWindows, Q: np.ndarray, shift_mode: str, dmin=None) -> np.ndarray:
+    """The (P, width) distances the rows of a (P, T) block Q vote with: each
+    series' exact minimum over shifts (dmin, when given) in min mode, every
+    (series, shift) cell of the grid in sum mode."""
+    if shift_mode == "sum":
+        return windows.grid(Q).reshape(len(Q), math.prod(windows.views.shape[:2]))
+    return windows.minimum(Q, 1)[0].T if dmin is None else dmin
 
 
 class VotingKernel:
@@ -189,7 +196,7 @@ class VotingKernel:
         """(P, n) per-example minimum distances and first minimizing shifts of
         the rows of a (P, T) block of query windows: row p is min_dists of a
         series whose [1, T] window is Q[p]."""
-        dmin, j = self._windows.minimum(_block(Q, self.params.T), 1)
+        dmin, j = self._windows.minimum(_queries(Q, self.params.T), 1)
         return dmin.T, j.T + self._windows.first_shift
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -197,14 +204,6 @@ class VotingKernel:
         the min and first argmin of shift_sq_dists(s), without building it."""
         dmin, shifts = self.min_dists_block(s.window(1, self.params.T)[None])
         return dmin[0], shifts[0]
-
-    def _vote_dists(self, Q: np.ndarray, dmin=None) -> np.ndarray:
-        """The (P, width) distances the rows of a (P, T) block Q vote with (see
-        _votes): their per-example minima (dmin when given) in min mode, every
-        grid cell in sum mode."""
-        if self.params.shift_mode == "sum":
-            return _cells(self._windows.grid(Q))
-        return self.min_dists_block(Q)[0] if dmin is None else dmin
 
     def _votes(self, D: np.ndarray) -> tuple:
         """_vote_ratio of voting distances whose last axis runs over the examples
@@ -255,7 +254,8 @@ class VotingKernel:
         return self.gwmv(s).log_lambda
 
     def gwmv(self, s: TimeSeries) -> ClassificationOutcome:
-        return self._gwmv_from_dists(self._vote_dists(s.window(1, self.params.T)[None])[0])
+        Q = s.window(1, self.params.T)[None]
+        return self._gwmv_from_dists(_vote_dists(self._windows, Q, self.params.shift_mode)[0])
 
     def knn(self, s: TimeSeries, k: int) -> ClassificationOutcome:
         return self._knn_from_dists(self.min_dists(s)[0], k)
@@ -269,10 +269,10 @@ class VotingKernel:
         or k-NN when k is given) and their nearest examples, from one block
         shift minimum: row p is verdict_and_nearest of a series whose [1, T]
         window is Q[p]."""
-        Q = _block(Q, self.params.T)
+        Q = _queries(Q, self.params.T)
         dmin, shifts = self.min_dists_block(Q)
         if k is None:
-            outcome = self.gwmv_block(self._vote_dists(Q, dmin))
+            outcome = self.gwmv_block(_vote_dists(self._windows, Q, self.params.shift_mode, dmin))
         else:
             outcome = self.knn_block(dmin, k)
         return outcome, _nearest(dmin, shifts)
@@ -291,18 +291,12 @@ class VotingKernel:
         by at most gamma times the largest change of its distances, so a row is
         within 4 gamma max_i eps_i of gwmv's log ratio, plus log-sum-exp rounding.
         """
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.params.T:
-            raise ParamError(f"observations must have shape (P, {self.params.T})")
-        if not np.isfinite(obs).all():
-            raise ParamError("observations must be finite")
-        if obs.shape[0] == 0:
-            return np.empty(0)
-        d = self._windows.expansion(obs)[0]
+        d = self._windows.expansion(_queries(observations, self.params.T))[0]
         np.maximum(d, 0.0, out=d)
-        # voting on the transpose accumulates along axis 0 of the (cells, P)
+        D = d.min(axis=1) if self.params.shift_mode == "min" else d.reshape(self.width, -1)
+        # voting on the transpose accumulates along axis 0 of the (width, P)
         # distances, in memory order, as these traces always have
-        return self._votes(_class_dists(d, self.params.shift_mode).T)[0]
+        return self._votes(D.T)[0]
 
 
 def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingParams) -> float:
@@ -310,11 +304,7 @@ def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingPa
     if not examples:
         raise ParamError("examples must be non-empty")
     windows = ShiftWindows(examples, params.T, -params.delta_max, params.delta_max)
-    q = s.window(1, params.T)
-    if params.shift_mode == "min":
-        dists = windows.minimum(q[None], 1)[0][:, 0]
-    else:
-        dists = _class_dists(windows.grid(q), "sum")
+    dists = _vote_dists(windows, s.window(1, params.T)[None], params.shift_mode)[0]
     return float(_log_votes(params.gamma, dists))
 
 
@@ -372,8 +362,8 @@ class MapKernel:
     def classify_block(self, Q: np.ndarray) -> BlockOutcome:
         """Verdicts of the rows of a (P, T) block of query windows: row p is
         classify of a series whose [1, T] window is Q[p]."""
-        Q = _block(Q, self.params.T)
-        pos, neg = (_cells(w.grid(Q)) for w in (self._pos, self._neg))
+        Q = _queries(Q, self.params.T)
+        pos, neg = (_vote_dists(w, Q, "sum") for w in (self._pos, self._neg))
         votes = _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
         # decision threshold fixed at a ratio of 1; theta plays no role here
         return _outcome(votes, 0.0)

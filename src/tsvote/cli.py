@@ -41,6 +41,7 @@ from .gapbounds import (
     nn_bound,
     required_gap,
     wmv_bound,
+    wmv_rate,
 )
 from .pipeline import preprocess, slice_training_window
 from .synth import make_latent_sources, sample_dataset, training_size
@@ -262,9 +263,8 @@ def cmd_bounds(args) -> int:
     inputs = cfgmod.bound_inputs(cfg)
     wmv = wmv_bound(inputs)
     nn = nn_bound(inputs)
-    rate = inputs.gamma - 4.0 * inputs.sigma**2 * inputs.gamma**2
     req = None
-    if rate > 0.0:
+    if wmv_rate(inputs.gamma, inputs.sigma) > 0.0:
         req = required_gap(
             inputs.theta,
             inputs.m_plus,

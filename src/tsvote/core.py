@@ -4,10 +4,12 @@ A series is defined exactly on [start_index, start_index + len - 1]; reading
 outside that range raises SupportError rather than fabricating zeros. All types
 here are immutable and all operations are pure functions, except that
 ShiftWindows, the one builder of shifted windows, computes its norms on first
-use. Its `grid` is the direct `sq_dists` reference, its `expansion` the GEMM
-form of the same distances with their rounding bound, and its `minimum` the one
-bound-and-verify: the exact minimum of the grids from the expansion, verifying
-with `sq_dists` only the cells that can hold it. `grid` and `minimum` take a
+use. Its `grid` is the direct `sq_dists` reference (the cells that sum-mode
+voting and the oracle vote with, and the class gap's unpruned path), its
+`expansion` the GEMM form of the same distances with their rounding bound, and
+its `minimum` the one bound-and-verify: the exact minimum of the grids from the
+expansion, verifying with `sq_dists` only the cells that can hold it. Callers
+check their queries; the engine assumes finite ones. `grid` and `minimum` take a
 block of queries and walk it in `blocks`, so that no temporary holds more than
 BLOCK_VALUES float64 values beyond what one query needs, however many queries
 the block has; a block of no queries gives empty grids and minima.

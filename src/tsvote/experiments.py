@@ -334,11 +334,12 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_trends) < 1 or int(self.n_non_trends) < 1:
-            raise ParamError("corpus needs at least one topic per class")
-        if not (1 <= int(self.onset_low) <= int(self.onset_high) <= int(self.length)):
+        counts = ("n_trends", "n_non_trends", "length", "ramp_buckets", "n_patterns")
+        for name in counts + ("onset_low", "onset_high"):  # onsets are 1-based indices
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
+        if not (self.onset_low <= self.onset_high <= self.length):
             raise ParamError("onset range must fit inside the series")
-        if not (1 <= int(self.n_patterns) <= _N_BURST_SHAPES):
+        if self.n_patterns > _N_BURST_SHAPES:
             raise ParamError(f"n_patterns must be in 1..{_N_BURST_SHAPES}, got {self.n_patterns}")
         if not (0.0 < self.spike_rate <= 1.0):
             raise ParamError(f"spike_rate must be in (0, 1], got {self.spike_rate}")

@@ -1,7 +1,10 @@
 """Separation statistics of labeled data and closed-form misclassification bounds.
 
 The class gap is exact through the distance engine's one bound-and-verify,
-`core.ShiftWindows.minimum`; `_min_cross_sq` is the direct reference.
+`core.ShiftWindows.minimum`; its reference is the engine's direct grid,
+`core.ShiftWindows.grid`, over the same blocks of positive windows. The voting
+bound's exponent rate (`wmv_rate`) and class factor (`class_factor`) are each
+defined once, for `wmv_bound`, `required_gap` and the `bounds` command.
 """
 
 from __future__ import annotations
@@ -18,18 +21,6 @@ from .synth import LatentSourceModel
 _SQRT2 = math.sqrt(2.0)
 
 
-def _min_cross_sq(A: np.ndarray, B: np.ndarray, block: int = 256) -> float:
-    """Minimum squared Euclidean distance between rows of A and rows of B."""
-    best = math.inf
-    for i in range(0, A.shape[0], block):
-        a = A[i : i + block, None, :]
-        for j in range(0, B.shape[0], block):
-            m = float(sq_dists(a, B[None, j : j + block]).min())
-            if m < best:
-                best = m
-    return best
-
-
 def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) -> float:
     """Minimum squared distance between the classes over [1, T], both sides shifted.
 
@@ -38,18 +29,19 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
     [1 - delta_max, T + delta_max]. The result is exactly the core.sq_dists float
     of the closest pair; ParamError if it overflows float64.
 
-    cutoff=True takes, per block of positive windows, the exact minimum of
-    ShiftWindows(negatives).minimum, which verifies only the pairs its GEMM
-    bound keeps; cutoff=False, the reference, computes every pair directly.
+    Both take the minimum per block of positive windows against the negative
+    series: cutoff=True through ShiftWindows(negatives).minimum, which verifies
+    only the pairs its GEMM bound keeps; cutoff=False, the reference, through
+    the direct grid of every pair.
     """
     data.require_both_classes()
     T, delta_max = integer_at_least("T", T, 1), integer_at_least("delta_max", delta_max, 0)
     pos = ShiftWindows(data.positives, T, -delta_max, delta_max).views.reshape(-1, T)
     neg = ShiftWindows(data.negatives, T, -delta_max, delta_max)
-    if cutoff:
-        best = min(float(neg.minimum(pos[b], None)[0]) for b in neg.query_blocks(len(pos)))
-    else:
-        best = _min_cross_sq(pos, neg.views.reshape(-1, T))
+    best = min(
+        float(neg.minimum(pos[b], None)[0] if cutoff else neg.grid(pos[b]).min())
+        for b in neg.query_blocks(len(pos))
+    )
     if not math.isfinite(best):
         raise ParamError(f"the class gap overflows float64 (T={T}, delta_max={delta_max})")
     return best
@@ -85,11 +77,9 @@ class BoundInputs:
     gap: float
 
     def __post_init__(self):
-        if int(self.m) < 1 or int(self.n) < 1:
-            raise ParamError("m and n must be positive")
-        if int(self.m_plus) < 0 or int(self.m_minus) < 0:
-            raise ParamError("class counts must be nonnegative")
-        if int(self.m_plus) + int(self.m_minus) != int(self.m):
+        for name, low in (("m", 1), ("m_plus", 0), ("m_minus", 0), ("n", 1), ("delta_max", 0)):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
+        if self.m_plus + self.m_minus != self.m:
             raise ParamError(
                 f"m_plus + m_minus must equal m ({self.m_plus} + {self.m_minus} != {self.m})"
             )
@@ -101,8 +91,6 @@ class BoundInputs:
             raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 < self.theta < math.inf):
             raise ParamError(f"theta must be finite and > 0, got {self.theta}")
-        if int(self.delta_max) < 0:
-            raise ParamError(f"delta_max must be >= 0, got {self.delta_max}")
         if not (0.0 <= self.gap < math.inf):
             raise ParamError(f"gap must be finite and >= 0, got {self.gap}")
 
@@ -114,21 +102,25 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def wmv_rate(gamma: float, sigma: float) -> float:
+    """gamma - 4*sigma^2*gamma^2, the rate at which the voting bound falls with the gap."""
+    return gamma - 4.0 * sigma**2 * gamma**2
+
+
+def class_factor(theta: float, m_plus: int, m_minus: int, m: int) -> float:
+    """theta*m+/m + m-/(theta*m), the voting bound's factor for the class balance."""
+    return theta * m_plus / m + m_minus / (theta * m)
+
+
 def wmv_bound(inputs: BoundInputs) -> float:
     """Misclassification bound for generalized weighted voting.
 
-    (theta*m+/m + m-/(theta*m)) * (2*delta_max+1) * n
-        * exp(-(gamma - 4*sigma^2*gamma^2) * gap) + m^(1-beta).
+    class_factor * (2*delta_max+1) * n * exp(-wmv_rate * gap) + m^(1-beta).
     May exceed 1 (vacuous); returned unclamped.
     """
-    class_factor = (
-        inputs.theta * inputs.m_plus / inputs.m + inputs.m_minus / (inputs.theta * inputs.m)
-    )
-    rate = inputs.gamma - 4.0 * inputs.sigma**2 * inputs.gamma**2
-    tail = _exp(-rate * inputs.gap)
-    return class_factor * (2 * inputs.delta_max + 1) * inputs.n * tail + inputs.m ** (
-        1.0 - inputs.beta
-    )
+    factor = class_factor(inputs.theta, inputs.m_plus, inputs.m_minus, inputs.m)
+    tail = _exp(-wmv_rate(inputs.gamma, inputs.sigma) * inputs.gap)
+    return factor * (2 * inputs.delta_max + 1) * inputs.n * tail + inputs.m ** (1.0 - inputs.beta)
 
 
 def nn_bound(inputs: BoundInputs) -> float:
@@ -158,17 +150,17 @@ def required_gap(
 ) -> float:
     """Separation needed for the voting bound to drop below the tolerance delta.
 
-    [log(theta*m+/m + m-/(theta*m)) + log(2*delta_max+1) + log n + log(2/delta)]
-        / (gamma - 4*sigma^2*gamma^2).
+    [log(class_factor) + log(2*delta_max+1) + log n + log(2/delta)] / wmv_rate;
+    ParamError unless wmv_rate is positive.
     """
-    rate = gamma - 4.0 * sigma**2 * gamma**2
+    rate = wmv_rate(gamma, sigma)
     if not (rate > 0.0):
         raise ParamError(
             f"gamma - 4*sigma^2*gamma^2 must be positive, got {rate} "
             f"(gamma={gamma}, sigma={sigma})"
         )
     numerator = (
-        math.log(theta * m_plus / m + m_minus / (theta * m))
+        math.log(class_factor(theta, m_plus, m_minus, m))
         + math.log(2 * delta_max + 1)
         + math.log(n)
         + math.log(2.0 / delta)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, integer_at_least
 from .errors import EmptyPrefixError, ParamError, SupportError
 from .synth import RngStream, as_generator
 
@@ -41,8 +41,8 @@ class RateSeries:
                 f"bucket_width_minutes must be > 0, got {self.bucket_width_minutes}"
             )
         if self.onset_index is not None:
-            onset = int(self.onset_index)
-            if not (1 <= onset <= arr.size):
+            onset = integer_at_least(f"topic {self.topic_id!r}: onset_index", self.onset_index, 1)
+            if onset > arr.size:
                 raise ParamError(
                     f"topic {self.topic_id!r}: onset_index {onset} outside [1, {arr.size}]"
                 )
@@ -61,11 +61,9 @@ class PipelineParams:
     def __post_init__(self):
         if not (self.alpha >= 1.0):
             raise ParamError(f"alpha must be >= 1, got {self.alpha}")
-        if int(self.t_smooth) < 1:
-            raise ParamError(f"t_smooth must be >= 1, got {self.t_smooth}")
+        object.__setattr__(self, "t_smooth", integer_at_least("t_smooth", self.t_smooth, 1))
         if not (self.log_floor > 0.0):
             raise ParamError(f"log_floor must be > 0, got {self.log_floor}")
-        object.__setattr__(self, "t_smooth", int(self.t_smooth))
 
 
 def baseline_normalize(rho: RateSeries) -> TimeSeries:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Label, LabeledDataset, Provenance, TimeSeries
+from .core import Label, LabeledDataset, Provenance, TimeSeries, integer_at_least
 from .errors import ParamError, ProvenanceError, SupportError
 
 RngStream = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -142,16 +142,12 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.m) < 2:
-            raise ParamError(f"m must be >= 2, got {self.m}")
-        if int(self.series_length) < 1:
-            raise ParamError(f"series_length must be >= 1, got {self.series_length}")
+        for name, low in (("m", 2), ("series_length", 1)):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
         if not (self.amplitude_variance > 0.0):
             raise ParamError(f"amplitude_variance must be > 0, got {self.amplitude_variance}")
         if not (self.smoothing_scale > 0.0):
             raise ParamError(f"smoothing_scale must be > 0, got {self.smoothing_scale}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "series_length", int(self.series_length))
 
 
 def gaussian_kernel(scale: float) -> np.ndarray:

@@ -824,7 +824,7 @@ class TestBlocks:
         with pytest.raises(ParamError, match="shape"):
             kernel.min_dists_block(Q[:, :-1])
 
-    def oracle(self, rng, weights=None):
+    def oracle(self, rng, weights=None, gamma=0.5):
         T, dmax = self.T, self.DMAX
         sources = tuple(
             (TimeSeries(1, rng.standard_normal(T + dmax), id=f"v{i}"),
@@ -835,7 +835,7 @@ class TestBlocks:
             sources=sources, weights=weights, delta_max=dmax, noise=NoiseSpec("gaussian", 1.0),
             window_start=1, window_length=T,
         )
-        return MapKernel(model, VotingParams(0.5, T, dmax))
+        return MapKernel(model, VotingParams(gamma, T, dmax))
 
     @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2)])
     def test_oracle_equals_the_per_query_path(self, rng, weights):
@@ -883,6 +883,26 @@ class TestBlocks:
         assert nearest.shifts.tolist() == shifts[rows, first].tolist()
         assert nearest.row(7) == (5, 0.0, 0)  # the positive, not its twin at index 24
         assert D[7, 24] == 0.0
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["min_dists_block", "verdict_and_nearest_block", "MapKernel.classify_block", "log_lambda_many"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, 0.125])
+    def test_a_non_finite_observation_raises(self, rng, entry, bad, gamma):
+        # it used to vote: at gamma = 0 a NaN row came out as label -1 whose
+        # nearest example lay at distance NaN, and at gamma > 0 it claimed overflow
+        kernel, Q, _ = self.instance(rng, gamma, P=3)
+        Q[1, 4] = bad
+        run = {
+            "min_dists_block": kernel.min_dists_block,
+            "verdict_and_nearest_block": kernel.verdict_and_nearest_block,
+            "MapKernel.classify_block": self.oracle(rng, gamma=gamma).classify_block,
+            "log_lambda_many": kernel.log_lambda_many,
+        }[entry]
+        with pytest.raises(ParamError, match="observations must be finite"):
+            run(Q)
 
     @pytest.mark.parametrize(
         "entry",

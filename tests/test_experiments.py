@@ -362,6 +362,21 @@ class TestCorpusAndSweep:
             np.array_equal(x.counts, y.counts) for x, y in zip(a_trends + a_bgs, b_trends + b_bgs)
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_trends", 1.5), ("n_non_trends", 0), ("length", 240.5), ("ramp_buckets", 30.2),
+         ("n_patterns", 2.5), ("onset_low", 90.5), ("onset_high", 0)],
+    )
+    def test_corpus_sizes_must_be_integers(self, field, value):
+        # a non-integral count used to be kept as a float
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            CorpusConfig(**{field: value})
+
+    def test_corpus_integral_float_sizes_become_ints(self):
+        cfg = CorpusConfig(n_trends=3.0, length=240.0, onset_low=90.0)
+        assert (cfg.n_trends, cfg.length, cfg.onset_low) == (3, 240, 90)
+        assert all(type(x) is int for x in (cfg.n_trends, cfg.length, cfg.onset_low))
+
     @pytest.mark.parametrize("n_patterns", [0, 5])
     def test_corpus_has_four_burst_shapes(self, n_patterns):
         with pytest.raises(ParamError, match="n_patterns"):

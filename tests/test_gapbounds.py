@@ -77,7 +77,9 @@ class TestGap:
     def test_matches_bruteforce(self, rng):
         for _ in range(50):
             data = random_gap_instance(rng, 3, 3, T=6, delta_max=2)
-            assert gap(data, 6, 2) == brute_gap(data, 6, 2)
+            want = brute_gap(data, 6, 2)
+            for cutoff in (True, False):  # the pruned path and its reference
+                assert gap(data, 6, 2, cutoff=cutoff) == want
 
     def test_cutoff_is_bit_identical(self, rng):
         for _ in range(30):
@@ -356,6 +358,20 @@ class TestBounds:
             BoundInputs(**{**WORKED, "beta": 1.0})
         with pytest.raises(ParamError):
             BoundInputs(**{**WORKED, "gap": -1.0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 4.5), ("m", 0), ("m_minus", 2.5), ("m_plus", -1), ("n", 10.2), ("delta_max", 0.5)],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        # a non-integral count or shift used to be accepted
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            BoundInputs(**{**WORKED, field: value})
+
+    def test_integral_float_sizes_become_ints(self):
+        inputs = BoundInputs(**{**WORKED, "m": 4.0, "m_plus": 2.0, "n": 10.0, "delta_max": 1.0})
+        sizes = (inputs.m, inputs.m_plus, inputs.m_minus, inputs.n, inputs.delta_max)
+        assert sizes == (4, 2, 2, 10, 1) and all(type(x) is int for x in sizes)
 
     @pytest.mark.parametrize("field", ["beta", "sigma", "gamma", "theta", "gap"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -17,6 +17,7 @@ from tsvote import (
     smooth,
     spike_emphasize,
 )
+from tsvote.dataio import record_to_rate
 from tsvote.pipeline import window_buckets
 
 
@@ -141,6 +142,23 @@ class TestPreprocess:
             log_transform(stage, params.log_floor),
         ):
             assert len(nxt) == len(stage) and nxt.start_index == stage.start_index
+
+    @pytest.mark.parametrize("value", [2.5, 0, math.inf])
+    def test_t_smooth_must_be_an_integer(self, value):
+        # 2.5 used to be truncated to 2
+        with pytest.raises(ParamError, match="^t_smooth must be"):
+            PipelineParams(t_smooth=value)
+
+    @pytest.mark.parametrize("onset", [3.7, 0, 5])
+    def test_onset_index_must_be_an_index(self, onset):
+        # a rate file's 3.7 used to be read as 3
+        with pytest.raises(ParamError, match="onset_index"):
+            record_to_rate({"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": onset})
+
+    def test_integral_float_onset_becomes_int(self):
+        rate = record_to_rate({"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 3.0})
+        assert rate.onset_index == 3 and type(rate.onset_index) is int
+        assert PipelineParams(t_smooth=2.0).t_smooth == 2
 
     def test_param_validation(self):
         with pytest.raises(ParamError):

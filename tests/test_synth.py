@@ -71,6 +71,19 @@ class TestMakeLatentSources:
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
         assert k[0] == pytest.approx(k[-1])
 
+    @pytest.mark.parametrize(
+        "field, value", [("m", 2.7), ("m", 1), ("series_length", 40.9), ("series_length", 0)]
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        # a non-integral size used to be truncated
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            GeneratorConfig(**{"m": 2, "series_length": 40, field: value})
+
+    def test_integral_float_sizes_become_ints(self):
+        cfg = GeneratorConfig(m=2.0, series_length=40.0)
+        assert (cfg.m, cfg.series_length) == (2, 40)
+        assert type(cfg.m) is int and type(cfg.series_length) is int
+
     def test_bad_params(self):
         with pytest.raises(ParamError):
             GeneratorConfig(m=1, series_length=10)

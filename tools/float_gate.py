@@ -5,22 +5,22 @@
 Each src directory is imported in a process of its own, which records every
 per-example log lambda: wmv from VotingKernel.gwmv_block, nn from knn_block
 (k-NN of any k), map from MapKernel.classify_block and trace from
-log_lambda_many. A tree without the block entry points is hooked at the
-per-example methods they replaced: _gwmv_from_dists, _knn_from_dists and
-MapKernel.classify. Values are kept under a (T, n, k) key per stream (n is the
-training size, None for the oracle; k for nn only), in call order within each
-key, so a tree that scores queries one at a time and one that scores them in
-blocks record the same sequence per key. The runs are `tsvote experiment` on
-configs/desk.cfg with 2 trials, `tsvote detect` on configs/detect.cfg, one
-pass of perfbench's PoolStream at seed 0, then `tsvote generate` on
-configs/desk.cfg and `tsvote classify` of its test.jsonl with wmv, nn,
-knn --k 5 and map.
+log_lambda_many; both trees must have these block entry points. Values are
+kept under a (T, n, k) key per stream (n is the training size, None for the
+oracle; k for nn only), in call order within each key, so two trees that cut
+the same queries into different blocks record the same sequence per key. The
+runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
+detect` on configs/detect.cfg, one pass of perfbench's PoolStream at seed 0,
+then `tsvote generate` on configs/desk.cfg and `tsvote classify` of its
+test.jsonl with wmv, nn, knn --k 5 and map.
 
 Exits 1 unless both trees record the same keys with the same number of values
 per key, every value has |change - parent| <= 1e-12 max(1, |parent|), and
 every label flip is a near-tie, |parent - log theta| <= 1e-9. The flip point
 is 0 for wmv, nn and map (every run uses theta = 1) and each log theta of
-detect.cfg for traces.
+detect.cfg for traces. A value that differs where either side is not finite
+(k-NN with k = 1 gives +-inf) fails the gate and is counted on its own; the
+largest relative change is reported over the pairs where both are finite.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 REL, NEAR_TIE = 1e-12, 1e-9
-# stream: (class, block entry point, the per-example method of older trees)
+# stream: (class, block entry point)
 HOOKS = {
-    "wmv": ("VotingKernel", "gwmv_block", "_gwmv_from_dists"),
-    "nn": ("VotingKernel", "knn_block", "_knn_from_dists"),
-    "map": ("MapKernel", "classify_block", "classify"),
-    "trace": ("VotingKernel", "log_lambda_many", "log_lambda_many"),
+    "wmv": ("VotingKernel", "gwmv_block"),
+    "nn": ("VotingKernel", "knn_block"),
+    "map": ("MapKernel", "classify_block"),
+    "trace": ("VotingKernel", "log_lambda_many"),
 }
 
 
@@ -56,9 +56,8 @@ def record(src: str, path: str) -> None:
     from tsvote.config import load_config, sweep_grid
 
     streams = {stream: {} for stream in HOOKS}
-    for stream, (cls_name, block, per_example) in HOOKS.items():
+    for stream, (cls_name, name) in HOOKS.items():
         cls = getattr(tsvote.classify, cls_name)
-        name = block if hasattr(cls, block) else per_example
 
         def wrapper(self, *args, _original=getattr(cls, name), _keys=streams[stream], **kwargs):
             out = _original(self, *args, **kwargs)
@@ -108,15 +107,17 @@ def compare(name: str, parent: dict, change: dict, points: list) -> bool:
         return False
     a, b = (np.array([x for key in sorted(run) for x in run[key]]) for run in (parent, change))
     same = (a == b) | (np.isnan(a) & np.isnan(b))
-    with np.errstate(invalid="ignore"):
-        rel = np.where(same, 0.0, np.abs(b - a) / np.maximum(1.0, np.abs(a)))
+    finite = np.isfinite(a) & np.isfinite(b)
+    rel = np.abs(b[finite] - a[finite]) / np.maximum(1.0, np.abs(a[finite]))
+    non_finite = int((~same & ~finite).sum())  # inf - inf has no relative size
     margins = np.concatenate([np.abs(a - p)[(a >= p) != (b >= p)] for p in points])
-    ok = bool(np.all(rel <= REL) and np.all(margins <= NEAR_TIE))
+    ok = bool(np.all(rel <= REL) and non_finite == 0 and np.all(margins <= NEAR_TIE))
     closest = min(np.abs(a - p).min(initial=math.inf) for p in points)
     print(
-        f"{name}: {a.size} values in {len(parent)} keys, {int((~same).sum())} differ, "
-        f"largest relative change {rel.max(initial=0.0):.3g}, {margins.size} flips, "
-        f"closest parent value to a flip point {closest:.3g}: {'ok' if ok else 'FAIL'}"
+        f"{name}: {a.size} values in {len(parent)} keys, {int((~same).sum())} differ "
+        f"({non_finite} not both finite), largest relative change {rel.max(initial=0.0):.3g}, "
+        f"{margins.size} flips, closest parent value to a flip point {closest:.3g}: "
+        f"{'ok' if ok else 'FAIL'}"
     )
     return ok
 
