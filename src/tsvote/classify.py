@@ -24,6 +24,12 @@ are the blocks of one. A block of no queries gives empty results. `_queries`
 checks every (P, T) block: a NaN or infinite observation raises ParamError
 rather than voting.
 
+The library calls `classify_gwmv`, `classify_knn`, `nearest_neighbor`,
+`lambda_ratio` and `classify_map` get their kernel from `_kernel`, which keeps
+the last VotingKernel and the last MapKernel built: repeated calls on the same
+dataset or model object with equal params reuse it instead of restacking the
+windows and recomputing their norms per call.
+
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
 underflows to a 0/0 ratio. A squared distance or gamma * distance overflowing
@@ -308,23 +314,41 @@ def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingPa
     return float(_log_votes(params.gamma, dists))
 
 
+# kernel class -> (dataset or model, params, kernel): the last kernel built
+_kept: dict = {}
+
+
+def _kernel(cls, source, params: VotingParams):
+    """The cls kernel (VotingKernel or MapKernel) of source and params: the kept
+    one if it was built for this very object and equal params, else a new one,
+    which is then kept instead. Datasets and models are immutable (tuples of
+    series with read-only values), so a kept kernel is never stale; a kept
+    kernel holds its source, so no other object can reuse its id. Threads that
+    race here may each build a kernel, and any one of them is kept: a lost
+    slot costs a rebuild, never a wrong verdict."""
+    kept = _kept.get(cls)
+    if kept is None or kept[0] is not source or kept[1] != params:
+        kept = _kept[cls] = (source, params, cls(source, params))
+    return kept[2]
+
+
 def lambda_ratio(s: TimeSeries, data: LabeledDataset, params: VotingParams) -> float:
     """log of the positive-to-negative vote ratio."""
-    return VotingKernel(data, params).log_lambda(s)
+    return _kernel(VotingKernel, data, params).log_lambda(s)
 
 
 def classify_gwmv(
     s: TimeSeries, data: LabeledDataset, params: VotingParams
 ) -> ClassificationOutcome:
     """Generalized weighted majority voting: +1 iff the vote ratio is >= theta."""
-    return VotingKernel(data, params).gwmv(s)
+    return _kernel(VotingKernel, data, params).gwmv(s)
 
 
 def classify_knn(
     s: TimeSeries, data: LabeledDataset, params: VotingParams, k: int
 ) -> ClassificationOutcome:
     """Weighted voting restricted to the k nearest examples; k=1 is plain nearest-neighbor."""
-    return VotingKernel(data, params).knn(s, k)
+    return _kernel(VotingKernel, data, params).knn(s, k)
 
 
 class MapKernel:
@@ -373,15 +397,14 @@ def classify_map(
     s: TimeSeries, sources: LatentSourceModel, params: VotingParams
 ) -> ClassificationOutcome:
     """Oracle posterior-ratio classifier; +1 iff the ratio is >= 1."""
-    return MapKernel(sources, params).classify(s)
+    return _kernel(MapKernel, sources, params).classify(s)
 
 
 def nearest_neighbor(
     s: TimeSeries, data: LabeledDataset, params: VotingParams
 ) -> tuple[TimeSeries, float, int, Label]:
     """Nearest training example, its distance, minimizing shift, and label."""
-    kernel = VotingKernel(data, params)
-    idx, dist, shift = kernel.nearest(s)
+    idx, dist, shift = _kernel(VotingKernel, data, params).nearest(s)
     example = data.examples()[idx]
     label = Label.POSITIVE if idx < data.n_pos else Label.NEGATIVE
     return example, dist, shift, label

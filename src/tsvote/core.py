@@ -10,9 +10,11 @@ voting and the oracle vote with, and the class gap's unpruned path), its
 its `minimum` the one bound-and-verify: the exact minimum of the grids from the
 expansion, verifying with `sq_dists` only the cells that can hold it. Callers
 check their queries; the engine assumes finite ones. `grid` and `minimum` take a
-block of queries and walk it in `blocks`, so that no temporary holds more than
-BLOCK_VALUES float64 values beyond what one query needs, however many queries
-the block has; a block of no queries gives empty grids and minima.
+block of queries and walk it in `blocks`, however many queries it has: no
+temporary of `grid` holds more than BLOCK_VALUES float64 values beyond one
+series' (S, T) differences, since a query whose differences do not fit is
+walked in blocks of series, and none of `minimum` more than that beyond one
+query's (n, S) expansion. A block of no queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ class Label(IntEnum):
         raise ParamError(f"label must be +1 or -1, got {value!r}")
 
 
+def _read_only(a) -> bool:
+    """True if neither a nor any array whose memory it views can be written."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A real-valued signal on the integer range [start_index, start_index + len - 1]."""
@@ -58,8 +67,8 @@ class TimeSeries:
             raise ParamError(f"series {self.id!r}: values must be non-empty")
         if not np.all(np.isfinite(arr)):
             raise ParamError(f"series {self.id!r}: values must be finite")
-        if arr is self.values and arr.flags.writeable:
-            arr = arr.copy()
+        if arr is self.values and not _read_only(arr):
+            arr = arr.copy()  # the caller could still write it, or the array it views
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "start_index", int(self.start_index))
@@ -346,11 +355,23 @@ class ShiftWindows:
 
     def grid(self, q: np.ndarray) -> np.ndarray:
         """(n, S) squared distances of a (T,) q to every window, or (P, n, S) of
-        each row of a (P, T) block: the exact reference."""
-        if q.ndim == 1:
-            return sq_dists(self.views, q)
-        parts = blocks(len(q), math.prod(self.views.shape))  # (p, n, S, T) differences
-        return np.concatenate([sq_dists(self.views, q[b, None, None]) for b in parts])
+        each row of a (P, T) block: the exact reference.
+
+        Tiles of queries and series hold at most BLOCK_VALUES differences: as
+        many whole queries as fit, or one query's series in blocks when it
+        alone does not fit. Each cell is still one sum along a contiguous row
+        of T squares, so it is bit for bit sq_dists(window, q).
+        """
+        Q = q if q.ndim == 2 else q[None]
+        (n, S, T), P = self.views.shape, len(Q)
+        out = np.empty((P, n, S))
+        with np.errstate(over="ignore"):  # as sq_dists: a distance beyond float64 is inf
+            for a in blocks(P, n * S * T):
+                for b in blocks(n, S * T):
+                    d = np.subtract(self.views[b], Q[a, None, None])  # (p, rows, S, T)
+                    np.square(d, out=d)
+                    d.sum(axis=-1, out=out[a, b])
+        return out if q.ndim == 2 else out[0]
 
     def query_blocks(self, count: int) -> list:
         """blocks of count queries whose expansion (n S values per query) and

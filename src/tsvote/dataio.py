@@ -6,6 +6,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -15,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import Label, LabeledDataset, Provenance, TimeSeries
-from .errors import ConfigError
+from .errors import ConfigError, ParamError
 from .pipeline import RateSeries
 from .synth import LatentSourceModel, NoiseSpec
 
@@ -65,17 +66,28 @@ def series_to_record(
     return rec
 
 
+@contextlib.contextmanager
+def _bad_record(where: str, kind: str):
+    """Reraise a malformed record's error as ConfigError("<where>: bad <kind>
+    record (...)"). A ParamError of a record read without a location (where is
+    empty) propagates as it is."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ParamError) as exc:
+        if isinstance(exc, ParamError) and not where:
+            raise
+        raise ConfigError(f"{where}: bad {kind} record ({exc})") from exc
+
+
 def record_to_series(rec: dict, where: str = "") -> tuple:
     """(TimeSeries, label or None, Provenance or None) from one JSONL record."""
-    try:
+    with _bad_record(where, "series"):
         ts = TimeSeries(int(rec["start_index"]), np.asarray(rec["values"], dtype=np.float64),
                         id=str(rec.get("id", "")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad series record ({exc})") from exc
-    label = Label.from_int(int(rec["label"])) if "label" in rec else None
-    prov = None
-    if "source_index" in rec:
-        prov = Provenance(int(rec["source_index"]), int(rec.get("shift", 0)))
+        label = Label.from_int(int(rec["label"])) if "label" in rec else None
+        prov = None
+        if "source_index" in rec:
+            prov = Provenance(int(rec["source_index"]), int(rec.get("shift", 0)))
     return ts, label, prov
 
 
@@ -160,15 +172,13 @@ def rate_to_record(rate: RateSeries) -> dict:
 
 
 def record_to_rate(rec: dict, where: str = "") -> RateSeries:
-    try:
+    with _bad_record(where, "rate"):
         return RateSeries(
             np.asarray(rec["counts"], dtype=np.float64),
             float(rec.get("bucket_width_minutes", 2.0)),
             str(rec.get("topic_id", "")),
             onset_index=rec.get("onset_index"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad rate record ({exc})") from exc
 
 
 def write_rates(path, rates: Sequence[RateSeries]) -> None:

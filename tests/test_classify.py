@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -23,11 +24,12 @@ from tsvote import (
     classify_map,
     lambda_ratio,
     log_vote_sum,
+    nearest_neighbor,
 )
 import tsvote.core as core
 from tsvote import dataio
-from tsvote.classify import MapKernel, VotingKernel, _log_votes, _tie_order
-from tsvote.core import expansion_slack
+from tsvote.classify import MapKernel, VotingKernel, _log_votes, _tie_order, _vote_ratio
+from tsvote.core import expansion_slack, sq_dists
 from tsvote.cli import main
 
 
@@ -708,17 +710,27 @@ class TestExactShiftMinimum:
             assert 0 < sum(verified) <= 2 * kernel.n
 
     def test_min_mode_calls_allocate_no_grid(self, rng):
+        # nor do the calls that read the grid itself: it is built in tiles
         T, dmax = 100, 20
         data, s = random_instance(rng, 100, 100, T=T, delta_max=dmax)
         kernel = VotingKernel(data, VotingParams(0.5, T, dmax))
+        summing = VotingKernel(data, VotingParams(0.5, T, dmax, shift_mode="sum"))
+        model = LatentSourceModel(
+            sources=tuple((series, label) for series, label, _ in data.draws()),
+            delta_max=dmax, noise=NoiseSpec("gaussian", 1.0), window_start=1, window_length=T,
+        )
+        oracle = MapKernel(model, VotingParams(0.5, T, dmax))  # two (1, 100, 21, T) grids
         grid_bytes = kernel.n * (2 * dmax + 1) * T * 8
         calls = {
+            "probe": lambda: np.ones(grid_bytes // 8),
             "min_dists": lambda: kernel.min_dists(s),
             "gwmv": lambda: kernel.gwmv(s),
             "knn": lambda: kernel.knn(s, 3),
             "nearest": lambda: kernel.nearest(s),
             "verdict_and_nearest": lambda: kernel.verdict_and_nearest(s),
             "shift_sq_dists": lambda: kernel.shift_sq_dists(s),
+            "sum-mode gwmv": lambda: summing.gwmv(s),
+            "MapKernel.classify": lambda: oracle.classify(s),
         }
         peaks = {}
         for name, call in calls.items():
@@ -729,7 +741,7 @@ class TestExactShiftMinimum:
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks.pop("shift_sq_dists") >= grid_bytes  # the probe sees the grid
+        assert peaks.pop("probe") >= grid_bytes  # the probe sees an array of the grid's size
         assert max(peaks.values()) < grid_bytes / 4, peaks
 
 
@@ -754,6 +766,19 @@ def block_bytes(block):
     pos, neg = block.per_class_log_votes
     return [block.labels.astype(np.int64).tobytes(), block.log_lambda.tobytes(),
             np.stack([pos, neg], axis=1).tobytes()]
+
+
+def random_model(rng, n_sources, T, delta_max, weights=None):
+    """A model of n_sources random sources, alternately positive and negative."""
+    sources = tuple(
+        (TimeSeries(1, rng.standard_normal(T + delta_max), id=f"v{i}"),
+         Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE)
+        for i in range(n_sources)
+    )
+    return LatentSourceModel(
+        sources=sources, weights=weights, delta_max=delta_max, noise=NoiseSpec("gaussian", 1.0),
+        window_start=1, window_length=T,
+    )
 
 
 class TestBlocks:
@@ -825,17 +850,8 @@ class TestBlocks:
             kernel.min_dists_block(Q[:, :-1])
 
     def oracle(self, rng, weights=None, gamma=0.5):
-        T, dmax = self.T, self.DMAX
-        sources = tuple(
-            (TimeSeries(1, rng.standard_normal(T + dmax), id=f"v{i}"),
-             Label.POSITIVE if i % 2 == 0 else Label.NEGATIVE)
-            for i in range(4)
-        )
-        model = LatentSourceModel(
-            sources=sources, weights=weights, delta_max=dmax, noise=NoiseSpec("gaussian", 1.0),
-            window_start=1, window_length=T,
-        )
-        return MapKernel(model, VotingParams(gamma, T, dmax))
+        model = random_model(rng, 4, self.T, self.DMAX, weights)
+        return MapKernel(model, VotingParams(gamma, self.T, self.DMAX))
 
     @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2)])
     def test_oracle_equals_the_per_query_path(self, rng, weights):
@@ -938,6 +954,132 @@ class TestBlocks:
             return [x] if isinstance(x, np.ndarray) else [a for part in x for a in arrays(part)]
 
         assert [a.shape for a in arrays(call())] == shapes
+
+
+class TestKernelReuse:
+    """The library calls keep the last VotingKernel and the last MapKernel they
+    built, and reuse it for the same dataset or model object with equal params."""
+
+    T, DMAX = 12, 3
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {VotingKernel: 0, MapKernel: 0}
+        for cls in counts:
+            def counting(self, source, params, _cls=cls, _init=cls.__init__):
+                counts[_cls] += 1
+                _init(self, source, params)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    def instance(self, rng):
+        data, _ = random_instance(rng, 6, 5, T=self.T, delta_max=self.DMAX)
+        model = random_model(rng, 4, self.T, self.DMAX)
+        Q = rng.standard_normal((5, self.T))
+        return data, model, [TimeSeries(1, q, id=f"q{p}") for p, q in enumerate(Q)]
+
+    @staticmethod
+    def calls(s, data, model, params):
+        example, dist, shift, label = nearest_neighbor(s, data, params)
+        return [
+            *outcome_bytes([classify_gwmv(s, data, params), classify_knn(s, data, params, 3),
+                            classify_map(s, model, params)]),
+            np.float64(lambda_ratio(s, data, params)).tobytes(),
+            (example.id, np.float64(dist).tobytes(), shift, label),
+        ]
+
+    @staticmethod
+    def fresh(s, data, model, params):
+        """What calls gives, from kernels built for this query alone."""
+        kernel = VotingKernel(data, params)
+        idx, dist, shift = kernel.nearest(s)
+        return [
+            *outcome_bytes([kernel.gwmv(s), kernel.knn(s, 3),
+                            MapKernel(model, params).classify(s)]),
+            np.float64(kernel.log_lambda(s)).tobytes(),
+            (data.examples()[idx].id, np.float64(dist).tobytes(), shift,
+             Label.POSITIVE if idx < data.n_pos else Label.NEGATIVE),
+        ]
+
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    def test_repeated_calls_build_one_kernel_each(self, rng, builds, shift_mode):
+        data, model, queries = self.instance(rng)
+        params = VotingParams(0.5, self.T, self.DMAX, shift_mode=shift_mode)
+        got = [self.calls(s, data, model, params) for s in queries]
+        assert builds == {VotingKernel: 1, MapKernel: 1}
+        assert got == [self.fresh(s, data, model, params) for s in queries]
+
+    @pytest.mark.parametrize(
+        "change",
+        ["another object", "equal copy", "gamma", "theta", "T", "delta_max", "shift_mode"],
+    )
+    def test_another_source_or_params_builds_anew(self, rng, builds, change):
+        data, model, queries = self.instance(rng)
+        params = VotingParams(0.5, self.T, self.DMAX)
+        other_data, other_model, other_params = data, model, params
+        if change == "another object":
+            other_data, other_model, _ = self.instance(rng)
+        elif change == "equal copy":
+            other_data = LabeledDataset(data.positives, data.negatives)
+            other_model = dataclasses.replace(model)
+            assert (other_data, other_model) == (data, model)
+        else:
+            value = {"gamma": 0.25, "theta": 2.0, "T": self.T - 2, "delta_max": self.DMAX - 1,
+                     "shift_mode": "sum"}[change]
+            other_params = dataclasses.replace(params, **{change: value})
+        s = queries[0]
+        first = self.calls(s, data, model, params)
+        assert builds == {VotingKernel: 1, MapKernel: 1}
+        second = self.calls(s, other_data, other_model, other_params)
+        assert builds == {VotingKernel: 2, MapKernel: 2}
+        again = self.calls(s, data, model, params)  # one kept kernel of each kind
+        assert builds == {VotingKernel: 3, MapKernel: 3}
+        assert first == again == self.fresh(s, data, model, params)
+        assert second == self.fresh(s, other_data, other_model, other_params)
+
+
+class TestTiledGrid:
+    """ShiftWindows.grid walks tiles of queries and series of at most
+    core.BLOCK_VALUES differences; every cell is bit for bit the untiled one."""
+
+    n, T, DMAX = 6, 150, 4  # rows longer than numpy's 128-value pairwise blocks
+
+    def block_values(self):
+        S = 2 * self.DMAX + 1
+        return [1, S * self.T - 1, S * self.T, self.n * S * self.T]
+
+    @pytest.mark.parametrize("P", [0, 1, 7])
+    def test_grid_equals_the_untiled_differences(self, rng, monkeypatch, P):
+        data, _ = random_instance(rng, 3, self.n - 3, T=self.T, delta_max=self.DMAX, scale=30.0)
+        windows = core.ShiftWindows(data.examples(), self.T, -self.DMAX, self.DMAX)
+        Q = rng.standard_normal((P, self.T))
+        want = sq_dists(windows.views, Q[:, None, None])
+        for values in self.block_values():
+            monkeypatch.setattr(core, "BLOCK_VALUES", values)
+            got = windows.grid(Q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), values
+            for p in range(P):
+                assert windows.grid(Q[p]).tobytes() == want[p].tobytes()
+
+    @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2, 0.0, 0.0)])
+    def test_sum_mode_and_oracle_votes_are_unchanged(self, rng, monkeypatch, weights):
+        data, _ = random_instance(rng, 3, self.n - 3, T=self.T, delta_max=self.DMAX)
+        kernel = VotingKernel(data, VotingParams(0.01, self.T, self.DMAX, shift_mode="sum"))
+        oracle = MapKernel(random_model(rng, 6, self.T, self.DMAX, weights),
+                           VotingParams(0.01, self.T, self.DMAX))
+        Q = rng.standard_normal((7, self.T))
+
+        def untiled(windows):
+            return sq_dists(windows.views, Q[:, None, None]).reshape(len(Q), -1)
+
+        wmv = kernel.gwmv_block(untiled(kernel._windows))
+        votes = _vote_ratio(0.01, untiled(oracle._pos), untiled(oracle._neg),
+                            oracle._logw_pos, oracle._logw_neg)
+        for values in self.block_values():
+            monkeypatch.setattr(core, "BLOCK_VALUES", values)
+            assert block_bytes(kernel.verdict_and_nearest_block(Q)[0]) == block_bytes(wmv)
+            assert oracle.classify_block(Q).log_lambda.tobytes() == votes[0].tobytes()
 
 
 class TestShiftInvariance:

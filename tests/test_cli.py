@@ -752,6 +752,42 @@ class TestExitCodes:
         assert flag in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "file, record",
+        [
+            ("rates", {"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 3.7}),
+            ("rates", {"counts": [1.0, -2.0, 3.0, 4.0]}),
+            ("rates", {"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 5}),
+            ("series", {"start_index": 1, "values": [0.5, float("nan"), 0.25, 1.0]}),
+            ("series", {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": 2}),
+            ("train", {"start_index": 1, "values": [0.5, float("inf"), 0.25, 1.0], "label": 1}),
+        ],
+    )
+    def test_a_bad_record_names_its_file_and_line(self, tmp_path, capsys, file, record):
+        # record errors that the series and rate types raise used to exit 3
+        # without the location that the reader's own checks give
+        good = {
+            "rates": {"counts": [1.0, 2.0, 3.0, 4.0]},
+            "series": {"start_index": 1, "values": [0.0, 1.0, 0.0, 1.0]},
+            "train": {"start_index": 1, "values": [0.0, 1.0, 0.0, 1.0], "label": -1},
+        }
+        paths = {name: tmp_path / f"{name}.jsonl" for name in good}
+        for name, path in paths.items():
+            lines = [good[name], record if name == file else good[name]]
+            if name == "train":
+                lines.append({**good[name], "label": 1})
+            dataio.write_jsonl(path, lines)
+        if file == "rates":
+            argv = ["preprocess", "--rates", str(paths["rates"])]
+        else:
+            argv = ["classify", "--train", str(paths["train"]), "--series", str(paths["series"]),
+                    "--T", "4", "--delta-max", "0"]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {paths[file]}:2: ") and err.count("\n") == 1, err
+        assert stdout == "" and not (out.exists() and any(out.iterdir()))
+
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "tsvote.cli", "bounds", "--out", str(tmp_path)],

@@ -45,6 +45,17 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
 
+    def test_a_read_only_view_of_writable_memory_is_copied(self):
+        # a kept kernel relies on a series never changing after it is built
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[1:]
+        view.setflags(write=False)
+        ts = TimeSeries(1, view)
+        base[1] = 9.0
+        assert ts.values.tolist() == [2.0, 3.0]
+        # a window of a series is already read-only throughout, so it is shared
+        assert np.shares_memory(TimeSeries(1, ts.window(1, 2)).values, ts.values)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ParamError):
             TimeSeries(1, [])

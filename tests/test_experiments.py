@@ -233,8 +233,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("values", [500, core.BLOCK_VALUES])
     def test_no_temporary_exceeds_the_block_size(self, values, monkeypatch):
-        # every (n, S, P) expansion and every sq_dists broadcast: the verified
-        # cells, and the oracle's (P, sources, shifts, T) differences
+        # every (n, S, P) expansion and every sq_dists broadcast of the verified
+        # cells; the oracle's grid tiles are bounded in test_classify.TestTiledGrid
         sizes = {"expansion": [], "sq_dists": []}
         expansion, direct = core.ShiftWindows.expansion, core.sq_dists
 

@@ -12,7 +12,8 @@ the same queries into different blocks record the same sequence per key. The
 runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
 detect` on configs/detect.cfg, one pass of perfbench's PoolStream at seed 0,
 then `tsvote generate` on configs/desk.cfg and `tsvote classify` of its
-test.jsonl with wmv, nn, knn --k 5 and map.
+test.jsonl with wmv, wmv --shift-mode sum (which votes on ShiftWindows.grid),
+nn, knn --k 5 and map.
 
 Exits 1 unless both trees record the same keys with the same number of values
 per key, every value has |change - parent| <= 1e-12 max(1, |parent|), and
@@ -85,14 +86,15 @@ def record(src: str, path: str) -> None:
         workloads.PoolStream(0, Path(work)).run_pass()
         data = f"{work}/data"
         cli("generate", "--config", desk, "--out", data)
-        for method, *source in (
+        for i, (method, *options) in enumerate((
             ("wmv", "--train", f"{data}/train.jsonl"),
+            ("wmv", "--train", f"{data}/train.jsonl", "--shift-mode", "sum"),
             ("nn", "--train", f"{data}/train.jsonl"),
             ("knn", "--train", f"{data}/train.jsonl", "--k", "5"),
             ("map", "--model", data),
-        ):
-            cli("classify", "--config", desk, *source, "--series", f"{data}/test.jsonl",
-                "--method", method, "--out", f"{work}/{method}")
+        )):
+            cli("classify", "--config", desk, *options, "--series", f"{data}/test.jsonl",
+                "--method", method, "--out", f"{work}/classify-{i}")
     points = {"wmv": [0.0], "nn": [0.0], "map": [0.0]}
     points["trace"] = [math.log(t) for t in sweep_grid(load_config(detect)).thetas]
     doc = {"source": tsvote.__file__, "streams": streams, "points": points}
