@@ -28,7 +28,10 @@ The library calls `classify_gwmv`, `classify_knn`, `nearest_neighbor`,
 `lambda_ratio` and `classify_map` get their kernel from `_kernel`, which keeps
 the last VotingKernel and the last MapKernel built: repeated calls on the same
 dataset or model object with equal params reuse it instead of restacking the
-windows and recomputing their norms per call.
+windows and recomputing their norms per call. A VotingKernel in turn keeps
+the shift minimum of the last series object it scored (`min_dists`), so
+`classify_gwmv` (min mode), `lambda_ratio`, `classify_knn` and
+`nearest_neighbor` on one series compute it once, in any order.
 
 All vote aggregation happens in log space with max-subtraction: gamma times a
 squared distance routinely reaches the thousands, where naive exponentiation
@@ -193,6 +196,7 @@ class VotingKernel:
         # voting distances per example: its minimum, or one per shift
         self._per_example = 1 if params.shift_mode == "min" else 2 * params.delta_max + 1
         self.width = self.n * self._per_example  # voting distances per query
+        self._last = (None, None, None)  # (series, dmin, shifts): min_dists' last result
 
     def shift_sq_dists(self, s: TimeSeries) -> np.ndarray:
         """(n, 2*delta_max+1) squared distances of s to every shifted window."""
@@ -207,9 +211,23 @@ class VotingKernel:
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Per-example minimum distance and its first minimizing shift: exactly
-        the min and first argmin of shift_sq_dists(s), without building it."""
-        dmin, shifts = self.min_dists_block(s.window(1, self.params.T)[None])
-        return dmin[0], shifts[0]
+        the min and first argmin of shift_sq_dists(s), without building it.
+
+        The kernel keeps the last series it scored with its (read-only)
+        results, so gwmv, knn, nearest and log_lambda on one series object
+        compute the minimum once; any other object, even an equal copy,
+        replaces it. Series values are read-only and the slot holds the series,
+        so its id cannot be reused and the kept minimum is never stale. The
+        slot is read and set as one tuple: threads that race here may each
+        compute a minimum, never read another series'.
+        """
+        last = self._last
+        if last[0] is not s:
+            dmin, shifts = self.min_dists_block(s.window(1, self.params.T)[None])
+            dmin, shifts = dmin[0], shifts[0]
+            dmin.flags.writeable = shifts.flags.writeable = False
+            last = self._last = (s, dmin, shifts)
+        return last[1], last[2]
 
     def _votes(self, D: np.ndarray) -> tuple:
         """_vote_ratio of voting distances whose last axis runs over the examples
@@ -260,8 +278,13 @@ class VotingKernel:
         return self.gwmv(s).log_lambda
 
     def gwmv(self, s: TimeSeries) -> ClassificationOutcome:
-        Q = s.window(1, self.params.T)[None]
-        return self._gwmv_from_dists(_vote_dists(self._windows, Q, self.params.shift_mode)[0])
+        """Voting verdict of s on the distances _vote_dists names: the kept
+        min_dists in min mode, the grid in sum mode."""
+        if self.params.shift_mode == "min":
+            d = self.min_dists(s)[0]
+        else:
+            d = _vote_dists(self._windows, s.window(1, self.params.T)[None], "sum")[0]
+        return self._gwmv_from_dists(d)
 
     def knn(self, s: TimeSeries, k: int) -> ClassificationOutcome:
         return self._knn_from_dists(self.min_dists(s)[0], k)

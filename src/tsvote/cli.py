@@ -194,7 +194,6 @@ def cmd_classify(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
     params = cfgmod.pipeline_params(cfg)
     if args.csv:
         rates = [
@@ -230,6 +229,7 @@ def cmd_preprocess(args) -> int:
         csv_rows.extend(
             (series.id, series.start_index + k, float(v)) for k, v in enumerate(series.values)
         )
+    out = _out_dir(cfg)
     dataio.write_jsonl(out / "preprocessed.jsonl", records)
     _write_csv(out / "preprocessed.csv", ["topic_id", "t", "value"], csv_rows)
     _emit({"command": "preprocess", "topics": len(records), "output_dir": str(out)})
@@ -238,7 +238,6 @@ def cmd_preprocess(args) -> int:
 
 def cmd_gap(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
     data = dataio.read_dataset(args.train)
     T, delta_max = cfg["voting.T"], cfg["voting.delta_max"]
     value = gap(data, T, delta_max)
@@ -251,6 +250,7 @@ def cmd_gap(args) -> int:
         "n_pos": data.n_pos,
         "n_neg": data.n_neg,
     }
+    out = _out_dir(cfg)
     _write_json(out / "gap.json", doc)
     _write_csv(out / "gap.csv", ["T", "delta_max", "gap"], [[T, delta_max, value]])
     _emit(doc)
@@ -352,7 +352,6 @@ def cmd_experiment(args) -> int:
 def cmd_detect(args) -> int:
     cfg = _load(args)
     grid, det_cfg = cfgmod.sweep_grid(cfg), cfgmod.detection_config(cfg)
-    out = _out_dir(cfg)
     if args.trends or args.non_trends:
         if not (args.trends and args.non_trends):
             raise ConfigError("provide both --trends and --non-trends, or neither")
@@ -378,6 +377,7 @@ def cmd_detect(args) -> int:
         "n_train": len(training),
         "n_test": len(corpus),
     }
+    out = _out_dir(cfg)
     _write_json(out / "roc.json", doc)
     _write_csv(
         out / "roc.csv",

@@ -186,10 +186,13 @@ def write_rates(path, rates: Sequence[RateSeries]) -> None:
 
 
 def read_rates(path) -> list[RateSeries]:
-    return [
+    rates = [
         record_to_rate(rec, where=f"{path}:{i}")
         for i, rec in enumerate(read_jsonl(path), start=1)
     ]
+    if not rates:
+        raise ConfigError(f"{path}: no rate records found")
+    return rates
 
 
 def read_rate_csv(

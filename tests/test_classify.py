@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -722,22 +724,24 @@ class TestExactShiftMinimum:
         oracle = MapKernel(model, VotingParams(0.5, T, dmax))  # two (1, 100, 21, T) grids
         grid_bytes = kernel.n * (2 * dmax + 1) * T * 8
         calls = {
-            "probe": lambda: np.ones(grid_bytes // 8),
-            "min_dists": lambda: kernel.min_dists(s),
-            "gwmv": lambda: kernel.gwmv(s),
-            "knn": lambda: kernel.knn(s, 3),
-            "nearest": lambda: kernel.nearest(s),
-            "verdict_and_nearest": lambda: kernel.verdict_and_nearest(s),
-            "shift_sq_dists": lambda: kernel.shift_sq_dists(s),
-            "sum-mode gwmv": lambda: summing.gwmv(s),
-            "MapKernel.classify": lambda: oracle.classify(s),
+            "probe": lambda q: np.ones(grid_bytes // 8),
+            "min_dists": lambda q: kernel.min_dists(q),
+            "gwmv": lambda q: kernel.gwmv(q),
+            "knn": lambda q: kernel.knn(q, 3),
+            "nearest": lambda q: kernel.nearest(q),
+            "verdict_and_nearest": lambda q: kernel.verdict_and_nearest(q),
+            "shift_sq_dists": lambda q: kernel.shift_sq_dists(q),
+            "sum-mode gwmv": lambda q: summing.gwmv(q),
+            "MapKernel.classify": lambda q: oracle.classify(q),
         }
         peaks = {}
         for name, call in calls.items():
-            call()  # warm up
+            call(s)  # warm up
+            # an equal copy of s: the kernel keeps s's minimum, not the copy's
+            fresh = TimeSeries(s.start_index, s.values, id=s.id)
             tracemalloc.start()
             try:
-                call()
+                call(fresh)
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -760,6 +764,12 @@ def outcome_bytes(outcomes):
         np.array([o.log_lambda for o in outcomes]).tobytes(),
         np.array([o.per_class_log_votes for o in outcomes]).tobytes(),
     ]
+
+
+def nearest_values(found):
+    """nearest_neighbor's example id, distance as bytes, shift and label."""
+    example, dist, shift, label = found
+    return example.id, np.float64(dist).tobytes(), shift, label
 
 
 def block_bytes(block):
@@ -1037,6 +1047,117 @@ class TestKernelReuse:
         assert builds == {VotingKernel: 3, MapKernel: 3}
         assert first == again == self.fresh(s, data, model, params)
         assert second == self.fresh(s, other_data, other_model, other_params)
+
+
+class TestKeptMinimum:
+    """A VotingKernel keeps the shift minimum of the last series object it
+    scored, so the README calls on one series compute it once, in any order."""
+
+    T, DMAX = 12, 3
+    CALLS = {
+        "gwmv": lambda s, data, p: outcome_bytes([classify_gwmv(s, data, p)]),
+        "knn 1": lambda s, data, p: outcome_bytes([classify_knn(s, data, p, 1)]),
+        "knn 5": lambda s, data, p: outcome_bytes([classify_knn(s, data, p, 5)]),
+        "nearest": lambda s, data, p: nearest_values(nearest_neighbor(s, data, p)),
+        "lambda_ratio": lambda s, data, p: np.float64(lambda_ratio(s, data, p)).tobytes(),
+    }
+
+    @pytest.fixture
+    def minima(self, monkeypatch):
+        """The number of ShiftWindows.minimum calls so far, as a list's length."""
+        calls = []
+        minimum = core.ShiftWindows.minimum
+
+        def counting(self, Q, axis):
+            calls.append(len(Q))
+            return minimum(self, Q, axis)
+
+        monkeypatch.setattr(core.ShiftWindows, "minimum", counting)
+        return calls
+
+    def instance(self, rng):
+        data, _ = random_instance(rng, 6, 5, T=self.T, delta_max=self.DMAX)
+        Q = rng.standard_normal((3, self.T))
+        return data, [TimeSeries(1, q, id=f"q{p}") for p, q in enumerate(Q)]
+
+    def fresh(self, s, data, params, names):
+        """Each named call on s from a kernel of its own: an equal copy of the
+        dataset builds a new kernel, which has kept no minimum."""
+        return [self.CALLS[name](s, LabeledDataset(data.positives, data.negatives), params)
+                for name in names]
+
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    @pytest.mark.parametrize(
+        "order",
+        [["gwmv", "knn 1", "knn 5", "nearest", "lambda_ratio"],
+         ["nearest", "knn 5", "lambda_ratio", "knn 1", "gwmv"]],
+    )
+    def test_the_readme_calls_on_one_series_compute_one_minimum(
+        self, rng, minima, shift_mode, order
+    ):
+        # in sum mode gwmv and lambda_ratio vote on the grid, and knn and
+        # nearest share the minimum
+        data, queries = self.instance(rng)
+        params = VotingParams(0.5, self.T, self.DMAX, shift_mode=shift_mode)
+        for s in queries:
+            before = len(minima)
+            got = [self.CALLS[name](s, data, params) for name in order]
+            assert len(minima) == before + 1
+            assert got == self.fresh(s, data, params, order)
+
+    def test_another_series_object_recomputes(self, rng, minima):
+        data, (s, t, _) = self.instance(rng)
+        copy = TimeSeries(s.start_index, s.values, id=s.id)
+        assert copy == s
+        params = VotingParams(0.5, self.T, self.DMAX)
+        sequence = [s, copy, s, t, s, t]
+        names = ["knn 5", "nearest", "gwmv"]
+        got = [[self.CALLS[name](q, data, params) for name in names] for q in sequence]
+        assert len(minima) == len(sequence)
+        assert got == [self.fresh(q, data, params, names) for q in sequence]
+
+    def test_the_kept_minimum_is_read_only(self, rng):
+        data, (s, _, _) = self.instance(rng)
+        params = VotingParams(0.5, self.T, self.DMAX)
+        kernel = VotingKernel(data, params)
+        dmin, shifts = kernel.min_dists(s)
+        for kept in (dmin, shifts):
+            with pytest.raises(ValueError):
+                kept[0] = 0
+        again = kernel.min_dists(s)
+        assert again[0] is dmin and again[1] is shifts
+        fresh = VotingKernel(data, params).min_dists(s)
+        assert (dmin.tobytes(), shifts.tobytes()) == (fresh[0].tobytes(), fresh[1].tobytes())
+
+    def test_threads_sharing_the_kernel_read_their_own_minimum(self, rng):
+        # three threads per series score it through the one kept kernel; a slot
+        # read or set in two steps could hand a thread another series' minimum
+        data, queries = self.instance(rng)
+        params = VotingParams(0.5, self.T, self.DMAX)
+        names = ["nearest", "knn 5"]
+        wrong = []
+
+        def work(s, want):
+            for _ in range(500):
+                if [self.CALLS[name](s, data, params) for name in names] != want:
+                    wrong.append(s.id)
+                    return
+
+        threads = [
+            threading.Thread(target=work, args=(s, self.fresh(s, data, params, names)))
+            for s in queries * 3
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestTiledGrid:

@@ -752,20 +752,27 @@ class TestExitCodes:
         assert flag in err
         assert not any(tmp_path.iterdir())
 
+    BAD_RECORDS = [
+        ("preprocess", "rates", {"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 3.7}),
+        ("preprocess", "rates", {"counts": [1.0, -2.0, 3.0, 4.0]}),
+        ("preprocess", "rates", {"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 5}),
+        ("classify", "series", {"start_index": 1, "values": [0.5, float("nan"), 0.25, 1.0]}),
+        ("classify", "series", {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": 2}),
+        ("classify", "train",
+         {"start_index": 1, "values": [0.5, float("inf"), 0.25, 1.0], "label": 1}),
+        ("gap", "train", {"start_index": 1, "values": [0.5, float("nan"), 0.25, 1.0], "label": 1}),
+        ("detect", "rates", {"counts": [1.0, -2.0, 3.0, 4.0]}),
+    ]
+
     @pytest.mark.parametrize(
-        "file, record",
-        [
-            ("rates", {"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 3.7}),
-            ("rates", {"counts": [1.0, -2.0, 3.0, 4.0]}),
-            ("rates", {"counts": [1.0, 2.0, 3.0, 4.0], "onset_index": 5}),
-            ("series", {"start_index": 1, "values": [0.5, float("nan"), 0.25, 1.0]}),
-            ("series", {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": 2}),
-            ("train", {"start_index": 1, "values": [0.5, float("inf"), 0.25, 1.0], "label": 1}),
-        ],
+        "command, file, record",
+        # ids name the file and the case, as they did before the command was a parameter
+        [pytest.param(*case, id=f"{case[1]}-record{i}") for i, case in enumerate(BAD_RECORDS)],
     )
-    def test_a_bad_record_names_its_file_and_line(self, tmp_path, capsys, file, record):
+    def test_a_bad_record_names_its_file_and_line(self, tmp_path, capsys, command, file, record):
         # record errors that the series and rate types raise used to exit 3
-        # without the location that the reader's own checks give
+        # without the location that the reader's own checks give; no command
+        # creates its output directory before its inputs are read
         good = {
             "rates": {"counts": [1.0, 2.0, 3.0, 4.0]},
             "series": {"start_index": 1, "values": [0.0, 1.0, 0.0, 1.0]},
@@ -777,16 +784,33 @@ class TestExitCodes:
             if name == "train":
                 lines.append({**good[name], "label": 1})
             dataio.write_jsonl(path, lines)
-        if file == "rates":
-            argv = ["preprocess", "--rates", str(paths["rates"])]
-        else:
-            argv = ["classify", "--train", str(paths["train"]), "--series", str(paths["series"]),
-                    "--T", "4", "--delta-max", "0"]
+        argv = {
+            "preprocess": ["preprocess", "--rates", str(paths["rates"])],
+            "classify": ["classify", "--train", str(paths["train"]),
+                         "--series", str(paths["series"]), "--T", "4", "--delta-max", "0"],
+            "gap": ["gap", "--train", str(paths["train"]), "--T", "4", "--delta-max", "0"],
+            "detect": ["detect", "--trends", str(paths["rates"]),
+                       "--non-trends", str(paths["rates"])],
+        }[command]
         out = tmp_path / "out"
         code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
         assert code == 1
         assert err.startswith(f"error: {paths[file]}:2: ") and err.count("\n") == 1, err
-        assert stdout == "" and not (out.exists() and any(out.iterdir()))
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "detect"])
+    def test_an_empty_rate_file_is_refused(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        argv = {
+            "preprocess": ["preprocess", "--rates", str(empty)],
+            "detect": ["detect", "--trends", str(empty), "--non-trends", str(empty)],
+        }[command]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: {empty}: no rate records found\n"
+        assert stdout == "" and not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -11,9 +11,11 @@ oracle; k for nn only), in call order within each key, so two trees that cut
 the same queries into different blocks record the same sequence per key. The
 runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
 detect` on configs/detect.cfg, one pass of perfbench's PoolStream at seed 0,
-then `tsvote generate` on configs/desk.cfg and `tsvote classify` of its
-test.jsonl with wmv, wmv --shift-mode sum (which votes on ShiftWindows.grid),
-nn, knn --k 5 and map.
+then nearest_neighbor, classify_knn (k = 5) and classify_gwmv, in that order,
+on each of its queries (so k-NN and voting read a shift minimum that another
+call computed), then `tsvote generate` on configs/desk.cfg and `tsvote
+classify` of its test.jsonl with wmv, wmv --shift-mode sum (which votes on
+ShiftWindows.grid), nn, knn --k 5 and map.
 
 Exits 1 unless both trees record the same keys with the same number of values
 per key, every value has |change - parent| <= 1e-12 max(1, |parent|), and
@@ -83,7 +85,12 @@ def record(src: str, path: str) -> None:
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
         cli("experiment", "--config", desk, "--set", "experiment.trials=2", "--out", f"{work}/exp")
         cli("detect", "--config", detect, "--out", f"{work}/detect")
-        workloads.PoolStream(0, Path(work)).run_pass()
+        pool = workloads.PoolStream(0, Path(work))
+        pool.run_pass()
+        for q in pool.queries:
+            tsvote.nearest_neighbor(q, pool.pool, pool.params)
+            tsvote.classify_knn(q, pool.pool, pool.params, pool.K)
+            tsvote.classify_gwmv(q, pool.pool, pool.params)
         data = f"{work}/data"
         cli("generate", "--config", desk, "--out", data)
         for i, (method, *options) in enumerate((
