@@ -3,8 +3,9 @@
 Every classifier here is a thin caller of one engine, `core.ShiftWindows`: the
 training windows (or, for the oracle, the sources) at every shift. Its `grid`
 is the full (examples, shifts) distance grid, its `expansion` the same
-distances from one GEMM within a stated bound, and its `minimum` the
-per-example minimum over shifts, bit for bit the grid's min and first argmin.
+distances from a GEMM per group of shifts within a stated bound, and its
+`minimum` the per-example minimum over shifts, bit for bit the grid's min and
+first argmin.
 `_vote_dists` is the one rule for the exact distances a query votes with: the
 minimum in `min` mode, every grid cell in `sum` mode and for the oracle; k-NN
 and nearest neighbor read the minimum, and batches in `log_lambda_many` vote
@@ -246,7 +247,9 @@ class VotingKernel:
 
         Each row votes with its k nearest examples (_tie_order), taken in
         insertion order. Rows that select the same number of positives vote as
-        one rectangular block, so each row accumulates as it would alone.
+        one rectangular block, so each row accumulates as it would alone. For
+        k = 1 the one example is the first minimizer, which argmin returns
+        without a sort (as in _nearest).
         """
         k = int(k)
         if k < 1:
@@ -254,7 +257,10 @@ class VotingKernel:
         if k > self.n:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
         D = _block(D, self.n)
-        selected = np.sort(_tie_order(D)[:, :k], axis=-1)  # back to insertion order
+        if k == 1:
+            selected = D.argmin(axis=-1)[:, None]
+        else:
+            selected = np.sort(_tie_order(D)[:, :k], axis=-1)  # back to insertion order
         d = D[np.arange(len(D))[:, None], selected]
         positives = (selected < self.n_pos).sum(axis=-1)
         votes = np.empty((3, len(D)))

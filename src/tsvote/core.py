@@ -5,16 +5,18 @@ outside that range raises SupportError rather than fabricating zeros. All types
 here are immutable and all operations are pure functions, except that
 ShiftWindows, the one builder of shifted windows, computes its norms on first
 use. Its `grid` is the direct `sq_dists` reference (the cells that sum-mode
-voting and the oracle vote with, and the class gap's unpruned path), its
-`expansion` the GEMM form of the same distances with their rounding bound, and
-its `minimum` the one bound-and-verify: the exact minimum of the grids from the
-expansion, verifying with `sq_dists` only the cells that can hold it. Callers
-check their queries; the engine assumes finite ones. `grid` and `minimum` take a
-block of queries and walk it in `blocks`, however many queries it has: no
-temporary of `grid` holds more than BLOCK_VALUES float64 values beyond one
-series' (S, T) differences, since a query whose differences do not fit is
-walked in blocks of series, and none of `minimum` more than that beyond one
-query's (n, S) expansion. A block of no queries gives empty grids and minima.
+voting and the oracle vote with, and the class gap's unpruned path), built in
+long contiguous passes over one reused tile; its `expansion` the GEMM form of
+the same distances with their rounding bound, one banded GEMM per group of
+SHIFT_GROUP shifts; and its `minimum` the one bound-and-verify: the exact
+minimum of the grids from the expansion, verifying with `sq_dists` only the
+cells that can hold it. Callers check their queries; the engine assumes finite
+ones. `grid` and `minimum` take a block of queries and walk it in `blocks`,
+however many queries it has: no temporary of `grid` holds more than
+BLOCK_VALUES float64 values beyond one series' (S, T) differences, since a
+query whose differences do not fit is walked in blocks of series, and none of
+`minimum` more than that beyond one query's (n, S) expansion. A block of no
+queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -311,6 +313,10 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # so that memory stays bounded however many queries or cells a call is given
 BLOCK_VALUES = 65536
 
+# shifts per GEMM in ShiftWindows.expansion: a group of SHIFT_GROUP placements
+# multiplies only the SHIFT_GROUP + T - 1 row values it touches, not all L
+SHIFT_GROUP = 32
+
 
 def blocks(count: int, size: int) -> list:
     """Slices that cover range(count) in order, each of at most
@@ -359,23 +365,39 @@ class ShiftWindows:
 
         Tiles of queries and series hold at most BLOCK_VALUES differences: as
         many whole queries as fit, or one query's series in blocks when it
-        alone does not fit. Each cell is still one sum along a contiguous row
-        of T squares, so it is bit for bit sq_dists(window, q).
+        alone does not fit. Every tile reuses one buffer: the windows are
+        copied in, then the block's queries, each repeated S times, are
+        subtracted along rows of S T values, so each pass is long and
+        contiguous. Each cell is still one sum along a contiguous row of T
+        squares, so it is bit for bit sq_dists(window, q).
         """
         Q = q if q.ndim == 2 else q[None]
         (n, S, T), P = self.views.shape, len(Q)
         out = np.empty((P, n, S))
+        query_tiles, series_tiles = blocks(P, n * S * T), blocks(n, S * T)
+        # the first tile is the largest: one buffer for every tile's differences
+        # and one for its queries, each repeated S times
+        p, r = len(Q[query_tiles[0]]), len(self.views[series_tiles[0]])
+        tile, repeated = np.empty(p * r * S * T), np.empty((p, S, T))
         with np.errstate(over="ignore"):  # as sq_dists: a distance beyond float64 is inf
-            for a in blocks(P, n * S * T):
-                for b in blocks(n, S * T):
-                    d = np.subtract(self.views[b], Q[a, None, None])  # (p, rows, S, T)
-                    np.square(d, out=d)
+            for a in query_tiles:
+                p = len(Q[a])
+                np.copyto(repeated[:p], Q[a, None])
+                queries = repeated[:p].reshape(p, 1, S * T)
+                for b in series_tiles:
+                    r = len(self.views[b])
+                    d = tile[: p * r * S * T].reshape(p, r, S, T)
+                    np.copyto(d, self.views[b])
+                    flat = d.reshape(p, r, S * T)
+                    np.subtract(flat, queries, out=flat)
+                    np.square(flat, out=flat)
                     d.sum(axis=-1, out=out[a, b])
         return out if q.ndim == 2 else out[0]
 
     def query_blocks(self, count: int) -> list:
         """blocks of count queries whose expansion (n S values per query) and
-        GEMM stack (S L per query) together hold at most BLOCK_VALUES values."""
+        GEMM stack (at most S L per query) together hold at most BLOCK_VALUES
+        values."""
         (n, S), L = self.views.shape[:2], self.rows.shape[1]
         return blocks(count, S * (n + L))
 
@@ -385,14 +407,19 @@ class ShiftWindows:
         both d~ and sq_dists(w, q) lie from the exact distance. If a squared
         norm overflows, (the exact grids, None).
 
-        One GEMM of the rows against the S P placements (q at offset j in zeros)
-        gives every w.q. Let N = R_i + |q|^2, with R_i the squared norm of row i,
+        GEMMs of the rows against the S P placements (q at offset j in zeros)
+        give every w.q, one per group of SHIFT_GROUP shifts, of only the
+        SHIFT_GROUP + T - 1 row values its placements touch (a banded GEMM: the
+        rest of each placement is zeros); with S <= SHIFT_GROUP that is one GEMM
+        of the whole rows. A group's dot products may round differently from
+        the whole rows', but each still has at most L terms, so the bound below
+        holds unchanged. Let N = R_i + |q|^2, with R_i the squared norm of row i,
         and g = (L+4)u / (1 - (L+4)u). Then the cumulative-sum |w|^2 is within
-        3g R_i of exact, 2 w.q (L products) within g (|w|^2 + |q|^2) <= g N,
-        |q|^2 within g |q|^2, the two additions within g N, and sq_dists
-        (T squares) within g D <= 2g N of the exact distance D. So both lie
-        within 7g N of D, and eps = 8g N + 4 (L+4) tiny (expansion_slack)
-        leaves room for second-order and subnormal rounding.
+        3g R_i of exact, 2 w.q (at most L products) within g (|w|^2 + |q|^2)
+        <= g N, |q|^2 within g |q|^2, the two additions within g N, and
+        sq_dists (T squares) within g D <= 2g N of the exact distance D. So
+        both lie within 7g N of D, and eps = 8g N + 4 (L+4) tiny
+        (expansion_slack) leaves room for second-order and subnormal rounding.
         """
         (n, L), S, P = self.rows.shape, self.views.shape[1], Q.shape[0]
         window_sq, row_sq = self.norms
@@ -400,16 +427,29 @@ class ShiftWindows:
             q_sq = np.einsum("ij,ij->i", Q, Q)
         if not math.isfinite(4.0 * (float(row_sq.max()) + float(q_sq.max(initial=0.0)))):
             return np.moveaxis(self.grid(Q), 0, -1), None
-        # S copies of the block of queries zero-padded to L values, each with one
-        # more zero: read as rows of L values, copy j moves right by j, so row
-        # j P + p of the stack is Q[p] at offset j (a Toeplitz stack)
-        block = np.zeros((P, L))
+        # B copies of the block of queries zero-padded to k = B + T - 1 values,
+        # each with one more zero: read as rows of k values, copy j moves right
+        # by j, so row j P + p of the stack is Q[p] at offset j (a Toeplitz stack)
+        B = min(S, SHIFT_GROUP)
+        k = B + self.T - 1
+        block = np.zeros((P, k))
         block[:, : self.T] = Q
-        stack = np.zeros((S, P * L + 1))
+        stack = np.zeros((B, P * k + 1))
         stack[:, :-1] = block.reshape(-1)
-        cross = (self.rows @ stack.reshape(-1)[: S * P * L].reshape(S * P, L).T).reshape(n, S, P)
+        stack = stack.reshape(-1)[: B * P * k].reshape(B * P, k)
+        # shifts j0..j0+b-1 read only the row values j0..j0+b+T-2, and their
+        # placements are the first b P rows of the stack on those values; with
+        # S <= SHIFT_GROUP that is one GEMM of the whole rows (k = L)
+        cross = np.empty((n, S * P))
+        for j0 in range(0, S, B):
+            b = min(B, S - j0)
+            np.matmul(
+                self.rows[:, j0 : j0 + b + self.T - 1],
+                stack[: b * P, : b + self.T - 1].T,
+                out=cross[:, j0 * P : (j0 + b) * P],
+            )
         # in place, rounding as window_sq - 2 cross + q_sq: -2c is exact and w + (-2c) is w - 2c
-        d = cross
+        d = cross.reshape(n, S, P)
         d *= -2.0
         d += window_sq[:, :, None]
         d += q_sq

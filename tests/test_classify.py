@@ -213,6 +213,26 @@ class TestKnn:
             assert full.label == vote.label
             assert full.log_lambda == vote.log_lambda  # identical accumulation order
 
+    def test_k1_is_the_first_example_in_tie_order(self, rng):
+        # distances in {0, 1, 2} tie across classes in most rows, and the first
+        # row ties everywhere; k = 1 selects by argmin, which must be the
+        # example that _tie_order ranks first
+        data, _ = random_instance(rng, 3, 4, T=4, delta_max=1)
+        kernel = VotingKernel(data, VotingParams(0.5, 4, 1))
+        D = rng.integers(0, 3, size=(60, kernel.n)).astype(np.float64)
+        D[0] = 1.0
+        first = _tie_order(D)[:, 0]
+        want = [
+            _vote_ratio(0.5, d[[i]][: int(i < kernel.n_pos)], d[[i]][int(i < kernel.n_pos):])
+            for d, i in zip(D, first)
+        ]
+        ratio, pos, neg = (np.array(values) for values in zip(*want))
+        assert (first < kernel.n_pos).any() and (first >= kernel.n_pos).any()
+        assert block_bytes(kernel.knn_block(D, 1)) == [
+            np.where(ratio >= 0.0, 1, -1).astype(np.int64).tobytes(), ratio.tobytes(),
+            np.stack([pos, neg], axis=1).tobytes(),
+        ]
+
     def test_knn_restricts_votes(self):
         # two far positives, one near negative: k=1 sees only the negative
         data = LabeledDataset(
@@ -1183,6 +1203,32 @@ class TestTiledGrid:
             for p in range(P):
                 assert windows.grid(Q[p]).tobytes() == want[p].tobytes()
 
+    @pytest.mark.parametrize("P", [1, 7])
+    def test_grid_holds_one_tile(self, rng, monkeypatch, P):
+        # beyond its output, grid allocates one tile of differences and one
+        # block of queries repeated S times; a tile allocated per pass would
+        # show here as a second tile. Every tile has more than 8192 values
+        # (numpy's ufunc buffer), so numpy buffers none of it; 4 kB covers
+        # numpy's iterators and the array headers
+        n, T, dmax = 6, 300, 15
+        data, _ = random_instance(rng, 3, n - 3, T=T, delta_max=dmax)
+        windows = core.ShiftWindows(data.examples(), T, -dmax, dmax)
+        Q = rng.standard_normal((P, T))
+        S = windows.views.shape[1]
+        for values in (1, S * T, n * S * T):
+            monkeypatch.setattr(core, "BLOCK_VALUES", values)
+            queries = min(P, max(1, values // (n * S * T)))
+            series = min(n, max(1, values // (S * T)))
+            allowed = 8 * (P * n * S + queries * series * S * T + queries * S * T)
+            windows.grid(Q)  # warm up
+            tracemalloc.start()
+            try:
+                windows.grid(Q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= allowed + 4096, (values, peak, allowed)
+
     @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2, 0.0, 0.0)])
     def test_sum_mode_and_oracle_votes_are_unchanged(self, rng, monkeypatch, weights):
         data, _ = random_instance(rng, 3, self.n - 3, T=self.T, delta_max=self.DMAX)
@@ -1201,6 +1247,52 @@ class TestTiledGrid:
             monkeypatch.setattr(core, "BLOCK_VALUES", values)
             assert block_bytes(kernel.verdict_and_nearest_block(Q)[0]) == block_bytes(wmv)
             assert oracle.classify_block(Q).log_lambda.tobytes() == votes[0].tobytes()
+
+
+class TestBandedExpansion:
+    """ShiftWindows.expansion multiplies each group of core.SHIFT_GROUP shifts
+    by the row values it touches: d~ stays within eps of the grid, and the
+    minimum stays the grid's min and first argmin bit for bit."""
+
+    n, T = 5, 12
+
+    def windows(self, rng, S):
+        # an offset makes the norms dwarf the distances, so d~ rounds
+        seriess = [
+            TimeSeries(1, 1e3 + rng.standard_normal(self.T + S - 1), id=f"r{i}")
+            for i in range(self.n)
+        ]
+        return core.ShiftWindows(seriess, self.T, 0, S - 1)
+
+    @pytest.mark.parametrize("S", [31, 32, 33, 65, 201])
+    @pytest.mark.parametrize("P", [0, 1, 3])
+    def test_expansion_bounds_the_grid_and_minimum_is_exact(self, rng, S, P):
+        windows = self.windows(rng, S)
+        Q = 1e3 + rng.standard_normal((P, self.T))
+        grid = np.moveaxis(windows.grid(Q), 0, -1)  # (n, S, P)
+        assert windows.views.shape[1] == S
+        d, eps = windows.expansion(Q)
+        assert d.shape == grid.shape and eps.shape == (self.n, P)
+        assert np.all(np.abs(d - grid) <= eps[:, None, :])
+        dmin, j = windows.minimum(Q, 1)
+        assert dmin.tobytes() == grid.min(axis=1).tobytes()
+        assert j.tobytes() == grid.argmin(axis=1).tobytes()
+
+    @pytest.mark.parametrize("S", [1, 15, 21, 31, 32])
+    def test_up_to_a_group_of_shifts_is_one_gemm_of_the_whole_rows(self, rng, S):
+        # the formula before the groups, inline: desk (21 shifts) and detect
+        # (15) traces read it, so it must not move
+        windows = self.windows(rng, S)
+        Q = 1e3 + rng.standard_normal((3, self.T))
+        (n, L), P = windows.rows.shape, len(Q)
+        block = np.zeros((P, L))
+        block[:, : self.T] = Q
+        stack = np.zeros((S, P * L + 1))
+        stack[:, :-1] = block.reshape(-1)
+        cross = windows.rows @ stack.reshape(-1)[: S * P * L].reshape(S * P, L).T
+        want = cross.reshape(n, S, P) * -2.0 + windows.norms[0][:, :, None]
+        want += np.einsum("ij,ij->i", Q, Q)
+        assert windows.expansion(Q)[0].tobytes() == want.tobytes()
 
 
 class TestShiftInvariance:

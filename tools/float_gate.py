@@ -10,11 +10,14 @@ kept under a (T, n, k) key per stream (n is the training size, None for the
 oracle; k for nn only), in call order within each key, so two trees that cut
 the same queries into different blocks record the same sequence per key. The
 runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
-detect` on configs/detect.cfg, one pass of perfbench's PoolStream at seed 0,
-then nearest_neighbor, classify_knn (k = 5) and classify_gwmv, in that order,
-on each of its queries (so k-NN and voting read a shift minimum that another
-call computed), then `tsvote generate` on configs/desk.cfg and `tsvote
-classify` of its test.jsonl with wmv, wmv --shift-mode sum (which votes on
+detect` on configs/detect.cfg (15 shifts), and again with detection.h_hours =
+1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, so its traces
+come from the banded GEMM, a last group of one shift included, and sit under a
+key of their own), one pass of perfbench's PoolStream at seed 0, then
+nearest_neighbor, classify_knn (k = 5) and classify_gwmv, in that order, on
+each of its queries (so k-NN and voting read a shift minimum that another call
+computed), then `tsvote generate` on configs/desk.cfg and `tsvote classify` of
+its test.jsonl with wmv, wmv --shift-mode sum (which votes on
 ShiftWindows.grid), nn, knn --k 5 and map.
 
 Exits 1 unless both trees record the same keys with the same number of values
@@ -85,6 +88,8 @@ def record(src: str, path: str) -> None:
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
         cli("experiment", "--config", desk, "--set", "experiment.trials=2", "--out", f"{work}/exp")
         cli("detect", "--config", detect, "--out", f"{work}/detect")
+        cli("detect", "--config", detect, "--set", "detection.h_hours=1.6",
+            "--set", "detection.T=16", "--out", f"{work}/detect-wide")
         pool = workloads.PoolStream(0, Path(work))
         pool.run_pass()
         for q in pool.queries:
