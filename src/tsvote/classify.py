@@ -46,11 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Label, LabeledDataset, ShiftWindows, TimeSeries, VotingParams
+from .core import Label, LabeledDataset, ShiftWindows, TimeSeries, VotingParams, blocks
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -191,13 +192,22 @@ class VotingKernel:
         data.require_both_classes()
         self.data = data
         self.params = params
-        self._windows = ShiftWindows(data.examples(), params.T, -params.delta_max, params.delta_max)
         self.n_pos = data.n_pos
         self.n = data.n
         # voting distances per example: its minimum, or one per shift
         self._per_example = 1 if params.shift_mode == "min" else 2 * params.delta_max + 1
         self.width = self.n * self._per_example  # voting distances per query
         self._last = (None, None, None)  # (series, dmin, shifts): min_dists' last result
+
+    @cached_property
+    def _windows(self) -> ShiftWindows:
+        """The examples at every shift, stacked on first use: a kernel that only
+        votes on distances it is given (gwmv_block, knn_block) never stacks
+        them, and one whose examples lack the shifted range raises
+        SupportError there. Threads that race on first use may each stack
+        them; one of the equal results is kept."""
+        p = self.params
+        return ShiftWindows(self.data.examples(), p.T, -p.delta_max, p.delta_max)
 
     def shift_sq_dists(self, s: TimeSeries) -> np.ndarray:
         """(n, 2*delta_max+1) squared distances of s to every shifted window."""
@@ -325,6 +335,13 @@ class VotingKernel:
         is then within 2 eps_i of the direct path's, and a class's log vote moves
         by at most gamma times the largest change of its distances, so a row is
         within 4 gamma max_i eps_i of gwmv's log ratio, plus log-sum-exp rounding.
+
+        The (n, S, P) expansion of the whole block is the one engine temporary
+        that BLOCK_VALUES does not bound: a detection trace of P positions
+        makes one, (200, 33, 97) per call in a 33-shift detect run, about ten
+        times BLOCK_VALUES. It is not split into query_blocks because a GEMM
+        over fewer queries' placements can round differently, which would move
+        the traces at rounding level.
         """
         d = self._windows.expansion(_queries(observations, self.params.T))[0]
         np.maximum(d, 0.0, out=d)
@@ -414,12 +431,21 @@ class MapKernel:
 
     def classify_block(self, Q: np.ndarray) -> BlockOutcome:
         """Verdicts of the rows of a (P, T) block of query windows: row p is
-        classify of a series whose [1, T] window is Q[p]."""
+        classify of a series whose [1, T] window is Q[p].
+
+        The queries are walked in core.blocks of width cells each, so the two
+        grids and the vote temporaries of a chunk hold at most BLOCK_VALUES
+        values each; rows vote independently, so the chunks change no bit."""
         Q = _queries(Q, self.params.T)
-        pos, neg = (_vote_dists(w, Q, "sum") for w in (self._pos, self._neg))
-        votes = _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
+        chunks = [self._votes(Q[b]) for b in blocks(len(Q), self.width)]
+        votes = chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
         # decision threshold fixed at a ratio of 1; theta plays no role here
         return _outcome(votes, 0.0)
+
+    def _votes(self, Q: np.ndarray) -> tuple:
+        """_vote_ratio of the rows of a (P, T) block against both classes' grids."""
+        pos, neg = (_vote_dists(w, Q, "sum") for w in (self._pos, self._neg))
+        return _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
 
 
 def classify_map(

@@ -9,14 +9,17 @@ voting and the oracle vote with, and the class gap's unpruned path), built in
 long contiguous passes over one reused tile; its `expansion` the GEMM form of
 the same distances with their rounding bound, one banded GEMM per group of
 SHIFT_GROUP shifts; and its `minimum` the one bound-and-verify: the exact
-minimum of the grids from the expansion, verifying with `sq_dists` only the
-cells that can hold it. Callers check their queries; the engine assumes finite
-ones. `grid` and `minimum` take a block of queries and walk it in `blocks`,
-however many queries it has: no temporary of `grid` holds more than
-BLOCK_VALUES float64 values beyond one series' (S, T) differences, since a
-query whose differences do not fit is walked in blocks of series, and none of
-`minimum` more than that beyond one query's (n, S) expansion. A block of no
-queries gives empty grids and minima.
+minimum of the grids from the expansion, computing with `sq_dists` only the
+candidate cells that can hold it. Where each minimum has one candidate, that
+cell is the first minimizer and the whole result; only where candidates tie
+are they written into the expansion to take its first argmin. Callers check
+their queries; the engine assumes finite ones. `grid` and `minimum` take a
+block of queries and walk it in `blocks`, however many queries it has: no
+temporary of `grid` holds more than BLOCK_VALUES float64 values beyond one
+series' (S, T) differences, since a query whose differences do not fit is
+walked in blocks of series, and none of `minimum` more than that beyond one
+query's (n, S) expansion and its mask, which every block of a call reuses. A
+block of no queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -300,13 +303,19 @@ def stacked_windows(seriess: Sequence[TimeSeries], first: int, last: int) -> np.
     return np.stack([ts.window(first, last) for ts in seriess])
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_dists(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared Euclidean distances along the last axis, broadcasting a against b.
 
-    A distance beyond float64 is +inf (numpy need not warn about it).
+    A distance beyond float64 is +inf (numpy need not warn about it). out, a
+    C-ordered array of the broadcast shape (a itself, say), holds the squared
+    differences instead of fresh temporaries; the sums are the same floats.
     """
     with np.errstate(over="ignore"):
-        return ((a - b) ** 2).sum(axis=-1)
+        if out is None:
+            return ((a - b) ** 2).sum(axis=-1)
+        np.subtract(a, b, out=out)
+        np.square(out, out=out)
+        return out.sum(axis=-1)
 
 
 # float64 values (0.5 MB) that the temporaries of one block of work may hold,
@@ -321,8 +330,9 @@ SHIFT_GROUP = 32
 def blocks(count: int, size: int) -> list:
     """Slices that cover range(count) in order, each of at most
     BLOCK_VALUES // size items (at least one): the blocks of items that take
-    size values each. An empty range is one empty slice."""
-    step = max(1, BLOCK_VALUES // size)
+    size values each (all of them when size is 0). An empty range is one empty
+    slice."""
+    step = max(1, BLOCK_VALUES // max(size, 1))
     return [slice(i, i + step) for i in range(0, max(count, 1), step)]
 
 
@@ -401,11 +411,14 @@ class ShiftWindows:
         (n, S), L = self.views.shape[:2], self.rows.shape[1]
         return blocks(count, S * (n + L))
 
-    def expansion(self, Q: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def expansion(
+        self, Q: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(d~, eps): the (n, S, P) d~ = |w|^2 - 2 w.q + |q|^2 of every window w
         and row q of the (P, T) block Q, and the (n, P) eps that bounds how far
         both d~ and sq_dists(w, q) lie from the exact distance. If a squared
-        norm overflows, (the exact grids, None).
+        norm overflows, (the exact grids, None). out, a flat float64 buffer of
+        at least n S P values, holds d~ instead of a fresh array.
 
         GEMMs of the rows against the S P placements (q at offset j in zeros)
         give every w.q, one per group of SHIFT_GROUP shifts, of only the
@@ -440,7 +453,7 @@ class ShiftWindows:
         # shifts j0..j0+b-1 read only the row values j0..j0+b+T-2, and their
         # placements are the first b P rows of the stack on those values; with
         # S <= SHIFT_GROUP that is one GEMM of the whole rows (k = L)
-        cross = np.empty((n, S * P))
+        cross = (np.empty(n * S * P) if out is None else out[: n * S * P]).reshape(n, S * P)
         for j0 in range(0, S, B):
             b = min(B, S - j0)
             np.matmul(
@@ -461,25 +474,47 @@ class ShiftWindows:
         shifts for each row and query, axis=None over the whole block.
 
         A cell holding the minimum has d~ <= min(d~) + 2 max(eps) over the axis
-        (see expansion); sq_dists recomputes exactly those cells, every other
-        cell is +inf, and argmin picks the first minimizer. With axis=1 the
-        queries are independent, so Q is taken in query_blocks; axis=None takes
-        Q whole, so its caller bounds it (gapbounds.gap does).
+        (see expansion), so only these candidate cells are recomputed, with
+        sq_dists. When every group (a row and query, or the whole block) has
+        one candidate, that cell alone can hold the minimum, so it is the first
+        minimizer, and only those cells are computed. Otherwise (ties: constant
+        or duplicated series) every candidate is recomputed into the expansion,
+        every other cell is set to +inf, and argmin picks the first minimizer.
+        With axis=1 the queries are independent, so Q is taken in query_blocks,
+        and every block reuses the work arrays of the first, the largest: the
+        expansion and its candidate mask. axis=None takes Q whole, so its caller
+        bounds it (gapbounds.gap does).
         """
         if axis is None:
-            return self._block_minimum(Q, None)
-        parts = [self._block_minimum(Q[b], 1) for b in self.query_blocks(len(Q))]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+            return self._block_minimum(Q, None, *self._work(len(Q)))
+        n, P = len(self.views), len(Q)
+        parts = self.query_blocks(P)
+        work = self._work(len(Q[parts[0]]))
+        dmin, j = np.empty((n, P)), np.empty((n, P), dtype=np.intp)
+        for b in parts:
+            dmin[:, b], j[:, b] = self._block_minimum(Q[b], 1, *work)
+        return dmin, j
 
-    def _block_minimum(self, Q: np.ndarray, axis: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-        """minimum of Q as one block: one expansion, then the verify."""
-        d, eps = self.expansion(Q)
+    def _work(self, P: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat work arrays for blocks of up to P queries: room for the (n, S,
+        P) expansion and for its candidate mask."""
+        size = math.prod(self.views.shape[:2]) * P
+        return np.empty(size), np.empty(size, dtype=bool)
+
+    def _block_minimum(
+        self, Q: np.ndarray, axis: Optional[int], values: np.ndarray, flags: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """minimum of Q as one block: the expansion, written into values, then
+        the verify, with the candidate mask written into flags."""
+        d, eps = self.expansion(Q, out=values)
         if eps is not None:
             slack = 2.0 * (eps[:, None] if axis == 1 else eps.max())
+            low = _min_over_shifts(d) if axis == 1 else d.min(keepdims=True)
+            candidates = np.less_equal(d, low + slack, out=flags[: d.size].reshape(d.shape))
+            if np.count_nonzero(candidates) == low.size:  # one candidate per group
+                return self._verify_candidates(Q, candidates.argmax(axis=axis))
             # flat indices: a 3-D np.nonzero costs ~20x more at P = 1
-            cells = np.flatnonzero(d <= d.min(axis=axis, keepdims=True) + slack)
+            cells = np.flatnonzero(candidates)
             rows, shifts, queries = np.unravel_index(cells, d.shape)
             d.fill(np.inf)
             # the windows, the queries and their differences: 3 T values a cell,
@@ -493,3 +528,37 @@ class ShiftWindows:
             return d.reshape(-1)[j], j
         # a gather: a min over many short rows costs several times the argmin
         return d[np.arange(d.shape[0])[:, None], j, np.arange(d.shape[2])], j
+
+    def _verify_candidates(self, Q: np.ndarray, j) -> tuple:
+        """minimum of Q when each group has one candidate, at j: the (n, P)
+        shifts of the candidates (axis=1), or the flat index of the block's
+        one candidate in (n, S, P) (axis=None). With axis=1 the windows of
+        those cells are gathered in blocks of rows of at most BLOCK_VALUES / 4
+        values, and each block's differences are formed in place. Blocks that
+        size stay in the allocator's heap, where whole BLOCK_VALUES ones were
+        mapped afresh (about 8.5k minor page faults per desk pass); a gather
+        into one reused buffer needs an index array for np.take, and took 3.8
+        times as long as this copy."""
+        (n, S), (P, T) = self.views.shape[:2], Q.shape
+        if j.ndim == 0:
+            row, shift, query = np.unravel_index(j, (n, S, P))
+            return sq_dists(self.views[row, shift], Q[query]), j
+        dmin = np.empty((n, P))
+        series = np.arange(n)[:, None]
+        for b in blocks(n, 4 * P * T):
+            windows = self.views[series[b], j[b]]
+            dmin[b] = sq_dists(windows, Q, out=windows)
+        return dmin, j
+
+
+def _min_over_shifts(d: np.ndarray) -> np.ndarray:
+    """The (n, 1, P) minimum over axis 1 of an (n, S, P) expansion. For P > 1,
+    S elementwise minimums of (n, 1, P) slices take about half as long as a
+    reduction over the middle axis (82 against 174 us at the desk shape,
+    (185, 21, 10)); for P = 1 the reduction runs along contiguous rows."""
+    if d.shape[2] == 1:
+        return d.min(axis=1, keepdims=True)
+    low = d[:, :1].copy()
+    for k in range(1, d.shape[1]):
+        np.minimum(low, d[:, k : k + 1], out=low)
+    return low

@@ -16,6 +16,7 @@ from .core import (
     TimeSeries,
     VotingParams,
     advance,
+    blocks,
     integer_at_least,
     stacked_windows,
 )
@@ -124,10 +125,13 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
 
     One draw of sources, training pool and tests serves every cell: a smaller
     pool is a prefix of the pool draws and a shorter observation is a prefix of
-    each test. Each T scores the (tests, T) block of observations at once: one
-    oracle block, and one exact shift minimum against the largest pool it
-    needs; every pool size at that T gathers its columns of it (its first
-    positives and first negatives) and votes on them as one block.
+    each test. Each T scores the (tests, T) block of observations in chunks of
+    tests whose (tests, pool) distances hold at most BLOCK_VALUES values (all
+    200 desk tests are one chunk): per chunk one oracle block, and one exact
+    shift minimum against the largest pool it needs; every pool size at that T
+    gathers its columns of it (its first positives and first negatives) and
+    votes on them as one block. Rows are scored independently, so the counts of
+    wrong verdicts do not depend on the chunks.
     """
     src_ss, train_ss, test_ss = trial_ss.spawn(3)
     gen_seed = int(src_ss.generate_state(1, np.uint64)[0])
@@ -142,23 +146,24 @@ def _trial_rates(cfg: ExperimentConfig, trial_ss: np.random.SeedSequence, cells)
     rates = {}
     for T in dict.fromkeys(T for _, T in cells):
         params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
-        Q = np.ascontiguousarray(observed[:, :T])
         sizes = sorted({n for n, t in cells if t == T})
         kernels = {n: VotingKernel(LabeledDataset.from_draws(pool[:n]), params) for n in sizes}
-        pool_kernel = kernels[sizes[-1]]
-        D = pool_kernel.min_dists_block(Q)[0]
+        pool_kernel, oracle = kernels[sizes[-1]], MapKernel(model, params)
         pool_pos = pool_kernel.n_pos
-        map_wrong = np.count_nonzero(MapKernel(model, params).classify_block(Q).labels != labels)
-        for n, kernel in kernels.items():
-            # a gathered block is not C-ordered; its copy is, so each row votes as alone
-            cols = np.r_[: kernel.n_pos, pool_pos : pool_pos + kernel.n - kernel.n_pos]
-            d = np.ascontiguousarray(D[:, cols])
-            counts = {
-                "wmv": np.count_nonzero(kernel.gwmv_block(d).labels != labels),
-                "nn": np.count_nonzero(kernel.knn_block(d, 1).labels != labels),
-                "map": map_wrong,
-            }
-            rates[n, T] = {clf: counts[clf] / len(tests) for clf in CLASSIFIERS}
+        wrong = {n: dict.fromkeys(CLASSIFIERS, 0) for n in sizes}
+        for b in blocks(len(tests), pool_kernel.n):
+            Q = np.ascontiguousarray(observed[b, :T])
+            D = pool_kernel.min_dists_block(Q)[0]
+            map_wrong = np.count_nonzero(oracle.classify_block(Q).labels != labels[b])
+            for n, kernel in kernels.items():
+                # a gathered block is not C-ordered; its copy is, so each row votes as alone
+                cols = np.r_[: kernel.n_pos, pool_pos : pool_pos + kernel.n - kernel.n_pos]
+                d = np.ascontiguousarray(D[:, cols])
+                wrong[n]["wmv"] += np.count_nonzero(kernel.gwmv_block(d).labels != labels[b])
+                wrong[n]["nn"] += np.count_nonzero(kernel.knn_block(d, 1).labels != labels[b])
+                wrong[n]["map"] += map_wrong
+        for n in sizes:
+            rates[n, T] = {clf: wrong[n][clf] / len(tests) for clf in CLASSIFIERS}
     return rates
 
 

@@ -18,6 +18,7 @@ from tsvote import (
     LatentSourceModel,
     NoiseSpec,
     ParamError,
+    SupportError,
     TimeSeries,
     VotingParams,
     advance,
@@ -721,15 +722,16 @@ class TestExactShiftMinimum:
         kernel = VotingKernel(train, VotingParams(0.125, 100, 10))
         verified, direct = [], core.sq_dists
 
-        def counting(a, b):
+        def counting(a, b, out=None):
             verified.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
-            return direct(a, b)
+            return direct(a, b, out=out)
 
         monkeypatch.setattr(core, "sq_dists", counting)
         for s in tests:
             verified.clear()
             kernel.min_dists(s)
-            assert 0 < sum(verified) <= 2 * kernel.n
+            # one candidate per example: its shift minimum is that one cell
+            assert sum(verified) == kernel.n
 
     def test_min_mode_calls_allocate_no_grid(self, rng):
         # nor do the calls that read the grid itself: it is built in tiles
@@ -984,6 +986,48 @@ class TestBlocks:
             return [x] if isinstance(x, np.ndarray) else [a for part in x for a in arrays(part)]
 
         assert [a.shape for a in arrays(call())] == shapes
+
+
+class TestLazyWindows:
+    """A VotingKernel stacks its shifted windows on first use, so a kernel that
+    only votes on given distances never holds them."""
+
+    def test_voting_on_given_distances_stacks_no_windows(self, rng):
+        data, s = random_instance(rng, 3, 4, T=6, delta_max=2)
+        kernel = VotingKernel(data, VotingParams(0.5, 6, 2))
+        D = rng.random((5, kernel.n))
+        kernel.gwmv_block(D), kernel.knn_block(D, 3)
+        assert "_windows" not in vars(kernel)
+        kernel.min_dists(s)
+        assert "_windows" in vars(kernel)
+
+    def test_examples_too_short_raise_on_first_use(self, rng):
+        data, s = random_instance(rng, 2, 2, T=6, delta_max=1)
+        kernel = VotingKernel(data, VotingParams(0.5, 6, 2))  # needs one more step each side
+        with pytest.raises(SupportError):
+            kernel.min_dists(s)
+
+
+class TestChunkedOracle:
+    """MapKernel.classify_block walks its queries in core.blocks of its width,
+    so each chunk's grids hold at most BLOCK_VALUES values, bit for bit."""
+
+    def test_each_chunk_grid_is_bounded(self, rng, monkeypatch):
+        T, dmax = 10, 4
+        oracle = MapKernel(random_model(rng, 6, T, dmax), VotingParams(0.01, T, dmax))
+        Q = rng.standard_normal((23, T))
+        want = block_bytes(oracle.classify_block(Q))
+        sizes, grid = [], core.ShiftWindows.grid
+
+        def recording(self, q):
+            out = grid(self, q)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(core.ShiftWindows, "grid", recording)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 3 * oracle.width)
+        assert block_bytes(oracle.classify_block(Q)) == want
+        assert sizes == [3] * 14 + [2] * 2  # 7 chunks of 3 and one of 2, two classes each
 
 
 class TestKernelReuse:
@@ -1293,6 +1337,112 @@ class TestBandedExpansion:
         want = cross.reshape(n, S, P) * -2.0 + windows.norms[0][:, :, None]
         want += np.einsum("ij,ij->i", Q, Q)
         assert windows.expansion(Q)[0].tobytes() == want.tobytes()
+
+
+class TestOneCandidatePerGroup:
+    """ShiftWindows.minimum computes only the candidate cell of each group when
+    every group has one, and otherwise recomputes every candidate; either way
+    it is the grid's min and first argmin, bit for bit."""
+
+    T, dmax = 8, 3
+
+    def windows(self, rng, tied):
+        # an offset makes the norms dwarf the distances, so d~ rounds; a
+        # constant series ties at every shift and a duplicated one ties the
+        # first series everywhere
+        L = self.T + 2 * self.dmax
+        values = [1e3 + rng.standard_normal(L) for _ in range(5)]
+        if tied:
+            values[1:3] = [np.full(L, 1e3), values[0]]
+        seriess = [TimeSeries(1 - self.dmax, v, id=f"r{i}") for i, v in enumerate(values)]
+        return core.ShiftWindows(seriess, self.T, -self.dmax, self.dmax)
+
+    def verified(self, monkeypatch):
+        """The number of cells sq_dists computes from now on, as a list's sum."""
+        cells, direct = [], core.sq_dists
+
+        def counting(a, b, out=None):
+            cells.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+            return direct(a, b, out=out)
+
+        monkeypatch.setattr(core, "sq_dists", counting)
+        return cells
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("P", [1, 4])
+    def test_minimum_over_shifts_is_the_grids(self, rng, monkeypatch, tied, P):
+        windows = self.windows(rng, tied)
+        Q = 1e3 + rng.standard_normal((P, self.T))
+        Q[-1] = windows.views[0, 2]  # distance 0 at one cell of row 0 (and its duplicate)
+        grid = np.moveaxis(windows.grid(Q), 0, -1)  # (n, S, P)
+        verified = self.verified(monkeypatch)
+        dmin, j = windows.minimum(Q, 1)
+        assert dmin.tobytes() == grid.min(axis=1).tobytes()
+        assert j.tobytes() == grid.argmin(axis=1).tobytes()
+        n, S = windows.views.shape[:2]
+        # one cell per row and query, unless the constant row ties all its shifts
+        assert sum(verified) == ((n - 1) * P + S * P if tied else n * P)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_minimum_over_the_block_is_the_grids(self, rng, monkeypatch, tied):
+        windows = self.windows(rng, tied)
+        Q = 1e3 + rng.standard_normal((3, self.T))
+        Q[1] = windows.views[0, 2]
+        grid = np.moveaxis(windows.grid(Q), 0, -1)
+        verified = self.verified(monkeypatch)
+        dmin, j = windows.minimum(Q, None)
+        assert np.float64(dmin).tobytes() == grid.min().tobytes() and j == grid.argmin()
+        # the duplicate ties row 0 at distance 0; the first row wins
+        assert sum(verified) == (2 if tied else 1)
+        assert np.unravel_index(j, grid.shape) == (0, 2, 1)
+
+    @pytest.mark.parametrize("values", [1, 64, core.BLOCK_VALUES])
+    def test_an_empty_block_gives_empty_minima(self, rng, monkeypatch, values):
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        windows = self.windows(rng, tied=False)
+        dmin, j = windows.minimum(np.empty((0, self.T)), 1)
+        assert dmin.shape == j.shape == (5, 0)
+        assert dmin.dtype == np.float64 and j.dtype == np.intp
+
+    def test_a_multi_block_call_reuses_one_expansion(self, rng, monkeypatch):
+        # every block's expansion is written into the first block's buffer,
+        # and the call holds about one block's work arrays at a time
+        n, T, dmax = 200, 10, 15
+        data, _ = random_instance(rng, 100, 100, T=T, delta_max=dmax)
+        windows = core.ShiftWindows(data.examples(), T, -dmax, dmax)
+        S, L = windows.views.shape[1], windows.rows.shape[1]
+        parts = windows.query_blocks(10**6)
+        P, blocks_ = len(range(10**6)[parts[0]]), 5
+        Q = rng.standard_normal((blocks_ * P, T))
+        outs, expansion = [], core.ShiftWindows.expansion
+
+        def recording(self, Q, out=None):
+            result = expansion(self, Q, out=out)
+            outs.append((out, result[0]))
+            return result
+
+        monkeypatch.setattr(core.ShiftWindows, "expansion", recording)
+        want = windows.minimum(Q, 1)
+        assert len(outs) == blocks_
+        assert all(out is outs[0][0] and np.shares_memory(d, out) for out, d in outs)
+        monkeypatch.setattr(core.ShiftWindows, "expansion", expansion)
+        tracemalloc.start()
+        try:
+            got = windows.minimum(Q, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        expansion_values = n * S * P
+        B = min(S, core.SHIFT_GROUP)
+        allowed = 8 * (
+            expansion_values  # the expansion
+            + (B + 1) * P * (B + T - 1)  # the GEMM stack and its queries
+            + min(n * P * T, core.BLOCK_VALUES // 4)  # the verify's windows
+            + 2 * n * len(Q)  # the results
+            + 12 * n * P  # (n, P) arrays of one block: bounds, cells, shifts
+        ) + expansion_values + 4096  # the candidate mask, headers
+        assert peak <= allowed, (peak, allowed)
 
 
 class TestShiftInvariance:

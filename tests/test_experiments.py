@@ -30,6 +30,7 @@ from tsvote import (
     split_topics,
 )
 import tsvote.core as core
+from tsvote.classify import VotingKernel
 from tsvote.config import corpus_config, detection_config, load_config
 
 
@@ -238,14 +239,14 @@ class TestBlocks:
         sizes = {"expansion": [], "sq_dists": []}
         expansion, direct = core.ShiftWindows.expansion, core.sq_dists
 
-        def recording_expansion(self, Q):
-            out = expansion(self, Q)
-            sizes["expansion"].append(out[0].size)
-            return out
+        def recording_expansion(self, Q, out=None):
+            result = expansion(self, Q, out=out)
+            sizes["expansion"].append(result[0].size)
+            return result
 
-        def recording_sq_dists(a, b):
+        def recording_sq_dists(a, b, out=None):
             sizes["sq_dists"].append(math.prod(np.broadcast_shapes(a.shape, b.shape)))
-            return direct(a, b)
+            return direct(a, b, out=out)
 
         monkeypatch.setattr(core, "BLOCK_VALUES", values)
         monkeypatch.setattr(core.ShiftWindows, "expansion", recording_expansion)
@@ -256,6 +257,36 @@ class TestBlocks:
         assert len(sizes["expansion"]) > (trials_and_T if values == 500 else 0)
         assert 0 < max(sizes["expansion"]) <= values
         assert 0 < max(sizes["sq_dists"]) <= values
+
+
+    @pytest.mark.parametrize("values", [100, 500, core.BLOCK_VALUES])
+    def test_tests_are_scored_in_chunks(self, values, monkeypatch):
+        # each chunk's (tests, pool) distances hold at most values values, the
+        # oracle's grids at most that too; one chunk when all tests fit
+        rows = {"min_dists_block": [], "grid": []}
+        min_dists_block, grid = VotingKernel.min_dists_block, core.ShiftWindows.grid
+
+        def recording_min(self, Q):
+            rows["min_dists_block"].append((len(Q), self.n))
+            return min_dists_block(self, Q)
+
+        def recording_grid(self, q):
+            out = grid(self, q)
+            rows["grid"].append(out.size)
+            return out
+
+        one_chunk = values == core.BLOCK_VALUES
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        monkeypatch.setattr(VotingKernel, "min_dists_block", recording_min)
+        monkeypatch.setattr(core.ShiftWindows, "grid", recording_grid)
+        cfg = tiny_config()
+        error_curves(cfg)
+        assert all(P <= max(1, values // n) for P, n in rows["min_dists_block"])
+        assert 0 < max(rows["grid"]) <= values
+        tests = sum(P for P, _ in rows["min_dists_block"])
+        assert tests == cfg.trials * len(cfg.T_grid) * cfg.test_size
+        if one_chunk:
+            assert len(rows["min_dists_block"]) == cfg.trials * len(cfg.T_grid)
 
 
 def toy_training(T=6, margin=3):

@@ -221,9 +221,9 @@ class TestGapAtDeskScale:
         verified = []
         direct = core.sq_dists
 
-        def counting(a, b):
+        def counting(a, b, out=None):
             verified.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
-            return direct(a, b)
+            return direct(a, b, out=out)
 
         monkeypatch.setattr(core, "sq_dists", counting)
         argv = ["gap", "--train", str(desk_train), "--T", "100", "--delta-max", "10"]

@@ -20,9 +20,16 @@ computed), then `tsvote generate` on configs/desk.cfg and `tsvote classify` of
 its test.jsonl with wmv, wmv --shift-mode sum (which votes on
 ShiftWindows.grid), nn, knn --k 5 and map.
 
-Exits 1 unless both trees record the same keys with the same number of values
-per key, every value has |change - parent| <= 1e-12 max(1, |parent|), and
-every label flip is a near-tie, |parent - log theta| <= 1e-9. The flip point
+A fifth stream, min, records every ShiftWindows.minimum call of the same runs
+under a (T, n, S, axis) key: per query its n minimum distances, then its n
+first minimizing shifts (axis=1), or the block's minimum and its flat index
+(axis=None). These are exact by contract, so the min stream must be
+byte-identical between the trees.
+
+Exits 1 unless the min streams are byte-identical, and for the other streams
+both trees record the same keys with the same number of values per key, every
+value has |change - parent| <= 1e-12 max(1, |parent|), and every label flip is
+a near-tie, |parent - log theta| <= 1e-9. The flip point
 is 0 for wmv, nn and map (every run uses theta = 1) and each log theta of
 detect.cfg for traces. A value that differs where either side is not finite
 (k-NN with k = 1 gives +-inf) fails the gate and is counted on its own; the
@@ -59,6 +66,7 @@ def record(src: str, path: str) -> None:
     sys.path.insert(0, src)
     import tsvote.classify
     import tsvote.cli
+    import tsvote.core
     from tsvote.config import load_config, sweep_grid
 
     streams = {stream: {} for stream in HOOKS}
@@ -73,6 +81,7 @@ def record(src: str, path: str) -> None:
             return out
 
         setattr(cls, name, wrapper)
+    streams["min"] = _record_minimum(tsvote.core.ShiftWindows)
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
@@ -111,6 +120,35 @@ def record(src: str, path: str) -> None:
     points["trace"] = [math.log(t) for t in sweep_grid(load_config(detect)).thetas]
     doc = {"source": tsvote.__file__, "streams": streams, "points": points}
     Path(path).write_text(json.dumps(doc))
+
+
+def _record_minimum(cls) -> dict:
+    """Wrap cls.minimum so that it records its results; returns the keys."""
+    keys, original = {}, cls.minimum
+
+    def minimum(self, Q, axis):
+        dmin, j = original(self, Q, axis)
+        n, S = self.views.shape[:2]
+        # per query its distances, then its shifts: the same sequence whichever
+        # blocks of queries the calls are given
+        per_query = np.hstack([np.transpose(dmin), np.transpose(j)]) if axis == 1 else [dmin, j]
+        keys.setdefault(f"T={self.T} n={n} S={S} axis={axis}", []).extend(np.ravel(per_query).tolist())
+        return dmin, j
+
+    cls.minimum = minimum
+    return keys
+
+
+def compare_exact(name: str, parent: dict, change: dict) -> bool:
+    """parent and change map each key of the stream to its values in call
+    order, which must be the same floats, bit for bit."""
+    a, b = (np.array([x for key in sorted(run) for x in run[key]]) for run in (parent, change))
+    counts = [{key: len(values) for key, values in run.items()} for run in (parent, change)]
+    ok = counts[0] == counts[1] and a.tobytes() == b.tobytes()
+    differ = int((a != b).sum()) if a.shape == b.shape else "all"
+    print(f"{name}: {a.size} values in {len(parent)} keys, {differ} differ, "
+          f"byte-identical required: {'ok' if ok else 'FAIL'}")
+    return ok
 
 
 def compare(name: str, parent: dict, change: dict, points: list) -> bool:
@@ -153,7 +191,8 @@ def main(argv: list) -> int:
     parent, change = runs
     print(f"parent {parent['source']}\nchange {change['source']}")
     results = [
-        compare(name, values, change["streams"][name], parent["points"][name])
+        compare_exact(name, values, change["streams"][name]) if name == "min"
+        else compare(name, values, change["streams"][name], parent["points"][name])
         for name, values in parent["streams"].items()
     ]
     return 0 if all(results) else 1
