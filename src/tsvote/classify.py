@@ -8,8 +8,9 @@ distances from a GEMM per group of shifts within a stated bound, and its
 first argmin.
 `_vote_dists` is the one rule for the exact distances a query votes with: the
 minimum in `min` mode, every grid cell in `sum` mode and for the oracle; k-NN
-and nearest neighbor read the minimum, and batches in `log_lambda_many` vote
-on the expansion itself.
+and nearest neighbor read the minimum. Batches in `log_lambda_many` vote
+unverified: on the expansion's minimum over shifts (`expansion_minimum`, one
+GEMM per shift) in `min` mode, on the expansion itself in `sum` mode.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
 ranks examples for k-NN, and nearest neighbor (`_nearest`) takes the first
@@ -331,21 +332,20 @@ class VotingKernel:
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix.
 
-        Votes on ShiftWindows.expansion clamped at 0, unverified. Each distance
-        is then within 2 eps_i of the direct path's, and a class's log vote moves
-        by at most gamma times the largest change of its distances, so a row is
-        within 4 gamma max_i eps_i of gwmv's log ratio, plus log-sum-exp rounding.
-
-        The (n, S, P) expansion of the whole block is the one engine temporary
-        that BLOCK_VALUES does not bound: a detection trace of P positions
-        makes one, (200, 33, 97) per call in a 33-shift detect run, about ten
-        times BLOCK_VALUES. It is not split into query_blocks because a GEMM
-        over fewer queries' placements can round differently, which would move
-        the traces at rounding level.
+        Votes on ShiftWindows.expansion clamped at 0, unverified: in min mode
+        on its minimum over shifts (ShiftWindows.expansion_minimum, two (n, P)
+        work arrays), in sum mode on every cell of the (n, S, P) expansion,
+        which BLOCK_VALUES does not bound. Each distance is then within 2 eps_i
+        of the direct path's, and a class's log vote moves by at most gamma
+        times the largest change of its distances, so a row is within
+        4 gamma max_i eps_i of gwmv's log ratio, plus log-sum-exp rounding.
         """
-        d = self._windows.expansion(_queries(observations, self.params.T))[0]
-        np.maximum(d, 0.0, out=d)
-        D = d.min(axis=1) if self.params.shift_mode == "min" else d.reshape(self.width, -1)
+        Q = _queries(observations, self.params.T)
+        if self.params.shift_mode == "min":
+            D = self._windows.expansion_minimum(Q)
+        else:
+            d = self._windows.expansion(Q)[0]
+            D = np.maximum(d, 0.0, out=d).reshape(self.width, -1)
         # voting on the transpose accumulates along axis 0 of the (width, P)
         # distances, in memory order, as these traces always have
         return self._votes(D.T)[0]

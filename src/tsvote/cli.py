@@ -365,14 +365,14 @@ def cmd_detect(args) -> int:
     sweep_seed = int(sweep_ss.generate_state(1, np.uint64)[0])
     result = roc_sweep(corpus, training, grid, det_cfg, seed=sweep_seed)
     detection_rows = [
-        {"grid_index": gi, **asdict(r), "truth": int(r.truth)}
+        {"grid_index": gi, **vars(r), "truth": int(r.truth)}
         for gi, results in enumerate(result.results)
         for r in results
     ]
     doc = {
         "schema_version": dataio.SCHEMA_VERSION,
         "command": "detect",
-        "points": [asdict(point) for point in result.points],
+        "points": [{**vars(point)} for point in result.points],
         "envelope": [[f, t] for f, t in result.envelope()],
         "n_train": len(training),
         "n_test": len(corpus),

@@ -4,22 +4,29 @@ A series is defined exactly on [start_index, start_index + len - 1]; reading
 outside that range raises SupportError rather than fabricating zeros. All types
 here are immutable and all operations are pure functions, except that
 ShiftWindows, the one builder of shifted windows, computes its norms on first
-use. Its `grid` is the direct `sq_dists` reference (the cells that sum-mode
-voting and the oracle vote with, and the class gap's unpruned path), built in
-long contiguous passes over one reused tile; its `expansion` the GEMM form of
-the same distances with their rounding bound, one banded GEMM per group of
-SHIFT_GROUP shifts; and its `minimum` the one bound-and-verify: the exact
-minimum of the grids from the expansion, computing with `sq_dists` only the
-candidate cells that can hold it. Where each minimum has one candidate, that
-cell is the first minimizer and the whole result; only where candidates tie
-are they written into the expansion to take its first argmin. Callers check
-their queries; the engine assumes finite ones. `grid` and `minimum` take a
-block of queries and walk it in `blocks`, however many queries it has: no
-temporary of `grid` holds more than BLOCK_VALUES float64 values beyond one
-series' (S, T) differences, since a query whose differences do not fit is
-walked in blocks of series, and none of `minimum` more than that beyond one
-query's (n, S) expansion and its mask, which every block of a call reuses. A
-block of no queries gives empty grids and minima.
+use. Its forms of the distances are:
+- `grid`, the direct `sq_dists` reference (the cells that sum-mode voting and
+  the oracle vote with, and the class gap's unpruned path), built in long
+  contiguous passes over one reused tile;
+- `expansion`, the GEMM form of the same distances with their rounding bound,
+  one banded GEMM per group of SHIFT_GROUP shifts;
+- `expansion_minimum`, the expansion's minimum over shifts, clamped at 0 and
+  not verified (what min-mode detection traces vote on), one GEMM per shift
+  into a running (n, P) minimum, so it never holds the (n, S, P) expansion;
+- `minimum`, the one bound-and-verify: the exact minimum of the grids from
+  the expansion, computing with `sq_dists` only the candidate cells that can
+  hold it. Where each minimum has one candidate, that cell is the first
+  minimizer and the whole result; only where candidates tie are they written
+  into the expansion to take its first argmin.
+
+Callers check their queries; the engine assumes finite ones. `grid` and
+`minimum` take a block of queries and walk it in `blocks`, however many
+queries it has: no temporary of `grid` holds more than BLOCK_VALUES float64
+values beyond one series' (S, T) differences, since a query whose differences
+do not fit is walked in blocks of series, and none of `minimum` more than
+that beyond one query's (n, S) expansion and its mask, which every block of a
+call reuses. `expansion` takes its block whole: sum-mode detection traces
+give it a whole trace. A block of no queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -436,9 +443,8 @@ class ShiftWindows:
         """
         (n, L), S, P = self.rows.shape, self.views.shape[1], Q.shape[0]
         window_sq, row_sq = self.norms
-        with np.errstate(over="ignore"):
-            q_sq = np.einsum("ij,ij->i", Q, Q)
-        if not math.isfinite(4.0 * (float(row_sq.max()) + float(q_sq.max(initial=0.0)))):
+        q_sq = self._query_sq(Q)
+        if q_sq is None:
             return np.moveaxis(self.grid(Q), 0, -1), None
         # B copies of the block of queries zero-padded to k = B + T - 1 values,
         # each with one more zero: read as rows of k values, copy j moves right
@@ -467,6 +473,47 @@ class ShiftWindows:
         d += window_sq[:, :, None]
         d += q_sq
         return d, expansion_slack(row_sq[:, None] + q_sq, L + 4)
+
+    def _query_sq(self, Q: np.ndarray) -> Optional[np.ndarray]:
+        """The (P,) squared norms of the rows of Q, or None if 4 (R_i + |q|^2)
+        overflows for some row and query, where d~ would be inf - inf."""
+        with np.errstate(over="ignore"):
+            q_sq = np.einsum("ij,ij->i", Q, Q)
+        if not math.isfinite(4.0 * (float(self.norms[1].max()) + float(q_sq.max(initial=0.0)))):
+            return None
+        return q_sq
+
+    def expansion_minimum(self, Q: np.ndarray) -> np.ndarray:
+        """The (n, P) minimum over shifts of expansion(Q)'s d~, clamped at 0 and
+        not verified: within 2 eps of the exact minimum, minimum(Q, 1)[0],
+        since every d~ and every sq_dists lies within eps of the exact
+        distance. If a squared norm overflows, the exact minimum of the grids.
+
+        One GEMM per shift j, of the row values j..j+T-1 against the (T, P)
+        placements -2 Q^T, writes into one reused (n, P) buffer; |w|^2 is added
+        there and the running minimum taken. |q|^2 is added and the clamp
+        applied once, after the minimum: both are monotone, so they commute
+        with it. Each dot product has T <= L terms and scaling by -2 is exact
+        apart from subnormal rounding, which eps's 4 k tiny term covers, so
+        expansion's bound holds unchanged, though a GEMM of T values may round
+        differently from expansion's. The work arrays are two (n, P) arrays
+        and the placements, not the (n, S, P) expansion.
+        """
+        (n, S, T), P = self.views.shape, len(Q)
+        q_sq = self._query_sq(Q)
+        if q_sq is None:
+            return self.grid(Q).min(axis=-1).T.copy()
+        window_sq = self.norms[0]
+        placements = (-2.0 * Q).T.copy()  # C-ordered, as the GEMMs read it
+        low, cross = np.empty((n, P)), np.empty((n, P))
+        for j in range(S):
+            d = cross if j else low
+            np.matmul(self.rows[:, j : j + T], placements, out=d)
+            d += window_sq[:, j, None]
+            if j:
+                np.minimum(low, d, out=low)
+        low += q_sq
+        return np.maximum(low, 0.0, out=low)
 
     def minimum(self, Q: np.ndarray, axis: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
         """(min, first argmin) along axis of the (n, S, P) exact grids of the

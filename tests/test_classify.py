@@ -1339,6 +1339,79 @@ class TestBandedExpansion:
         assert windows.expansion(Q)[0].tobytes() == want.tobytes()
 
 
+class TestExpansionMinimum:
+    """ShiftWindows.expansion_minimum, the unverified minimum over shifts that
+    min-mode log_lambda_many votes on, lies within 2 eps of the exact minimum
+    and holds two (n, P) arrays, not the (n, S, P) expansion."""
+
+    n, T = 5, 12
+
+    def windows(self, rng, S):
+        # an offset makes the norms dwarf the distances, so d~ rounds
+        seriess = [
+            TimeSeries(1, 1e3 + rng.standard_normal(self.T + S - 1), id=f"r{i}")
+            for i in range(self.n)
+        ]
+        return core.ShiftWindows(seriess, self.T, 0, S - 1)
+
+    @pytest.mark.parametrize("S", [1, 15, 33, 65])
+    @pytest.mark.parametrize("P", [0, 1, 4])
+    def test_within_twice_eps_of_the_exact_minimum(self, rng, S, P):
+        windows = self.windows(rng, S)
+        Q = 1e3 + rng.standard_normal((P, self.T))
+        Q[-1:] = windows.views[0, S // 2]  # distance 0 at one cell of row 0
+        got = windows.expansion_minimum(Q)
+        exact = windows.minimum(Q, 1)[0]
+        eps = windows.expansion(Q)[1]
+        assert got.shape == (self.n, P) and got.dtype == np.float64
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - exact) <= 2.0 * eps)
+
+    @pytest.mark.parametrize("S", [1, 33])
+    def test_dyadic_values_give_the_exact_minimum(self, rng, S):
+        # every product and sum of small dyadic values is exact on both paths
+        windows = core.ShiftWindows(
+            [TimeSeries(1, dyadic_values(rng, (self.T + S - 1,)), id=f"r{i}") for i in range(4)],
+            self.T, 0, S - 1,
+        )
+        Q = dyadic_values(rng, (3, self.T))
+        assert windows.expansion_minimum(Q).tobytes() == windows.minimum(Q, 1)[0].tobytes()
+
+    def test_overflowing_norms_take_the_exact_minimum(self):
+        # |w|^2 = 8e310 overflows, so d~ would be inf - inf
+        seriess = [TimeSeries(1, np.full(10, v), id=f"r{v}") for v in (1.0e155, 1.04e155)]
+        windows = core.ShiftWindows(seriess, 8, 0, 2)
+        Q = np.stack([np.full(8, 1.001e155), np.linspace(0.0, 1.0e155, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = windows.expansion_minimum(Q)
+        assert windows.expansion(Q)[1] is None
+        assert got.flags.c_contiguous
+        assert got.tobytes() == windows.minimum(Q, 1)[0].tobytes()
+
+    def test_min_mode_traces_allocate_no_expansion(self, rng):
+        # S > SHIFT_GROUP, where the expansion also built a GEMM stack; sum
+        # mode still builds the (n, S, P) expansion
+        T, dmax, P = 8, 20, 60
+        data, _ = random_instance(rng, 10, 10, T=T, delta_max=dmax)
+        S = 2 * dmax + 1
+        assert S > core.SHIFT_GROUP
+        expansion_bytes = data.n * S * P * 8
+        obs = rng.standard_normal((P, T))
+        peaks = {}
+        for mode in ("min", "sum"):
+            kernel = VotingKernel(data, VotingParams(0.5, T, dmax, shift_mode=mode))
+            kernel.log_lambda_many(obs)  # warm up: stacks the windows, computes their norms
+            tracemalloc.start()
+            try:
+                kernel.log_lambda_many(obs)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["sum"] >= expansion_bytes  # the probe: sum mode holds the expansion
+        assert peaks["min"] < expansion_bytes / 4, peaks
+
+
 class TestOneCandidatePerGroup:
     """ShiftWindows.minimum computes only the candidate cell of each group when
     every group has one, and otherwise recomputes every candidate; either way

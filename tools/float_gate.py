@@ -11,14 +11,14 @@ oracle; k for nn only), in call order within each key, so two trees that cut
 the same queries into different blocks record the same sequence per key. The
 runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
 detect` on configs/detect.cfg (15 shifts), and again with detection.h_hours =
-1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, so its traces
-come from the banded GEMM, a last group of one shift included, and sit under a
-key of their own), one pass of perfbench's PoolStream at seed 0, then
-nearest_neighbor, classify_knn (k = 5) and classify_gwmv, in that order, on
-each of its queries (so k-NN and voting read a shift minimum that another call
-computed), then `tsvote generate` on configs/desk.cfg and `tsvote classify` of
-its test.jsonl with wmv, wmv --shift-mode sum (which votes on
-ShiftWindows.grid), nn, knn --k 5 and map.
+1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, whose traces
+sit under a key of their own; detect runs in min mode, so every trace comes
+from ShiftWindows.expansion_minimum, one GEMM per shift), one pass of
+perfbench's PoolStream at seed 0, then nearest_neighbor, classify_knn (k = 5)
+and classify_gwmv, in that order, on each of its queries (so k-NN and voting
+read a shift minimum that another call computed), then `tsvote generate` on
+configs/desk.cfg and `tsvote classify` of its test.jsonl with wmv, wmv
+--shift-mode sum (which votes on ShiftWindows.grid), nn, knn --k 5 and map.
 
 A fifth stream, min, records every ShiftWindows.minimum call of the same runs
 under a (T, n, S, axis) key: per query its n minimum distances, then its n
