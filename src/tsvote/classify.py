@@ -179,7 +179,7 @@ def _vote_dists(windows: ShiftWindows, Q: np.ndarray, shift_mode: str, dmin=None
     (series, shift) cell of the grid in sum mode."""
     if shift_mode == "sum":
         return windows.grid(Q).reshape(len(Q), math.prod(windows.views.shape[:2]))
-    return windows.minimum(Q, 1)[0].T if dmin is None else dmin
+    return windows.minimum(Q)[0].T if dmin is None else dmin
 
 
 class VotingKernel:
@@ -218,7 +218,7 @@ class VotingKernel:
         """(P, n) per-example minimum distances and first minimizing shifts of
         the rows of a (P, T) block of query windows: row p is min_dists of a
         series whose [1, T] window is Q[p]."""
-        dmin, j = self._windows.minimum(_queries(Q, self.params.T), 1)
+        dmin, j = self._windows.minimum(_queries(Q, self.params.T))
         return dmin.T, j.T + self._windows.first_shift
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +288,6 @@ class VotingKernel:
         """k-NN verdict from the per-example minimum distances."""
         return self.knn_block(dmin[None], k).row(0)
 
-    def _nearest_from_min(self, dmin: np.ndarray, shifts: np.ndarray) -> tuple[int, float, int]:
-        return _nearest(dmin[None], shifts[None]).row(0)
-
     def log_lambda(self, s: TimeSeries) -> float:
         return self.gwmv(s).log_lambda
 
@@ -308,7 +305,8 @@ class VotingKernel:
 
     def nearest(self, s: TimeSeries) -> tuple[int, float, int]:
         """Index (insertion order), distance, and shift of the nearest example."""
-        return self._nearest_from_min(*self.min_dists(s))
+        dmin, shifts = self.min_dists(s)
+        return _nearest(dmin[None], shifts[None]).row(0)
 
     def verdict_and_nearest_block(self, Q, k=None) -> tuple[BlockOutcome, NearestBlock]:
         """The verdicts of the rows of a (P, T) block of query windows (voting,

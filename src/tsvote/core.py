@@ -11,13 +11,13 @@ use. Its forms of the distances are:
 - `expansion`, the GEMM form of the same distances with their rounding bound,
   one banded GEMM per group of SHIFT_GROUP shifts;
 - `expansion_minimum`, the expansion's minimum over shifts, clamped at 0 and
-  not verified (what min-mode detection traces vote on), one GEMM per shift
-  into a running (n, P) minimum, so it never holds the (n, S, P) expansion;
-- `minimum`, the one bound-and-verify: the exact minimum of the grids from
-  the expansion, computing with `sq_dists` only the candidate cells that can
-  hold it. Where each minimum has one candidate, that cell is the first
-  minimizer and the whole result; only where candidates tie are they written
-  into the expansion to take its first argmin.
+  not verified (min-mode detection traces vote on it, the class gap prunes
+  with it), one GEMM per shift into a running (n, P) minimum;
+- `minimum`, the one bound-and-verify: each series' exact minimum over
+  shifts, computing with `sq_dists` only the expansion's candidate cells that
+  can hold it. Where a minimum has one candidate, that cell is the first
+  minimizer and the whole result; only tied candidates are written into the
+  expansion to take its first argmin.
 
 Callers check their queries; the engine assumes finite ones. `grid` and
 `minimum` take a block of queries and walk it in `blocks`, however many
@@ -25,8 +25,8 @@ queries it has: no temporary of `grid` holds more than BLOCK_VALUES float64
 values beyond one series' (S, T) differences, since a query whose differences
 do not fit is walked in blocks of series, and none of `minimum` more than
 that beyond one query's (n, S) expansion and its mask, which every block of a
-call reuses. `expansion` takes its block whole: sum-mode detection traces
-give it a whole trace. A block of no queries gives empty grids and minima.
+call reuses. `expansion` and `expansion_minimum` take their block whole (a
+detection trace, say). A block of no queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -485,7 +485,7 @@ class ShiftWindows:
 
     def expansion_minimum(self, Q: np.ndarray) -> np.ndarray:
         """The (n, P) minimum over shifts of expansion(Q)'s d~, clamped at 0 and
-        not verified: within 2 eps of the exact minimum, minimum(Q, 1)[0],
+        not verified: within 2 eps of the exact minimum, minimum(Q)[0],
         since every d~ and every sq_dists lies within eps of the exact
         distance. If a squared norm overflows, the exact minimum of the grids.
 
@@ -515,51 +515,41 @@ class ShiftWindows:
         low += q_sq
         return np.maximum(low, 0.0, out=low)
 
-    def minimum(self, Q: np.ndarray, axis: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(min, first argmin) along axis of the (n, S, P) exact grids of the
-        (P, T) block Q, bit for bit, without building them: axis=1 reduces over
-        shifts for each row and query, axis=None over the whole block.
+    def minimum(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(n, P) min and first argmin over shifts of the (n, S, P) exact grids
+        of the (P, T) block Q, bit for bit, without building them.
 
-        A cell holding the minimum has d~ <= min(d~) + 2 max(eps) over the axis
-        (see expansion), so only these candidate cells are recomputed, with
-        sq_dists. When every group (a row and query, or the whole block) has
-        one candidate, that cell alone can hold the minimum, so it is the first
+        A cell holding the minimum of its row and query has d~ <= min(d~) +
+        2 eps_i over its shifts (see expansion), so only these candidate cells
+        are recomputed, with sq_dists. When every row and query has one
+        candidate, that cell alone can hold the minimum, so it is the first
         minimizer, and only those cells are computed. Otherwise (ties: constant
         or duplicated series) every candidate is recomputed into the expansion,
         every other cell is set to +inf, and argmin picks the first minimizer.
-        With axis=1 the queries are independent, so Q is taken in query_blocks,
-        and every block reuses the work arrays of the first, the largest: the
-        expansion and its candidate mask. axis=None takes Q whole, so its caller
-        bounds it (gapbounds.gap does).
+        The queries are independent, so Q is taken in query_blocks, and every
+        block reuses the work arrays of the first, the largest: room for the
+        expansion and for its candidate mask.
         """
-        if axis is None:
-            return self._block_minimum(Q, None, *self._work(len(Q)))
-        n, P = len(self.views), len(Q)
+        (n, S), P = self.views.shape[:2], len(Q)
         parts = self.query_blocks(P)
-        work = self._work(len(Q[parts[0]]))
+        size = n * S * len(Q[parts[0]])
+        work = np.empty(size), np.empty(size, dtype=bool)
         dmin, j = np.empty((n, P)), np.empty((n, P), dtype=np.intp)
         for b in parts:
-            dmin[:, b], j[:, b] = self._block_minimum(Q[b], 1, *work)
+            dmin[:, b], j[:, b] = self._block_minimum(Q[b], *work)
         return dmin, j
 
-    def _work(self, P: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat work arrays for blocks of up to P queries: room for the (n, S,
-        P) expansion and for its candidate mask."""
-        size = math.prod(self.views.shape[:2]) * P
-        return np.empty(size), np.empty(size, dtype=bool)
-
     def _block_minimum(
-        self, Q: np.ndarray, axis: Optional[int], values: np.ndarray, flags: np.ndarray
+        self, Q: np.ndarray, values: np.ndarray, flags: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """minimum of Q as one block: the expansion, written into values, then
         the verify, with the candidate mask written into flags."""
         d, eps = self.expansion(Q, out=values)
         if eps is not None:
-            slack = 2.0 * (eps[:, None] if axis == 1 else eps.max())
-            low = _min_over_shifts(d) if axis == 1 else d.min(keepdims=True)
+            slack, low = 2.0 * eps[:, None], _min_over_shifts(d)
             candidates = np.less_equal(d, low + slack, out=flags[: d.size].reshape(d.shape))
-            if np.count_nonzero(candidates) == low.size:  # one candidate per group
-                return self._verify_candidates(Q, candidates.argmax(axis=axis))
+            if np.count_nonzero(candidates) == low.size:  # one candidate per row and query
+                return self._verify_candidates(Q, candidates.argmax(axis=1))
             # flat indices: a 3-D np.nonzero costs ~20x more at P = 1
             cells = np.flatnonzero(candidates)
             rows, shifts, queries = np.unravel_index(cells, d.shape)
@@ -570,26 +560,19 @@ class ShiftWindows:
                 # a block of one query broadcasts, with no gathered copy of it
                 q = Q[0] if len(Q) == 1 else Q[queries[part]]
                 np.put(d, cells[part], sq_dists(self.views[rows[part], shifts[part]], q))
-        j = d.argmin(axis=axis)  # argmin returns the first minimum
-        if axis is None:
-            return d.reshape(-1)[j], j
+        j = d.argmin(axis=1)  # argmin returns the first minimum
         # a gather: a min over many short rows costs several times the argmin
         return d[np.arange(d.shape[0])[:, None], j, np.arange(d.shape[2])], j
 
-    def _verify_candidates(self, Q: np.ndarray, j) -> tuple:
-        """minimum of Q when each group has one candidate, at j: the (n, P)
-        shifts of the candidates (axis=1), or the flat index of the block's
-        one candidate in (n, S, P) (axis=None). With axis=1 the windows of
-        those cells are gathered in blocks of rows of at most BLOCK_VALUES / 4
-        values, and each block's differences are formed in place. Blocks that
-        size stay in the allocator's heap, where whole BLOCK_VALUES ones were
-        mapped afresh (about 8.5k minor page faults per desk pass); a gather
-        into one reused buffer needs an index array for np.take, and took 3.8
-        times as long as this copy."""
-        (n, S), (P, T) = self.views.shape[:2], Q.shape
-        if j.ndim == 0:
-            row, shift, query = np.unravel_index(j, (n, S, P))
-            return sq_dists(self.views[row, shift], Q[query]), j
+    def _verify_candidates(self, Q: np.ndarray, j: np.ndarray) -> tuple:
+        """minimum of Q when each row and query has one candidate, at the (n,
+        P) shifts j. The windows of those cells are gathered in blocks of rows
+        of at most BLOCK_VALUES / 4 values, and each block's differences are
+        formed in place. Blocks that size stay in the allocator's heap, where
+        whole BLOCK_VALUES ones were mapped afresh (about 8.5k minor page
+        faults per desk pass); a gather into one reused buffer needs an index
+        array for np.take, and took 3.8 times as long as this copy."""
+        n, (P, T) = len(self.views), Q.shape
         dmin = np.empty((n, P))
         series = np.arange(n)[:, None]
         for b in blocks(n, 4 * P * T):

@@ -1,8 +1,8 @@
 """Separation statistics of labeled data and closed-form misclassification bounds.
 
-The class gap is exact through the distance engine's one bound-and-verify,
-`core.ShiftWindows.minimum`; its reference is the engine's direct grid,
-`core.ShiftWindows.grid`, over the same blocks of positive windows. The voting
+The class gap is exact through the distance engine's per-series forms:
+`core.ShiftWindows.expansion_minimum` bounds it, `core.ShiftWindows.minimum`
+verifies it, and its reference is the engine's direct grid. The voting
 bound's exponent rate (`wmv_rate`) and class factor (`class_factor`) are each
 defined once, for `wmv_bound`, `required_gap` and the `bounds` command.
 """
@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, ShiftWindows, integer_at_least, sq_dists, stacked_windows
+from .core import (
+    LabeledDataset,
+    ShiftWindows,
+    blocks,
+    expansion_slack,
+    integer_at_least,
+    sq_dists,
+    stacked_windows,
+)
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -29,19 +37,29 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
     [1 - delta_max, T + delta_max]. The result is exactly the core.sq_dists float
     of the closest pair; ParamError if it overflows float64.
 
-    Both take the minimum per block of positive windows against the negative
-    series: cutoff=True through ShiftWindows(negatives).minimum, which verifies
-    only the pairs its GEMM bound keeps; cutoff=False, the reference, through
-    the direct grid of every pair.
+    cutoff=True bounds each negative series' minimum over shifts for a block
+    of positive windows (ShiftWindows.expansion_minimum), and verifies with
+    ShiftWindows.minimum only the windows within slack of the block's lowest
+    bound; cutoff=False, the reference, takes the direct grid of every pair.
     """
     data.require_both_classes()
     T, delta_max = integer_at_least("T", T, 1), integer_at_least("delta_max", delta_max, 0)
     pos = ShiftWindows(data.positives, T, -delta_max, delta_max).views.reshape(-1, T)
     neg = ShiftWindows(data.negatives, T, -delta_max, delta_max)
-    best = min(
-        float(neg.minimum(pos[b], None)[0] if cutoff else neg.grid(pos[b]).min())
-        for b in neg.query_blocks(len(pos))
-    )
+    (n, S), L = neg.views.shape[:2], neg.rows.shape[1]
+    if cutoff:
+        # expansion's eps grows with R_i + |q|^2, so its value at the largest
+        # norms bounds every pair's; an overflow makes every window a candidate
+        with np.errstate(over="ignore"):
+            top = neg.norms[1].max() + np.einsum("ij,ij->i", pos, pos).max()
+            slack = 2.0 * expansion_slack(top, L + 4)
+        best = math.inf
+        for b in blocks(len(pos), 2 * n):
+            low = neg.expansion_minimum(pos[b])
+            keep = (low <= low.min() + slack).any(axis=0)
+            best = min(best, float(neg.minimum(pos[b][keep])[0].min()))
+    else:
+        best = min(float(neg.grid(pos[b]).min()) for b in blocks(len(pos), n * S))
     if not math.isfinite(best):
         raise ParamError(f"the class gap overflows float64 (T={T}, delta_max={delta_max})")
     return best

@@ -25,13 +25,21 @@ from tsvote import (
     classify_gwmv,
     classify_knn,
     classify_map,
+    gap,
     lambda_ratio,
     log_vote_sum,
     nearest_neighbor,
 )
 import tsvote.core as core
 from tsvote import dataio
-from tsvote.classify import MapKernel, VotingKernel, _log_votes, _tie_order, _vote_ratio
+from tsvote.classify import (
+    MapKernel,
+    VotingKernel,
+    _log_votes,
+    _nearest,
+    _tie_order,
+    _vote_ratio,
+)
 from tsvote.core import expansion_slack, sq_dists
 from tsvote.cli import main
 
@@ -599,7 +607,7 @@ class TestExactShiftMinimum:
             (lambda: kernel.gwmv(s), lambda: kernel._gwmv_from_dists(votes)),
             (lambda: kernel.knn(s, 1), lambda: kernel._knn_from_dists(want_d, 1)),
             (lambda: kernel.knn(s, kernel.n), lambda: kernel._knn_from_dists(want_d, kernel.n)),
-            (lambda: kernel.nearest(s), lambda: kernel._nearest_from_min(want_d, want_shift)),
+            (lambda: kernel.nearest(s), lambda: _nearest(want_d[None], want_shift[None]).row(0)),
         ]
         for got, want in pairs:
             assert outcome_of(got) == outcome_of(want)
@@ -969,7 +977,7 @@ class TestBlocks:
         outcome = [(0,)] * 4  # labels, log ratios and each class's log votes
         calls = {
             "ShiftWindows.grid": (lambda: kernel._windows.grid(Q), [(0, n, S)]),
-            "ShiftWindows.minimum": (lambda: kernel._windows.minimum(Q, 1), [(n, 0)] * 2),
+            "ShiftWindows.minimum": (lambda: kernel._windows.minimum(Q), [(n, 0)] * 2),
             "min_dists_block": (lambda: kernel.min_dists_block(Q), [(0, n)] * 2),
             "gwmv_block": (lambda: kernel.gwmv_block(np.empty((0, kernel.width))), outcome),
             "knn_block": (lambda: kernel.knn_block(np.empty((0, n)), 3), outcome),
@@ -1132,9 +1140,9 @@ class TestKeptMinimum:
         calls = []
         minimum = core.ShiftWindows.minimum
 
-        def counting(self, Q, axis):
+        def counting(self, Q):
             calls.append(len(Q))
-            return minimum(self, Q, axis)
+            return minimum(self, Q)
 
         monkeypatch.setattr(core.ShiftWindows, "minimum", counting)
         return calls
@@ -1318,7 +1326,7 @@ class TestBandedExpansion:
         d, eps = windows.expansion(Q)
         assert d.shape == grid.shape and eps.shape == (self.n, P)
         assert np.all(np.abs(d - grid) <= eps[:, None, :])
-        dmin, j = windows.minimum(Q, 1)
+        dmin, j = windows.minimum(Q)
         assert dmin.tobytes() == grid.min(axis=1).tobytes()
         assert j.tobytes() == grid.argmin(axis=1).tobytes()
 
@@ -1361,7 +1369,7 @@ class TestExpansionMinimum:
         Q = 1e3 + rng.standard_normal((P, self.T))
         Q[-1:] = windows.views[0, S // 2]  # distance 0 at one cell of row 0
         got = windows.expansion_minimum(Q)
-        exact = windows.minimum(Q, 1)[0]
+        exact = windows.minimum(Q)[0]
         eps = windows.expansion(Q)[1]
         assert got.shape == (self.n, P) and got.dtype == np.float64
         assert np.all(got >= 0.0)
@@ -1375,7 +1383,7 @@ class TestExpansionMinimum:
             self.T, 0, S - 1,
         )
         Q = dyadic_values(rng, (3, self.T))
-        assert windows.expansion_minimum(Q).tobytes() == windows.minimum(Q, 1)[0].tobytes()
+        assert windows.expansion_minimum(Q).tobytes() == windows.minimum(Q)[0].tobytes()
 
     def test_overflowing_norms_take_the_exact_minimum(self):
         # |w|^2 = 8e310 overflows, so d~ would be inf - inf
@@ -1387,7 +1395,7 @@ class TestExpansionMinimum:
             got = windows.expansion_minimum(Q)
         assert windows.expansion(Q)[1] is None
         assert got.flags.c_contiguous
-        assert got.tobytes() == windows.minimum(Q, 1)[0].tobytes()
+        assert got.tobytes() == windows.minimum(Q)[0].tobytes()
 
     def test_min_mode_traces_allocate_no_expansion(self, rng):
         # S > SHIFT_GROUP, where the expansion also built a GEMM stack; sum
@@ -1419,7 +1427,7 @@ class TestOneCandidatePerGroup:
 
     T, dmax = 8, 3
 
-    def windows(self, rng, tied):
+    def series(self, rng, tied):
         # an offset makes the norms dwarf the distances, so d~ rounds; a
         # constant series ties at every shift and a duplicated one ties the
         # first series everywhere
@@ -1427,8 +1435,10 @@ class TestOneCandidatePerGroup:
         values = [1e3 + rng.standard_normal(L) for _ in range(5)]
         if tied:
             values[1:3] = [np.full(L, 1e3), values[0]]
-        seriess = [TimeSeries(1 - self.dmax, v, id=f"r{i}") for i, v in enumerate(values)]
-        return core.ShiftWindows(seriess, self.T, -self.dmax, self.dmax)
+        return [TimeSeries(1 - self.dmax, v, id=f"r{i}") for i, v in enumerate(values)]
+
+    def windows(self, rng, tied):
+        return core.ShiftWindows(self.series(rng, tied), self.T, -self.dmax, self.dmax)
 
     def verified(self, monkeypatch):
         """The number of cells sq_dists computes from now on, as a list's sum."""
@@ -1449,7 +1459,7 @@ class TestOneCandidatePerGroup:
         Q[-1] = windows.views[0, 2]  # distance 0 at one cell of row 0 (and its duplicate)
         grid = np.moveaxis(windows.grid(Q), 0, -1)  # (n, S, P)
         verified = self.verified(monkeypatch)
-        dmin, j = windows.minimum(Q, 1)
+        dmin, j = windows.minimum(Q)
         assert dmin.tobytes() == grid.min(axis=1).tobytes()
         assert j.tobytes() == grid.argmin(axis=1).tobytes()
         n, S = windows.views.shape[:2]
@@ -1457,23 +1467,39 @@ class TestOneCandidatePerGroup:
         assert sum(verified) == ((n - 1) * P + S * P if tied else n * P)
 
     @pytest.mark.parametrize("tied", [False, True])
-    def test_minimum_over_the_block_is_the_grids(self, rng, monkeypatch, tied):
-        windows = self.windows(rng, tied)
-        Q = 1e3 + rng.standard_normal((3, self.T))
-        Q[1] = windows.views[0, 2]
-        grid = np.moveaxis(windows.grid(Q), 0, -1)
+    def test_the_class_gap_verifies_only_candidate_windows(self, rng, monkeypatch, tied):
+        # the negatives are these series; one positive window equals series 0
+        # at shift 2 (and its duplicate), so the gap is 0, and no other pair
+        # comes near it
+        negatives = self.series(rng, tied)
+        L = self.T + 2 * self.dmax
+        values = [1e3 + rng.standard_normal(L) for _ in range(3)]
+        values[1][1 : 1 + self.T] = negatives[0].values[2 : 2 + self.T]
+        positives = [TimeSeries(1 - self.dmax, v, id=f"p{i}") for i, v in enumerate(values)]
+        data = LabeledDataset(tuple(positives), tuple(negatives))
+        want = gap(data, self.T, self.dmax, cutoff=False)
+        calls, minimum = [], core.ShiftWindows.minimum
+
+        def recording(self, Q):
+            calls.append((Q.copy(), *minimum(self, Q)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(core.ShiftWindows, "minimum", recording)
         verified = self.verified(monkeypatch)
-        dmin, j = windows.minimum(Q, None)
-        assert np.float64(dmin).tobytes() == grid.min().tobytes() and j == grid.argmin()
-        # the duplicate ties row 0 at distance 0; the first row wins
-        assert sum(verified) == (2 if tied else 1)
-        assert np.unravel_index(j, grid.shape) == (0, 2, 1)
+        got = gap(data, self.T, self.dmax)
+        assert got == 0.0 and np.float64(got).tobytes() == np.float64(want).tobytes()
+        [(Q, dmin, j)] = calls  # one block, whose one candidate is the shared window
+        assert Q.tobytes() == negatives[0].values[None, 2 : 2 + self.T].tobytes()
+        n, S = len(negatives), 2 * self.dmax + 1
+        if tied:  # the duplicate ties series 0; the constant series ties at every shift
+            assert dmin[[0, 2], 0].tolist() == [0.0, 0.0] and j[[0, 1, 2], 0].tolist() == [2, 0, 2]
+        assert sum(verified) == ((n - 1) + S if tied else n)
 
     @pytest.mark.parametrize("values", [1, 64, core.BLOCK_VALUES])
     def test_an_empty_block_gives_empty_minima(self, rng, monkeypatch, values):
         monkeypatch.setattr(core, "BLOCK_VALUES", values)
         windows = self.windows(rng, tied=False)
-        dmin, j = windows.minimum(np.empty((0, self.T)), 1)
+        dmin, j = windows.minimum(np.empty((0, self.T)))
         assert dmin.shape == j.shape == (5, 0)
         assert dmin.dtype == np.float64 and j.dtype == np.intp
 
@@ -1495,13 +1521,13 @@ class TestOneCandidatePerGroup:
             return result
 
         monkeypatch.setattr(core.ShiftWindows, "expansion", recording)
-        want = windows.minimum(Q, 1)
+        want = windows.minimum(Q)
         assert len(outs) == blocks_
         assert all(out is outs[0][0] and np.shares_memory(d, out) for out, d in outs)
         monkeypatch.setattr(core.ShiftWindows, "expansion", expansion)
         tracemalloc.start()
         try:
-            got = windows.minimum(Q, 1)
+            got = windows.minimum(Q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

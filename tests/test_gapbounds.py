@@ -156,11 +156,56 @@ class TestGap:
 
     @pytest.mark.parametrize("cutoff", [True, False])
     def test_overflowing_gap_is_an_error(self, cutoff):
+        # with no RuntimeWarning: the suite turns them into errors
+        for big in (1e160, 1e200):
+            data = LabeledDataset(
+                (TimeSeries(1, [big, 0.0], id="p"),), (TimeSeries(1, [-big, 0.0], id="n"),)
+            )
+            with pytest.raises(ParamError, match="overflows"):
+                gap(data, 2, 0, cutoff=cutoff)
+
+    def test_overflowing_norms_make_every_window_a_candidate(self, monkeypatch):
+        # the squared norms are finite but their sum is not, so the slack is inf
+        # and every positive window is verified; the first is at distance 4
         data = LabeledDataset(
-            (TimeSeries(1, [1e160, 0.0], id="p"),), (TimeSeries(1, [-1e160, 0.0], id="n"),)
+            (TimeSeries(0, [0.0, 0.0, 1.1e154, 0.0], id="p"),),
+            (TimeSeries(0, [2.0, 0.0, 1e154, 1.0], id="n"),),
         )
-        with pytest.raises(ParamError, match="overflows"):
-            gap(data, 2, 0, cutoff=cutoff)
+        verified, minimum = [], core.ShiftWindows.minimum
+
+        def recording(self, Q):
+            verified.append(len(Q))
+            return minimum(self, Q)
+
+        monkeypatch.setattr(core.ShiftWindows, "minimum", recording)
+        assert gap(data, 2, 1) == gap(data, 2, 1, cutoff=False) == 4.0
+        assert verified == [3]
+
+    def test_blocks_of_windows_keep_the_closest_pair(self, rng, monkeypatch):
+        # blocks of 3 of the 15 positive windows: the closest pair (1/16 apart)
+        # holds the last window, and a window of the first block ties it
+        T, dmax = 6, 2
+        negatives = random_gap_instance(rng, 1, 4, T=T, delta_max=dmax).negatives
+        first, middle, last = (dyadic_values(rng, T + 2 * dmax) for _ in range(3))
+        first[:T] = negatives[0].values[:T] - np.eye(T)[-1] / 4
+        last[-T:] = negatives[3].values[1 : 1 + T] + np.eye(T)[0] / 4
+        data = LabeledDataset(
+            tuple(TimeSeries(1 - dmax, v, id=f"p{i}") for i, v in enumerate((first, middle, last))),
+            negatives,
+        )
+        assert brute_gap(data, T, dmax) == 1 / 16
+        monkeypatch.setattr(core, "BLOCK_VALUES", 3 * 2 * data.n_neg)
+        lowest, minimum = [], core.ShiftWindows.minimum
+
+        def recording(self, Q):
+            dmin, j = minimum(self, Q)
+            lowest.append(dmin.min())
+            return dmin, j
+
+        monkeypatch.setattr(core.ShiftWindows, "minimum", recording)
+        assert gap(data, T, dmax) == gap(data, T, dmax, cutoff=False) == 1 / 16
+        # each block verifies its own candidates: the first and last hold the pairs
+        assert len(lowest) == 5 and lowest[0] == lowest[-1] == 1 / 16 < min(lowest[1:-1])
 
     def test_zero_shift_equals_min_pairwise(self, rng):
         from tsvote import window_sq_dist

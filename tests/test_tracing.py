@@ -85,9 +85,9 @@ def test_error_curves_compute_one_grid_per_test_and_T(beta, beta_grid, monkeypat
     queries = []
     exact_min = core.ShiftWindows.minimum
 
-    def counting(self, Q, axis):
+    def counting(self, Q):
         queries.append(len(Q))
-        return exact_min(self, Q, axis)
+        return exact_min(self, Q)
 
     monkeypatch.setattr(core.ShiftWindows, "minimum", counting)
     tracer = load_tracer_class()()

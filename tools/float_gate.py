@@ -21,10 +21,10 @@ configs/desk.cfg and `tsvote classify` of its test.jsonl with wmv, wmv
 --shift-mode sum (which votes on ShiftWindows.grid), nn, knn --k 5 and map.
 
 A fifth stream, min, records every ShiftWindows.minimum call of the same runs
-under a (T, n, S, axis) key: per query its n minimum distances, then its n
-first minimizing shifts (axis=1), or the block's minimum and its flat index
-(axis=None). These are exact by contract, so the min stream must be
-byte-identical between the trees.
+under a (T, n, S) key: per query its n minimum distances over shifts, then its
+n first minimizing shifts. The runs compute no class gap, so every call is per
+series; the axis argument of older trees' minimum is passed through. These are
+exact by contract, so the min stream must be byte-identical between the trees.
 
 Exits 1 unless the min streams are byte-identical, and for the other streams
 both trees record the same keys with the same number of values per key, every
@@ -126,13 +126,13 @@ def _record_minimum(cls) -> dict:
     """Wrap cls.minimum so that it records its results; returns the keys."""
     keys, original = {}, cls.minimum
 
-    def minimum(self, Q, axis):
-        dmin, j = original(self, Q, axis)
+    def minimum(self, Q, *axis):
+        dmin, j = original(self, Q, *axis)
         n, S = self.views.shape[:2]
         # per query its distances, then its shifts: the same sequence whichever
         # blocks of queries the calls are given
-        per_query = np.hstack([np.transpose(dmin), np.transpose(j)]) if axis == 1 else [dmin, j]
-        keys.setdefault(f"T={self.T} n={n} S={S} axis={axis}", []).extend(np.ravel(per_query).tolist())
+        per_query = np.hstack([np.transpose(dmin), np.transpose(j)])
+        keys.setdefault(f"T={self.T} n={n} S={S}", []).extend(np.ravel(per_query).tolist())
         return dmin, j
 
     cls.minimum = minimum
