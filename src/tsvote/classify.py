@@ -84,11 +84,12 @@ class BlockOutcome(NamedTuple):
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) along the last axis; -inf where it is empty or all -inf."""
+    """log(sum(exp(a))) along the last axis, overwriting a; -inf where it is empty or all -inf."""
     m = a.max(axis=-1, initial=NEG_INF)
     shift = np.where(m == NEG_INF, 0.0, m)
+    a -= shift[..., None]
     with np.errstate(divide="ignore"):  # log(0): a class that casts no vote
-        return shift + np.log(np.exp(a - shift[..., None]).sum(axis=-1))
+        return shift + np.log(np.exp(a, out=a).sum(axis=-1))
 
 
 def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
@@ -98,7 +99,8 @@ def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
         d = np.zeros_like(d)  # 0 * inf would be NaN
     # gamma * d overflowing to inf is a zero vote, so numpy need not warn about it
     with np.errstate(over="ignore"):
-        return _logsumexp(-gamma * d + log_w)
+        a = -gamma * d
+    return _logsumexp(np.add(a, log_w, out=a))  # in place: one temporary of d's size
 
 
 def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
@@ -331,22 +333,22 @@ class VotingKernel:
         """log vote ratio for each row of a (P, T) observation matrix.
 
         Votes on ShiftWindows.expansion clamped at 0, unverified: in min mode
-        on its minimum over shifts (ShiftWindows.expansion_minimum, two (n, P)
-        work arrays), in sum mode on every cell of the (n, S, P) expansion,
-        which BLOCK_VALUES does not bound. Each distance is then within 2 eps_i
-        of the direct path's, and a class's log vote moves by at most gamma
-        times the largest change of its distances, so a row is within
-        4 gamma max_i eps_i of gwmv's log ratio, plus log-sum-exp rounding.
+        on its minimum over shifts (expansion_minimum) per core.blocks of 2 n
+        rows, whose two (n, p) arrays so fit in BLOCK_VALUES (each row votes
+        alone, along axis 0 of the transposed distances, so blocks move no
+        bit); in sum mode on all of the (n, S, P) expansion, which nothing
+        bounds. Each distance is then within 2 eps_i of the direct path's, and
+        a class's log vote moves by at most gamma times its largest change, so
+        a row is within 4 gamma max_i eps_i of gwmv's, plus log-sum-exp rounding.
         """
         Q = _queries(observations, self.params.T)
-        if self.params.shift_mode == "min":
-            D = self._windows.expansion_minimum(Q)
-        else:
+        if self.params.shift_mode == "sum":
             d = self._windows.expansion(Q)[0]
-            D = np.maximum(d, 0.0, out=d).reshape(self.width, -1)
-        # voting on the transpose accumulates along axis 0 of the (width, P)
-        # distances, in memory order, as these traces always have
-        return self._votes(D.T)[0]
+            return self._votes(np.maximum(d, 0.0, out=d).reshape(self.width, -1).T)[0]
+        out = np.empty(len(Q))
+        for b in blocks(len(Q), 2 * self.n):
+            out[b] = self._votes(self._windows.expansion_minimum(Q[b]).T)[0]
+        return out
 
 
 def log_vote_sum(examples: Sequence[TimeSeries], s: TimeSeries, params: VotingParams) -> float:

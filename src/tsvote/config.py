@@ -171,8 +171,8 @@ SCHEMA: dict[str, FieldSpec] = {
     "detection.h_grid": FieldSpec(_none_or(_float_list), None, _entries(_gt(0))),
     "detection.theta_grid": FieldSpec(_none_or(_float_list), None, _entries(_gt(0))),
     # synthetic detection corpus
-    "corpus.n_trends": FieldSpec(_as_int, 200, _ge(1)),
-    "corpus.n_non_trends": FieldSpec(_as_int, 200, _ge(1)),
+    "corpus.n_trends": FieldSpec(_as_int, 200, _ge(2)),  # split_topics halves each class
+    "corpus.n_non_trends": FieldSpec(_as_int, 200, _ge(2)),
     "corpus.length": FieldSpec(_as_int, 240, _ge(1)),
     "corpus.base_rate": FieldSpec(_as_float, 50.0, _gt(0)),
     "corpus.burst_scale": FieldSpec(_as_float, 6.0, _gt(0)),

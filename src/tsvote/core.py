@@ -12,7 +12,7 @@ use. Its forms of the distances are:
   one banded GEMM per group of SHIFT_GROUP shifts;
 - `expansion_minimum`, the expansion's minimum over shifts, clamped at 0 and
   not verified (min-mode detection traces vote on it, the class gap prunes
-  with it), one GEMM per shift into a running (n, P) minimum;
+  with it), one GEMM per shift, norms included, into a running minimum;
 - `minimum`, the one bound-and-verify: each series' exact minimum over
   shifts, computing with `sq_dists` only the expansion's candidate cells that
   can hold it. Where a minimum has one candidate, that cell is the first
@@ -25,8 +25,9 @@ queries it has: no temporary of `grid` holds more than BLOCK_VALUES float64
 values beyond one series' (S, T) differences, since a query whose differences
 do not fit is walked in blocks of series, and none of `minimum` more than
 that beyond one query's (n, S) expansion and its mask, which every block of a
-call reuses. `expansion` and `expansion_minimum` take their block whole (a
-detection trace, say). A block of no queries gives empty grids and minima.
+call reuses. `expansion` and `expansion_minimum` take their block whole; a
+detection trace walks its queries in `blocks` of 2 n. A block of no queries
+gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -485,35 +486,36 @@ class ShiftWindows:
 
     def expansion_minimum(self, Q: np.ndarray) -> np.ndarray:
         """The (n, P) minimum over shifts of expansion(Q)'s d~, clamped at 0 and
-        not verified: within 2 eps of the exact minimum, minimum(Q)[0],
-        since every d~ and every sq_dists lies within eps of the exact
-        distance. If a squared norm overflows, the exact minimum of the grids.
+        not verified: within 2 eps of the exact minimum, minimum(Q)[0], since
+        every d~ and every sq_dists lies within eps of the exact distance. If a
+        squared norm overflows, the exact minimum of the grids.
 
-        One GEMM per shift j, of the row values j..j+T-1 against the (T, P)
-        placements -2 Q^T, writes into one reused (n, P) buffer; |w|^2 is added
-        there and the running minimum taken. |q|^2 is added and the clamp
-        applied once, after the minimum: both are monotone, so they commute
-        with it. Each dot product has T <= L terms and scaling by -2 is exact
-        apart from subnormal rounding, which eps's 4 k tiny term covers, so
-        expansion's bound holds unchanged, though a GEMM of T values may round
-        differently from expansion's. The work arrays are two (n, P) arrays
-        and the placements, not the (n, S, P) expansion.
+        The rows are copied into an (n, L+1) array; from the last shift down,
+        |w_j|^2 goes into column j+T, which no smaller shift reads, and one GEMM
+        multiplies values j..j+T by the (T+1, P) placements, -2 Q^T over ones,
+        into a reused (n, P) buffer that a running minimum (exact in any order)
+        reads; |q|^2 and the clamp, both monotone, follow it. A dot product has
+        T+1 <= L+1 terms of magnitudes summing to at most |w|^2 + |q|^2 + |w|^2
+        <= 2N (1 + 3g) (N, g as in expansion): within 2gN (1 + 3g) of exact,
+        where expansion allots gN to 2 w.q and gN to the two additions; adding
+        |q|^2 is within 2uN. So d~ is within 7gN + 2uN + O(g^2 N) < eps of the
+        exact distance. The work arrays are these, not the (n, S, P) expansion.
         """
         (n, S, T), P = self.views.shape, len(Q)
         q_sq = self._query_sq(Q)
         if q_sq is None:
             return self.grid(Q).min(axis=-1).T.copy()
         window_sq = self.norms[0]
-        placements = (-2.0 * Q).T.copy()  # C-ordered, as the GEMMs read it
-        low, cross = np.empty((n, P)), np.empty((n, P))
-        for j in range(S):
-            d = cross if j else low
-            np.matmul(self.rows[:, j : j + T], placements, out=d)
-            d += window_sq[:, j, None]
-            if j:
-                np.minimum(low, d, out=low)
-        low += q_sq
-        return np.maximum(low, 0.0, out=low)
+        placements = np.ones((T + 1, P))  # C-ordered, as the GEMMs read it
+        placements[:T] = Q.T  # a ufunc of Q.T into it would buffer 64 kB
+        placements[:T] *= -2.0
+        work = np.hstack([self.rows, window_sq[:, -1:]])
+        low, cross = np.full((n, P), np.inf), np.empty((n, P))
+        for j in range(S - 1, -1, -1):
+            work[:, j + T] = window_sq[:, j]
+            np.minimum(low, np.matmul(work[:, j : j + T + 1], placements, out=cross), out=low)
+        del placements, work, cross  # before the broadcast add's 64 kB ufunc buffer
+        return np.maximum(np.add(low, q_sq, out=low), 0.0, out=low)
 
     def minimum(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, P) min and first argmin over shifts of the (n, S, P) exact grids

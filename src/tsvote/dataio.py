@@ -21,10 +21,8 @@ from .pipeline import RateSeries
 from .synth import LatentSourceModel, NoiseSpec
 
 SCHEMA_VERSION = 1
-
-
-def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=True, separators=(",", ": "))
+# one encoder for every record: json.dumps with these options would build one per call
+dumps_canonical = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ": ")).encode
 
 
 def config_hash(config: dict) -> str:

@@ -270,39 +270,46 @@ def _detection_kernel(training: LabeledDataset, cfg: DetectionConfig) -> VotingK
     return VotingKernel(training, VotingParams(cfg.gamma, cfg.T, dmax, cfg.theta))
 
 
-def _log_ratio_trace(series: TimeSeries, kernel: VotingKernel, anchor: int, half: int):
-    """log vote ratio of the T buckets ending at each position anchor-half..anchor+half."""
-    T = kernel.params.T
-    region = series.window(anchor - half - T + 1, anchor + half)  # SupportError if too short
-    return kernel.log_lambda_many(np.lib.stride_tricks.sliding_window_view(region, T))
+def _running_maxima(kernel: VotingKernel, regions: list, half: int) -> np.ndarray:
+    """(k, 2 half + 1) running maxima of the log-ratio traces of k regions of
+    2 half + T values, from one log_lambda_many call per core.blocks chunk of
+    regions whose sliding T-windows hold at most BLOCK_VALUES values."""
+    T, width = kernel.params.T, 2 * half + 1
+    rows = np.stack(regions) if regions else np.empty((0, width + T - 1))
+    views = np.lib.stride_tricks.sliding_window_view(rows, T, axis=1)
+    traces = [kernel.log_lambda_many(views[b].reshape(-1, T)) for b in blocks(len(rows), width * T)]
+    return np.maximum.accumulate(np.concatenate(traces).reshape(-1, width), axis=1)
 
 
-def _first_crossing(trace, log_theta, series_id, anchor, half, bw, truth) -> DetectionResult:
-    """Detection at the first trace position whose log ratio reaches log_theta."""
-    hits = trace >= log_theta
-    if not hits.any():
-        return DetectionResult(series_id, False, None, None, truth)
-    position = anchor - half + int(np.argmax(hits))
-    return DetectionResult(series_id, True, position, (position - anchor) * bw, truth)
+def _first_crossings(maxima: np.ndarray, log_theta: float) -> np.ndarray:
+    """Per row of running maxima, the first position whose trace reaches log_theta, or -1: a
+    running maximum is nondecreasing, so its last value says whether, its first crossing where."""
+    return np.where(maxima[:, -1] >= log_theta, (maxima >= log_theta).argmax(axis=1), -1)
+
+
+def _detections(topics: list, maxima, log_theta: float, half: int, bw: float) -> tuple:
+    """DetectionResult per (id, truth, anchor) of topics at its first crossing."""
+    return tuple(
+        DetectionResult(sid, True, anchor - half + i, (i - half) * bw, truth) if i >= 0
+        else DetectionResult(sid, False, None, None, truth)
+        for (sid, truth, anchor), i in zip(topics, _first_crossings(maxima, log_theta).tolist())
+    )
 
 
 def detect_online(
-    series: TimeSeries,
-    training: LabeledDataset,
-    cfg: DetectionConfig,
-    anchor: int,
-    truth: Label,
+    series: TimeSeries, training: LabeledDataset, cfg: DetectionConfig, anchor: int, truth: Label
 ) -> DetectionResult:
     """Slide a T-bucket observation window across the region h_hours either side of anchor.
 
     Detection fires at the first position whose vote ratio clears theta;
-    relative_minutes is negative when that happens before the anchor.
+    relative_minutes is negative when that happens before the anchor. This is
+    roc_sweep's trace and crossing for one topic and one theta.
     """
-    anchor = int(anchor)
-    bw = cfg.bucket_width_minutes
+    anchor, bw = int(anchor), cfg.bucket_width_minutes
     half = window_buckets(cfg.h_hours, bw)
-    trace = _log_ratio_trace(series, _detection_kernel(training, cfg), anchor, half)
-    return _first_crossing(trace, math.log(cfg.theta), series.id, anchor, half, bw, truth)
+    region = series.window(anchor - half - cfg.T + 1, anchor + half)  # SupportError if too short
+    maxima = _running_maxima(_detection_kernel(training, cfg), [region], half)
+    return _detections([(series.id, truth, anchor)], maxima, math.log(cfg.theta), half, bw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +425,14 @@ def split_topics(
     """Shuffle each class and split it in half: (train_half, test_half).
 
     Each half is a list of (RateSeries, Label); no topic appears in both.
+    ParamError unless each class has at least 2 topics, one per half.
     """
     rng = as_generator(rng_stream)
     train, test = [], []
     for topics, label in ((list(trends), Label.POSITIVE), (list(non_trends), Label.NEGATIVE)):
+        if len(topics) < 2:
+            name = "trend" if label == Label.POSITIVE else "non-trend"
+            raise ParamError(f"need >= 2 {name} topics to split in half, got {len(topics)}")
         order = rng.permutation(len(topics))
         cut = len(topics) // 2
         train.extend((topics[k], label) for k in order[:cut])
@@ -555,8 +566,8 @@ def roc_sweep(
 
     corpus and training are sequences of (RateSeries, Label) from split_topics;
     the two sides must be disjoint by topic id. Each (gamma, T, t_smooth, h)
-    setting builds its training set, kernel and per-topic log-ratio traces
-    once; every theta then only thresholds those traces.
+    setting builds its training set and kernel once and scores all test topics'
+    traces in a few blocked calls; each theta only reads their running maxima.
     """
     corpus_ids = {rate.topic_id for rate, _ in corpus}
     train_ids = {rate.topic_id for rate, _ in training}
@@ -575,12 +586,10 @@ def roc_sweep(
     for gamma, T, t_smooth, h in settings:
         pipeline = replace(base_cfg.pipeline, t_smooth=t_smooth)
         cfg = replace(base_cfg, h_hours=h, T=T, gamma=gamma, pipeline=pipeline)
-        train_data = prepare_training(
-            training, cfg, [np.random.default_rng(c) for c in train_children]
-        )
-        kernel = _detection_kernel(train_data, cfg)
+        rngs = [np.random.default_rng(c) for c in train_children]
+        kernel = _detection_kernel(prepare_training(training, cfg, rngs), cfg)
         half = window_buckets(h, bw)
-        traces = []  # (topic id, truth, anchor, log-ratio trace) per test topic
+        topics, regions = [], []  # (topic id, truth, anchor) and detection region per test topic
         for (rate, label), child in zip(corpus, anchor_children):
             processed = preprocess(rate, cfg.pipeline)
             if label == Label.POSITIVE:
@@ -595,14 +604,11 @@ def roc_sweep(
                         f"topic {rate.topic_id!r} is too short for the detection region"
                     )
                 anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
-            trace = _log_ratio_trace(processed, kernel, anchor, half)
-            traces.append((processed.id, label, anchor, trace))
+            regions.append(processed.window(anchor - half - T + 1, anchor + half))
+            topics.append((processed.id, label, anchor))
+        maxima = _running_maxima(kernel, regions, half)
         for theta in grid.thetas:
-            log_theta = math.log(theta)
-            results = tuple(
-                _first_crossing(trace, log_theta, sid, anchor, half, bw, label)
-                for sid, label, anchor, trace in traces
-            )
+            results = _detections(topics, maxima, math.log(theta), half, bw)
             params = {"gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta}
             points.append(_roc_point(results, params))
             per_point_results.append(results)

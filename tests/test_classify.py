@@ -1419,6 +1419,36 @@ class TestExpansionMinimum:
         assert peaks["sum"] >= expansion_bytes  # the probe: sum mode holds the expansion
         assert peaks["min"] < expansion_bytes / 4, peaks
 
+    def test_many_queries_beyond_a_group_of_shifts(self, rng):
+        # S > SHIFT_GROUP, and P spans several of minimum's query blocks
+        S, P = 2 * core.SHIFT_GROUP + 1, 40
+        windows = self.windows(rng, S)
+        assert len(windows.query_blocks(P)) >= 3
+        Q = 1e3 + rng.standard_normal((P, self.T))
+        Q[::7] = windows.views[np.arange(P)[::7] % self.n, np.arange(P)[::7] % S]
+        got, exact = windows.expansion_minimum(Q), windows.minimum(Q)[0]
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - exact) <= 2.0 * windows.expansion(Q)[1])
+
+    def test_blocked_traces_hold_one_block(self, rng):
+        # ten blocks of rows: the peak is the output, one block's query norms,
+        # placements and (n, p) arrays, and the (n, L + 1) copy of the rows
+        T, dmax = 8, 20
+        data, _ = random_instance(rng, 10, 10, T=T, delta_max=dmax)
+        n, L = data.n, T + 2 * dmax
+        p = core.BLOCK_VALUES // (2 * n)
+        obs = rng.standard_normal((10 * p, T))
+        kernel = VotingKernel(data, VotingParams(0.5, T, dmax))
+        kernel.log_lambda_many(obs[:1])  # warm up: stacks the windows, computes their norms
+        tracemalloc.start()
+        try:
+            kernel.log_lambda_many(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = len(obs) + p + 2 * n * p + (T + 1) * p + n * (L + 1)
+        assert peak <= 8 * held + 8192, (peak, 8 * held)
+
 
 class TestOneCandidatePerGroup:
     """ShiftWindows.minimum computes only the candidate cell of each group when

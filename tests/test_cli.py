@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import tsvote.core as core
-from tsvote import Label, LabeledDataset, Provenance, TimeSeries, VotingParams
+from tsvote import (
+    CorpusConfig, Label, LabeledDataset, Provenance, TimeSeries, VotingParams, make_detection_corpus
+)
 from tsvote.classify import MapKernel, VotingKernel
 from tsvote.cli import main
 from tsvote import dataio
@@ -641,6 +643,30 @@ class TestDetectCommand:
         got = [(p["params"]["T"], p["params"]["h_hours"], p["params"]["theta"]) for p in doc["points"]]
         assert got == [(T, h, th) for T in (12, 15) for h in (1.0, 1.5) for th in (0.5, 2.0)]
 
+    def test_two_topics_per_class_run(self, tmp_path, capsys):
+        counts = ["--set", "corpus.n_trends=2", "--set", "corpus.n_non_trends=2"]
+        out = tmp_path / "det"
+        code, _, _ = run_cli(["detect", "--out", str(out)] + self.DETECT_ARGS + counts, capsys)
+        assert code == 0
+        doc = json.loads((out / "roc.json").read_text())
+        assert (doc["n_train"], doc["n_test"]) == (2, 2)
+
+    @pytest.mark.parametrize("lonely", ["trends", "non-trends"])
+    def test_a_one_topic_file_names_its_class(self, tmp_path, capsys, lonely):
+        trends, bgs = make_detection_corpus(CorpusConfig(n_trends=2, n_non_trends=2))
+        files = {"trends": trends, "non-trends": bgs}
+        files[lonely] = files[lonely][:1]
+        argv = ["detect"]
+        for flag, rates in files.items():
+            dataio.write_rates(tmp_path / f"{flag}.jsonl", rates)
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.jsonl")]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        name = "trend" if lonely == "trends" else "non-trend"
+        assert code == 3
+        assert f"need >= 2 {name} topics to split in half, got 1" in err
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("value", ["0.5", "9"])
     def test_window_hours_is_retired(self, tmp_path, capsys, value):
         argv = ["detect", "--set", f"detection.window_hours={value}", "--out", str(tmp_path)]
@@ -729,6 +755,9 @@ class TestExitCodes:
               "--set", "detection.t_grid=15,31"], "detection.h_hours"),
             (["detect", "--config", str(CONFIGS / "detect.cfg"),
               "--set", "detection.delta_max=8"], "detection.delta_max"),
+            # the split halves each class, so a class of one topic has no test half
+            (["detect", "--set", "corpus.n_trends=1"], "corpus.n_trends"),
+            (["detect", "--set", "corpus.n_non_trends=1"], "corpus.n_non_trends"),
         ],
     )
     def test_bad_setting_names_its_key(self, tmp_path, capsys, argv, key):

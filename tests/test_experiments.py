@@ -32,6 +32,7 @@ from tsvote import (
 import tsvote.core as core
 from tsvote.classify import VotingKernel
 from tsvote.config import corpus_config, detection_config, load_config
+from tsvote.experiments import _first_crossings
 
 
 def tiny_config(**overrides):
@@ -525,3 +526,70 @@ class TestThetaAxis:
         by_theta = sorted(zip(thetas, together.points))
         for (_, lo), (_, hi) in zip(by_theta, by_theta[1:]):
             assert hi.tpr <= lo.tpr and hi.fpr <= lo.fpr
+
+
+class TestBlockedTraces:
+    """roc_sweep scores a setting's test topics in chunks through
+    log_lambda_many, which walks its rows in blocks; every theta reads the
+    running maxima of the traces."""
+
+    THETAS = (1e-300, 0.3, 1.0, 3.0, 1e300)
+
+    def test_small_blocks_give_the_default_sweep(self, monkeypatch):
+        default = theta_sweep(self.THETAS)
+        rows, blocks = [], []
+
+        def log_lambda_many(kernel, observations, _original=VotingKernel.log_lambda_many):
+            rows.append(len(observations))
+            blocks.append(0)
+            return _original(kernel, observations)
+
+        def expansion_minimum(windows, Q, _original=core.ShiftWindows.expansion_minimum):
+            blocks[-1] += 1
+            return _original(windows, Q)
+
+        monkeypatch.setattr(VotingKernel, "log_lambda_many", log_lambda_many)
+        monkeypatch.setattr(core.ShiftWindows, "expansion_minimum", expansion_minimum)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 400)
+        small = theta_sweep(self.THETAS)
+        test, _ = theta_sweep_topics()
+        assert len(rows) >= 3 and sum(rows) == len(test) * 61  # 61 positions per topic
+        assert min(blocks) >= 3
+        assert small == default
+
+    def test_one_call_per_chunk_of_topics(self, monkeypatch):
+        calls = []
+        original = VotingKernel.log_lambda_many
+        monkeypatch.setattr(
+            VotingKernel, "log_lambda_many", lambda k, obs: calls.append(len(obs)) or original(k, obs)
+        )
+        result = theta_sweep(self.THETAS)
+        assert calls == [len(result.results[0]) * 61]
+
+    def test_an_empty_test_half_gives_zero_counts(self):
+        _, train = theta_sweep_topics()
+        grid = SweepGrid(gammas=(1.0,), Ts=(15,), t_smooths=(20,), h_hours=(1.0,), thetas=(0.5, 2.0))
+        result = roc_sweep([], train, grid, small_base_cfg(), seed=13)
+        assert result.results == ((), ())
+        for point in result.points:
+            assert (point.n_trends, point.n_non_trends) == (0, 0)
+            assert (point.n_detected_trends, point.n_detected_non_trends) == (0, 0)
+            assert (point.fpr, point.tpr, point.mean_relative_minutes) == (0.0, 0.0, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_crossings_from_running_maxima_match_each_trace(self, seed):
+        rng = np.random.default_rng(seed)
+        traces = rng.standard_normal((40, 61)).round(1)  # rounded, so values repeat
+        traces[0] = 0.5  # constant
+        traces[1, 7] = np.inf
+        traces[2] = -np.inf
+        traces[3, :5] = -np.inf
+        traces[4] = -10.0  # fires only at the two lowest thresholds
+        maxima = np.maximum.accumulate(traces, axis=1)
+        # values exactly at some trace entries, between them, and beyond every one
+        thresholds = [0.5, 0.0, -0.3, 1.25, 2.0, -9.0, 50.0, -50.0, math.log(1e-300)]
+        for log_theta in thresholds:
+            got = _first_crossings(maxima, log_theta)
+            for trace, first in zip(traces, got):
+                hits = trace >= log_theta
+                assert first == (int(np.argmax(hits)) if hits.any() else -1)

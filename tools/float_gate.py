@@ -12,8 +12,10 @@ the same queries into different blocks record the same sequence per key. The
 runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
 detect` on configs/detect.cfg (15 shifts), and again with detection.h_hours =
 1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, whose traces
-sit under a key of their own; detect runs in min mode, so every trace comes
-from ShiftWindows.expansion_minimum, one GEMM per shift), one pass of
+sit under a key of their own; detect runs in min mode and scores each
+setting's test topics in a few blocked log_lambda_many calls, so every trace
+comes from ShiftWindows.expansion_minimum, one GEMM per shift that carries the
+window norms in a column of its own), one pass of
 perfbench's PoolStream at seed 0, then nearest_neighbor, classify_knn (k = 5)
 and classify_gwmv, in that order, on each of its queries (so k-NN and voting
 read a shift minimum that another call computed), then `tsvote generate` on
@@ -34,6 +36,8 @@ is 0 for wmv, nn and map (every run uses theta = 1) and each log theta of
 detect.cfg for traces. A value that differs where either side is not finite
 (k-NN with k = 1 gives +-inf) fails the gate and is counted on its own; the
 largest relative change is reported over the pairs where both are finite.
+Below each stream's line, every key with a value that differs is listed with
+its count of differing values (for traces: which detect run moved).
 """
 
 from __future__ import annotations
@@ -157,7 +161,8 @@ def compare(name: str, parent: dict, change: dict, points: list) -> bool:
     if counts[0] != counts[1]:
         print(f"{name}: values per key, parent {counts[0]} against change {counts[1]}")
         return False
-    a, b = (np.array([x for key in sorted(run) for x in run[key]]) for run in (parent, change))
+    keys = sorted(parent)
+    a, b = (np.array([x for key in keys for x in run[key]]) for run in (parent, change))
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     finite = np.isfinite(a) & np.isfinite(b)
     rel = np.abs(b[finite] - a[finite]) / np.maximum(1.0, np.abs(a[finite]))
@@ -171,6 +176,10 @@ def compare(name: str, parent: dict, change: dict, points: list) -> bool:
         f"{margins.size} flips, closest parent value to a flip point {closest:.3g}: "
         f"{'ok' if ok else 'FAIL'}"
     )
+    ends = np.cumsum([counts[0][key] for key in keys])
+    for key, part in zip(keys, np.split(~same, ends[:-1])):
+        if part.any():
+            print(f"  {key}: {part.size} values, {int(part.sum())} differ")
     return ok
 
 
