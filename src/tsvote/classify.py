@@ -2,15 +2,15 @@
 
 Every classifier here is a thin caller of one engine, `core.ShiftWindows`: the
 training windows (or, for the oracle, the sources) at every shift. Its `grid`
-is the full (examples, shifts) distance grid, its `expansion` the same
-distances from a GEMM per group of shifts within a stated bound, and its
-`minimum` the per-example minimum over shifts, bit for bit the grid's min and
-first argmin.
+is the full (examples, shifts) distance grid, and its `minimum` the
+per-example minimum over shifts, bound by GEMMs and verified, bit for bit the
+grid's min and first argmin.
 `_vote_dists` is the one rule for the exact distances a query votes with: the
 minimum in `min` mode, every grid cell in `sum` mode and for the oracle; k-NN
-and nearest neighbor read the minimum. Batches in `log_lambda_many` vote
-unverified: on the expansion's minimum over shifts (`expansion_minimum`, one
-GEMM per shift) in `min` mode, on the expansion itself in `sum` mode.
+and nearest neighbor read the minimum. Batches in `log_lambda_many` vote in
+`min` mode unverified, on the GEMM form's minimum over shifts
+(`expansion_minimum`, one GEMM per shift), and in `sum` mode on `_vote_dists`,
+bit for bit as `gwmv_block` does.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
 ranks examples for k-NN, and nearest neighbor (`_nearest`) takes the first
@@ -332,22 +332,23 @@ class VotingKernel:
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix.
 
-        Votes on ShiftWindows.expansion clamped at 0, unverified: in min mode
-        on its minimum over shifts (expansion_minimum) per core.blocks of 2 n
-        rows, whose two (n, p) arrays so fit in BLOCK_VALUES (each row votes
-        alone, along axis 0 of the transposed distances, so blocks move no
-        bit); in sum mode on all of the (n, S, P) expansion, which nothing
-        bounds. Each distance is then within 2 eps_i of the direct path's, and
-        a class's log vote moves by at most gamma times its largest change, so
-        a row is within 4 gamma max_i eps_i of gwmv's, plus log-sum-exp rounding.
+        In min mode it votes on ShiftWindows.expansion_minimum, unverified, per
+        core.blocks of 2 n rows, whose two (n, p) arrays so fit in BLOCK_VALUES.
+        Each distance is within 2 eps_i (core.expansion_slack) of the exact
+        minimum, and a class's log vote moves by at most gamma times its
+        largest change, so a row is within 4 gamma max_i eps_i of gwmv's, plus
+        log-sum-exp rounding. In sum mode it votes on _vote_dists, the exact
+        grid, per core.blocks of width cells: bit for bit gwmv. Each row votes
+        alone, along the last axis, so the blocks move no bit.
         """
         Q = _queries(observations, self.params.T)
         if self.params.shift_mode == "sum":
-            d = self._windows.expansion(Q)[0]
-            return self._votes(np.maximum(d, 0.0, out=d).reshape(self.width, -1).T)[0]
+            width, distances = self.width, lambda q: _vote_dists(self._windows, q, "sum")
+        else:
+            width, distances = 2 * self.n, lambda q: self._windows.expansion_minimum(q).T
         out = np.empty(len(Q))
-        for b in blocks(len(Q), 2 * self.n):
-            out[b] = self._votes(self._windows.expansion_minimum(Q[b]).T)[0]
+        for b in blocks(len(Q), width):
+            out[b] = self._votes(distances(Q[b]))[0]
         return out
 
 

@@ -8,26 +8,23 @@ use. Its forms of the distances are:
 - `grid`, the direct `sq_dists` reference (the cells that sum-mode voting and
   the oracle vote with, and the class gap's unpruned path), built in long
   contiguous passes over one reused tile;
-- `expansion`, the GEMM form of the same distances with their rounding bound,
-  one banded GEMM per group of SHIFT_GROUP shifts;
-- `expansion_minimum`, the expansion's minimum over shifts, clamped at 0 and
-  not verified (min-mode detection traces vote on it, the class gap prunes
-  with it), one GEMM per shift, norms included, into a running minimum;
-- `minimum`, the one bound-and-verify: each series' exact minimum over
-  shifts, computing with `sq_dists` only the expansion's candidate cells that
-  can hold it. Where a minimum has one candidate, that cell is the first
-  minimizer and the whole result; only tied candidates are written into the
-  expansion to take its first argmin.
+- `expansion_minimum`, the minimum over shifts of the GEMM form d~ = |w|^2 -
+  2 w.q, plus |q|^2 and clamped at 0, not verified (min-mode detection traces
+  vote on it, the class gap prunes with it): one GEMM per shift, norms
+  included, into a running minimum;
+- `minimum`, the one bound-and-verify: each series' exact minimum over shifts
+  and its first minimizer, decided by the two smallest d~ over shifts (from
+  the same shift walk for several queries, from one banded row for one) and
+  computed with `sq_dists`.
 
 Callers check their queries; the engine assumes finite ones. `grid` and
 `minimum` take a block of queries and walk it in `blocks`, however many
 queries it has: no temporary of `grid` holds more than BLOCK_VALUES float64
 values beyond one series' (S, T) differences, since a query whose differences
-do not fit is walked in blocks of series, and none of `minimum` more than
-that beyond one query's (n, S) expansion and its mask, which every block of a
-call reuses. `expansion` and `expansion_minimum` take their block whole; a
-detection trace walks its queries in `blocks` of 2 n. A block of no queries
-gives empty grids and minima.
+do not fit is walked in blocks of series, and none of `minimum` more than a
+few BLOCK_VALUES beyond one query's banded (n, S) row. `expansion_minimum`
+takes its block whole; a detection trace walks its queries in `blocks` of
+2 n. A block of no queries gives empty grids and minima.
 """
 
 from __future__ import annotations
@@ -330,7 +327,7 @@ def sq_dists(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> 
 # so that memory stays bounded however many queries or cells a call is given
 BLOCK_VALUES = 65536
 
-# shifts per GEMM in ShiftWindows.expansion: a group of SHIFT_GROUP placements
+# shifts per GEMM of a one-query minimum: a group of SHIFT_GROUP placements
 # multiplies only the SHIFT_GROUP + T - 1 row values it touches, not all L
 SHIFT_GROUP = 32
 
@@ -345,13 +342,23 @@ def blocks(count: int, size: int) -> list:
 
 
 def expansion_slack(norms, k: int):
-    """8 g_k norms + 4 k tiny, with g_k = k u / (1 - k u) and u the unit roundoff.
+    """eps = 8 g norms + 4 k tiny, with g = k u / (1 - k u) and u the unit
+    roundoff: the rounding slack of the engine's GEMM forms of a squared
+    distance, for rows of L = k - 4 values.
 
-    The rounding slack of the inner-product expansion |a|^2 - 2a.b + |b|^2 of a
-    squared distance against sq_dists(a, b), for callers whose summations are
-    at most k - 4 terms long and whose norms bound every magnitude involved;
-    each caller states why. The 4 k tiny term covers subnormal rounding, which
-    no relative slack does.
+    Let D be the exact distance of a window w of row i and a query q, and
+    N = R_i + |q|^2 (norms), with R_i the squared norm of the row. sq_dists
+    (T squares) is within g D <= 2g N of D. Both GEMM forms compute d~ =
+    |w|^2 - 2 w.q, which is D - |q|^2 up to rounding: the cumulative-sum
+    |w|^2 within 3g R_i; the banded row's dot product with -2q (at most L
+    products) within g N, and adding |w|^2 within g N; or the shift walk's
+    one dot product of T + 1 terms, the norm's among them, whose magnitudes
+    sum to at most 2N (1 + 3g), within 2g N (1 + 3g). So d~ is within
+    5g N + 6g^2 N of D - |q|^2, and adding |q|^2 keeps it within eps of D.
+    A second-smallest d~ over shifts more than 2 eps above the smallest thus
+    leaves the smallest one's exact cell below every other by more than
+    2 eps - 14g N - 12g^2 N > 0: the unique, hence first, minimizer. The
+    4 k tiny term covers subnormal rounding, which no relative slack does.
     """
     u, tiny = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
     return 8.0 * k * u / (1.0 - k * u) * norms + 4.0 * k * tiny
@@ -412,69 +419,6 @@ class ShiftWindows:
                     d.sum(axis=-1, out=out[a, b])
         return out if q.ndim == 2 else out[0]
 
-    def query_blocks(self, count: int) -> list:
-        """blocks of count queries whose expansion (n S values per query) and
-        GEMM stack (at most S L per query) together hold at most BLOCK_VALUES
-        values."""
-        (n, S), L = self.views.shape[:2], self.rows.shape[1]
-        return blocks(count, S * (n + L))
-
-    def expansion(
-        self, Q: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(d~, eps): the (n, S, P) d~ = |w|^2 - 2 w.q + |q|^2 of every window w
-        and row q of the (P, T) block Q, and the (n, P) eps that bounds how far
-        both d~ and sq_dists(w, q) lie from the exact distance. If a squared
-        norm overflows, (the exact grids, None). out, a flat float64 buffer of
-        at least n S P values, holds d~ instead of a fresh array.
-
-        GEMMs of the rows against the S P placements (q at offset j in zeros)
-        give every w.q, one per group of SHIFT_GROUP shifts, of only the
-        SHIFT_GROUP + T - 1 row values its placements touch (a banded GEMM: the
-        rest of each placement is zeros); with S <= SHIFT_GROUP that is one GEMM
-        of the whole rows. A group's dot products may round differently from
-        the whole rows', but each still has at most L terms, so the bound below
-        holds unchanged. Let N = R_i + |q|^2, with R_i the squared norm of row i,
-        and g = (L+4)u / (1 - (L+4)u). Then the cumulative-sum |w|^2 is within
-        3g R_i of exact, 2 w.q (at most L products) within g (|w|^2 + |q|^2)
-        <= g N, |q|^2 within g |q|^2, the two additions within g N, and
-        sq_dists (T squares) within g D <= 2g N of the exact distance D. So
-        both lie within 7g N of D, and eps = 8g N + 4 (L+4) tiny
-        (expansion_slack) leaves room for second-order and subnormal rounding.
-        """
-        (n, L), S, P = self.rows.shape, self.views.shape[1], Q.shape[0]
-        window_sq, row_sq = self.norms
-        q_sq = self._query_sq(Q)
-        if q_sq is None:
-            return np.moveaxis(self.grid(Q), 0, -1), None
-        # B copies of the block of queries zero-padded to k = B + T - 1 values,
-        # each with one more zero: read as rows of k values, copy j moves right
-        # by j, so row j P + p of the stack is Q[p] at offset j (a Toeplitz stack)
-        B = min(S, SHIFT_GROUP)
-        k = B + self.T - 1
-        block = np.zeros((P, k))
-        block[:, : self.T] = Q
-        stack = np.zeros((B, P * k + 1))
-        stack[:, :-1] = block.reshape(-1)
-        stack = stack.reshape(-1)[: B * P * k].reshape(B * P, k)
-        # shifts j0..j0+b-1 read only the row values j0..j0+b+T-2, and their
-        # placements are the first b P rows of the stack on those values; with
-        # S <= SHIFT_GROUP that is one GEMM of the whole rows (k = L)
-        cross = (np.empty(n * S * P) if out is None else out[: n * S * P]).reshape(n, S * P)
-        for j0 in range(0, S, B):
-            b = min(B, S - j0)
-            np.matmul(
-                self.rows[:, j0 : j0 + b + self.T - 1],
-                stack[: b * P, : b + self.T - 1].T,
-                out=cross[:, j0 * P : (j0 + b) * P],
-            )
-        # in place, rounding as window_sq - 2 cross + q_sq: -2c is exact and w + (-2c) is w - 2c
-        d = cross.reshape(n, S, P)
-        d *= -2.0
-        d += window_sq[:, :, None]
-        d += q_sq
-        return d, expansion_slack(row_sq[:, None] + q_sq, L + 4)
-
     def _query_sq(self, Q: np.ndarray) -> Optional[np.ndarray]:
         """The (P,) squared norms of the rows of Q, or None if 4 (R_i + |q|^2)
         overflows for some row and query, where d~ would be inf - inf."""
@@ -484,92 +428,125 @@ class ShiftWindows:
             return None
         return q_sq
 
-    def expansion_minimum(self, Q: np.ndarray) -> np.ndarray:
-        """The (n, P) minimum over shifts of expansion(Q)'s d~, clamped at 0 and
-        not verified: within 2 eps of the exact minimum, minimum(Q)[0], since
-        every d~ and every sq_dists lies within eps of the exact distance. If a
-        squared norm overflows, the exact minimum of the grids.
+    def slack(self, Q: np.ndarray) -> Optional[np.ndarray]:
+        """The (n, P) eps (expansion_slack) of every row and row q of the (P, T)
+        block Q, or None if a squared norm overflows."""
+        q_sq = self._query_sq(Q)
+        if q_sq is None:
+            return None
+        return expansion_slack(self.norms[1][:, None] + q_sq, self.rows.shape[1] + 4)
+
+    def _shift_walk(self, Q: np.ndarray):
+        """Yields (j, the (n, P) d~ = |w_j|^2 - 2 w_j.q of every row and row q
+        of Q) for each shift j from the last down to 0, in one reused buffer.
 
         The rows are copied into an (n, L+1) array; from the last shift down,
         |w_j|^2 goes into column j+T, which no smaller shift reads, and one GEMM
-        multiplies values j..j+T by the (T+1, P) placements, -2 Q^T over ones,
-        into a reused (n, P) buffer that a running minimum (exact in any order)
-        reads; |q|^2 and the clamp, both monotone, follow it. A dot product has
-        T+1 <= L+1 terms of magnitudes summing to at most |w|^2 + |q|^2 + |w|^2
-        <= 2N (1 + 3g) (N, g as in expansion): within 2gN (1 + 3g) of exact,
-        where expansion allots gN to 2 w.q and gN to the two additions; adding
-        |q|^2 is within 2uN. So d~ is within 7gN + 2uN + O(g^2 N) < eps of the
-        exact distance. The work arrays are these, not the (n, S, P) expansion.
+        multiplies values j..j+T by the (T+1, P) placements, -2 Q^T over ones.
+        The work arrays are these, not an (n, S, P) array of every shift.
         """
         (n, S, T), P = self.views.shape, len(Q)
-        q_sq = self._query_sq(Q)
-        if q_sq is None:
-            return self.grid(Q).min(axis=-1).T.copy()
         window_sq = self.norms[0]
         placements = np.ones((T + 1, P))  # C-ordered, as the GEMMs read it
         placements[:T] = Q.T  # a ufunc of Q.T into it would buffer 64 kB
         placements[:T] *= -2.0
         work = np.hstack([self.rows, window_sq[:, -1:]])
-        low, cross = np.full((n, P), np.inf), np.empty((n, P))
+        cross = np.empty((n, P))
         for j in range(S - 1, -1, -1):
             work[:, j + T] = window_sq[:, j]
-            np.minimum(low, np.matmul(work[:, j : j + T + 1], placements, out=cross), out=low)
-        del placements, work, cross  # before the broadcast add's 64 kB ufunc buffer
+            yield j, np.matmul(work[:, j : j + T + 1], placements, out=cross)
+
+    def expansion_minimum(self, Q: np.ndarray) -> np.ndarray:
+        """The (n, P) minimum over shifts of d~ + |q|^2 for the (P, T) block Q,
+        clamped at 0 and not verified: within 2 eps (expansion_slack) of the
+        exact minimum, minimum(Q)[0]. If a squared norm overflows, the exact
+        minimum of the grids.
+
+        A running minimum (exact in any order) of the _shift_walk, then |q|^2
+        and the clamp, both monotone. Q is taken whole.
+        """
+        q_sq = self._query_sq(Q)
+        if q_sq is None:
+            return self.grid(Q).min(axis=-1).T.copy()
+        low = np.full((len(self.views), len(Q)), np.inf)
+        for _, cross in self._shift_walk(Q):
+            np.minimum(low, cross, out=low)
+        del cross  # the walk's buffer, before the broadcast add's 64 kB ufunc buffer
         return np.maximum(np.add(low, q_sq, out=low), 0.0, out=low)
+
+    def _two_smallest(self, Q: np.ndarray) -> tuple:
+        """(first, second, shift): the (n, P) smallest and second-smallest d~
+        over shifts of the rows of the (P, T) block Q, and a shift of the
+        smallest. Several queries fold the _shift_walk into running values.
+        One query takes one banded (n, S) row: a GEMM per group of
+        SHIFT_GROUP shifts against the placements of -2q on only the row
+        values they touch, plus |w|^2; then the argmin, and the minimum with
+        that cell set to +inf."""
+        (n, S, T), P = self.views.shape, len(Q)
+        if P != 1:  # ufuncs only: a copyto with where= took 20 times as long
+            first, second = np.full((n, P), np.inf), np.full((n, P), np.inf)
+            low, lower, work = np.zeros((n, P)), np.empty((n, P), dtype=bool), np.empty((n, P))
+            for j, d in self._shift_walk(Q):
+                np.less(d, first, out=lower)
+                # shifts descend, so the last new smallest has the lowest j - S < 0
+                np.minimum(low, np.multiply(lower, j - S, out=work), out=low)
+                np.minimum(second, np.maximum(first, d, out=work), out=second)
+                np.minimum(first, d, out=first)
+            return first, second, (low + S).astype(np.intp)
+        # B copies of -2q zero-padded to k + 1 = B + T values: read as rows of k
+        # values, copy j moves right by j, so row j is -2q at offset j
+        B = min(S, SHIFT_GROUP)
+        k = B + T - 1
+        stack = np.zeros((B, k + 1))
+        stack[:, :T] = -2.0 * Q[0]
+        stack = stack.reshape(-1)[: B * k].reshape(B, k)
+        d = np.empty((n, S))
+        for j0 in range(0, S, B):
+            b = min(B, S - j0)
+            row_values, placements = self.rows[:, j0 : j0 + b + T - 1], stack[:b, : b + T - 1]
+            np.matmul(row_values, placements.T, out=d[:, j0 : j0 + b])
+        d += self.norms[0]
+        rows, shift = np.arange(n), d.argmin(axis=1)
+        first = d[rows, shift]
+        d[rows, shift] = np.inf
+        return first[:, None], d.min(axis=1)[:, None], shift[:, None]
 
     def minimum(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, P) min and first argmin over shifts of the (n, S, P) exact grids
         of the (P, T) block Q, bit for bit, without building them.
 
-        A cell holding the minimum of its row and query has d~ <= min(d~) +
-        2 eps_i over its shifts (see expansion), so only these candidate cells
-        are recomputed, with sq_dists. When every row and query has one
-        candidate, that cell alone can hold the minimum, so it is the first
-        minimizer, and only those cells are computed. Otherwise (ties: constant
-        or duplicated series) every candidate is recomputed into the expansion,
-        every other cell is set to +inf, and argmin picks the first minimizer.
-        The queries are independent, so Q is taken in query_blocks, and every
-        block reuses the work arrays of the first, the largest: room for the
-        expansion and for its candidate mask.
+        Per row and query, where the second-smallest d~ over shifts exceeds
+        the smallest by more than 2 eps (_two_smallest, expansion_slack), the
+        smallest one's shift is the first minimizer: only that cell is
+        computed, with sq_dists. Otherwise (ties: constant or duplicated
+        windows, or an overflowing norm) all S cells of that row and query
+        are, and their first argmin is taken. Q is walked in blocks of
+        queries whose five (n, p) arrays of the walk fit in BLOCK_VALUES, so
+        at full scale each block is one query, a banded row.
         """
-        (n, S), P = self.views.shape[:2], len(Q)
-        parts = self.query_blocks(P)
-        size = n * S * len(Q[parts[0]])
-        work = np.empty(size), np.empty(size, dtype=bool)
+        (n, S, T), P = self.views.shape, len(Q)
         dmin, j = np.empty((n, P)), np.empty((n, P), dtype=np.intp)
-        for b in parts:
-            dmin[:, b], j[:, b] = self._block_minimum(Q[b], *work)
+        for b in blocks(P, 5 * n):
+            q, eps, block_min, block_j = Q[b], self.slack(Q[b]), dmin[:, b], j[:, b]
+            tied = np.ones(block_min.shape, dtype=bool)  # an overflowing norm: every pair
+            if eps is not None:
+                first, second, shift = self._two_smallest(q)
+                tied = second - first <= 2.0 * eps
+                block_min[:], block_j[:] = self._verify_candidates(q, shift)
+            rows, queries = np.nonzero(tied)
+            # a tied pair's windows and their differences: S T values, plus its query
+            for c in blocks(rows.size, (S + 1) * T) if rows.size else ():
+                windows = self.views[rows[c]]
+                d = sq_dists(windows, q[queries[c], None], out=windows)
+                first_j = d.argmin(axis=1)  # argmin returns the first minimum
+                block_min[rows[c], queries[c]] = d[np.arange(len(d)), first_j]
+                block_j[rows[c], queries[c]] = first_j
         return dmin, j
 
-    def _block_minimum(
-        self, Q: np.ndarray, values: np.ndarray, flags: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """minimum of Q as one block: the expansion, written into values, then
-        the verify, with the candidate mask written into flags."""
-        d, eps = self.expansion(Q, out=values)
-        if eps is not None:
-            slack, low = 2.0 * eps[:, None], _min_over_shifts(d)
-            candidates = np.less_equal(d, low + slack, out=flags[: d.size].reshape(d.shape))
-            if np.count_nonzero(candidates) == low.size:  # one candidate per row and query
-                return self._verify_candidates(Q, candidates.argmax(axis=1))
-            # flat indices: a 3-D np.nonzero costs ~20x more at P = 1
-            cells = np.flatnonzero(candidates)
-            rows, shifts, queries = np.unravel_index(cells, d.shape)
-            d.fill(np.inf)
-            # the windows, the queries and their differences: 3 T values a cell,
-            # bounded even if every cell ties
-            for part in blocks(cells.size, 3 * self.T):
-                # a block of one query broadcasts, with no gathered copy of it
-                q = Q[0] if len(Q) == 1 else Q[queries[part]]
-                np.put(d, cells[part], sq_dists(self.views[rows[part], shifts[part]], q))
-        j = d.argmin(axis=1)  # argmin returns the first minimum
-        # a gather: a min over many short rows costs several times the argmin
-        return d[np.arange(d.shape[0])[:, None], j, np.arange(d.shape[2])], j
-
     def _verify_candidates(self, Q: np.ndarray, j: np.ndarray) -> tuple:
-        """minimum of Q when each row and query has one candidate, at the (n,
-        P) shifts j. The windows of those cells are gathered in blocks of rows
-        of at most BLOCK_VALUES / 4 values, and each block's differences are
+        """minimum of Q at one candidate per row and query, the (n, P) shifts
+        j. The windows of those cells are gathered in blocks of rows of at
+        most BLOCK_VALUES / 4 values, and each block's differences are
         formed in place. Blocks that size stay in the allocator's heap, where
         whole BLOCK_VALUES ones were mapped afresh (about 8.5k minor page
         faults per desk pass); a gather into one reused buffer needs an index
@@ -581,16 +558,3 @@ class ShiftWindows:
             windows = self.views[series[b], j[b]]
             dmin[b] = sq_dists(windows, Q, out=windows)
         return dmin, j
-
-
-def _min_over_shifts(d: np.ndarray) -> np.ndarray:
-    """The (n, 1, P) minimum over axis 1 of an (n, S, P) expansion. For P > 1,
-    S elementwise minimums of (n, 1, P) slices take about half as long as a
-    reduction over the middle axis (82 against 174 us at the desk shape,
-    (185, 21, 10)); for P = 1 the reduction runs along contiguous rows."""
-    if d.shape[2] == 1:
-        return d.min(axis=1, keepdims=True)
-    low = d[:, :1].copy()
-    for k in range(1, d.shape[1]):
-        np.minimum(low, d[:, k : k + 1], out=low)
-    return low

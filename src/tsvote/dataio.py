@@ -77,15 +77,25 @@ def _bad_record(where: str, kind: str):
         raise ConfigError(f"{where}: bad {kind} record ({exc})") from exc
 
 
+def _integer(rec: dict, key: str, default=None) -> int:
+    """rec[key] (default when absent, if given) as an int; ValueError naming
+    key unless it is an int or an integral float, so 2.9 or "4" is refused
+    rather than truncated or parsed."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if isinstance(value, float) and value.is_integer() or type(value) is int:
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def record_to_series(rec: dict, where: str = "") -> tuple:
     """(TimeSeries, label or None, Provenance or None) from one JSONL record."""
     with _bad_record(where, "series"):
-        ts = TimeSeries(int(rec["start_index"]), np.asarray(rec["values"], dtype=np.float64),
+        ts = TimeSeries(_integer(rec, "start_index"), np.asarray(rec["values"], dtype=np.float64),
                         id=str(rec.get("id", "")))
-        label = Label.from_int(int(rec["label"])) if "label" in rec else None
+        label = Label.from_int(_integer(rec, "label")) if "label" in rec else None
         prov = None
         if "source_index" in rec:
-            prov = Provenance(int(rec["source_index"]), int(rec.get("shift", 0)))
+            prov = Provenance(_integer(rec, "source_index"), _integer(rec, "shift", 0))
     return ts, label, prov
 
 
@@ -147,14 +157,14 @@ def read_model(directory) -> LatentSourceModel:
         if label is None:
             raise ConfigError(f"{directory / 'sources.jsonl'}:{i}: source records need a label")
         sources.append((ts, label))
+    with _bad_record(str(meta_path), "model"):
+        integers = {k: _integer(meta, k) for k in ("delta_max", "window_start", "window_length")}
     weights = meta.get("weights")
     return LatentSourceModel(
         sources=tuple(sources),
-        delta_max=int(meta["delta_max"]),
         noise=NoiseSpec(meta["noise"]["family"], float(meta["noise"]["sigma"])),
-        window_start=int(meta["window_start"]),
-        window_length=int(meta["window_length"]),
         weights=tuple(weights) if weights is not None else None,
+        **integers,
     )
 
 

@@ -48,7 +48,7 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
     neg = ShiftWindows(data.negatives, T, -delta_max, delta_max)
     (n, S), L = neg.views.shape[:2], neg.rows.shape[1]
     if cutoff:
-        # expansion's eps grows with R_i + |q|^2, so its value at the largest
+        # eps (expansion_slack) grows with R_i + |q|^2, so its value at the largest
         # norms bounds every pair's; an overflow makes every window a candidate
         with np.errstate(over="ignore"):
             top = neg.norms[1].max() + np.einsum("ij,ij->i", pos, pos).max()

@@ -402,6 +402,24 @@ class TestKernelConsistency:
             single = kernel.log_lambda(TimeSeries(1, obs[i], id=f"o{i}"))
             assert batched[i] == pytest.approx(single, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("values", [1, 64, core.BLOCK_VALUES])
+    def test_sum_mode_traces_are_gwmv_block_bit_for_bit(self, rng, monkeypatch, values):
+        # an offset makes the norms dwarf the distances, so a GEMM form would
+        # round; sum-mode traces vote on the exact grid in blocks of rows
+        data, _ = random_instance(rng, 3, 4, T=6, delta_max=2)
+        data = LabeledDataset(*(
+            tuple(TimeSeries(s.start_index, 1e3 + s.values, id=s.id) for s in part)
+            for part in (data.positives, data.negatives)
+        ))
+        kernel = VotingKernel(data, VotingParams(0.6, 6, 2, shift_mode="sum"))
+        obs = 1e3 + rng.standard_normal((9, 6))
+        want = kernel.gwmv_block(kernel._windows.grid(obs).reshape(len(obs), -1)).log_lambda
+        per_row = [kernel.gwmv(TimeSeries(1, row, id="o")).log_lambda for row in obs]
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        got = kernel.log_lambda_many(obs)
+        assert got.tobytes() == want.tobytes()
+        assert got.tolist() == per_row
+
     @settings(max_examples=200, deadline=None)
     @given(
         n_pos=st.integers(1, 8),
@@ -476,7 +494,7 @@ class TestKernelConsistency:
             assert abs(batched - direct) <= vote_slack + 1e-12 * max(1.0, abs(direct))
 
     def test_batched_overflowing_norms_take_the_exact_grid(self):
-        # |w|^2 = 8e310 overflows, so the expansion would be inf - inf
+        # |w|^2 = 8e310 overflows, so d~ would be inf - inf
         data = LabeledDataset(
             (TimeSeries(1, np.full(8, 1.0e155), id="p"),),
             (TimeSeries(1, np.full(8, 1.04e155), id="n"),),
@@ -1302,9 +1320,10 @@ class TestTiledGrid:
 
 
 class TestBandedExpansion:
-    """ShiftWindows.expansion multiplies each group of core.SHIFT_GROUP shifts
-    by the row values it touches: d~ stays within eps of the grid, and the
-    minimum stays the grid's min and first argmin bit for bit."""
+    """ShiftWindows._two_smallest bounds the two smallest exact cells of every
+    row and query over shifts: one query from one banded row of GEMMs per
+    group of core.SHIFT_GROUP shifts, several from the shift walk. Either way
+    minimum is the grid's min and first argmin bit for bit."""
 
     n, T = 5, 12
 
@@ -1316,41 +1335,36 @@ class TestBandedExpansion:
         ]
         return core.ShiftWindows(seriess, self.T, 0, S - 1)
 
-    @pytest.mark.parametrize("S", [31, 32, 33, 65, 201])
+    @pytest.mark.parametrize("S", [1, 31, 32, 33, 65, 201])
     @pytest.mark.parametrize("P", [0, 1, 3])
     def test_expansion_bounds_the_grid_and_minimum_is_exact(self, rng, S, P):
         windows = self.windows(rng, S)
         Q = 1e3 + rng.standard_normal((P, self.T))
         grid = np.moveaxis(windows.grid(Q), 0, -1)  # (n, S, P)
         assert windows.views.shape[1] == S
-        d, eps = windows.expansion(Q)
-        assert d.shape == grid.shape and eps.shape == (self.n, P)
-        assert np.all(np.abs(d - grid) <= eps[:, None, :])
+        first, second, shift = windows._two_smallest(Q)
+        eps = windows.slack(Q)
+        assert first.shape == second.shape == shift.shape == eps.shape == (self.n, P)
+        # |q|^2 moves d~ to the distance; each order statistic of d~ + |q|^2 is
+        # within 2 eps of the grid's, since every cell is
+        ordered = np.sort(grid, axis=1)
+        q_sq = np.einsum("ij,ij->i", Q, Q)
+        assert np.all(np.abs(first + q_sq - ordered[:, 0]) <= 2.0 * eps)
+        if S > 1:
+            assert np.all(np.abs(second + q_sq - ordered[:, 1]) <= 2.0 * eps)
+        else:
+            assert np.all(second == np.inf)
+        at_shift = np.take_along_axis(grid, shift[:, None], axis=1)[:, 0]
+        assert np.all(np.abs(at_shift - ordered[:, 0]) <= 4.0 * eps)
         dmin, j = windows.minimum(Q)
         assert dmin.tobytes() == grid.min(axis=1).tobytes()
         assert j.tobytes() == grid.argmin(axis=1).tobytes()
-
-    @pytest.mark.parametrize("S", [1, 15, 21, 31, 32])
-    def test_up_to_a_group_of_shifts_is_one_gemm_of_the_whole_rows(self, rng, S):
-        # the formula before the groups, inline: desk (21 shifts) and detect
-        # (15) traces read it, so it must not move
-        windows = self.windows(rng, S)
-        Q = 1e3 + rng.standard_normal((3, self.T))
-        (n, L), P = windows.rows.shape, len(Q)
-        block = np.zeros((P, L))
-        block[:, : self.T] = Q
-        stack = np.zeros((S, P * L + 1))
-        stack[:, :-1] = block.reshape(-1)
-        cross = windows.rows @ stack.reshape(-1)[: S * P * L].reshape(S * P, L).T
-        want = cross.reshape(n, S, P) * -2.0 + windows.norms[0][:, :, None]
-        want += np.einsum("ij,ij->i", Q, Q)
-        assert windows.expansion(Q)[0].tobytes() == want.tobytes()
 
 
 class TestExpansionMinimum:
     """ShiftWindows.expansion_minimum, the unverified minimum over shifts that
     min-mode log_lambda_many votes on, lies within 2 eps of the exact minimum
-    and holds two (n, P) arrays, not the (n, S, P) expansion."""
+    and holds two (n, P) arrays, not an (n, S, P) array of every shift."""
 
     n, T = 5, 12
 
@@ -1370,7 +1384,7 @@ class TestExpansionMinimum:
         Q[-1:] = windows.views[0, S // 2]  # distance 0 at one cell of row 0
         got = windows.expansion_minimum(Q)
         exact = windows.minimum(Q)[0]
-        eps = windows.expansion(Q)[1]
+        eps = windows.slack(Q)
         assert got.shape == (self.n, P) and got.dtype == np.float64
         assert np.all(got >= 0.0)
         assert np.all(np.abs(got - exact) <= 2.0 * eps)
@@ -1393,42 +1407,59 @@ class TestExpansionMinimum:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = windows.expansion_minimum(Q)
-        assert windows.expansion(Q)[1] is None
+        assert windows.slack(Q) is None
         assert got.flags.c_contiguous
         assert got.tobytes() == windows.minimum(Q)[0].tobytes()
 
-    def test_min_mode_traces_allocate_no_expansion(self, rng):
-        # S > SHIFT_GROUP, where the expansion also built a GEMM stack; sum
-        # mode still builds the (n, S, P) expansion
-        T, dmax, P = 8, 20, 60
+    def test_no_call_of_many_queries_allocates_every_shift(self, rng):
+        # S > SHIFT_GROUP. The positive control, the (P, n, S) grid, shows
+        # that tracemalloc sees an array of every (series, shift, query); the
+        # traces of both modes and the exact minimum stay far below it, and a
+        # sum-mode trace holds one block's grid, its tile and one vote
+        # temporary, each of at most BLOCK_VALUES values
+        T, dmax, P = 8, 20, 1000
         data, _ = random_instance(rng, 10, 10, T=T, delta_max=dmax)
         S = 2 * dmax + 1
         assert S > core.SHIFT_GROUP
-        expansion_bytes = data.n * S * P * 8
+        every_shift = data.n * S * P * 8
         obs = rng.standard_normal((P, T))
+
+        def peak(call):
+            call()  # warm up: stacks the windows, computes their norms
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         peaks = {}
         for mode in ("min", "sum"):
             kernel = VotingKernel(data, VotingParams(0.5, T, dmax, shift_mode=mode))
-            kernel.log_lambda_many(obs)  # warm up: stacks the windows, computes their norms
-            tracemalloc.start()
-            try:
-                kernel.log_lambda_many(obs)
-                peaks[mode] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks["sum"] >= expansion_bytes  # the probe: sum mode holds the expansion
-        assert peaks["min"] < expansion_bytes / 4, peaks
+            peaks[mode] = peak(lambda: kernel.log_lambda_many(obs))
+        peaks["minimum"] = peak(lambda: kernel.min_dists_block(obs))
+        assert peak(lambda: kernel._windows.grid(obs)) >= every_shift  # the positive control
+        assert max(peaks.values()) < every_shift / 4, peaks
+        assert peaks["sum"] <= 8 * (3 * core.BLOCK_VALUES + P) + 8192, peaks
 
-    def test_many_queries_beyond_a_group_of_shifts(self, rng):
-        # S > SHIFT_GROUP, and P spans several of minimum's query blocks
+    def test_many_queries_beyond_a_group_of_shifts(self, rng, monkeypatch):
+        # S > SHIFT_GROUP, and P spans several of minimum's blocks of queries
         S, P = 2 * core.SHIFT_GROUP + 1, 40
+        monkeypatch.setattr(core, "BLOCK_VALUES", 5 * self.n * 13)
         windows = self.windows(rng, S)
-        assert len(windows.query_blocks(P)) >= 3
         Q = 1e3 + rng.standard_normal((P, self.T))
         Q[::7] = windows.views[np.arange(P)[::7] % self.n, np.arange(P)[::7] % S]
+        calls, two_smallest = [], core.ShiftWindows._two_smallest
+
+        def recording(self, q):
+            calls.append(len(q))
+            return two_smallest(self, q)
+
+        monkeypatch.setattr(core.ShiftWindows, "_two_smallest", recording)
         got, exact = windows.expansion_minimum(Q), windows.minimum(Q)[0]
+        assert len(calls) >= 3 and sum(calls) == P
         assert np.all(got >= 0.0)
-        assert np.all(np.abs(got - exact) <= 2.0 * windows.expansion(Q)[1])
+        assert np.all(np.abs(got - exact) <= 2.0 * windows.slack(Q))
 
     def test_blocked_traces_hold_one_block(self, rng):
         # ten blocks of rows: the peak is the output, one block's query norms,
@@ -1451,9 +1482,10 @@ class TestExpansionMinimum:
 
 
 class TestOneCandidatePerGroup:
-    """ShiftWindows.minimum computes only the candidate cell of each group when
-    every group has one, and otherwise recomputes every candidate; either way
-    it is the grid's min and first argmin, bit for bit."""
+    """ShiftWindows.minimum computes one cell per series and query, at the
+    smallest bound's shift, and every shift of a pair whose two smallest
+    bounds lie within 2 eps; either way it is the grid's min and first
+    argmin, bit for bit."""
 
     T, dmax = 8, 3
 
@@ -1493,8 +1525,9 @@ class TestOneCandidatePerGroup:
         assert dmin.tobytes() == grid.min(axis=1).tobytes()
         assert j.tobytes() == grid.argmin(axis=1).tobytes()
         n, S = windows.views.shape[:2]
-        # one cell per row and query, unless the constant row ties all its shifts
-        assert sum(verified) == ((n - 1) * P + S * P if tied else n * P)
+        # one cell per row and query, and every shift of the constant row,
+        # which ties at all of them
+        assert sum(verified) == (n * P + S * P if tied else n * P)
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_the_class_gap_verifies_only_candidate_windows(self, rng, monkeypatch, tied):
@@ -1523,7 +1556,24 @@ class TestOneCandidatePerGroup:
         n, S = len(negatives), 2 * self.dmax + 1
         if tied:  # the duplicate ties series 0; the constant series ties at every shift
             assert dmin[[0, 2], 0].tolist() == [0.0, 0.0] and j[[0, 1, 2], 0].tolist() == [2, 0, 2]
-        assert sum(verified) == ((n - 1) + S if tied else n)
+        assert sum(verified) == (n + S if tied else n)
+
+    @pytest.mark.parametrize("values", [1, 64, 2**30])
+    @pytest.mark.parametrize("P", [1, 2, 9])
+    def test_every_block_size_gives_the_grids_minimum(self, rng, monkeypatch, values, P):
+        # tied data: the constant series ties at every shift, the duplicated one
+        # the first series. 1 makes every block one query (a banded row), 64
+        # makes blocks of three queries (the walk), and 2**30 one block of all
+        # P; queries at distance 0 from series 0 and from the constant series
+        windows = self.windows(rng, tied=True)
+        Q = 1e3 + rng.standard_normal((P, self.T))
+        Q[::2] = windows.views[0, 2]
+        Q[1::3] = 1e3
+        grid = np.moveaxis(windows.grid(Q), 0, -1)  # (n, S, P)
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        dmin, j = windows.minimum(Q)
+        assert dmin.tobytes() == grid.min(axis=1).tobytes()
+        assert j.tobytes() == grid.argmin(axis=1).tobytes()
 
     @pytest.mark.parametrize("values", [1, 64, core.BLOCK_VALUES])
     def test_an_empty_block_gives_empty_minima(self, rng, monkeypatch, values):
@@ -1533,28 +1583,25 @@ class TestOneCandidatePerGroup:
         assert dmin.shape == j.shape == (5, 0)
         assert dmin.dtype == np.float64 and j.dtype == np.intp
 
-    def test_a_multi_block_call_reuses_one_expansion(self, rng, monkeypatch):
-        # every block's expansion is written into the first block's buffer,
-        # and the call holds about one block's work arrays at a time
+    def test_a_multi_block_call_holds_one_blocks_work_arrays(self, rng):
+        # five blocks of p queries whose five (n, p) arrays of the walk fill
+        # BLOCK_VALUES: the peak is the results and about one block's arrays
         n, T, dmax = 200, 10, 15
         data, _ = random_instance(rng, 100, 100, T=T, delta_max=dmax)
         windows = core.ShiftWindows(data.examples(), T, -dmax, dmax)
         S, L = windows.views.shape[1], windows.rows.shape[1]
-        parts = windows.query_blocks(10**6)
-        P, blocks_ = len(range(10**6)[parts[0]]), 5
-        Q = rng.standard_normal((blocks_ * P, T))
-        outs, expansion = [], core.ShiftWindows.expansion
+        p = core.BLOCK_VALUES // (5 * n)
+        Q = rng.standard_normal((5 * p, T))
+        calls, two_smallest = [], core.ShiftWindows._two_smallest
 
-        def recording(self, Q, out=None):
-            result = expansion(self, Q, out=out)
-            outs.append((out, result[0]))
-            return result
+        def recording(self, q):
+            calls.append(len(q))
+            return two_smallest(self, q)
 
-        monkeypatch.setattr(core.ShiftWindows, "expansion", recording)
-        want = windows.minimum(Q)
-        assert len(outs) == blocks_
-        assert all(out is outs[0][0] and np.shares_memory(d, out) for out, d in outs)
-        monkeypatch.setattr(core.ShiftWindows, "expansion", expansion)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core.ShiftWindows, "_two_smallest", recording)
+            want = windows.minimum(Q)
+        assert calls == [p] * 5
         tracemalloc.start()
         try:
             got = windows.minimum(Q)
@@ -1562,15 +1609,16 @@ class TestOneCandidatePerGroup:
         finally:
             tracemalloc.stop()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        expansion_values = n * S * P
-        B = min(S, core.SHIFT_GROUP)
+        grid = np.moveaxis(windows.grid(Q), 0, -1)
+        assert got[0].tobytes() == grid.min(axis=1).tobytes()
+        assert got[1].tobytes() == grid.argmin(axis=1).tobytes()
         allowed = 8 * (
-            expansion_values  # the expansion
-            + (B + 1) * P * (B + T - 1)  # the GEMM stack and its queries
-            + min(n * P * T, core.BLOCK_VALUES // 4)  # the verify's windows
-            + 2 * n * len(Q)  # the results
-            + 12 * n * P  # (n, P) arrays of one block: bounds, cells, shifts
-        ) + expansion_values + 4096  # the candidate mask, headers
+            2 * n * len(Q)  # the results
+            # (n, p) arrays: one block's walk, slack and verify, and the bounds
+            # and shifts of the block before it, until the walk replaces them
+            + 12 * n * p
+            + n * (L + 1) + (T + 1) * p  # the walk's copy of the rows, its placements
+        ) + 4096  # the masks, headers
         assert peak <= allowed, (peak, allowed)
 
 

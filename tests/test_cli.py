@@ -791,6 +791,16 @@ class TestExitCodes:
          {"start_index": 1, "values": [0.5, float("inf"), 0.25, 1.0], "label": 1}),
         ("gap", "train", {"start_index": 1, "values": [0.5, float("nan"), 0.25, 1.0], "label": 1}),
         ("detect", "rates", {"counts": [1.0, -2.0, 3.0, 4.0]}),
+        # integer fields that used to be truncated or parsed: one case per field
+        ("classify", "series", {"start_index": 2.9, "values": [0.5, 0.0, 0.25, 1.0]}),
+        ("classify", "series", {"start_index": "4", "values": [0.5, 0.0, 0.25, 1.0]}),
+        ("classify", "train", {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": 1.7}),
+        ("classify", "train", {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": -1.2}),
+        ("classify", "train",
+         {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": 1, "source_index": 3.8}),
+        ("classify", "train",
+         {"start_index": 1, "values": [0.5, 0.0, 0.25, 1.0], "label": 1, "source_index": 3,
+          "shift": 2.5}),
     ]
 
     @pytest.mark.parametrize(
@@ -825,6 +835,28 @@ class TestExitCodes:
         code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
         assert code == 1
         assert err.startswith(f"error: {paths[file]}:2: ") and err.count("\n") == 1, err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value", [("delta_max", 2.5), ("window_start", 1.5), ("window_length", "4")]
+    )
+    def test_a_non_integral_model_field_is_refused(self, tmp_path, capsys, field, value):
+        # model.json's integer fields used to be truncated (or parsed) by int()
+        generated = tmp_path / "gen"
+        code, _, _ = run_cli(["generate", "--seed", "1", "--out", str(generated)] + GEN_ARGS, capsys)
+        assert code == 0
+        meta_path = generated / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta[field] = value
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["classify", "--model", str(generated), "--series", str(generated / "test.jsonl"),
+             "--method", "map", "--T", "4", "--out", str(out)], capsys,
+        )
+        assert code == 1
+        reason = f"{field} must be an integer, got {value!r}"
+        assert err == f"error: {meta_path}: bad model record ({reason})\n"
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["preprocess", "detect"])

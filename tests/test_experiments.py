@@ -235,30 +235,31 @@ class TestBlocks:
 
     @pytest.mark.parametrize("values", [500, core.BLOCK_VALUES])
     def test_no_temporary_exceeds_the_block_size(self, values, monkeypatch):
-        # every (n, S, P) expansion and every sq_dists broadcast of the verified
-        # cells; the oracle's grid tiles are bounded in test_classify.TestTiledGrid
-        sizes = {"expansion": [], "sq_dists": []}
-        expansion, direct = core.ShiftWindows.expansion, core.sq_dists
+        # the bounds of every block of the shift minimum (the shift walk's five
+        # (n, p) arrays, or one query's banded (n, S) row) and every sq_dists
+        # broadcast of the verified cells; the oracle's grid tiles are bounded
+        # in test_classify.TestTiledGrid
+        sizes = {"bounds": [], "sq_dists": []}
+        two_smallest, direct = core.ShiftWindows._two_smallest, core.sq_dists
 
-        def recording_expansion(self, Q, out=None):
-            result = expansion(self, Q, out=out)
-            sizes["expansion"].append(result[0].size)
-            return result
+        def recording_two_smallest(self, Q):
+            n, S = self.views.shape[:2]
+            sizes["bounds"].append(5 * n * len(Q) if len(Q) > 1 else n * S)
+            return two_smallest(self, Q)
 
         def recording_sq_dists(a, b, out=None):
             sizes["sq_dists"].append(math.prod(np.broadcast_shapes(a.shape, b.shape)))
             return direct(a, b, out=out)
 
         monkeypatch.setattr(core, "BLOCK_VALUES", values)
-        monkeypatch.setattr(core.ShiftWindows, "expansion", recording_expansion)
+        monkeypatch.setattr(core.ShiftWindows, "_two_smallest", recording_two_smallest)
         monkeypatch.setattr(core, "sq_dists", recording_sq_dists)
         cfg = tiny_config()
         error_curves(cfg)
         trials_and_T = cfg.trials * len(cfg.T_grid)
-        assert len(sizes["expansion"]) > (trials_and_T if values == 500 else 0)
-        assert 0 < max(sizes["expansion"]) <= values
+        assert len(sizes["bounds"]) > (trials_and_T if values == 500 else 0)
+        assert 0 < max(sizes["bounds"]) <= values
         assert 0 < max(sizes["sq_dists"]) <= values
-
 
     @pytest.mark.parametrize("values", [100, 500, core.BLOCK_VALUES])
     def test_tests_are_scored_in_chunks(self, values, monkeypatch):

@@ -13,12 +13,14 @@ runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
 detect` on configs/detect.cfg (15 shifts), and again with detection.h_hours =
 1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, whose traces
 sit under a key of their own; detect runs in min mode and scores each
-setting's test topics in a few blocked log_lambda_many calls, so every trace
-comes from ShiftWindows.expansion_minimum, one GEMM per shift that carries the
-window norms in a column of its own), one pass of
+setting's test topics in a few blocked log_lambda_many calls, so each of these
+traces comes from ShiftWindows.expansion_minimum, one GEMM per shift that
+carries the window norms in a column of its own), one pass of
 perfbench's PoolStream at seed 0, then nearest_neighbor, classify_knn (k = 5)
 and classify_gwmv, in that order, on each of its queries (so k-NN and voting
-read a shift minimum that another call computed), then `tsvote generate` on
+read a shift minimum that another call computed), then sum-mode
+log_lambda_many on the block of its queries (a trace stream key of its own,
+n = 530: the only sum-mode traces), then `tsvote generate` on
 configs/desk.cfg and `tsvote classify` of its test.jsonl with wmv, wmv
 --shift-mode sum (which votes on ShiftWindows.grid), nn, knn --k 5 and map.
 
@@ -43,6 +45,7 @@ its count of differing values (for traces: which detect run moved).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -109,6 +112,9 @@ def record(src: str, path: str) -> None:
             tsvote.nearest_neighbor(q, pool.pool, pool.params)
             tsvote.classify_knn(q, pool.pool, pool.params, pool.K)
             tsvote.classify_gwmv(q, pool.pool, pool.params)
+        sum_params = dataclasses.replace(pool.params, shift_mode="sum")
+        Q = np.stack([q.window(1, sum_params.T) for q in pool.queries])
+        tsvote.classify.VotingKernel(pool.pool, sum_params).log_lambda_many(Q)
         data = f"{work}/data"
         cli("generate", "--config", desk, "--out", data)
         for i, (method, *options) in enumerate((
