@@ -53,6 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Label, LabeledDataset, ShiftWindows, TimeSeries, VotingParams, blocks
+from .core import integer_at_least
 from .errors import ParamError
 from .synth import LatentSourceModel
 
@@ -264,9 +265,7 @@ class VotingKernel:
         k = 1 the one example is the first minimizer, which argmin returns
         without a sort (as in _nearest).
         """
-        k = int(k)
-        if k < 1:
-            raise ParamError(f"k must be >= 1, got {k}")
+        k = integer_at_least("k", k, 1)
         if k > self.n:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
         D = _block(D, self.n)

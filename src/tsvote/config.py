@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
-from .core import VotingParams
+from .core import VotingParams, integer_at_least, real_at_least
 from .errors import ConfigError, ParamError
 from .experiments import CorpusConfig, DetectionConfig, ExperimentConfig, SweepGrid
 from .gapbounds import BoundInputs
@@ -34,21 +34,17 @@ def _parse_scalar(raw):
 
 
 def _as_int(key, raw):
-    v = _parse_scalar(raw)
-    if isinstance(v, bool) or not isinstance(v, int):
-        if isinstance(v, float) and float(v).is_integer():
-            return int(v)
-        raise ConfigError(f"field {key!r}: expected an integer, got {raw!r}")
-    return v
+    try:
+        return integer_at_least(key, _parse_scalar(raw))
+    except ParamError:
+        raise ConfigError(f"field {key!r}: expected an integer, got {raw!r}") from None
 
 
 def _as_float(key, raw):
-    v = _parse_scalar(raw)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field {key!r}: expected a number, got {raw!r}")
-    if not math.isfinite(v):
-        raise ConfigError(f"field {key!r}: must be finite, got {raw!r}")
-    return float(v)
+    try:
+        return real_at_least(key, _parse_scalar(raw), -math.inf)
+    except ParamError:
+        raise ConfigError(f"field {key!r}: expected a finite number, got {raw!r}") from None
 
 
 def _as_str(key, raw):

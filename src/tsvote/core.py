@@ -25,11 +25,16 @@ do not fit is walked in blocks of series, and none of `minimum` more than a
 few BLOCK_VALUES beyond one query's banded (n, S) row. `expansion_minimum`
 takes its block whole; a detection trace walks its queries in `blocks` of
 2 n. A block of no queries gives empty grids and minima.
+
+Every number a caller hands in as a setting passes one of two rules defined
+here, neither of which truncates: `integer_at_least` for sizes, shifts,
+indices, labels and seeds; `real_at_least` for finite reals bounded below.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -47,11 +52,10 @@ class Label(IntEnum):
 
     @classmethod
     def from_int(cls, value: int) -> "Label":
-        if value == 1:
-            return cls.POSITIVE
-        if value == -1:
-            return cls.NEGATIVE
-        raise ParamError(f"label must be +1 or -1, got {value!r}")
+        value = integer_at_least("label", value)
+        if value not in (1, -1):
+            raise ParamError(f"label must be +1 or -1, got {value!r}")
+        return cls(value)
 
 
 def _read_only(a) -> bool:
@@ -81,7 +85,7 @@ class TimeSeries:
             arr = arr.copy()  # the caller could still write it, or the array it views
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "start_index", int(self.start_index))
+        object.__setattr__(self, "start_index", integer_at_least("start_index", self.start_index))
 
     def __len__(self) -> int:
         return self.values.size
@@ -220,17 +224,31 @@ class LabeledDataset:
 _SHIFT_MODES = ("min", "sum")
 
 
-def integer_at_least(name: str, value, low: int) -> int:
-    """value as an int; ParamError naming it unless it is integral and >= low."""
-    try:
-        integral = int(value) == value
-    except (OverflowError, ValueError):  # inf or NaN
-        integral = False
-    if not integral:
-        raise ParamError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+def _number(value) -> bool:
+    """True for a real number that is not a bool (nor a string, nor an array)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def integer_at_least(name: str, value, low: Optional[int] = None) -> int:
+    """value as an int; ParamError naming it unless it is an integral, finite
+    number (an int, a numpy integer or an integral float; not a bool or a
+    string) and, when low is given, >= low."""
+    if type(value) is not int:
+        if not (_number(value) and math.isfinite(value) and value == int(value)):
+            raise ParamError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
         raise ParamError(f"{name} must be >= {low}, got {value}")
-    return int(value)
+    return value
+
+
+def real_at_least(name: str, value, low: float, *, strict: bool = False) -> float:
+    """value as a float; ParamError naming it unless it is a finite real number
+    (not a bool or a string) >= low, or > low when strict."""
+    sign = ">" if strict else ">="
+    if not (_number(value) and math.isfinite(value) and (value > low if strict else value >= low)):
+        raise ParamError(f"{name} must be finite and {sign} {low}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -250,21 +268,17 @@ class VotingParams:
     shift_mode: str = "min"
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma < math.inf):
-            raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 < self.theta < math.inf):
-            raise ParamError(f"theta must be finite and > 0, got {self.theta}")
+        object.__setattr__(self, "gamma", real_at_least("gamma", self.gamma, 0))
+        object.__setattr__(self, "theta", real_at_least("theta", self.theta, 0, strict=True))
         object.__setattr__(self, "T", integer_at_least("T", self.T, 1))
         object.__setattr__(self, "delta_max", integer_at_least("delta_max", self.delta_max, 0))
         if self.shift_mode not in _SHIFT_MODES:
             raise ParamError(f"shift_mode must be one of {_SHIFT_MODES}, got {self.shift_mode!r}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "theta", float(self.theta))
 
 
 def advance(q: TimeSeries, delta: int) -> TimeSeries:
     """The series q advanced by delta steps: result(t) = q(t + delta)."""
-    delta = int(delta)
+    delta = integer_at_least("delta", delta)
     if delta == 0:
         return q
     return TimeSeries(q.start_index - delta, q.values, id=q.id)
@@ -275,8 +289,7 @@ def window_sq_dist(r: TimeSeries, s: TimeSeries, delta: int, T: int) -> float:
 
     Requires r defined on [1 + delta, T + delta] and s on [1, T].
     """
-    T = integer_at_least("T", T, 1)
-    delta = int(delta)
+    T, delta = integer_at_least("T", T, 1), integer_at_least("delta", delta)
     diff = r.window(1 + delta, T + delta) - s.window(1, T)
     return float(np.sum(diff**2))
 
@@ -533,6 +546,7 @@ class ShiftWindows:
                 first, second, shift = self._two_smallest(q)
                 tied = second - first <= 2.0 * eps
                 block_min[:], block_j[:] = self._verify_candidates(q, shift)
+                del first, second, shift, eps  # not held into the next block's walk
             rows, queries = np.nonzero(tied)
             # a tied pair's windows and their differences: S T values, plus its query
             for c in blocks(rows.size, (S + 1) * T) if rows.size else ():

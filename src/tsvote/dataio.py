@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Label, LabeledDataset, Provenance, TimeSeries
+from .core import Label, LabeledDataset, Provenance, TimeSeries, integer_at_least
 from .errors import ConfigError, ParamError
 from .pipeline import RateSeries
 from .synth import LatentSourceModel, NoiseSpec
@@ -78,21 +78,16 @@ def _bad_record(where: str, kind: str):
 
 
 def _integer(rec: dict, key: str, default=None) -> int:
-    """rec[key] (default when absent, if given) as an int; ValueError naming
-    key unless it is an int or an integral float, so 2.9 or "4" is refused
-    rather than truncated or parsed."""
-    value = rec[key] if default is None else rec.get(key, default)
-    if isinstance(value, float) and value.is_integer() or type(value) is int:
-        return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    """rec[key] (default when absent, if given) by core.integer_at_least."""
+    return integer_at_least(key, rec[key] if default is None else rec.get(key, default))
 
 
 def record_to_series(rec: dict, where: str = "") -> tuple:
     """(TimeSeries, label or None, Provenance or None) from one JSONL record."""
     with _bad_record(where, "series"):
-        ts = TimeSeries(_integer(rec, "start_index"), np.asarray(rec["values"], dtype=np.float64),
+        ts = TimeSeries(rec["start_index"], np.asarray(rec["values"], dtype=np.float64),
                         id=str(rec.get("id", "")))
-        label = Label.from_int(_integer(rec, "label")) if "label" in rec else None
+        label = Label.from_int(rec["label"]) if "label" in rec else None
         prov = None
         if "source_index" in rec:
             prov = Provenance(_integer(rec, "source_index"), _integer(rec, "shift", 0))
@@ -159,10 +154,11 @@ def read_model(directory) -> LatentSourceModel:
         sources.append((ts, label))
     with _bad_record(str(meta_path), "model"):
         integers = {k: _integer(meta, k) for k in ("delta_max", "window_start", "window_length")}
+        noise = NoiseSpec(meta["noise"]["family"], meta["noise"]["sigma"])
     weights = meta.get("weights")
     return LatentSourceModel(
         sources=tuple(sources),
-        noise=NoiseSpec(meta["noise"]["family"], float(meta["noise"]["sigma"])),
+        noise=noise,
         weights=tuple(weights) if weights is not None else None,
         **integers,
     )
@@ -183,7 +179,7 @@ def record_to_rate(rec: dict, where: str = "") -> RateSeries:
     with _bad_record(where, "rate"):
         return RateSeries(
             np.asarray(rec["counts"], dtype=np.float64),
-            float(rec.get("bucket_width_minutes", 2.0)),
+            rec.get("bucket_width_minutes", 2.0),
             str(rec.get("topic_id", "")),
             onset_index=rec.get("onset_index"),
         )

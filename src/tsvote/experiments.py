@@ -18,6 +18,7 @@ from .core import (
     advance,
     blocks,
     integer_at_least,
+    real_at_least,
     stacked_windows,
 )
 from .errors import ParamError, SupportError
@@ -62,15 +63,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (("trials", 1), ("test_size", 1), ("delta_max", 0)):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
-        T_grid = tuple(integer_at_least("T_grid", t, 1) for t in self.T_grid)
-        object.__setattr__(self, "T_grid", T_grid)
-        object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
         # a pool of n(beta <= 1) draws can miss a class
-        if not (1.0 < self.beta < math.inf):
-            raise ParamError(f"beta must be finite and > 1, got {self.beta}")
-        for name, grid, low in (("T_grid", self.T_grid, 0), ("beta_grid", self.beta_grid, 1)):
-            if not grid or not all(low < x < math.inf for x in grid):
-                raise ParamError(f"{name} must be non-empty, finite and > {low}, got {grid}")
+        object.__setattr__(self, "beta", real_at_least("beta", self.beta, 1, strict=True))
+        T_grid = tuple(integer_at_least("T_grid", t, 1) for t in self.T_grid)
+        beta_grid = tuple(real_at_least("beta_grid", b, 1, strict=True) for b in self.beta_grid)
+        for name, grid in (("T_grid", T_grid), ("beta_grid", beta_grid)):
+            if not grid:
+                raise ParamError(f"{name} must be non-empty")
+            object.__setattr__(self, name, grid)
         needed = max(self.T_grid) + 2 * self.delta_max
         if self.model_cfg.series_length < needed:
             raise ParamError(
@@ -207,11 +207,6 @@ def error_vs_beta(cfg: ExperimentConfig) -> ErrorCurves:
 # ---------------------------------------------------------------------------
 
 
-def _check_theta(theta: float) -> None:
-    if not (0.0 < theta < math.inf):
-        raise ParamError(f"theta must be finite and > 0, got {theta}")
-
-
 @dataclass(frozen=True)
 class DetectionConfig:
     """Settings for sliding-window online detection.
@@ -231,11 +226,11 @@ class DetectionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "T", integer_at_least("T", self.T, 1))
-        if not (0.0 <= self.gamma < math.inf):
-            raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
-        _check_theta(self.theta)
-        if not all(0.0 < v < math.inf for v in (self.h_hours, self.bucket_width_minutes)):
-            raise ParamError("h_hours and bucket_width_minutes must be positive and finite")
+        if self.delta_max is not None:
+            object.__setattr__(self, "delta_max", integer_at_least("delta_max", self.delta_max, 0))
+        for name in ("h_hours", "bucket_width_minutes", "theta", "gamma"):  # gamma may be 0
+            value = real_at_least(name, getattr(self, name), 0, strict=name != "gamma")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -305,7 +300,7 @@ def detect_online(
     relative_minutes is negative when that happens before the anchor. This is
     roc_sweep's trace and crossing for one topic and one theta.
     """
-    anchor, bw = int(anchor), cfg.bucket_width_minutes
+    anchor, bw = integer_at_least("anchor", anchor), cfg.bucket_width_minutes
     half = window_buckets(cfg.h_hours, bw)
     region = series.window(anchor - half - cfg.T + 1, anchor + half)  # SupportError if too short
     maxima = _running_maxima(_detection_kernel(training, cfg), [region], half)
@@ -353,7 +348,11 @@ class CorpusConfig:
             raise ParamError("onset range must fit inside the series")
         if self.n_patterns > _N_BURST_SHAPES:
             raise ParamError(f"n_patterns must be in 1..{_N_BURST_SHAPES}, got {self.n_patterns}")
-        if not (0.0 < self.spike_rate <= 1.0):
+        positive = ("bucket_width_minutes", "base_rate", "burst_scale", "spike_rate")
+        for name in positive + ("noise_frac", "bump_scale"):  # the last two may be 0
+            value = real_at_least(name, getattr(self, name), 0, strict=name in positive)
+            object.__setattr__(self, name, value)
+        if self.spike_rate > 1.0:
             raise ParamError(f"spike_rate must be in (0, 1], got {self.spike_rate}")
 
 
@@ -506,11 +505,16 @@ class SweepGrid:
     thetas: tuple = (1.0,)
 
     def __post_init__(self):
+        # each grid's entries pass the rule of the setting it sweeps
         for name in ("gammas", "Ts", "t_smooths", "h_hours", "thetas"):
-            if not getattr(self, name):
+            grid = getattr(self, name)
+            if not grid:
                 raise ParamError(f"sweep grid {name} must be non-empty")
-        for theta in self.thetas:
-            _check_theta(theta)
+            if name in ("Ts", "t_smooths"):
+                grid = tuple(integer_at_least(name, x, 1) for x in grid)
+            else:  # gamma may be 0
+                grid = tuple(real_at_least(name, x, 0, strict=name != "gammas") for x in grid)
+            object.__setattr__(self, name, grid)
 
 
 @dataclass(frozen=True)

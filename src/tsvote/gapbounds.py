@@ -20,6 +20,7 @@ from .core import (
     blocks,
     expansion_slack,
     integer_at_least,
+    real_at_least,
     sq_dists,
     stacked_windows,
 )
@@ -101,16 +102,10 @@ class BoundInputs:
             raise ParamError(
                 f"m_plus + m_minus must equal m ({self.m_plus} + {self.m_minus} != {self.m})"
             )
-        if not (1.0 < self.beta < math.inf):
-            raise ParamError(f"beta must be finite and > 1, got {self.beta}")
-        if not (0.0 < self.sigma < math.inf):
-            raise ParamError(f"sigma must be finite and > 0, got {self.sigma}")
-        if not (0.0 <= self.gamma < math.inf):
-            raise ParamError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 < self.theta < math.inf):
-            raise ParamError(f"theta must be finite and > 0, got {self.theta}")
-        if not (0.0 <= self.gap < math.inf):
-            raise ParamError(f"gap must be finite and >= 0, got {self.gap}")
+        for name, low, strict in (("beta", 1, True), ("sigma", 0, True), ("gamma", 0, False),
+                                  ("theta", 0, True), ("gap", 0, False)):
+            value = real_at_least(name, getattr(self, name), low, strict=strict)
+            object.__setattr__(self, name, value)
 
 
 def _exp(x: float) -> float:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TimeSeries, integer_at_least
+from .core import TimeSeries, integer_at_least, real_at_least
 from .errors import EmptyPrefixError, ParamError, SupportError
 from .synth import RngStream, as_generator
 
@@ -31,15 +31,13 @@ class RateSeries:
         if arr.ndim != 1 or arr.size == 0:
             raise ParamError(f"topic {self.topic_id!r}: counts must be a non-empty vector")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ParamError(f"topic {self.topic_id!r}: counts must be finite and nonnegative")
+            raise ParamError(f"topic {self.topic_id!r}: counts must be nonnegative and finite")
         if arr is self.counts and arr.flags.writeable:
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        if not (self.bucket_width_minutes > 0.0):
-            raise ParamError(
-                f"bucket_width_minutes must be > 0, got {self.bucket_width_minutes}"
-            )
+        width = real_at_least("bucket_width_minutes", self.bucket_width_minutes, 0, strict=True)
+        object.__setattr__(self, "bucket_width_minutes", width)
         if self.onset_index is not None:
             onset = integer_at_least(f"topic {self.topic_id!r}: onset_index", self.onset_index, 1)
             if onset > arr.size:
@@ -59,11 +57,10 @@ class PipelineParams:
     log_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (self.alpha >= 1.0):
-            raise ParamError(f"alpha must be >= 1, got {self.alpha}")
+        object.__setattr__(self, "alpha", real_at_least("alpha", self.alpha, 1))
         object.__setattr__(self, "t_smooth", integer_at_least("t_smooth", self.t_smooth, 1))
-        if not (self.log_floor > 0.0):
-            raise ParamError(f"log_floor must be > 0, got {self.log_floor}")
+        floor = real_at_least("log_floor", self.log_floor, 0, strict=True)
+        object.__setattr__(self, "log_floor", floor)
 
 
 def baseline_normalize(rho: RateSeries) -> TimeSeries:
@@ -78,8 +75,7 @@ def baseline_normalize(rho: RateSeries) -> TimeSeries:
 
 def spike_emphasize(rho_b: TimeSeries, alpha: float) -> TimeSeries:
     """|out(t) - out(t-1)|^alpha with the value before the first step taken as 0."""
-    if not (alpha >= 1.0):
-        raise ParamError(f"alpha must be >= 1, got {alpha}")
+    alpha = real_at_least("alpha", alpha, 1)
     v = rho_b.values
     prev = np.concatenate(([0.0], v[:-1]))
     return TimeSeries(rho_b.start_index, np.abs(v - prev) ** alpha, id=rho_b.id)
@@ -87,9 +83,7 @@ def spike_emphasize(rho_b: TimeSeries, alpha: float) -> TimeSeries:
 
 def smooth(rho_bs: TimeSeries, t_smooth: int) -> TimeSeries:
     """Trailing-window sum of the last t_smooth entries, truncated at the start."""
-    t_smooth = int(t_smooth)
-    if t_smooth < 1:
-        raise ParamError(f"t_smooth must be >= 1, got {t_smooth}")
+    t_smooth = integer_at_least("t_smooth", t_smooth, 1)
     v = rho_bs.values
     out = np.convolve(v, np.ones(t_smooth))[: v.size]
     return TimeSeries(rho_bs.start_index, out, id=rho_bs.id)
@@ -97,8 +91,7 @@ def smooth(rho_bs: TimeSeries, t_smooth: int) -> TimeSeries:
 
 def log_transform(rho_bsc: TimeSeries, log_floor: float) -> TimeSeries:
     """Natural log after clamping below at log_floor, keeping everything finite."""
-    if not (log_floor > 0.0):
-        raise ParamError(f"log_floor must be > 0, got {log_floor}")
+    log_floor = real_at_least("log_floor", log_floor, 0, strict=True)
     return TimeSeries(
         rho_bsc.start_index, np.log(np.maximum(rho_bsc.values, log_floor)), id=rho_bsc.id
     )
@@ -114,8 +107,10 @@ def preprocess(rho: RateSeries, params: PipelineParams) -> TimeSeries:
 
 def window_buckets(h_hours: float, bucket_width_minutes: float) -> int:
     """Number of buckets in an h-hour window."""
-    exact = h_hours * 60.0 / bucket_width_minutes
-    buckets = int(round(exact))
+    h_hours = real_at_least("h_hours", h_hours, 0, strict=True)
+    width = real_at_least("bucket_width_minutes", bucket_width_minutes, 0, strict=True)
+    exact = h_hours * 60.0 / width
+    buckets = round(exact) if np.isfinite(exact) else 0  # inf: too many buckets to count
     if buckets < 1 or abs(exact - buckets) > 1e-9:
         raise ParamError(
             f"h={h_hours}h does not give a whole number of {bucket_width_minutes}-minute buckets"
@@ -139,7 +134,7 @@ def slice_training_window(
     """
     w = window_buckets(h_hours, bucket_width_minutes)
     if mode == "pre_onset":
-        first = int(anchor) - w + 1
+        first = integer_at_least("anchor", anchor) - w + 1
     elif mode == "random":
         if rng_stream is None:
             raise ParamError("random mode needs an rng_stream")

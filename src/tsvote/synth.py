@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Label, LabeledDataset, Provenance, TimeSeries, integer_at_least
+from .core import Label, LabeledDataset, Provenance, TimeSeries, integer_at_least, real_at_least
 from .errors import ParamError, ProvenanceError, SupportError
 
 RngStream = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -25,16 +25,16 @@ def as_generator(stream: RngStream) -> np.random.Generator:
         return stream
     if isinstance(stream, np.random.SeedSequence):
         return np.random.default_rng(stream)
-    return np.random.default_rng(int(stream))
+    return np.random.default_rng(integer_at_least("seed", stream, 0))
 
 
 def derive_streams(stream: RngStream, n: int) -> list[np.random.Generator]:
     """n independent child generators; deterministic for a given parent stream."""
     if isinstance(stream, np.random.Generator):
         return stream.spawn(n)
-    if isinstance(stream, np.random.SeedSequence):
-        return [np.random.default_rng(child) for child in stream.spawn(n)]
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(int(stream)).spawn(n)]
+    if not isinstance(stream, np.random.SeedSequence):
+        stream = np.random.SeedSequence(integer_at_least("seed", stream, 0))
+    return [np.random.default_rng(child) for child in stream.spawn(n)]
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in _NOISE_FAMILIES:
             raise ParamError(f"noise family must be one of {_NOISE_FAMILIES}, got {self.family!r}")
-        if not (self.sigma >= 0.0):
-            raise ParamError(f"sigma must be >= 0, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", real_at_least("sigma", self.sigma, 0))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sigma == 0.0:
@@ -82,24 +80,17 @@ class LatentSourceModel:
     weights: Optional[tuple] = None
 
     def __post_init__(self):
-        sources = tuple((src, Label.from_int(int(lab))) for src, lab in self.sources)
+        sources = tuple((src, Label.from_int(lab)) for src, lab in self.sources)
         object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "delta_max", int(self.delta_max))
-        object.__setattr__(self, "window_start", int(self.window_start))
-        object.__setattr__(self, "window_length", int(self.window_length))
+        for name, low in (("delta_max", 0), ("window_start", None), ("window_length", 1)):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
         if self.m < 1:
             raise ParamError("the model needs at least one source")
-        if self.delta_max < 0:
-            raise ParamError(f"delta_max must be >= 0, got {self.delta_max}")
-        if self.window_length < 1:
-            raise ParamError(f"window_length must be >= 1, got {self.window_length}")
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
+            w = tuple(real_at_least("weights", x, 0) for x in self.weights)
             object.__setattr__(self, "weights", w)
             if len(w) != self.m:
                 raise ParamError(f"weights must have length m={self.m}, got {len(w)}")
-            if any(x < 0.0 for x in w):
-                raise ParamError("weights must be nonnegative")
             if abs(sum(w) - 1.0) > 1e-12:
                 raise ParamError(f"weights must sum to 1, got {sum(w)!r}")
         lo = self.window_start
@@ -144,16 +135,13 @@ class GeneratorConfig:
     def __post_init__(self):
         for name, low in (("m", 2), ("series_length", 1)):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
-        if not (self.amplitude_variance > 0.0):
-            raise ParamError(f"amplitude_variance must be > 0, got {self.amplitude_variance}")
-        if not (self.smoothing_scale > 0.0):
-            raise ParamError(f"smoothing_scale must be > 0, got {self.smoothing_scale}")
+        for name in ("amplitude_variance", "smoothing_scale"):
+            object.__setattr__(self, name, real_at_least(name, getattr(self, name), 0, strict=True))
 
 
 def gaussian_kernel(scale: float) -> np.ndarray:
     """Normalized Gaussian smoothing kernel truncated at +-4 scales."""
-    if not (scale > 0.0):
-        raise ParamError(f"smoothing scale must be > 0, got {scale}")
+    scale = real_at_least("scale", scale, 0, strict=True)
     radius = max(1, math.ceil(4.0 * scale))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / scale) ** 2)
@@ -178,9 +166,7 @@ def make_latent_sources(
     a sample of series_length points whose shifted windows stay inside the
     source supports.
     """
-    delta_max = int(delta_max)
-    if delta_max < 0:
-        raise ParamError(f"delta_max must be >= 0, got {delta_max}")
+    delta_max = integer_at_least("delta_max", delta_max, 0)
     if noise is None:
         noise = NoiseSpec()
     kernel = gaussian_kernel(cfg.smoothing_scale)
@@ -220,10 +206,10 @@ def sample_series(
     source cannot cover the shifted window.
     """
     rng = as_generator(rng_stream)
-    start = model.window_start if window_start is None else int(window_start)
-    length = model.window_length if window_length is None else int(window_length)
-    if length < 1:
-        raise ParamError(f"window_length must be >= 1, got {length}")
+    start = model.window_start if window_start is None else window_start
+    length = model.window_length if window_length is None else window_length
+    start = integer_at_least("window_start", start)
+    length = integer_at_least("window_length", length, 1)
     if model.weights is None:
         idx = int(rng.integers(0, model.m))
     else:
@@ -245,9 +231,7 @@ def sample_draws(
     id_prefix: str = "train",
 ) -> list:
     """n independent sample_series draws, one child stream each, in draw order."""
-    n = int(n)
-    if n < 1:
-        raise ParamError(f"n must be >= 1, got {n}")
+    n = integer_at_least("n", n, 1)
     window = {"window_start": window_start, "window_length": window_length}
     return [
         sample_series(model, rng, id=f"{id_prefix}-{i:05d}", **window)
@@ -286,6 +270,5 @@ def coverage_counts(data: LabeledDataset, model: LatentSourceModel) -> list[int]
 
 def training_size(beta: float, m: int) -> int:
     """Training set size ceil(beta * m * log m) (natural log)."""
-    if m < 2:
-        raise ParamError(f"m must be >= 2, got {m}")
+    beta, m = real_at_least("beta", beta, 0, strict=True), integer_at_least("m", m, 2)
     return math.ceil(beta * m * math.log(m))

@@ -1614,9 +1614,9 @@ class TestOneCandidatePerGroup:
         assert got[1].tobytes() == grid.argmin(axis=1).tobytes()
         allowed = 8 * (
             2 * n * len(Q)  # the results
-            # (n, p) arrays: one block's walk, slack and verify, and the bounds
-            # and shifts of the block before it, until the walk replaces them
-            + 12 * n * p
+            # (n, p) arrays: one block's walk, slack and verify; the block
+            # before it drops its bounds, shifts and slack once it is verified
+            + 9 * n * p
             + n * (L + 1) + (T + 1) * p  # the walk's copy of the rows, its placements
         ) + 4096  # the masks, headers
         assert peak <= allowed, (peak, allowed)

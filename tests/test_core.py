@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from tsvote import (
     TimeSeries,
     VotingParams,
     advance,
+    classify_knn,
     shift_min_distance,
     window_sq_dist,
 )
+import tsvote.core as core
 
 
 def brute_window_sq_dist(r, s, delta, T):
@@ -215,6 +219,10 @@ class TestParamsAndDataset:
             VotingParams(1.0, np.float64(3.5))
         with pytest.raises(ParamError, match="delta_max must be an integer"):
             VotingParams(1.0, 4, 1.5)
+        with pytest.raises(ParamError, match="^T must be an integer"):
+            VotingParams(1.0, True)  # a bool used to run as 1
+        with pytest.raises(ParamError, match="^delta_max must be an integer"):
+            VotingParams(1.0, 4, np.bool_(True))
         for T, delta_max in ((3, 1), (np.int64(3), np.int32(1)), (3.0, 1.0), (np.float64(3.0), 1)):
             params = VotingParams(1.0, T, delta_max)
             assert (params.T, params.delta_max) == (3, 1)
@@ -236,6 +244,57 @@ class TestParamsAndDataset:
         p = dyadic_series(rng, 1, 4, id="p")
         with pytest.raises(ParamError):
             LabeledDataset((p,), (p,), positive_provenance=())
+
+
+def _knn(k):
+    pos, neg = TimeSeries(1, [1.0, 2.0]), TimeSeries(1, [0.0, 0.0])
+    return classify_knn(TimeSeries(1, [1.0, 1.0]), LabeledDataset((pos, pos), (neg,)),
+                        VotingParams(1.0, 2), k)
+
+
+class TestOneRulePerKind:
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("start_index", lambda: TimeSeries(2.9, [1.0, 2.0])),
+            ("start_index", lambda: TimeSeries(True, [1.0, 2.0])),
+            ("label", lambda: Label.from_int(True)),
+            ("delta", lambda: advance(TimeSeries(1, [1.0, 2.0]), 1.5)),
+            ("delta", lambda: window_sq_dist(TimeSeries(0, [1.0, 1.0]), TimeSeries(1, [1.0]), 0.5, 1)),
+            ("k", lambda: _knn(2.5)),
+            ("k", lambda: _knn(True)),
+        ],
+    )
+    def test_a_caller_integer_is_never_truncated(self, field, call):
+        # each used to be cut by int() (2.9 -> 2), or a bool ran as 1
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            call()
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "3", 2.5, math.inf, math.nan, None])
+    def test_integer_rule_refuses(self, value):
+        with pytest.raises(ParamError, match="^n must be an integer"):
+            core.integer_at_least("n", value)
+
+    def test_integer_rule_accepts_integral_numbers(self):
+        for value in (3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)):
+            got = core.integer_at_least("n", value, 3)
+            assert got == 3 and type(got) is int
+        assert core.integer_at_least("n", -10**30) == -10**30  # no floor unless given
+        with pytest.raises(ParamError, match="^n must be >= 4, got 3"):
+            core.integer_at_least("n", 3.0, 4)
+
+    @pytest.mark.parametrize("value", [True, "1", None, math.inf, -math.inf, math.nan, -0.5])
+    def test_real_rule_refuses(self, value):
+        with pytest.raises(ParamError, match="^x must be finite and >= 0"):
+            core.real_at_least("x", value, 0)
+
+    def test_real_rule_returns_a_float(self):
+        for value in (2, np.int32(2), 2.0, np.float32(2.0)):
+            got = core.real_at_least("x", value, 0)
+            assert got == 2.0 and type(got) is float
+        assert core.real_at_least("x", 0, 0) == 0.0
+        with pytest.raises(ParamError, match="^x must be finite and > 0, got 0"):
+            core.real_at_least("x", 0, 0, strict=True)
 
 
 class TestDraws:

@@ -111,10 +111,14 @@ class TestErrorCurves:
             ("delta_max", -1),
             ("T_grid", (10.7, 20)),
             ("T_grid", (8, math.inf)),
+            ("trials", True),
+            ("delta_max", False),
+            ("T_grid", (True, 20)),
         ],
     )
     def test_sizes_must_be_integers(self, field, value):
-        # a non-integral size used to be truncated (T_grid) or kept until a trial failed
+        # a non-integral size used to be truncated (T_grid) or kept until a trial
+        # failed, and a bool ran as 0 or 1
         with pytest.raises(ParamError, match=f"^{field} must be"):
             tiny_config(**{field: value})
 
@@ -348,6 +352,22 @@ class TestDetectOnline:
         with pytest.raises(ParamError, match=field):
             self.cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("delta_max", lambda: DetectionConfig(delta_max=2.5)),
+            ("delta_max", lambda: DetectionConfig(delta_max=-1)),
+            ("gammas", lambda: SweepGrid(gammas=(-1.0,))),
+            ("Ts", lambda: SweepGrid(Ts=(2.5,))),
+            ("t_smooths", lambda: SweepGrid(t_smooths=(80, True))),
+            ("h_hours", lambda: SweepGrid(h_hours=(math.inf,))),
+        ],
+    )
+    def test_settings_pass_the_core_rules(self, field, call):
+        # each used to be accepted, and failed (or was truncated) only inside a sweep
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            call()
+
     def test_non_integral_T_rejected(self):
         with pytest.raises(ParamError, match="T must be an integer"):
             self.cfg(T=6.5)
@@ -398,10 +418,13 @@ class TestCorpusAndSweep:
     @pytest.mark.parametrize(
         "field, value",
         [("n_trends", 1.5), ("n_non_trends", 0), ("length", 240.5), ("ramp_buckets", 30.2),
-         ("n_patterns", 2.5), ("onset_low", 90.5), ("onset_high", 0)],
+         ("n_patterns", 2.5), ("onset_low", 90.5), ("onset_high", 0), ("n_trends", True),
+         ("base_rate", -1.0), ("burst_scale", math.inf), ("noise_frac", math.nan),
+         ("bump_scale", -0.5), ("bucket_width_minutes", 0.0)],
     )
     def test_corpus_sizes_must_be_integers(self, field, value):
-        # a non-integral count used to be kept as a float
+        # a non-integral count used to be kept as a float and a bool as an int; a
+        # negative, zero or non-finite rate or scale used to be accepted
         with pytest.raises(ParamError, match=f"^{field} must be"):
             CorpusConfig(**{field: value})
 

@@ -406,7 +406,8 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("m", 4.5), ("m", 0), ("m_minus", 2.5), ("m_plus", -1), ("n", 10.2), ("delta_max", 0.5)],
+        [("m", 4.5), ("m", 0), ("m_minus", 2.5), ("m_plus", -1), ("n", 10.2), ("delta_max", 0.5),
+         ("n", True), ("delta_max", False)],
     )
     def test_sizes_must_be_integers(self, field, value):
         # a non-integral count or shift used to be accepted

@@ -169,6 +169,30 @@ class TestPreprocess:
             PipelineParams(log_floor=0.0)
 
 
+POSITIVE = TimeSeries(1, [0.5, 1.0, 2.0, 4.0])
+
+
+class TestOneRulePerKind:
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("alpha", lambda: PipelineParams(alpha=math.inf)),
+            ("log_floor", lambda: PipelineParams(log_floor=math.inf)),
+            ("bucket_width_minutes", lambda: RateSeries([1.0, 2.0], math.inf)),
+            ("h_hours", lambda: window_buckets(math.inf, 2.0)),
+            ("bucket_width_minutes", lambda: window_buckets(1.0, math.nan)),
+            ("alpha", lambda: spike_emphasize(POSITIVE, math.inf)),
+            ("t_smooth", lambda: smooth(POSITIVE, 2.5)),
+            ("log_floor", lambda: log_transform(POSITIVE, math.inf)),
+            ("anchor", lambda: slice_training_window(POSITIVE, 3.5, 0.1, 2.0)),
+        ],
+    )
+    def test_settings_pass_the_core_rules(self, field, call):
+        # each used to be truncated, accepted, or to overflow (OverflowError)
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            call()
+
+
 class TestSliceTrainingWindow:
     def test_window_length_seven_hours(self):
         assert window_buckets(7.0, 2.0) == 210

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tsvote import (
     sample_series,
     training_size,
 )
-from tsvote.synth import derive_streams, gaussian_kernel
+from tsvote.synth import derive_streams, gaussian_kernel, sample_draws
 
 
 class TestMakeLatentSources:
@@ -235,6 +236,42 @@ class TestCoverage:
         rate = hits / trials
         floor = (1 - delta / 2) - 3.0 * math.sqrt(delta / 2 * (1 - delta / 2) / trials)
         assert rate >= floor
+
+
+def _relabeled(label):
+    model = small_model()
+    return replace(model, sources=((model.sources[0][0], label),) + model.sources[1:])
+
+
+class TestOneRulePerKind:
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("smoothing_scale", lambda: make_latent_sources(
+                GeneratorConfig(m=2, series_length=10, smoothing_scale=math.inf))),
+            ("amplitude_variance", lambda: GeneratorConfig(m=2, series_length=10,
+                                                           amplitude_variance=math.inf)),
+            ("scale", lambda: gaussian_kernel(math.inf)),
+            ("sigma", lambda: NoiseSpec(sigma=math.inf)),
+            ("weights", lambda: small_model(weights=(math.nan, 0.5, 0.25, 0.25))),
+            ("delta_max", lambda: replace(small_model(), delta_max=2.5)),
+            ("window_start", lambda: replace(small_model(), window_start=1.9)),
+            ("window_length", lambda: replace(small_model(), window_length=10.2)),
+            ("label", lambda: _relabeled(-1.7)),
+            ("label", lambda: _relabeled(True)),
+            ("delta_max", lambda: small_model(delta_max=2.5)),
+            ("n", lambda: sample_draws(small_model(), 2.5, 0)),
+            ("window_length", lambda: sample_series(small_model(), 0, window_length=3.7)),
+            ("window_start", lambda: sample_series(small_model(), 0, window_start=0.5)),
+            ("seed", lambda: sample_series(small_model(), 7.5)),
+            ("m", lambda: training_size(2.0, 2.5)),
+            ("beta", lambda: training_size(math.inf, 10)),
+        ],
+    )
+    def test_settings_pass_the_core_rules(self, field, call):
+        # each used to be truncated, accepted, or to overflow (OverflowError)
+        with pytest.raises(ParamError, match=f"^{field} must be"):
+            call()
 
 
 class TestModelValidation:
