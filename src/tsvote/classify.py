@@ -12,7 +12,16 @@ and nearest neighbor read the minimum. Batches in `log_lambda_many` vote in
 (`expansion_minimum`, one GEMM per shift), and in `sum` mode on `_vote_dists`,
 bit for bit as `gwmv_block` does.
 `_log_votes` turns one class's distances into its log vote (through
-`_logsumexp`) and `_vote_ratio` both classes' into the log ratio; `_tie_order`
+`_logsumexp`) and `_vote_ratio` both classes' into the log ratio. Labels
+can also be certified without exact distances: `_certified` decides a voting
+or oracle label from distance bounds and their radii where they prove it,
+`_certified_nearest` a nearest-neighbor label. `VotingKernel.min_bounds_block`
+gives the bounds of the per-example minima (`ShiftWindows.minimum_bound`);
+`certified_gwmv_block`, `certified_nn_block` and `MapKernel.certified_block`
+(on every cell's bound, `ShiftWindows.grid_bound`) return the labels and
+which rows are decided. The error curves use them and score only the
+undecided rows through the exact blocks; the library calls, `classify` and
+`detect` report log ratios and stay on the exact paths. `_tie_order`
 ranks examples for k-NN, and nearest neighbor (`_nearest`) takes the first
 example in that order; `_outcome` turns the votes into verdicts.
 
@@ -104,13 +113,18 @@ def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
     return _logsumexp(np.add(a, log_w, out=a))  # in place: one temporary of d's size
 
 
-def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
+def _log_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
     """(log ratio, positive log vote, negative log vote) of the two classes'
-    _log_votes. A NaN ratio raises ParamError, since no threshold can judge it.
-    """
+    _log_votes; the ratio is NaN where both votes are zero."""
     pos, neg = _log_votes(gamma, pos_d, pos_log_w), _log_votes(gamma, neg_d, neg_log_w)
-    with np.errstate(invalid="ignore"):  # two zero votes give a NaN ratio, raised below
-        ratio = pos - neg
+    with np.errstate(invalid="ignore"):
+        return pos - neg, pos, neg
+
+
+def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
+    """_log_ratio, whose NaN ratio raises ParamError, since no threshold can
+    judge it."""
+    ratio, pos, neg = _log_ratio(gamma, pos_d, neg_d, pos_log_w, neg_log_w)
     if np.isnan(ratio).any():
         raise ParamError(
             "log vote ratio is undefined: both classes' votes are zero in floating point "
@@ -118,6 +132,73 @@ def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
             "or use a smaller gamma"
         )
     return ratio, pos, neg
+
+
+def _certified(gamma, pos_d, neg_d, pos_r, neg_r, log_threshold, pos_log_w=0.0, neg_log_w=0.0):
+    """(labels, decided): _outcome's (P,) labels of the _log_ratio of
+    distance bounds pos_d and neg_d, and where each is certified to be the
+    label that _vote_ratio of the exact distances gives, when every exact
+    distance of a class lies within that class's (P,) radius, pos_r or neg_r,
+    of its bound. Rows that are not decided (their votes, bounds or radius
+    not finite among them) are for the exact path; this never raises.
+
+    A row is decided when its computed log ratio L~ is further than
+        rho = g + 64 u (n + 4 + |pos~| + |neg~| + g),   g = gamma (pos_r + neg_r)
+    from log_threshold, with u the unit roundoff, n the number of votes and
+    pos~, neg~ the computed log votes; the exact path's computed ratio L is
+    then on the same side. In real arithmetic a class's log-sum-exp of
+    -gamma d + log w moves by at most gamma times the largest change of its d
+    (it is 1-Lipschitz in the max norm), so the ratios of the exact distances
+    and of the bounds are within g. Each computed ratio is within
+    u (4 |pos| + 4 |neg| + 9 n + 8) of its real one: for one class of k
+    votes a_i with largest M (log w <= 0, so |gamma d_i| <= |a_i|),
+    -gamma d and + log w round by u |a_i| each and a_i - M by u (M - a_i),
+    which move the log-sum-exp by u times their softmax average, at most
+    2 |M| + 2 k / e + k / e; exp by 2 ulp = 4u per vote; the pairwise sum
+    of k positive terms by (k - 1) u (1 + O(u)); log of that sum, in [1, k],
+    by u log k; the final add by u (|M| + log k); and |M| <= |L| + log k.
+    The subtraction adds u (|pos| + |neg|). The exact path's votes are
+    within g of pos~ and neg~, so both paths together stay within
+    18 u (n + 1 + |pos~| + |neg~| + g), which rho's 64 u term covers with
+    room for the second-order terms and rho's own rounding.
+    A class whose exact votes all overflow to zero (gamma d beyond the
+    largest float F) has bound votes within g + log k of -F, and then
+    64 u F alone exceeds what would let the bounds decide against the
+    infinite exact ratio; a row whose exact votes both overflow, which
+    raises on the exact path, is therefore never decided.
+    """
+    log_lambda, pos, neg = _log_ratio(gamma, pos_d, neg_d, pos_log_w, neg_log_w)
+    n, u = pos_d.shape[-1] + neg_d.shape[-1], np.finfo(np.float64).eps / 2
+    # a bound's inf radius (an overflowing norm), or an infinite vote, gives an
+    # infinite or NaN rho, and no row is decided by that
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = gamma * (pos_r + neg_r)
+        rho = g + 64.0 * u * (n + 4 + np.abs(pos) + np.abs(neg) + g)
+        decided = np.isfinite(rho) & (np.abs(log_lambda - log_threshold) > rho)
+    return np.where(log_lambda >= log_threshold, 1, -1), decided
+
+
+def _certified_nearest(gamma, D: np.ndarray, R: np.ndarray, n_pos: int) -> tuple:
+    """(labels, decided): the (P,) labels of the nearest example of (P, n)
+    distance bounds D whose exact distances lie within R, the positives in
+    the first n_pos columns, and where each is certified to be knn_block's
+    label for k = 1 on the exact distances; this never raises.
+
+    A row is decided when one class's smallest upper bound D + R lies
+    strictly below the other class's smallest lower bound D - R: that
+    class's exact minimum is then below every exact distance of the other,
+    so the first minimizer is in it whatever the tie order. An exact tie is
+    left to the exact path, which keeps its positive-first order. gamma times
+    that upper bound must be finite too, since the exact path raises where
+    the nearest vote overflows."""
+    (pos_up, pos_low), (neg_up, neg_low) = (
+        (np.add(D[:, c], R[:, c]).min(axis=1), np.subtract(D[:, c], R[:, c]).min(axis=1))
+        for c in (slice(None, n_pos), slice(n_pos, None))
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(gamma * np.minimum(pos_up, neg_up))
+    positive = pos_up < neg_low
+    return np.where(positive, 1, -1), finite & (positive | (neg_up < pos_low))
 
 
 def _tie_order(dmin: np.ndarray) -> np.ndarray:
@@ -243,6 +324,29 @@ class VotingKernel:
             dmin.flags.writeable = shifts.flags.writeable = False
             last = self._last = (s, dmin, shifts)
         return last[1], last[2]
+
+    def min_bounds_block(self, Q) -> tuple[np.ndarray, np.ndarray]:
+        """(P, n) bounds on min_dists_block(Q)'s distances and their radii
+        (ShiftWindows.minimum_bound), the inputs of the certified blocks."""
+        low, radius = self._windows.minimum_bound(_queries(Q, self.params.T))
+        return low.T, radius.T
+
+    def certified_gwmv_block(self, D, R) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, decided): gwmv_block's (P,) labels of the exact voting
+        distances where decided, from bounds D on them and radii R
+        (min_bounds_block in min mode) through _certified."""
+        D, R = _block(D, self.width), _block(R, self.width)
+        split = self.n_pos * self._per_example
+        radii = (R[:, :split].max(axis=1), R[:, split:].max(axis=1))
+        return _certified(self.params.gamma, D[:, :split], D[:, split:], *radii,
+                          math.log(self.params.theta))
+
+    def certified_nn_block(self, D, R) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, decided): knn_block(·, 1)'s (P,) labels of the exact (P, n)
+        minimum distances where decided, from bounds D on them and radii R
+        (min_bounds_block) through _certified_nearest."""
+        D, R = _block(D, self.n), _block(R, self.n)
+        return _certified_nearest(self.params.gamma, D, R, self.n_pos)
 
     def _votes(self, D: np.ndarray) -> tuple:
         """_vote_ratio of voting distances whose last axis runs over the examples
@@ -441,6 +545,20 @@ class MapKernel:
         votes = chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
         # decision threshold fixed at a ratio of 1; theta plays no role here
         return _outcome(votes, 0.0)
+
+    def certified_block(self, Q) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, decided): classify_block(Q)'s (P,) labels where decided,
+        from the GEMM bounds of every cell (ShiftWindows.grid_bound) through
+        _certified, in the chunks classify_block takes."""
+        Q = _queries(Q, self.params.T)
+        labels, decided = np.empty(len(Q), dtype=np.int64), np.empty(len(Q), dtype=bool)
+        for b in blocks(len(Q), self.width):
+            (pos, pos_r), (neg, neg_r) = (w.grid_bound(Q[b]) for w in (self._pos, self._neg))
+            labels[b], decided[b] = _certified(
+                self.params.gamma, *(c.reshape(len(c), c.shape[1] * c.shape[2]) for c in (pos, neg)),
+                pos_r.max(axis=0), neg_r.max(axis=0), 0.0, self._logw_pos, self._logw_neg,
+            )
+        return labels, decided
 
     def _votes(self, Q: np.ndarray) -> tuple:
         """_vote_ratio of the rows of a (P, T) block against both classes' grids."""

@@ -120,7 +120,7 @@ def _weights(v):
 
 
 SCHEMA: dict[str, FieldSpec] = {
-    "seed": FieldSpec(_as_int, 0),
+    "seed": FieldSpec(_as_int, 0, _ge(0)),  # a SeedSequence entropy
     "output_dir": FieldSpec(_as_str, None),
     # synthetic latent sources
     "generator.m": FieldSpec(_as_int, 10, _ge(2)),

@@ -15,16 +15,20 @@ use. Its forms of the distances are:
 - `minimum`, the one bound-and-verify: each series' exact minimum over shifts
   and its first minimizer, decided by the two smallest d~ over shifts (from
   the same shift walk for several queries, from one banded row for one) and
-  computed with `sq_dists`.
+  computed with `sq_dists`;
+- `minimum_bound` and `grid_bound`, the same two GEMM forms unverified, each
+  with its radius 2 eps: the minimum over shifts, or every cell. The error
+  curves certify their labels from these bounds and compute exact distances
+  only for the rows the bounds leave undecided.
 
-Callers check their queries; the engine assumes finite ones. `grid` and
-`minimum` take a block of queries and walk it in `blocks`, however many
-queries it has: no temporary of `grid` holds more than BLOCK_VALUES float64
-values beyond one series' (S, T) differences, since a query whose differences
-do not fit is walked in blocks of series, and none of `minimum` more than a
-few BLOCK_VALUES beyond one query's banded (n, S) row. `expansion_minimum`
-takes its block whole; a detection trace walks its queries in `blocks` of
-2 n. A block of no queries gives empty grids and minima.
+Callers check their queries; the engine assumes finite ones. `grid`,
+`minimum` and the two bounds take a block of queries and walk it in `blocks`,
+however many queries it has: no temporary of `grid` holds more than
+BLOCK_VALUES float64 values beyond one series' (S, T) differences, since a
+query whose differences do not fit is walked in blocks of series, and none of
+the others more than a few BLOCK_VALUES beyond one query's banded (n, S) row.
+`expansion_minimum` takes its block whole; a detection trace walks its queries
+in `blocks` of 2 n. A block of no queries gives empty grids and minima.
 
 Every number a caller hands in as a setting passes one of two rules defined
 here, neither of which truncates: `integer_at_least` for sizes, shifts,
@@ -487,14 +491,87 @@ class ShiftWindows:
         del cross  # the walk's buffer, before the broadcast add's 64 kB ufunc buffer
         return np.maximum(np.add(low, q_sq, out=low), 0.0, out=low)
 
+    def _bound_blocks(self, Q: np.ndarray, radius: np.ndarray):
+        """Yields (b, Q[b], its (p,) squared norms) for each block of queries
+        of the (P, T) block Q, the same blocks as minimum's, having set the
+        (n, P) radius[:, b] to 2 eps (expansion_slack); a block whose squared
+        norms overflow (slack is None) is skipped, so its radius stays as the
+        caller filled it."""
+        for b in blocks(len(Q), 5 * len(self.views)):
+            q = Q[b]
+            eps = self.slack(q)
+            if eps is not None:
+                np.multiply(eps, 2.0, out=radius[:, b])
+                yield b, q, np.einsum("ij,ij->i", q, q)
+
+    def minimum_bound(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(low, radius): the (n, P) minimum over shifts of d~ + |q|^2 for the
+        (P, T) block Q, clamped at 0 and not verified, and the (n, P) radius
+        2 eps within which the exact minimum, minimum(Q)[0], lies. Where a
+        squared norm overflows, the radius is +inf and low is 0.
+
+        A block of several queries is an expansion_minimum, one running
+        np.minimum per shift of the _shift_walk; a block of one query (a full
+        scale pool) is the minimum of its _banded_row plus |q|^2, clamped.
+        Every cell of either form is within eps of the exact distance, and so
+        each minimum (exact in any order) is, of the exact minimum."""
+        n, P = len(self.views), len(Q)
+        low, radius = np.zeros((n, P)), np.full((n, P), np.inf)
+        for b, q, q_sq in self._bound_blocks(Q, radius):
+            if len(q) == 1:
+                d = self._banded_row(q[0]).min(axis=1, keepdims=True)
+                low[:, b] = np.maximum(np.add(d, q_sq, out=d), 0.0, out=d)
+            else:
+                low[:, b] = self.expansion_minimum(q)
+        return low, radius
+
+    def grid_bound(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, radius): the (P, n, S) d~ + |q|^2 of every cell of the
+        (P, T) block Q, clamped at 0 and not verified, and the (n, P) radius
+        2 eps within which every cell of its row and query in grid(Q) lies.
+        Where a squared norm overflows, the radius is +inf and the cells 0.
+
+        The same two GEMM forms as minimum_bound keep every shift: a block of
+        several queries writes each step of the _shift_walk into its shift's
+        column, a block of one query is its _banded_row."""
+        (n, S, T), P = self.views.shape, len(Q)
+        cells, radius = np.zeros((P, n, S)), np.full((n, P), np.inf)
+        for b, q, q_sq in self._bound_blocks(Q, radius):
+            block = cells[b]
+            if len(q) == 1:
+                block[0] = self._banded_row(q[0])
+            else:
+                for j, cross in self._shift_walk(q):
+                    block[:, :, j] = cross.T
+            np.add(block, q_sq[:, None, None], out=block)
+        return np.maximum(cells, 0.0, out=cells), radius
+
+    def _banded_row(self, q: np.ndarray) -> np.ndarray:
+        """The (n, S) d~ of every row and shift for one (T,) query q: a GEMM
+        per group of SHIFT_GROUP shifts against the placements of -2q on only
+        the row values they touch, plus |w|^2."""
+        n, S, T = self.views.shape
+        # B copies of -2q zero-padded to k + 1 = B + T values: read as rows of k
+        # values, copy j moves right by j, so row j is -2q at offset j
+        B = min(S, SHIFT_GROUP)
+        k = B + T - 1
+        stack = np.zeros((B, k + 1))
+        stack[:, :T] = -2.0 * q
+        stack = stack.reshape(-1)[: B * k].reshape(B, k)
+        d = np.empty((n, S))
+        for j0 in range(0, S, B):
+            b = min(B, S - j0)
+            row_values, placements = self.rows[:, j0 : j0 + b + T - 1], stack[:b, : b + T - 1]
+            np.matmul(row_values, placements.T, out=d[:, j0 : j0 + b])
+        d += self.norms[0]
+        return d
+
     def _two_smallest(self, Q: np.ndarray) -> tuple:
         """(first, second, shift): the (n, P) smallest and second-smallest d~
         over shifts of the rows of the (P, T) block Q, and a shift of the
         smallest. Several queries fold the _shift_walk into running values.
-        One query takes one banded (n, S) row: a GEMM per group of
-        SHIFT_GROUP shifts against the placements of -2q on only the row
-        values they touch, plus |w|^2; then the argmin, and the minimum with
-        that cell set to +inf."""
+        One query takes its _banded_row; then the argmin, and the minimum
+        with that cell set to +inf."""
         (n, S, T), P = self.views.shape, len(Q)
         if P != 1:  # ufuncs only: a copyto with where= took 20 times as long
             first, second = np.full((n, P), np.inf), np.full((n, P), np.inf)
@@ -506,19 +583,7 @@ class ShiftWindows:
                 np.minimum(second, np.maximum(first, d, out=work), out=second)
                 np.minimum(first, d, out=first)
             return first, second, (low + S).astype(np.intp)
-        # B copies of -2q zero-padded to k + 1 = B + T values: read as rows of k
-        # values, copy j moves right by j, so row j is -2q at offset j
-        B = min(S, SHIFT_GROUP)
-        k = B + T - 1
-        stack = np.zeros((B, k + 1))
-        stack[:, :T] = -2.0 * Q[0]
-        stack = stack.reshape(-1)[: B * k].reshape(B, k)
-        d = np.empty((n, S))
-        for j0 in range(0, S, B):
-            b = min(B, S - j0)
-            row_values, placements = self.rows[:, j0 : j0 + b + T - 1], stack[:b, : b + T - 1]
-            np.matmul(row_values, placements.T, out=d[:, j0 : j0 + b])
-        d += self.norms[0]
+        d = self._banded_row(Q[0])
         rows, shift = np.arange(n), d.argmin(axis=1)
         first = d[rows, shift]
         d[rows, shift] = np.inf

@@ -133,7 +133,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("m", 2), ("series_length", 1)):
+        for name, low in (("m", 2), ("series_length", 1), ("seed", 0)):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
         for name in ("amplitude_variance", "smoothing_scale"):
             object.__setattr__(self, name, real_at_least(name, getattr(self, name), 0, strict=True))

@@ -839,6 +839,146 @@ def random_model(rng, n_sources, T, delta_max, weights=None):
     )
 
 
+def certified_or_raises(certified, exact):
+    """The labels of certified = (labels, decided) with each undecided row's
+    label from exact(rows) instead, as error_curves scores them, or
+    "ParamError" if that raises; exact(None) scores every row."""
+    labels, decided = certified
+    rows = np.flatnonzero(~decided)
+    try:
+        if rows.size:
+            labels = labels.copy()
+            labels[rows] = exact(rows)
+        return labels.tolist()
+    except ParamError:
+        return "ParamError"
+
+
+def exact_or_raises(exact):
+    try:
+        return exact(slice(None)).tolist()
+    except ParamError:
+        return "ParamError"
+
+
+class TestCertifiedLabels:
+    """The certified blocks decide labels from the GEMM bounds alone and never
+    raise: each decided label is the exact path's (gwmv_block and knn_block
+    on min_dists_block, MapKernel.classify_block), and a row the bounds cannot
+    settle, a near tie among them, is left undecided for the exact path."""
+
+    T, DMAX = 6, 2
+
+    def voting(self, kernel, Q):
+        """{classifier: (certified (labels, decided), exact labels of some rows)}"""
+        D, R = kernel.min_bounds_block(Q)
+
+        def exact(score):
+            return lambda rows: score(kernel.min_dists_block(Q[rows])[0]).labels
+
+        return {
+            "wmv": (kernel.certified_gwmv_block(D, R), exact(kernel.gwmv_block)),
+            "nn": (kernel.certified_nn_block(D, R), exact(lambda d: kernel.knn_block(d, 1))),
+        }
+
+    @pytest.mark.parametrize("gamma", [0.5, 1e-9])
+    def test_a_threshold_at_a_rows_ratio_leaves_it_undecided(self, rng, gamma):
+        # at the small gamma the bounds move the ratio by less than its rounding
+        data, _ = random_instance(rng, 4, 3, T=self.T, delta_max=self.DMAX)
+        Q = rng.standard_normal((5, self.T))
+        kernel = VotingKernel(data, VotingParams(gamma, self.T, self.DMAX))
+        log_lambda = kernel.gwmv_block(kernel.min_dists_block(Q)[0]).log_lambda
+        theta = math.exp(log_lambda[2])
+        kernel = VotingKernel(data, VotingParams(gamma, self.T, self.DMAX, theta))
+        (labels, decided), exact = self.voting(kernel, Q)["wmv"]
+        assert decided.tolist() == [True, True, False, True, True]
+        assert labels[decided].tolist() == exact(decided).tolist()
+
+    def test_a_nearest_neighbour_tie_across_classes_is_left_undecided(self, rng):
+        # the query is a window of an example that both classes hold, so the
+        # exact path's positive-first order decides it
+        data, _ = random_instance(rng, 3, 3, T=self.T, delta_max=self.DMAX)
+        twin = data.positives[1]
+        data = LabeledDataset(data.positives, data.negatives + (advance(twin, 0),))
+        Q = rng.standard_normal((4, self.T))
+        Q[1] = twin.window(2, self.T + 1)
+        kernel = VotingKernel(data, VotingParams(0.5, self.T, self.DMAX))
+        (labels, decided), exact = self.voting(kernel, Q)["nn"]
+        assert decided.tolist() == [True, False, True, True]
+        assert exact([1]).tolist() == [1]
+        assert labels[decided].tolist() == exact(decided).tolist()
+
+    def test_an_oracle_tie_is_left_undecided(self, rng):
+        # sources v and -v are equally far from the zero query at every shift
+        v = rng.standard_normal(self.T + self.DMAX)
+        model = LatentSourceModel(
+            sources=((TimeSeries(1, v, id="v+"), Label.POSITIVE),
+                     (TimeSeries(1, -v, id="v-"), Label.NEGATIVE)),
+            delta_max=self.DMAX, noise=NoiseSpec("gaussian", 1.0), window_start=1,
+            window_length=self.T,
+        )
+        oracle = MapKernel(model, VotingParams(0.5, self.T, self.DMAX))
+        Q = rng.standard_normal((3, self.T))
+        Q[0] = 0.0
+        labels, decided = oracle.certified_block(Q)
+        assert oracle.classify_block(Q[:1]).log_lambda.tolist() == [0.0]
+        assert decided.tolist() == [False, True, True]
+        assert labels[1:].tolist() == oracle.classify_block(Q[1:]).labels.tolist()
+
+    def test_an_empty_block_gives_empty_results(self, rng):
+        data, _ = random_instance(rng, 4, 3, T=self.T, delta_max=self.DMAX)
+        kernel = VotingKernel(data, VotingParams(0.5, self.T, self.DMAX))
+        Q = np.empty((0, self.T))
+        D, R = kernel.min_bounds_block(Q)
+        assert D.shape == R.shape == (0, kernel.n)
+        oracle = MapKernel(random_model(rng, 4, self.T, self.DMAX), kernel.params)
+        certified = [c for c, _ in self.voting(kernel, Q).values()] + [oracle.certified_block(Q)]
+        for labels, decided in certified:
+            assert labels.shape == decided.shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_pos=st.integers(1, 3),
+        n_neg=st.integers(1, 3),
+        T=st.integers(1, 6),
+        delta_max=st.integers(0, 3),
+        gamma=st.sampled_from([0.0, 0.125, 2.0, 1e3, 1e300]),
+        scale=st.sampled_from([1e-160, 1e-4, 1.0, 1e100, 1e152, 1e154]),
+        theta=st.sampled_from([1.0, 0.25, 3.0]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_pos=1, n_neg=1, T=3, delta_max=0, gamma=1e300, scale=1.0, theta=1.0, ties=False,
+             seed=0)  # every vote overflows: the exact path raises
+    def test_certified_labels_are_the_exact_labels(
+        self, n_pos, n_neg, T, delta_max, gamma, scale, theta, ties, seed
+    ):
+        # gamma = 0, a huge gamma, tiny and near-overflowing values, and ties;
+        # the combined path raises ParamError exactly where the exact one does
+        rng = np.random.default_rng(seed)
+        data, _ = random_instance(rng, n_pos, n_neg, T=T, delta_max=delta_max, scale=scale)
+        Q = scale * rng.standard_normal((4, T))
+        if ties:  # an example in both classes, and a query on one of its windows
+            data = LabeledDataset(data.positives, data.negatives + (advance(data.positives[0], 0),))
+            Q[0] = data.positives[0].window(1, T)
+        params = VotingParams(gamma, T, delta_max, theta)
+        sources = tuple(
+            (TimeSeries(1, scale * rng.standard_normal(T + delta_max), id=f"v{i}"), label)
+            for i, label in enumerate((Label.POSITIVE, Label.NEGATIVE, Label.POSITIVE))
+        )
+        if ties:
+            sources += ((sources[0][0], Label.NEGATIVE),)
+        model = LatentSourceModel(
+            sources=sources, delta_max=delta_max, noise=NoiseSpec("gaussian", 1.0),
+            window_start=1, window_length=T,
+        )
+        oracle = MapKernel(model, params)
+        paths = self.voting(VotingKernel(data, params), Q)
+        paths["map"] = (oracle.certified_block(Q), lambda rows: oracle.classify_block(Q[rows]).labels)
+        for name, (certified, exact) in paths.items():
+            assert certified_or_raises(certified, exact) == exact_or_raises(exact), name
+
+
 class TestBlocks:
     """A block of queries scores each row bit for bit as the per-query path
     scores that query alone."""
@@ -1479,6 +1619,51 @@ class TestExpansionMinimum:
             tracemalloc.stop()
         held = len(obs) + p + 2 * n * p + (T + 1) * p + n * (L + 1)
         assert peak <= 8 * held + 8192, (peak, 8 * held)
+
+
+class TestBounds:
+    """ShiftWindows.minimum_bound and grid_bound, the unverified GEMM forms
+    that the error curves certify labels from: every exact minimum and cell
+    lies within the radius 2 eps of its bound, for blocks of one query (a
+    banded row) and of several (the shift walk), and an overflowing norm
+    gives an infinite radius instead of a warning."""
+
+    n, T = 5, 12
+
+    def windows(self, rng, S):
+        # an offset makes the norms dwarf the distances, so d~ rounds
+        seriess = [
+            TimeSeries(1, 1e3 + rng.standard_normal(self.T + S - 1), id=f"r{i}")
+            for i in range(self.n)
+        ]
+        return core.ShiftWindows(seriess, self.T, 0, S - 1)
+
+    @pytest.mark.parametrize("S", [1, 15, 33, 65])
+    @pytest.mark.parametrize("P", [0, 1, 4])
+    @pytest.mark.parametrize("values", [5 * n, core.BLOCK_VALUES])  # one query per block, or all
+    def test_the_exact_values_lie_within_the_radius(self, rng, monkeypatch, S, P, values):
+        monkeypatch.setattr(core, "BLOCK_VALUES", values)
+        windows = self.windows(rng, S)
+        Q = 1e3 + rng.standard_normal((P, self.T))
+        Q[-1:] = windows.views[0, S // 2]  # distance 0 at one cell of row 0
+        low, radius = windows.minimum_bound(Q)
+        cells, cell_radius = windows.grid_bound(Q)
+        assert low.shape == radius.shape == cell_radius.shape == (self.n, P)
+        assert cells.shape == (P, self.n, S)
+        assert np.all(low >= 0.0) and np.all(cells >= 0.0)
+        assert radius.tobytes() == cell_radius.tobytes() == (2.0 * windows.slack(Q)).tobytes()
+        assert np.all(np.abs(low - windows.minimum(Q)[0]) <= radius)
+        assert np.all(np.abs(cells - windows.grid(Q)) <= radius.T[:, :, None])
+
+    def test_overflowing_norms_give_an_infinite_radius(self):
+        # |w|^2 = 8e310 overflows, so d~ would be inf - inf
+        seriess = [TimeSeries(1, np.full(10, v), id=f"r{v}") for v in (1.0e155, 1.04e155)]
+        windows = core.ShiftWindows(seriess, 8, 0, 2)
+        Q = np.stack([np.full(8, 1.001e155), np.linspace(0.0, 1.0e155, 8)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for low, radius in (windows.minimum_bound(Q), windows.grid_bound(Q)):
+                assert np.all(radius == np.inf) and np.all(low == 0.0)
 
 
 class TestOneCandidatePerGroup:

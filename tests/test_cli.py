@@ -702,6 +702,15 @@ class TestExitCodes:
         assert code == 2
         assert "absent.cfg" in err
 
+    @pytest.mark.parametrize("argv", [["--set", "seed=-1"], ["--seed", "-1"]])
+    def test_a_negative_seed_is_refused_before_any_output(self, tmp_path, capsys, argv):
+        # it used to exit 1 with a numpy traceback, leaving an empty --out behind
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["generate", "--out", str(out)] + argv + GEN_ARGS, capsys)
+        assert code == 1
+        assert "field 'seed'" in err and "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
     def test_bad_flag_is_validation(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 1

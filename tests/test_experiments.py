@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -30,7 +31,9 @@ from tsvote import (
     split_topics,
 )
 import tsvote.core as core
-from tsvote.classify import VotingKernel
+from tsvote.classify import MapKernel, VotingKernel
+from tsvote.core import VotingParams, stacked_windows
+from tsvote.synth import make_latent_sources, sample_draws, training_size
 from tsvote.config import corpus_config, detection_config, load_config
 from tsvote.experiments import _first_crossings
 
@@ -121,6 +124,12 @@ class TestErrorCurves:
         # failed, and a bool ran as 0 or 1
         with pytest.raises(ParamError, match=f"^{field} must be"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("seed", [2.5, -1, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # it used to reach np.random.SeedSequence in the first trial
+        with pytest.raises(ParamError, match="^seed must be"):
+            tiny_config(seed=seed)
 
     def test_integral_float_sizes_become_ints(self):
         cfg = tiny_config(trials=2.0, test_size=30.0, delta_max=3.0, T_grid=(8.0, 24))
@@ -223,8 +232,9 @@ class TestPinnedCurves:
 
 
 class TestBlocks:
-    """Each trial scores its tests in blocks of at most core.BLOCK_VALUES values;
-    the block size changes no rate and bounds every temporary."""
+    """Each trial bounds and scores its tests in blocks of at most
+    core.BLOCK_VALUES values; the block size changes no rate and bounds every
+    temporary."""
 
     @pytest.mark.parametrize("values", [1, 500, 2**30])
     def test_rates_do_not_depend_on_the_block_size(self, values, monkeypatch):
@@ -239,60 +249,190 @@ class TestBlocks:
 
     @pytest.mark.parametrize("values", [500, core.BLOCK_VALUES])
     def test_no_temporary_exceeds_the_block_size(self, values, monkeypatch):
-        # the bounds of every block of the shift minimum (the shift walk's five
-        # (n, p) arrays, or one query's banded (n, S) row) and every sq_dists
-        # broadcast of the verified cells; the oracle's grid tiles are bounded
-        # in test_classify.TestTiledGrid
-        sizes = {"bounds": [], "sq_dists": []}
-        two_smallest, direct = core.ShiftWindows._two_smallest, core.sq_dists
+        # every block of the bound walk (the shift walk's (n, p) arrays, in
+        # the blocks of queries minimum takes, or one query's banded (n, S)
+        # row), every chunk of the oracle's bounded cells, and every sq_dists
+        # broadcast of an undecided row's verified cells, if any; the oracle's
+        # exact grid tiles are bounded in test_classify.TestTiledGrid
+        sizes = {"bounds": [], "cells": [], "sq_dists": []}
+        bound_blocks, grid_bound = core.ShiftWindows._bound_blocks, core.ShiftWindows.grid_bound
+        direct = core.sq_dists
 
-        def recording_two_smallest(self, Q):
+        def recording_bound_blocks(self, Q, radius):
             n, S = self.views.shape[:2]
-            sizes["bounds"].append(5 * n * len(Q) if len(Q) > 1 else n * S)
-            return two_smallest(self, Q)
+            for block in bound_blocks(self, Q, radius):
+                p = len(block[1])
+                sizes["bounds"].append(5 * n * p if p > 1 else n * S)
+                yield block
+
+        def recording_grid_bound(self, Q):
+            cells, radius = grid_bound(self, Q)
+            sizes["cells"].append(cells.size)
+            return cells, radius
 
         def recording_sq_dists(a, b, out=None):
             sizes["sq_dists"].append(math.prod(np.broadcast_shapes(a.shape, b.shape)))
             return direct(a, b, out=out)
 
         monkeypatch.setattr(core, "BLOCK_VALUES", values)
-        monkeypatch.setattr(core.ShiftWindows, "_two_smallest", recording_two_smallest)
+        monkeypatch.setattr(core.ShiftWindows, "_bound_blocks", recording_bound_blocks)
+        monkeypatch.setattr(core.ShiftWindows, "grid_bound", recording_grid_bound)
         monkeypatch.setattr(core, "sq_dists", recording_sq_dists)
         cfg = tiny_config()
         error_curves(cfg)
         trials_and_T = cfg.trials * len(cfg.T_grid)
-        assert len(sizes["bounds"]) > (trials_and_T if values == 500 else 0)
+        assert len(sizes["bounds"]) > (3 * trials_and_T if values == 500 else 0)
         assert 0 < max(sizes["bounds"]) <= values
-        assert 0 < max(sizes["sq_dists"]) <= values
+        assert 0 < max(sizes["cells"]) <= values
+        assert max(sizes["sq_dists"], default=0) <= values
 
     @pytest.mark.parametrize("values", [100, 500, core.BLOCK_VALUES])
     def test_tests_are_scored_in_chunks(self, values, monkeypatch):
-        # each chunk's (tests, pool) distances hold at most values values, the
-        # oracle's grids at most that too; one chunk when all tests fit
-        rows = {"min_dists_block": [], "grid": []}
-        min_dists_block, grid = VotingKernel.min_dists_block, core.ShiftWindows.grid
+        # each chunk's (tests, pool) bounds hold at most values values, the
+        # oracle's bounded cells at most that too; one chunk when all tests fit
+        rows = {"min_bounds_block": [], "grid_bound": []}
+        min_bounds_block, grid_bound = VotingKernel.min_bounds_block, core.ShiftWindows.grid_bound
 
         def recording_min(self, Q):
-            rows["min_dists_block"].append((len(Q), self.n))
-            return min_dists_block(self, Q)
+            rows["min_bounds_block"].append((len(Q), self.n))
+            return min_bounds_block(self, Q)
 
         def recording_grid(self, q):
-            out = grid(self, q)
-            rows["grid"].append(out.size)
+            out = grid_bound(self, q)
+            rows["grid_bound"].append(out[0].size)
             return out
 
         one_chunk = values == core.BLOCK_VALUES
         monkeypatch.setattr(core, "BLOCK_VALUES", values)
-        monkeypatch.setattr(VotingKernel, "min_dists_block", recording_min)
-        monkeypatch.setattr(core.ShiftWindows, "grid", recording_grid)
+        monkeypatch.setattr(VotingKernel, "min_bounds_block", recording_min)
+        monkeypatch.setattr(core.ShiftWindows, "grid_bound", recording_grid)
         cfg = tiny_config()
         error_curves(cfg)
-        assert all(P <= max(1, values // n) for P, n in rows["min_dists_block"])
-        assert 0 < max(rows["grid"]) <= values
-        tests = sum(P for P, _ in rows["min_dists_block"])
+        assert all(P <= max(1, values // n) for P, n in rows["min_bounds_block"])
+        assert 0 < max(rows["grid_bound"]) <= values
+        tests = sum(P for P, _ in rows["min_bounds_block"])
         assert tests == cfg.trials * len(cfg.T_grid) * cfg.test_size
         if one_chunk:
-            assert len(rows["min_dists_block"]) == cfg.trials * len(cfg.T_grid)
+            assert len(rows["min_bounds_block"]) == cfg.trials * len(cfg.T_grid)
+
+
+def draw_trial(cfg, trial_ss):
+    """(model, pool, tests, truth) of one trial, drawn as error_curves draws
+    them with both axes."""
+    src_ss, train_ss, test_ss = trial_ss.spawn(3)
+    seed = int(src_ss.generate_state(1, np.uint64)[0])
+    model = make_latent_sources(
+        dataclasses.replace(cfg.model_cfg, seed=seed), delta_max=cfg.delta_max, noise=cfg.noise()
+    )
+    sizes = [training_size(b, cfg.model_cfg.m) for b in (cfg.beta, *cfg.beta_grid)]
+    pool = sample_draws(model, max(sizes), train_ss)
+    tests = sample_draws(model, cfg.test_size, test_ss, window_start=1,
+                         window_length=max(cfg.T_grid), id_prefix="test")
+    return model, pool, [s for s, _, _ in tests], np.array([int(lab) for _, lab, _ in tests])
+
+
+def exact_rates(cfg):
+    """error_curves(cfg)'s per-trial rates through the exact block entry
+    points alone: min_dists_block, then gwmv_block and knn_block(d, 1), and
+    MapKernel.classify_block, one (training size, T) cell at a time."""
+    m, T_max = cfg.model_cfg.m, max(cfg.T_grid)
+    axes = {
+        "T": [(training_size(cfg.beta, m), T) for T in cfg.T_grid],
+        "beta": [(training_size(b, m), T_max) for b in cfg.beta_grid],
+    }
+    rates = {axis: {clf: np.zeros((cfg.trials, len(cells))) for clf in ("wmv", "nn", "map")}
+             for axis, cells in axes.items()}
+    for t, trial_ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        model, pool, tests, truth = draw_trial(cfg, trial_ss)
+        for axis, cells in axes.items():
+            for i, (n, T) in enumerate(cells):
+                params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
+                kernel = VotingKernel(LabeledDataset.from_draws(pool[:n]), params)
+                Q = stacked_windows(tests, 1, T)
+                D = kernel.min_dists_block(Q)[0]
+                for clf, labels in (
+                    ("wmv", kernel.gwmv_block(D).labels),
+                    ("nn", kernel.knn_block(D, 1).labels),
+                    ("map", MapKernel(model, params).classify_block(Q).labels),
+                ):
+                    rates[axis][clf][t, i] = np.count_nonzero(labels != truth) / len(tests)
+    return rates
+
+
+def per_trial_bytes(curves):
+    return {axis: {clf: c.per_trial[clf].tobytes() for clf in ("wmv", "nn", "map")}
+            for axis, c in curves.items()}
+
+
+class TestCertifiedRates:
+    """error_curves certifies each label from the GEMM bounds and computes
+    exact distances only for the rows the bounds leave undecided; its rates
+    are the exact entry points' bit for bit, whichever rows that is."""
+
+    @pytest.mark.parametrize("sigma", [1.0, PINNED_SIGMA])
+    def test_rates_are_the_exact_entry_points(self, sigma):
+        cfg = tiny_config(sigma=sigma)
+        want = {axis: {clf: a.tobytes() for clf, a in by_clf.items()}
+                for axis, by_clf in exact_rates(cfg).items()}
+        assert per_trial_bytes(error_curves(cfg)) == want
+
+    def test_every_row_undecided_gives_the_same_rates(self, monkeypatch):
+        # a radius of +inf proves nothing, so every label takes the exact path
+        cfg = tiny_config(sigma=PINNED_SIGMA)
+        want = per_trial_bytes(error_curves(cfg))
+        rows = {"min_dists_block": 0, "classify_block": 0}
+
+        def unbounded(bound):
+            def call(self, Q):
+                cells, radius = bound(self, Q)
+                radius[:] = np.inf
+                return cells, radius
+            return call
+
+        def counting(name, exact):
+            def call(self, Q, *args):
+                rows[name] += len(Q)
+                return exact(self, Q, *args)
+            return call
+
+        for name in ("minimum_bound", "grid_bound"):
+            monkeypatch.setattr(core.ShiftWindows, name, unbounded(getattr(core.ShiftWindows, name)))
+        monkeypatch.setattr(VotingKernel, "min_dists_block",
+                            counting("min_dists_block", VotingKernel.min_dists_block))
+        monkeypatch.setattr(MapKernel, "classify_block",
+                            counting("classify_block", MapKernel.classify_block))
+        assert per_trial_bytes(error_curves(cfg)) == want
+        every_test = cfg.trials * len(cfg.T_grid) * cfg.test_size
+        assert rows == {"min_dists_block": every_test, "classify_block": every_test}
+
+    def test_a_threshold_at_a_tests_ratio_takes_the_exact_path(self, monkeypatch):
+        # theta = exp(log ratio) of test 0 at the first T: no bound can tell
+        # which side of it that test's exact ratio falls
+        cfg = tiny_config(sigma=PINNED_SIGMA)
+        model, pool, tests, _ = draw_trial(cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        T = cfg.T_grid[0]
+        kernel = VotingKernel(
+            LabeledDataset.from_draws(pool[: training_size(cfg.beta, cfg.model_cfg.m)]),
+            VotingParams(cfg.gamma, T, cfg.delta_max),
+        )
+        Q = stacked_windows(tests, 1, T)
+        cfg = dataclasses.replace(
+            cfg, theta=math.exp(kernel.gwmv_block(kernel.min_dists_block(Q)[0]).log_lambda[0])
+        )
+        exact = []
+        gwmv_block = VotingKernel.gwmv_block
+
+        def recording(self, D):
+            exact.append((self.params.T, len(D)))
+            return gwmv_block(self, D)
+
+        monkeypatch.setattr(VotingKernel, "gwmv_block", recording)
+        got = per_trial_bytes(error_curves(cfg))
+        assert (T, 1) in exact
+        monkeypatch.undo()
+        want = {axis: {clf: a.tobytes() for clf, a in by_clf.items()}
+                for axis, by_clf in exact_rates(cfg).items()}
+        assert got == want
 
 
 def toy_training(T=6, margin=3):
@@ -427,6 +567,11 @@ class TestCorpusAndSweep:
         # negative, zero or non-finite rate or scale used to be accepted
         with pytest.raises(ParamError, match=f"^{field} must be"):
             CorpusConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [2.5, -1, False])
+    def test_corpus_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParamError, match="^seed must be"):
+            CorpusConfig(seed=seed)
 
     def test_corpus_integral_float_sizes_become_ints(self):
         cfg = CorpusConfig(n_trends=3.0, length=240.0, onset_low=90.0)

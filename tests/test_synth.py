@@ -80,6 +80,14 @@ class TestMakeLatentSources:
         with pytest.raises(ParamError, match=f"^{field} must be"):
             GeneratorConfig(**{"m": 2, "series_length": 40, field: value})
 
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # it used to reach np.random.SeedSequence, which raised its own
+        # TypeError or ValueError when the sources were made
+        with pytest.raises(ParamError, match="^seed must be"):
+            GeneratorConfig(m=2, series_length=10, seed=seed)
+        assert GeneratorConfig(m=2, series_length=10, seed=3.0).seed == 3
+
     def test_integral_float_sizes_become_ints(self):
         cfg = GeneratorConfig(m=2.0, series_length=40.0)
         assert (cfg.m, cfg.series_length) == (2, 40)

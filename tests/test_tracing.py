@@ -79,17 +79,18 @@ def test_traced_names_resolve_and_hooks_bind(rng):
     [(4.0, (2.0, 4.0)), (3.0, (2.0, 4.0, 6.0)), (6.0, (2.0,)), (4.0, (8.0, 2.0, 3.0, 4.0, 6.0))],
 )
 def test_error_curves_compute_one_grid_per_test_and_T(beta, beta_grid, monkeypatch):
-    # every pool size reads its rows of the largest pool's shift minimum, so the
-    # count does not depend on how many pool sizes the beta grid asks for
+    # every pool size reads its columns of the largest pool's bound of the
+    # shift minimum, so the count does not depend on how many pool sizes the
+    # beta grid asks for
     cfg = tiny_config(beta=beta, beta_grid=beta_grid)
     queries = []
-    exact_min = core.ShiftWindows.minimum
+    minimum_bound = core.ShiftWindows.minimum_bound
 
     def counting(self, Q):
         queries.append(len(Q))
-        return exact_min(self, Q)
+        return minimum_bound(self, Q)
 
-    monkeypatch.setattr(core.ShiftWindows, "minimum", counting)
+    monkeypatch.setattr(core.ShiftWindows, "minimum_bound", counting)
     tracer = load_tracer_class()()
     try:
         tracer.install()

@@ -2,14 +2,19 @@
 
     python tools/float_gate.py PARENT_SRC CHANGE_SRC
 
-Each src directory is imported in a process of its own, which records every
-per-example log lambda: wmv from VotingKernel.gwmv_block, nn from knn_block
-(k-NN of any k), map from MapKernel.classify_block and trace from
-log_lambda_many; both trees must have these block entry points. Values are
-kept under a (T, n, k) key per stream (n is the training size, None for the
-oracle; k for nn only), in call order within each key, so two trees that cut
-the same queries into different blocks record the same sequence per key. The
-runs are `tsvote experiment` on configs/desk.cfg with 2 trials, `tsvote
+Each src directory is imported in a process of its own. It first runs
+`tsvote experiment` on configs/desk.cfg with 2 trials, unhooked, and keeps the
+bytes of every file it writes: experiment certifies most labels from GEMM
+bounds and computes exact distances only for the rows they leave undecided,
+so its scores are compared as its output, which must be byte-identical.
+Then it records every per-example log lambda: wmv from
+VotingKernel.gwmv_block, nn from knn_block (k-NN of any k), map from
+MapKernel.classify_block and trace from log_lambda_many; both trees must
+have these block entry points. Values are kept under a (T, n, k) key per
+stream (n is the training size, None for the oracle; k for nn only), in call
+order within each key, so two trees that cut the same queries into different
+blocks record the same sequence per key. The runs are a replay of that
+experiment through the exact entry points (`replay_experiment`), `tsvote
 detect` on configs/detect.cfg (15 shifts), and again with detection.h_hours =
 1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, whose traces
 sit under a key of their own; detect runs in min mode and scores each
@@ -30,10 +35,11 @@ n first minimizing shifts. The runs compute no class gap, so every call is per
 series; the axis argument of older trees' minimum is passed through. These are
 exact by contract, so the min stream must be byte-identical between the trees.
 
-Exits 1 unless the min streams are byte-identical, and for the other streams
-both trees record the same keys with the same number of values per key, every
-value has |change - parent| <= 1e-12 max(1, |parent|), and every label flip is
-a near-tie, |parent - log theta| <= 1e-9. The flip point
+Exits 1 unless the experiment outputs and the min streams are byte-identical,
+and for the other streams both trees record the same keys with the same
+number of values per key, every value has |change - parent| <= 1e-12
+max(1, |parent|), and every label flip is a near-tie, |parent - log theta|
+<= 1e-9. The flip point
 is 0 for wmv, nn and map (every run uses theta = 1) and each log theta of
 detect.cfg for traces. A value that differs where either side is not finite
 (k-NN with k = 1 gives +-inf) fails the gate and is counted on its own; the
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -68,13 +75,75 @@ HOOKS = {
 }
 
 
+def replay_experiment(cfg) -> None:
+    """Score the trials of error_curves(cfg), both axes, through the exact
+    block entry points, as `experiment` scored them before it certified
+    labels: the same draws through make_latent_sources, sample_draws and
+    stacked_windows; per trial and T, per chunk of tests, one min_dists_block
+    against the largest pool and one MapKernel.classify_block; per pool size,
+    gwmv_block and knn_block(d, 1) on its columns of the minimum."""
+    from tsvote.classify import MapKernel, VotingKernel
+    from tsvote.core import LabeledDataset, VotingParams, blocks, stacked_windows
+    from tsvote.synth import make_latent_sources, sample_draws, training_size
+
+    m, T_max = cfg.model_cfg.m, max(cfg.T_grid)
+    cells = [(training_size(cfg.beta, m), T) for T in cfg.T_grid]
+    cells = list(dict.fromkeys(cells + [(training_size(b, m), T_max) for b in cfg.beta_grid]))
+    for trial_ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials):
+        src_ss, train_ss, test_ss = trial_ss.spawn(3)
+        seed = int(src_ss.generate_state(1, np.uint64)[0])
+        model = make_latent_sources(
+            dataclasses.replace(cfg.model_cfg, seed=seed), delta_max=cfg.delta_max,
+            noise=cfg.noise(),
+        )
+        pool = sample_draws(model, max(n for n, _ in cells), train_ss)
+        tests = sample_draws(model, cfg.test_size, test_ss, window_start=1,
+                             window_length=T_max, id_prefix="test")
+        observed = stacked_windows([s for s, _, _ in tests], 1, T_max)
+        for T in dict.fromkeys(T for _, T in cells):
+            params = VotingParams(cfg.gamma, T, cfg.delta_max, cfg.theta)
+            sizes = sorted({n for n, t in cells if t == T})
+            kernels = [VotingKernel(LabeledDataset.from_draws(pool[:n]), params) for n in sizes]
+            pool_kernel, oracle = kernels[-1], MapKernel(model, params)
+            pos = pool_kernel.n_pos
+            for b in blocks(len(tests), pool_kernel.n):
+                Q = np.ascontiguousarray(observed[b, :T])
+                D = pool_kernel.min_dists_block(Q)[0]
+                oracle.classify_block(Q)
+                for kernel in kernels:
+                    cols = np.r_[: kernel.n_pos, pos : pos + kernel.n - kernel.n_pos]
+                    d = np.ascontiguousarray(D[:, cols])
+                    kernel.gwmv_block(d)
+                    kernel.knn_block(d, 1)
+
+
+def tree_digests(directory: Path) -> dict:
+    """sha256 of every file under directory, keyed by its relative path."""
+    return {
+        str(f.relative_to(directory)): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(directory.rglob("*")) if f.is_file()
+    }
+
+
 def record(src: str, path: str) -> None:
-    """Run the three workloads on the tsvote in src; write the streams to path."""
+    """Run experiment unhooked, then the hooked workloads, on the tsvote in
+    src; write the output digests and the streams to path."""
     sys.path.insert(0, src)
     import tsvote.classify
     import tsvote.cli
     import tsvote.core
-    from tsvote.config import load_config, sweep_grid
+    from tsvote.config import experiment_config, load_config, sweep_grid
+
+    desk, detect = ROOT / "configs" / "desk.cfg", ROOT / "configs" / "detect.cfg"
+
+    def cli(*argv):
+        if tsvote.cli.main([str(a) for a in argv]) != 0:
+            raise SystemExit(f"{src}: tsvote {argv[0]} failed")
+
+    trials = "experiment.trials=2"
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        cli("experiment", "--config", desk, "--set", trials, "--out", f"{work}/exp")
+        experiment = tree_digests(Path(work) / "exp")
 
     streams = {stream: {} for stream in HOOKS}
     for stream, (cls_name, name) in HOOKS.items():
@@ -95,14 +164,9 @@ def record(src: str, path: str) -> None:
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up by name
     spec.loader.exec_module(workloads)
-    desk, detect = ROOT / "configs" / "desk.cfg", ROOT / "configs" / "detect.cfg"
-
-    def cli(*argv):
-        if tsvote.cli.main([str(a) for a in argv]) != 0:
-            raise SystemExit(f"{src}: tsvote {argv[0]} failed")
 
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
-        cli("experiment", "--config", desk, "--set", "experiment.trials=2", "--out", f"{work}/exp")
+        replay_experiment(experiment_config(load_config(desk, [trials])))
         cli("detect", "--config", detect, "--out", f"{work}/detect")
         cli("detect", "--config", detect, "--set", "detection.h_hours=1.6",
             "--set", "detection.T=16", "--out", f"{work}/detect-wide")
@@ -128,7 +192,8 @@ def record(src: str, path: str) -> None:
                 "--method", method, "--out", f"{work}/classify-{i}")
     points = {"wmv": [0.0], "nn": [0.0], "map": [0.0]}
     points["trace"] = [math.log(t) for t in sweep_grid(load_config(detect)).thetas]
-    doc = {"source": tsvote.__file__, "streams": streams, "points": points}
+    doc = {"source": tsvote.__file__, "experiment": experiment, "streams": streams,
+           "points": points}
     Path(path).write_text(json.dumps(doc))
 
 
@@ -205,7 +270,12 @@ def main(argv: list) -> int:
             runs.append(json.loads(Path(path).read_text()))
     parent, change = runs
     print(f"parent {parent['source']}\nchange {change['source']}")
-    results = [
+    same = parent["experiment"] == change["experiment"]
+    differ = sorted(f for f in parent["experiment"].keys() | change["experiment"].keys()
+                    if parent["experiment"].get(f) != change["experiment"].get(f))
+    print(f"experiment output: {len(parent['experiment'])} files, differing {differ}, "
+          f"byte-identical required: {'ok' if same else 'FAIL'}")
+    results = [same] + [
         compare_exact(name, values, change["streams"][name]) if name == "min"
         else compare(name, values, change["streams"][name], parent["points"][name])
         for name, values in parent["streams"].items()
