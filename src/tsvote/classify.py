@@ -150,17 +150,18 @@ def _certified(gamma, pos_d, neg_d, pos_r, neg_r, log_threshold, pos_log_w=0.0, 
     -gamma d + log w moves by at most gamma times the largest change of its d
     (it is 1-Lipschitz in the max norm), so the ratios of the exact distances
     and of the bounds are within g. Each computed ratio is within
-    u (4 |pos| + 4 |neg| + 9 n + 8) of its real one: for one class of k
+    u (4 |pos| + 4 |neg| + 15 n + 10) of its real one: for one class of k
     votes a_i with largest M (log w <= 0, so |gamma d_i| <= |a_i|),
     -gamma d and + log w round by u |a_i| each and a_i - M by u (M - a_i),
     which move the log-sum-exp by u times their softmax average, at most
-    2 |M| + 2 k / e + k / e; exp by 2 ulp = 4u per vote; the pairwise sum
-    of k positive terms by (k - 1) u (1 + O(u)); log of that sum, in [1, k],
-    by u log k; the final add by u (|M| + log k); and |M| <= |L| + log k.
-    The subtraction adds u (|pos| + |neg|). The exact path's votes are
-    within g of pos~ and neg~, so both paths together stay within
-    18 u (n + 1 + |pos~| + |neg~| + g), which rho's 64 u term covers with
-    room for the second-order terms and rho's own rounding.
+    2 |M| + 2 k / e + k / e; exp (within 3 ulp = 6u) by 6u; the pairwise
+    sum of k positive terms by (k - 1) u (1 + O(u)); log of that sum, in
+    [1, k] (within 4 ulp), by 8u log k; the final add by u (|M| + log k);
+    and |M| <= |L| + log k, log k <= k. The subtraction adds
+    u (|pos| + |neg|). The exact path's votes are within g of pos~ and neg~,
+    so both paths together stay within 30 u (n + 1 + |pos~| + |neg~| + g),
+    which rho's 64 u term covers with room for the second-order terms and
+    rho's own rounding.
     A class whose exact votes all overflow to zero (gamma d beyond the
     largest float F) has bound votes within g + log k of -F, and then
     64 u F alone exceeds what would let the bounds decide against the
