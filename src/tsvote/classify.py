@@ -7,12 +7,15 @@ per-example minimum over shifts, bound by GEMMs and verified, bit for bit the
 grid's min and first argmin.
 `_vote_dists` is the one rule for the exact distances a query votes with: the
 minimum in `min` mode, every grid cell in `sum` mode and for the oracle; k-NN
-and nearest neighbor read the minimum. Batches in `log_lambda_many` vote in
-`min` mode unverified, on the GEMM form's minimum over shifts
-(`expansion_minimum`, one GEMM per shift), and in `sum` mode on `_vote_dists`,
-bit for bit as `gwmv_block` does.
+and nearest neighbor read the minimum. Traces (`log_lambda_many`) take two
+steps: `trace_distances` gives each block's distances, in `min` mode the GEMM
+form's minimum over shifts, unverified (`expansion_minimum`, one GEMM per
+shift), and in `sum` mode `_vote_dists`, bit for bit as `gwmv_block` votes;
+`trace_votes` votes one block at one gamma, so a sweep over gammas computes
+the distances once.
 `_log_votes` turns one class's distances into its log vote (through
-`_logsumexp`) and `_vote_ratio` both classes' into the log ratio. Labels
+`_logsumexp`) and `_vote_ratio` both classes' into the log ratio, which
+`require_defined` refuses where it is NaN. Labels
 can also be certified without exact distances: `_certified` decides a voting
 or oracle label from distance bounds and their radii where they prove it,
 `_certified_nearest` a nearest-neighbor label. `VotingKernel.min_bounds_block`
@@ -102,18 +105,21 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return shift + np.log(np.exp(a, out=a).sum(axis=-1))
 
 
-def _log_votes(gamma, d, log_w=0.0) -> np.ndarray:
-    """log of the exp(-gamma * d + log_w) votes summed along the last axis; at
-    gamma = 0 every vote is exp(log_w), even where d is +inf."""
+def _log_votes(gamma, d, log_w=None) -> np.ndarray:
+    """log of the exp(-gamma * d + log_w) votes summed along the last axis
+    (log_w None: no weights); at gamma = 0 every vote is exp(log_w), even
+    where d is +inf."""
     if gamma == 0.0:
         d = np.zeros_like(d)  # 0 * inf would be NaN
     # gamma * d overflowing to inf is a zero vote, so numpy need not warn about it
     with np.errstate(over="ignore"):
         a = -gamma * d
-    return _logsumexp(np.add(a, log_w, out=a))  # in place: one temporary of d's size
+    if log_w is not None:
+        np.add(a, log_w, out=a)  # in place: one temporary of d's size
+    return _logsumexp(a)
 
 
-def _log_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
+def _log_ratio(gamma, pos_d, neg_d, pos_log_w=None, neg_log_w=None) -> tuple:
     """(log ratio, positive log vote, negative log vote) of the two classes'
     _log_votes; the ratio is NaN where both votes are zero."""
     pos, neg = _log_votes(gamma, pos_d, pos_log_w), _log_votes(gamma, neg_d, neg_log_w)
@@ -121,20 +127,25 @@ def _log_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
         return pos - neg, pos, neg
 
 
-def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=0.0, neg_log_w=0.0) -> tuple:
-    """_log_ratio, whose NaN ratio raises ParamError, since no threshold can
-    judge it."""
-    ratio, pos, neg = _log_ratio(gamma, pos_d, neg_d, pos_log_w, neg_log_w)
-    if np.isnan(ratio).any():
+def require_defined(log_lambda: np.ndarray) -> np.ndarray:
+    """log_lambda, unless one of its log vote ratios is NaN, which raises
+    ParamError, since no threshold can judge it."""
+    if np.isnan(log_lambda).any():
         raise ParamError(
             "log vote ratio is undefined: both classes' votes are zero in floating point "
             "(a squared distance or gamma * distance overflowed); rescale the series "
             "or use a smaller gamma"
         )
-    return ratio, pos, neg
+    return log_lambda
 
 
-def _certified(gamma, pos_d, neg_d, pos_r, neg_r, log_threshold, pos_log_w=0.0, neg_log_w=0.0):
+def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=None, neg_log_w=None) -> tuple:
+    """_log_ratio, whose NaN ratio raises ParamError (require_defined)."""
+    ratio, pos, neg = _log_ratio(gamma, pos_d, neg_d, pos_log_w, neg_log_w)
+    return require_defined(ratio), pos, neg
+
+
+def _certified(gamma, pos_d, neg_d, pos_r, neg_r, log_threshold, pos_log_w=None, neg_log_w=None):
     """(labels, decided): _outcome's (P,) labels of the _log_ratio of
     distance bounds pos_d and neg_d, and where each is certified to be the
     label that _vote_ratio of the exact distances gives, when every exact
@@ -349,17 +360,18 @@ class VotingKernel:
         D, R = _block(D, self.n), _block(R, self.n)
         return _certified_nearest(self.params.gamma, D, R, self.n_pos)
 
-    def _votes(self, D: np.ndarray) -> tuple:
-        """_vote_ratio of voting distances whose last axis runs over the examples
-        (min mode) or over every (example, shift) cell (sum mode)."""
+    def _votes(self, D: np.ndarray, gamma: float) -> tuple:
+        """_log_ratio at gamma of voting distances whose last axis runs over
+        the examples (min mode) or over every (example, shift) cell (sum mode)."""
         split = self.n_pos * self._per_example
-        return _vote_ratio(self.params.gamma, D[..., :split], D[..., split:])
+        return _log_ratio(gamma, D[..., :split], D[..., split:])
 
     def gwmv_block(self, D) -> BlockOutcome:
         """Voting verdicts of a (P, n) block of per-example minimum distances
         (min mode), or of every (example, shift) cell in (P, n S) (sum mode)."""
         D = _block(D, self.width)
-        return _outcome(self._votes(D), math.log(self.params.theta))
+        ratio, pos, neg = self._votes(D, self.params.gamma)
+        return _outcome((require_defined(ratio), pos, neg), math.log(self.params.theta))
 
     def knn_block(self, D, k: int) -> BlockOutcome:
         """k-NN verdicts of a (P, n) block of per-example minimum distances.
@@ -433,26 +445,43 @@ class VotingKernel:
         outcome, nearest = self.verdict_and_nearest_block(s.window(1, self.params.T)[None], k)
         return outcome.row(0), nearest.row(0)
 
-    def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
-        """log vote ratio for each row of a (P, T) observation matrix.
+    def trace_distances(self, observations: np.ndarray):
+        """Yields (b, D) for each core.blocks slice b of a (P, T) observation
+        matrix: D holds the distances the rows observations[b] vote with.
 
-        In min mode it votes on ShiftWindows.expansion_minimum, unverified, per
-        core.blocks of 2 n rows, whose two (n, p) arrays so fit in BLOCK_VALUES.
+        In min mode D is the (p, n) ShiftWindows.expansion_minimum, unverified,
+        per blocks of 2 n rows, whose two (n, p) arrays so fit in BLOCK_VALUES.
         Each distance is within 2 eps_i (core.expansion_slack) of the exact
         minimum, and a class's log vote moves by at most gamma times its
-        largest change, so a row is within 4 gamma max_i eps_i of gwmv's, plus
-        log-sum-exp rounding. In sum mode it votes on _vote_dists, the exact
-        grid, per core.blocks of width cells: bit for bit gwmv. Each row votes
-        alone, along the last axis, so the blocks move no bit.
+        largest change, so a row's ratio is within 4 gamma max_i eps_i of
+        gwmv's, plus log-sum-exp rounding. In sum mode D is _vote_dists, the
+        exact grid, per blocks of width cells. The GEMMs round by block, so
+        callers that compare traces keep these blocks; the votes of a row do
+        not depend on the others.
         """
         Q = _queries(observations, self.params.T)
         if self.params.shift_mode == "sum":
             width, distances = self.width, lambda q: _vote_dists(self._windows, q, "sum")
         else:
             width, distances = 2 * self.n, lambda q: self._windows.expansion_minimum(q).T
-        out = np.empty(len(Q))
         for b in blocks(len(Q), width):
-            out[b] = self._votes(distances(Q[b]))[0]
+            yield b, distances(Q[b])
+
+    def trace_votes(self, D: np.ndarray, gamma: float) -> np.ndarray:
+        """The (p,) log vote ratios at gamma of a block D from trace_distances,
+        NaN where both classes' votes are zero: one block of distances serves
+        every gamma."""
+        return self._votes(D, gamma)[0]
+
+    def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
+        """log vote ratio for each row of a (P, T) observation matrix:
+        trace_votes at the kernel's gamma of each block of trace_distances,
+        which require_defined checks. In sum mode that is bit for bit gwmv."""
+        Q = _queries(observations, self.params.T)
+        out = np.empty(len(Q))
+        for b, D in self.trace_distances(Q):
+            out[b] = require_defined(self.trace_votes(D, self.params.gamma))
+            del D  # before the next block's distances
         return out
 
 
@@ -526,7 +555,7 @@ class MapKernel:
                 logw = np.repeat(np.log(np.asarray(model.weights, dtype=np.float64)), n_shifts)
             self._logw_pos, self._logw_neg = logw[labels == 1], logw[labels == -1]
         else:
-            self._logw_pos = self._logw_neg = 0.0
+            self._logw_pos = self._logw_neg = None
 
     def log_lambda(self, s: TimeSeries) -> float:
         return self.classify(s).log_lambda

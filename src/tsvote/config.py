@@ -19,7 +19,7 @@ from .errors import ConfigError, ParamError
 from .experiments import CorpusConfig, DetectionConfig, ExperimentConfig, SweepGrid
 from .gapbounds import BoundInputs
 from .pipeline import PipelineParams, window_buckets
-from .synth import GeneratorConfig, NoiseSpec
+from .synth import MAX_SMOOTHING_SCALE, GeneratorConfig, NoiseSpec
 
 OUTPUT_DIR_ENV = "TSVOTE_OUTPUT_DIR"
 
@@ -99,6 +99,10 @@ def _gt(limit):
     return lambda v: v > limit or f"must be > {limit}"
 
 
+def _within(low, high):
+    return lambda v: low < v <= high or f"must be > {low} and <= {high}"
+
+
 def _choice(*options):
     return lambda v: v in options or f"must be one of {options}"
 
@@ -126,7 +130,7 @@ SCHEMA: dict[str, FieldSpec] = {
     "generator.m": FieldSpec(_as_int, 10, _ge(2)),
     "generator.series_length": FieldSpec(_as_int, 120, _ge(1)),
     "generator.amplitude_variance": FieldSpec(_as_float, 100.0, _gt(0)),
-    "generator.smoothing_scale": FieldSpec(_as_float, 10.0, _gt(0)),
+    "generator.smoothing_scale": FieldSpec(_as_float, 10.0, _within(0, MAX_SMOOTHING_SCALE)),
     # sampling model
     "model.delta_max": FieldSpec(_as_int, 10, _ge(0)),
     "model.noise_family": FieldSpec(_as_str, "gaussian", _choice("gaussian", "uniform")),

@@ -4,6 +4,13 @@ The error curves count wrong labels, which need only the side of the
 threshold each log ratio falls on: labels are certified from GEMM bounds on
 the distances, and exact distances are computed only for the rows the bounds
 leave undecided (`_trial_rates`), so every rate is the exact path's.
+
+The detection sweep (`roc_sweep`) computes nothing twice that a parameter
+does not change: each side of the split is preprocessed once per t_smooth
+(`pipeline.preprocess_rows`), each (T, t_smooth, h) setting builds its
+training set and kernel once and computes its trace distances once
+(`VotingKernel.trace_distances`), every gamma votes on those distances
+(`trace_votes`), and every theta reads the running maxima of the traces.
 """
 
 from __future__ import annotations
@@ -15,13 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import MapKernel, VotingKernel
+from .classify import MapKernel, VotingKernel, require_defined
 from .core import (
     Label,
     LabeledDataset,
     TimeSeries,
     VotingParams,
-    advance,
     blocks,
     integer_at_least,
     real_at_least,
@@ -32,6 +38,7 @@ from .pipeline import (
     PipelineParams,
     RateSeries,
     preprocess,
+    preprocess_rows,
     slice_training_window,
     window_buckets,
 )
@@ -307,15 +314,21 @@ def _detection_kernel(training: LabeledDataset, cfg: DetectionConfig) -> VotingK
     return VotingKernel(training, VotingParams(cfg.gamma, cfg.T, dmax, cfg.theta))
 
 
-def _running_maxima(kernel: VotingKernel, regions: list, half: int) -> np.ndarray:
-    """(k, 2 half + 1) running maxima of the log-ratio traces of k regions of
-    2 half + T values, from one log_lambda_many call per core.blocks chunk of
-    regions whose sliding T-windows hold at most BLOCK_VALUES values."""
+def _running_maxima(kernel: VotingKernel, regions: np.ndarray, half: int, gammas) -> list:
+    """Per gamma, the (k, 2 half + 1) running maxima of the log-ratio traces
+    of the k rows of regions, each of 2 half + T values: one trace_distances
+    call per core.blocks chunk of rows whose sliding T-windows hold at most
+    BLOCK_VALUES values, and each block of distances voted at every gamma. A
+    row whose ratio is undefined somewhere has NaN maxima from there on."""
     T, width = kernel.params.T, 2 * half + 1
-    rows = np.stack(regions) if regions else np.empty((0, width + T - 1))
-    views = np.lib.stride_tricks.sliding_window_view(rows, T, axis=1)
-    traces = [kernel.log_lambda_many(views[b].reshape(-1, T)) for b in blocks(len(rows), width * T)]
-    return np.maximum.accumulate(np.concatenate(traces).reshape(-1, width), axis=1)
+    views = np.lib.stride_tricks.sliding_window_view(regions, T, axis=1)
+    traces = [[] for _ in gammas]
+    for chunk in blocks(len(regions), width * T):
+        for _, D in kernel.trace_distances(views[chunk].reshape(-1, T)):
+            for trace, gamma in zip(traces, gammas):
+                trace.append(kernel.trace_votes(D, gamma))
+            del D  # before the next block's distances
+    return [np.maximum.accumulate(np.concatenate(t).reshape(-1, width), axis=1) for t in traces]
 
 
 def _first_crossings(maxima: np.ndarray, log_theta: float) -> np.ndarray:
@@ -324,13 +337,22 @@ def _first_crossings(maxima: np.ndarray, log_theta: float) -> np.ndarray:
     return np.where(maxima[:, -1] >= log_theta, (maxima >= log_theta).argmax(axis=1), -1)
 
 
-def _detections(topics: list, maxima, log_theta: float, half: int, bw: float) -> tuple:
-    """DetectionResult per (id, truth, anchor) of topics at its first crossing."""
-    return tuple(
-        DetectionResult(sid, True, anchor - half + i, (i - half) * bw, truth) if i >= 0
-        else DetectionResult(sid, False, None, None, truth)
-        for (sid, truth, anchor), i in zip(topics, _first_crossings(maxima, log_theta).tolist())
-    )
+def _detections(topics: list, maxima, log_theta: float, half: int, bw: float, made=None) -> tuple:
+    """DetectionResult per (id, truth, anchor) of topics at its first crossing.
+    made, a dict, keeps the results by (topic, crossing), so that the other
+    thetas and gammas of a setting share the equal ones; they are immutable."""
+    made = {} if made is None else made
+    out = []
+    for k, i in enumerate(_first_crossings(maxima, log_theta).tolist()):
+        result = made.get((k, i))
+        if result is None:
+            sid, truth, anchor = topics[k]
+            result = made[k, i] = (
+                DetectionResult(sid, True, anchor - half + i, (i - half) * bw, truth) if i >= 0
+                else DetectionResult(sid, False, None, None, truth)
+            )
+        out.append(result)
+    return tuple(out)
 
 
 def detect_online(
@@ -345,7 +367,8 @@ def detect_online(
     anchor, bw = integer_at_least("anchor", anchor), cfg.bucket_width_minutes
     half = window_buckets(cfg.h_hours, bw)
     region = series.window(anchor - half - cfg.T + 1, anchor + half)  # SupportError if too short
-    maxima = _running_maxima(_detection_kernel(training, cfg), [region], half)
+    maxima = _running_maxima(_detection_kernel(training, cfg), region[None], half, [cfg.gamma])[0]
+    require_defined(maxima[:, -1])
     return _detections([(series.id, truth, anchor)], maxima, math.log(cfg.theta), half, bw)[0]
 
 
@@ -487,40 +510,101 @@ def split_topics(
     return train, test
 
 
+def _training_window(cfg: DetectionConfig) -> int:
+    """The buckets of a training slice: h_hours of them, at least T."""
+    w = window_buckets(cfg.h_hours, cfg.bucket_width_minutes)
+    if w < cfg.T:
+        raise ParamError(f"h={cfg.h_hours}h gives {w}-bucket slices, shorter than T={cfg.T}")
+    return w
+
+
+def _training_slice(rate: RateSeries, label: Label, cfg: DetectionConfig, stream) -> TimeSeries:
+    """One topic's training slice through preprocess and slice_training_window,
+    which raise its error if it has one."""
+    processed = preprocess(rate, cfg.pipeline)
+    if label == Label.POSITIVE:
+        if rate.onset_index is None:
+            raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
+        anchor, mode = rate.onset_index, "pre_onset"
+    else:
+        anchor, mode = 0, "random"
+    return slice_training_window(processed, anchor, cfg.h_hours, cfg.bucket_width_minutes, mode, stream)
+
+
+def _training_starts(topics: Sequence, cfg: DetectionConfig, streams, w: int) -> list:
+    """The first bucket of each topic's w-bucket training slice, as
+    slice_training_window places it on the preprocessed series (background
+    slices at random, drawn from the topic's stream), checked in topic order:
+    a topic that does not fit goes through _training_slice, which raises its
+    error."""
+    starts = []
+    for (rate, label), stream in zip(topics, streams):
+        if label == Label.POSITIVE:
+            first = None if rate.onset_index is None else rate.onset_index - w + 1
+        elif len(rate) >= w:
+            first = 1 + int(as_generator(stream).integers(0, len(rate) - w + 1))
+        else:
+            first = None
+        if first is None or first < 1 or rate.counts[0] == 0.0:
+            _training_slice(rate, label, cfg, stream)  # raises this topic's error
+        starts.append(first)
+    return starts
+
+
+def _training_set(topics: Sequence, rows: list, starts: list, T: int, w: int) -> LabeledDataset:
+    """The slices of topics, each w values of its preprocessed row from its
+    start, re-indexed to begin at 1 - (w - T) // 2: one TimeSeries each."""
+    first = 1 - (w - T) // 2
+    return LabeledDataset.from_draws(
+        (TimeSeries(first, row[start - 1 : start - 1 + w], id=rate.topic_id), label, None)
+        for (rate, label), row, start in zip(topics, rows, starts)
+    )
+
+
 def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> LabeledDataset:
     """Preprocess, slice, and align the training half.
 
     Trend slices end at their onset; background slices are placed at random.
     Slices are re-indexed symmetrically around the observation window so the
     shift range covers (almost) every T-chunk of each slice. rng_stream may be
-    a seed, a SeedSequence, or a pre-built per-topic stream sequence.
+    a seed, a SeedSequence, or a pre-built per-topic stream sequence. The
+    topics are checked one by one, then preprocessed as one batch.
     """
-    w = window_buckets(cfg.h_hours, cfg.bucket_width_minutes)
-    if w < cfg.T:
-        raise ParamError(f"h={cfg.h_hours}h gives {w}-bucket slices, shorter than T={cfg.T}")
-    dmax = (w - cfg.T) // 2
-    target_start = 1 - dmax
-    draws = []
+    w = _training_window(cfg)
     if isinstance(rng_stream, (list, tuple)):
         streams = list(rng_stream)
         if len(streams) != len(topics):
             raise ParamError("need one rng stream per training topic")
     else:
         streams = derive_streams(rng_stream, len(topics))
-    for (rate, label), stream in zip(topics, streams):
-        processed = preprocess(rate, cfg.pipeline)
+    starts = _training_starts(topics, cfg, streams, w)
+    rows = preprocess_rows([rate for rate, _ in topics], cfg.pipeline)
+    return _training_set(topics, rows, starts, cfg.T, w)
+
+
+def _test_anchors(corpus: Sequence, children, pipeline: PipelineParams, half: int, T: int) -> list:
+    """Each test topic's anchor: its onset, or for a background topic a
+    position drawn from its child seed where the detection region
+    [anchor - half - T + 1, anchor + half] fits. Checked in topic order; a
+    topic with an empty first bucket, or whose region does not fit, raises
+    through preprocess and TimeSeries.window."""
+    anchors = []
+    for (rate, label), child in zip(corpus, children):
+        if rate.counts[0] == 0.0:
+            preprocess(rate, pipeline)  # raises EmptyPrefixError
         if label == Label.POSITIVE:
             if rate.onset_index is None:
                 raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
-            sl = slice_training_window(
-                processed, rate.onset_index, cfg.h_hours, cfg.bucket_width_minutes, "pre_onset"
-            )
+            anchor = rate.onset_index
+            if anchor - half - T < 0 or anchor + half > len(rate):  # raises SupportError
+                preprocess(rate, pipeline).window(anchor - half - T + 1, anchor + half)
         else:
-            sl = slice_training_window(
-                processed, 0, cfg.h_hours, cfg.bucket_width_minutes, "random", stream
-            )
-        draws.append((advance(sl, sl.start_index - target_start), label, None))
-    return LabeledDataset.from_draws(draws)
+            lo, hi = half + T, len(rate) - half
+            if hi < lo:
+                raise SupportError(f"topic {rate.topic_id!r} is too short for the detection region")
+            anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
+        anchors.append(anchor)
+    return anchors
 
 
 @dataclass(frozen=True)
@@ -612,9 +696,15 @@ def roc_sweep(
     """Run detection over the test topics at every grid point and aggregate rates.
 
     corpus and training are sequences of (RateSeries, Label) from split_topics;
-    the two sides must be disjoint by topic id. Each (gamma, T, t_smooth, h)
-    setting builds its training set and kernel once and scores all test topics'
-    traces in a few blocked calls; each theta only reads their running maxima.
+    the two sides must be disjoint by topic id. Each side is preprocessed once
+    per t_smooth, as one batch per length. Each (T, t_smooth, h) setting builds
+    its training set and kernel once and computes the distances of all test
+    topics' windows once, in a few blocked calls; every gamma votes on them, and
+    each theta only reads the running maxima of those traces. Points come in
+    (gamma, T, t_smooth, h, theta) order, and an error is the one a sweep in
+    that order would meet first: a setting's own errors (its topics, its
+    kernel, the first gamma's votes) before the next setting's, and a later
+    gamma's undefined votes only after every setting.
     """
     corpus_ids = {rate.topic_id for rate, _ in corpus}
     train_ids = {rate.topic_id for rate, _ in training}
@@ -628,35 +718,38 @@ def roc_sweep(
     train_children = train_ss.spawn(len(training))
     anchor_children = anchor_ss.spawn(len(corpus))
     bw = base_cfg.bucket_width_minutes
-    points, per_point_results = [], []
-    settings = itertools.product(grid.gammas, grid.Ts, grid.t_smooths, grid.h_hours)
-    for gamma, T, t_smooth, h in settings:
+    rows = {}  # (side, t_smooth) -> that side's preprocessed rows, in topic order
+
+    def preprocessed(side: str, pipeline: PipelineParams) -> list:
+        if (side, pipeline.t_smooth) not in rows:
+            topics = training if side == "train" else corpus
+            rows[side, pipeline.t_smooth] = preprocess_rows([rate for rate, _ in topics], pipeline)
+        return rows[side, pipeline.t_smooth]
+
+    settings = []  # per (T, t_smooth, h): its parameters, test topics, half and maxima per gamma
+    for T, t_smooth, h in itertools.product(grid.Ts, grid.t_smooths, grid.h_hours):
         pipeline = replace(base_cfg.pipeline, t_smooth=t_smooth)
-        cfg = replace(base_cfg, h_hours=h, T=T, gamma=gamma, pipeline=pipeline)
-        rngs = [np.random.default_rng(c) for c in train_children]
-        kernel = _detection_kernel(prepare_training(training, cfg, rngs), cfg)
+        cfg = replace(base_cfg, h_hours=h, T=T, pipeline=pipeline)  # gammas are voted below
+        w = _training_window(cfg)
+        starts = _training_starts(training, cfg, train_children, w)
+        data = _training_set(training, preprocessed("train", pipeline), starts, T, w)
+        kernel = _detection_kernel(data, cfg)
         half = window_buckets(h, bw)
-        topics, regions = [], []  # (topic id, truth, anchor) and detection region per test topic
-        for (rate, label), child in zip(corpus, anchor_children):
-            processed = preprocess(rate, cfg.pipeline)
-            if label == Label.POSITIVE:
-                if rate.onset_index is None:
-                    raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
-                anchor = rate.onset_index
-            else:
-                lo = processed.start_index + half + cfg.T - 1
-                hi = processed.end_index - half
-                if hi < lo:
-                    raise SupportError(
-                        f"topic {rate.topic_id!r} is too short for the detection region"
-                    )
-                anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
-            regions.append(processed.window(anchor - half - T + 1, anchor + half))
-            topics.append((processed.id, label, anchor))
-        maxima = _running_maxima(kernel, regions, half)
-        for theta in grid.thetas:
-            results = _detections(topics, maxima, math.log(theta), half, bw)
-            params = {"gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta}
-            points.append(_roc_point(results, params))
-            per_point_results.append(results)
+        anchors = _test_anchors(corpus, anchor_children, pipeline, half, T)
+        regions = np.array(
+            [row[a - half - T : a + half] for row, a in zip(preprocessed("test", pipeline), anchors)]
+        ).reshape(len(corpus), 2 * half + T)
+        maxima = _running_maxima(kernel, regions, half, grid.gammas)
+        require_defined(maxima[0][:, -1])  # the first gamma's error comes before the next setting's
+        topics = [(rate.topic_id, label, a) for (rate, label), a in zip(corpus, anchors)]
+        settings.append(((T, t_smooth, h), topics, half, maxima, {}))
+    points, per_point_results = [], []
+    for i, gamma in enumerate(grid.gammas):
+        for (T, t_smooth, h), topics, half, maxima, made in settings:
+            require_defined(maxima[i][:, -1])
+            for theta in grid.thetas:
+                results = _detections(topics, maxima[i], math.log(theta), half, bw, made)
+                params = {"gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta}
+                points.append(_roc_point(results, params))
+                per_point_results.append(results)
     return RocSweepResult(tuple(points), tuple(per_point_results))

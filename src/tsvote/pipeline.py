@@ -1,18 +1,23 @@
 """Rate preprocessing: bucketed activity counts to classifier-ready series.
 
 The chain normalizes counts against their running total, emphasizes spikes,
-smooths with a trailing window, and takes a (floored) natural log. Stages are
-pure and composable; preprocess() is exactly the four stages in order.
+smooths with a trailing window, and takes a (floored) natural log. Each stage
+is defined once, as array math on the rows of a (topics, length) matrix: a
+cumulative sum along rows, elementwise passes, and one np.convolve per row.
+The public stage functions apply it to one series; preprocess() is the four
+stages in order on one row, with one TimeSeries at the end; preprocess_rows()
+runs many topics as rows of one batch per length, walked in core.blocks, bit
+for bit preprocess() of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, integer_at_least, real_at_least
+from .core import TimeSeries, blocks, integer_at_least, real_at_least
 from .errors import EmptyPrefixError, ParamError, SupportError
 from .synth import RngStream, as_generator
 
@@ -63,46 +68,102 @@ class PipelineParams:
         object.__setattr__(self, "log_floor", floor)
 
 
-def baseline_normalize(rho: RateSeries) -> TimeSeries:
-    """Counts relative to their running total: out(t) = counts(t) / sum(counts(1..t))."""
-    counts = rho.counts
-    if counts[0] == 0.0:
+# work arrays of one block of rows in _chain, each as large as the block
+_WORK_ARRAYS = 4
+
+
+def _require_prefix(rho: RateSeries) -> None:
+    if rho.counts[0] == 0.0:
         raise EmptyPrefixError(
             f"topic {rho.topic_id!r}: first bucket is empty, normalization is undefined"
         )
-    return TimeSeries(1, counts / np.cumsum(counts), id=rho.topic_id)
+
+
+def _normalized(counts: np.ndarray) -> np.ndarray:
+    """counts(t) / sum(counts(1..t)) along each row."""
+    total = np.cumsum(counts, axis=-1)
+    return np.divide(counts, total, out=total)
+
+
+def _emphasized(v: np.ndarray, alpha: float) -> np.ndarray:
+    """|v(t) - v(t-1)|^alpha along each row, with v(0) taken as 0."""
+    step = np.zeros_like(v)
+    step[:, 1:] = v[:, :-1]
+    np.subtract(v, step, out=step)
+    return np.abs(step, out=step) ** alpha
+
+
+def _smoothed(v: np.ndarray, t_smooth: int) -> np.ndarray:
+    """Sum of the last t_smooth entries along each row, truncated at the start."""
+    ones, out = np.ones(t_smooth), np.empty_like(v)
+    for row, smoothed in zip(v, out):
+        smoothed[:] = np.convolve(row, ones)[: row.size]
+    return out
+
+
+def _logged(v: np.ndarray, log_floor: float, out=None) -> np.ndarray:
+    """Natural log of each entry after clamping it below at log_floor."""
+    return np.log(np.maximum(v, log_floor), out=out)
+
+
+def _chain(counts: np.ndarray, params: PipelineParams, out: np.ndarray) -> None:
+    """The four stages on each row of a (k, L) block of counts, into out."""
+    v = _emphasized(_normalized(counts), params.alpha)
+    _logged(_smoothed(v, params.t_smooth), params.log_floor, out)
+
+
+def baseline_normalize(rho: RateSeries) -> TimeSeries:
+    """Counts relative to their running total: out(t) = counts(t) / sum(counts(1..t))."""
+    _require_prefix(rho)
+    return TimeSeries(1, _normalized(rho.counts[None])[0], id=rho.topic_id)
 
 
 def spike_emphasize(rho_b: TimeSeries, alpha: float) -> TimeSeries:
     """|out(t) - out(t-1)|^alpha with the value before the first step taken as 0."""
     alpha = real_at_least("alpha", alpha, 1)
-    v = rho_b.values
-    prev = np.concatenate(([0.0], v[:-1]))
-    return TimeSeries(rho_b.start_index, np.abs(v - prev) ** alpha, id=rho_b.id)
+    return TimeSeries(rho_b.start_index, _emphasized(rho_b.values[None], alpha)[0], id=rho_b.id)
 
 
 def smooth(rho_bs: TimeSeries, t_smooth: int) -> TimeSeries:
     """Trailing-window sum of the last t_smooth entries, truncated at the start."""
     t_smooth = integer_at_least("t_smooth", t_smooth, 1)
-    v = rho_bs.values
-    out = np.convolve(v, np.ones(t_smooth))[: v.size]
-    return TimeSeries(rho_bs.start_index, out, id=rho_bs.id)
+    return TimeSeries(rho_bs.start_index, _smoothed(rho_bs.values[None], t_smooth)[0], id=rho_bs.id)
 
 
 def log_transform(rho_bsc: TimeSeries, log_floor: float) -> TimeSeries:
     """Natural log after clamping below at log_floor, keeping everything finite."""
     log_floor = real_at_least("log_floor", log_floor, 0, strict=True)
-    return TimeSeries(
-        rho_bsc.start_index, np.log(np.maximum(rho_bsc.values, log_floor)), id=rho_bsc.id
-    )
+    return TimeSeries(rho_bsc.start_index, _logged(rho_bsc.values[None], log_floor)[0], id=rho_bsc.id)
+
+
+def preprocess_rows(rates: Sequence[RateSeries], params: PipelineParams) -> list:
+    """preprocess(rate, params).values of each rate, in order, as read-only rows.
+
+    Rates of one length are the rows of one (topics, length) batch, walked in
+    core.blocks of rows whose _WORK_ARRAYS work arrays fit in BLOCK_VALUES
+    together. Every stage treats each row alone, so a row is bit for bit the
+    same in any batch. EmptyPrefixError names the first rate, in order, whose
+    first bucket is empty.
+    """
+    for rate in rates:
+        _require_prefix(rate)
+    by_length = {}
+    for i, rate in enumerate(rates):
+        by_length.setdefault(len(rate), []).append(i)
+    rows = [None] * len(rates)
+    for length, topics in by_length.items():
+        out = np.empty((len(topics), length))
+        for b in blocks(len(topics), _WORK_ARRAYS * length):
+            _chain(np.stack([rates[i].counts for i in topics[b]]), params, out[b])
+        out.setflags(write=False)
+        for i, row in zip(topics, out):
+            rows[i] = row
+    return rows
 
 
 def preprocess(rho: RateSeries, params: PipelineParams) -> TimeSeries:
     """The full chain: normalize, emphasize spikes, smooth, log."""
-    out = baseline_normalize(rho)
-    out = spike_emphasize(out, params.alpha)
-    out = smooth(out, params.t_smooth)
-    return log_transform(out, params.log_floor)
+    return TimeSeries(1, preprocess_rows([rho], params)[0], id=rho.topic_id)
 
 
 def window_buckets(h_hours: float, bucket_width_minutes: float) -> int:

@@ -12,7 +12,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Label, LabeledDataset, Provenance, TimeSeries, integer_at_least, real_at_least
+from .core import (
+    BLOCK_VALUES,
+    Label,
+    LabeledDataset,
+    Provenance,
+    TimeSeries,
+    integer_at_least,
+    real_at_least,
+)
 from .errors import ParamError, ProvenanceError, SupportError
 
 RngStream = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -135,14 +143,29 @@ class GeneratorConfig:
     def __post_init__(self):
         for name, low in (("m", 2), ("series_length", 1), ("seed", 0)):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
-        for name in ("amplitude_variance", "smoothing_scale"):
-            object.__setattr__(self, name, real_at_least(name, getattr(self, name), 0, strict=True))
+        variance = real_at_least("amplitude_variance", self.amplitude_variance, 0, strict=True)
+        object.__setattr__(self, "amplitude_variance", variance)
+        object.__setattr__(self, "smoothing_scale", _scale("smoothing_scale", self.smoothing_scale))
+
+
+# the largest scale whose kernel, 2 ceil(4 scale) + 1 taps, holds at most BLOCK_VALUES
+MAX_SMOOTHING_SCALE = (BLOCK_VALUES // 2 - 1) / 4
+
+
+def _scale(name: str, scale) -> float:
+    """A positive finite kernel scale of at most MAX_SMOOTHING_SCALE; ParamError naming name."""
+    scale = real_at_least(name, scale, 0, strict=True)
+    if scale > MAX_SMOOTHING_SCALE:
+        raise ParamError(
+            f"{name} must be <= {MAX_SMOOTHING_SCALE}, so that its kernel has at most "
+            f"BLOCK_VALUES taps, got {scale}"
+        )
+    return scale
 
 
 def gaussian_kernel(scale: float) -> np.ndarray:
     """Normalized Gaussian smoothing kernel truncated at +-4 scales."""
-    scale = real_at_least("scale", scale, 0, strict=True)
-    radius = max(1, math.ceil(4.0 * scale))
+    radius = max(1, math.ceil(4.0 * _scale("scale", scale)))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / scale) ** 2)
     return k / k.sum()

@@ -711,6 +711,24 @@ class TestExitCodes:
         assert "field 'seed'" in err and "Traceback" not in err
         assert stdout == "" and not out.exists()
 
+    def test_a_kernel_beyond_block_values_is_refused_before_any_output(self, tmp_path, capsys):
+        # it used to raise MemoryError in make_latent_sources, after creating --out
+        out = tmp_path / "out"
+        argv = ["generate", "--out", str(out), *GEN_ARGS, "--set", "generator.smoothing_scale=1e15"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "field 'generator.smoothing_scale': must be > 0 and <= 8191.75" in err
+        assert stdout == "" and not out.exists()
+
+    def test_a_second_call_sees_none_of_the_first_calls_settings(self, monkeypatch):
+        # the parser is built once per process; every call parses into a namespace of its own
+        seen = []
+        monkeypatch.setattr(config, "load_config", lambda path, sets: seen.append(sets) or 1 / 0)
+        for argv in (["bounds", "--set", "bounds.gap=40", "--set", "bounds.n=12"], ["bounds"]):
+            with pytest.raises(ZeroDivisionError):
+                main(argv)
+        assert seen == [["bounds.gap=40", "bounds.n=12"], []]
+
     def test_bad_flag_is_validation(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -27,15 +28,25 @@ from tsvote import (
     error_vs_beta,
     make_detection_corpus,
     prepare_training,
+    preprocess,
     roc_sweep,
+    slice_training_window,
     split_topics,
 )
 import tsvote.core as core
+import tsvote.pipeline as pipeline
 from tsvote.classify import MapKernel, VotingKernel
-from tsvote.core import VotingParams, stacked_windows
+from tsvote.core import VotingParams, advance, stacked_windows
 from tsvote.synth import make_latent_sources, sample_draws, training_size
 from tsvote.config import corpus_config, detection_config, load_config
-from tsvote.experiments import _first_crossings
+from tsvote.experiments import (
+    RocSweepResult,
+    _detection_kernel,
+    _detections,
+    _first_crossings,
+    _roc_point,
+)
+from tsvote.pipeline import window_buckets
 
 
 def tiny_config(**overrides):
@@ -698,9 +709,9 @@ class TestThetaAxis:
 
 
 class TestBlockedTraces:
-    """roc_sweep scores a setting's test topics in chunks through
-    log_lambda_many, which walks its rows in blocks; every theta reads the
-    running maxima of the traces."""
+    """roc_sweep computes a setting's trace distances in chunks of test topics
+    through trace_distances, which walks its rows in blocks; every theta reads
+    the running maxima of the traces."""
 
     THETAS = (1e-300, 0.3, 1.0, 3.0, 1e300)
 
@@ -708,7 +719,7 @@ class TestBlockedTraces:
         default = theta_sweep(self.THETAS)
         rows, blocks = [], []
 
-        def log_lambda_many(kernel, observations, _original=VotingKernel.log_lambda_many):
+        def trace_distances(kernel, observations, _original=VotingKernel.trace_distances):
             rows.append(len(observations))
             blocks.append(0)
             return _original(kernel, observations)
@@ -717,7 +728,7 @@ class TestBlockedTraces:
             blocks[-1] += 1
             return _original(windows, Q)
 
-        monkeypatch.setattr(VotingKernel, "log_lambda_many", log_lambda_many)
+        monkeypatch.setattr(VotingKernel, "trace_distances", trace_distances)
         monkeypatch.setattr(core.ShiftWindows, "expansion_minimum", expansion_minimum)
         monkeypatch.setattr(core, "BLOCK_VALUES", 400)
         small = theta_sweep(self.THETAS)
@@ -728,9 +739,9 @@ class TestBlockedTraces:
 
     def test_one_call_per_chunk_of_topics(self, monkeypatch):
         calls = []
-        original = VotingKernel.log_lambda_many
+        original = VotingKernel.trace_distances
         monkeypatch.setattr(
-            VotingKernel, "log_lambda_many", lambda k, obs: calls.append(len(obs)) or original(k, obs)
+            VotingKernel, "trace_distances", lambda k, obs: calls.append(len(obs)) or original(k, obs)
         )
         result = theta_sweep(self.THETAS)
         assert calls == [len(result.results[0]) * 61]
@@ -762,3 +773,148 @@ class TestBlockedTraces:
             for trace, first in zip(traces, got):
                 hits = trace >= log_theta
                 assert first == (int(np.argmax(hits)) if hits.any() else -1)
+
+
+def reference_sweep(corpus, training, grid, base_cfg, seed=0):
+    """roc_sweep one (gamma, T, t_smooth, h) setting at a time: per setting one
+    preprocess, slice_training_window and region per topic, and the traces
+    from log_lambda_many on roc_sweep's chunks of topics."""
+    train_ss, anchor_ss = np.random.SeedSequence(seed).spawn(2)
+    train_children, anchor_children = train_ss.spawn(len(training)), anchor_ss.spawn(len(corpus))
+    bw = base_cfg.bucket_width_minutes
+    points, per_point = [], []
+    for gamma, T, t_smooth, h in itertools.product(grid.gammas, grid.Ts, grid.t_smooths, grid.h_hours):
+        pipeline = dataclasses.replace(base_cfg.pipeline, t_smooth=t_smooth)
+        cfg = dataclasses.replace(base_cfg, h_hours=h, T=T, gamma=gamma, pipeline=pipeline)
+        w = window_buckets(h, bw)
+        if w < T:
+            raise ParamError(f"h={h}h gives {w}-bucket slices, shorter than T={T}")
+        draws = []
+        for (rate, label), child in zip(training, train_children):
+            processed = preprocess(rate, pipeline)
+            if label == Label.POSITIVE:
+                if rate.onset_index is None:
+                    raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
+                sl = slice_training_window(processed, rate.onset_index, h, bw, "pre_onset")
+            else:
+                sl = slice_training_window(processed, 0, h, bw, "random", np.random.default_rng(child))
+            draws.append((advance(sl, sl.start_index - (1 - (w - T) // 2)), label, None))
+        kernel = _detection_kernel(LabeledDataset.from_draws(draws), cfg)
+        half = window_buckets(h, bw)
+        topics, regions = [], []
+        for (rate, label), child in zip(corpus, anchor_children):
+            processed = preprocess(rate, pipeline)
+            if label == Label.POSITIVE:
+                if rate.onset_index is None:
+                    raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
+                anchor = rate.onset_index
+            else:
+                lo, hi = half + T, processed.end_index - half
+                if hi < lo:
+                    raise SupportError(f"topic {rate.topic_id!r} is too short for the detection region")
+                anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
+            regions.append(processed.window(anchor - half - T + 1, anchor + half))
+            topics.append((rate.topic_id, label, anchor))
+        rows = np.array(regions).reshape(len(corpus), 2 * half + T)
+        views = np.lib.stride_tricks.sliding_window_view(rows, T, axis=1)
+        traces = [kernel.log_lambda_many(views[b].reshape(-1, T))
+                  for b in core.blocks(len(rows), (2 * half + 1) * T)]
+        maxima = np.maximum.accumulate(np.concatenate(traces).reshape(-1, 2 * half + 1), axis=1)
+        for theta in grid.thetas:
+            results = _detections(topics, maxima, math.log(theta), half, bw)
+            params = {"gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta}
+            points.append(_roc_point(results, params))
+            per_point.append(results)
+    return RocSweepResult(tuple(points), tuple(per_point))
+
+
+def mixed_length_topics():
+    """The small corpus with every third topic cut short by 40 buckets."""
+    trends, bgs = small_corpus(seed=3, n=10)
+    cut = [
+        dataclasses.replace(rate, counts=rate.counts[:-40]) if i % 3 == 0 else rate
+        for i, rate in enumerate(trends + bgs)
+    ]
+    return split_topics(cut[:10], cut[10:], 4)
+
+
+def raised(call):
+    """(type, message) of the exception call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestSweepSharing:
+    """roc_sweep preprocesses each side once per t_smooth and computes each
+    (T, t_smooth, h) setting's trace distances once, voted at every gamma:
+    the results, and the errors, of one sweep per setting."""
+
+    THETAS = (1e-300, 0.5, 2.0, 1e300)
+
+    def test_equals_one_sweep_per_setting(self):
+        train, test = mixed_length_topics()
+        grid = SweepGrid(gammas=(1.0, 0.0, 3.0, 1.0), Ts=(15, 12), t_smooths=(20, 7),
+                         h_hours=(1.0, 0.8), thetas=self.THETAS)
+        got = roc_sweep(test, train, grid, small_base_cfg(), seed=8)
+        assert got == reference_sweep(test, train, grid, small_base_cfg(), seed=8)
+        assert len(got.points) == 4 * 2 * 2 * 2 * len(self.THETAS)
+
+    def test_a_gamma_grid_equals_one_sweep_per_gamma(self):
+        test, train = theta_sweep_topics()
+        gammas = (1.0, 0.0, 10.0, 1.0)  # gamma 0 casts equal votes; a duplicate its own rows
+        base = dict(Ts=(15,), t_smooths=(20,), h_hours=(1.0,), thetas=self.THETAS)
+        together = roc_sweep(test, train, SweepGrid(gammas=gammas, **base), small_base_cfg(), seed=13)
+        k = len(self.THETAS)
+        for i, gamma in enumerate(gammas):
+            alone = roc_sweep(test, train, SweepGrid(gammas=(gamma,), **base), small_base_cfg(), seed=13)
+            assert together.points[i * k : (i + 1) * k] == alone.points
+            assert together.results[i * k : (i + 1) * k] == alone.results
+
+    def test_gammas_share_the_distances_and_preprocessing(self, monkeypatch):
+        test, train = theta_sweep_topics()
+        base = dict(Ts=(15,), t_smooths=(20,), h_hours=(1.0,), thetas=self.THETAS)
+        counts = {}
+        for name, owner in (("expansion_minimum", core.ShiftWindows), ("_chain", pipeline)):
+            def counted(*args, _original=getattr(owner, name), _name=name):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        seen = []
+        for gammas in ((1.0,), (0.3, 1.0, 3.0, 10.0)):
+            counts.update(expansion_minimum=0, _chain=0)
+            roc_sweep(test, train, SweepGrid(gammas=gammas, **base), small_base_cfg(), seed=13)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["_chain"] == 2  # one block of rows per side
+
+    @pytest.mark.parametrize("case", ["prefix_after_onset", "test_prefix", "short_test", "early_onset",
+                                      "short_slice", "undefined_then_short", "undefined"])
+    def test_errors_are_those_of_one_sweep_per_setting(self, case):
+        train, test = (list(side) for side in mixed_length_topics())
+        grid = dict(gammas=(1.0,), Ts=(15,), t_smooths=(20,), h_hours=(1.0,), thetas=(1.0,))
+
+        def retopic(side, i, **changes):
+            rate, label = side[i]
+            side[i] = (dataclasses.replace(rate, **changes), label)
+
+        trend = next(i for i, (_, label) in enumerate(train) if label == Label.POSITIVE)
+        if case == "prefix_after_onset":  # a later empty first bucket, an earlier missing onset
+            retopic(train, trend, onset_index=None)
+            retopic(train, len(train) - 1, counts=np.r_[0.0, train[-1][0].counts[1:]])
+        elif case == "test_prefix":
+            retopic(test, 3, counts=np.r_[0.0, test[3][0].counts[1:]])
+        elif case == "short_test":
+            retopic(test, len(test) - 1, counts=test[-1][0].counts[:40])
+        elif case == "early_onset":  # its detection region starts before bucket 1
+            retopic(test, next(i for i, (_, label) in enumerate(test) if label == Label.POSITIVE),
+                    onset_index=20)
+        elif case == "short_slice":
+            retopic(train, trend, onset_index=10)
+        else:  # every vote of gamma 1e308 overflows, so its ratios are undefined
+            grid["gammas"] = (1.0, 1e308)
+            if case == "undefined_then_short":
+                grid["Ts"] = (15, 40)  # a 30-bucket slice is shorter than T = 40
+        args = (test, train, SweepGrid(**grid), small_base_cfg())
+        want = raised(lambda: reference_sweep(*args, seed=2))
+        assert raised(lambda: roc_sweep(*args, seed=2)) == want

@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tsvote.core as core
+import tsvote.pipeline as pipeline
 
 from tsvote import (
     EmptyPrefixError,
@@ -18,7 +23,7 @@ from tsvote import (
     spike_emphasize,
 )
 from tsvote.dataio import record_to_rate
-from tsvote.pipeline import window_buckets
+from tsvote.pipeline import preprocess_rows, window_buckets
 
 
 def random_rate(rng, n=None, topic="t"):
@@ -167,6 +172,69 @@ class TestPreprocess:
             PipelineParams(t_smooth=0)
         with pytest.raises(ParamError):
             PipelineParams(log_floor=0.0)
+
+
+def one_topic_at_a_time(counts, params):
+    """The four stages as they were written for one vector of counts."""
+    v = counts / np.cumsum(counts)
+    v = np.abs(v - np.concatenate(([0.0], v[:-1]))) ** params.alpha
+    v = np.convolve(v, np.ones(params.t_smooth))[: v.size]
+    return np.log(np.maximum(v, params.log_floor))
+
+
+class TestBatchedPreprocess:
+    """preprocess_rows runs many topics as rows of one batch per length;
+    preprocess is a batch of one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 50), min_size=1, max_size=8),
+        alpha=st.one_of(st.just(1.0), st.just(2.0), st.floats(1.0, 6.0)),
+        t_smooth=st.integers(1, 80),  # often beyond the length
+        log_floor=st.sampled_from([1e-12, 1e-300, 5e-324, 0.25]),
+        scale=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_the_stage_chain_bit_for_bit(self, lengths, alpha, t_smooth, log_floor,
+                                                   scale, seed):
+        rng = np.random.default_rng(seed)
+        rates = []
+        for i, n in enumerate(lengths):
+            counts = rng.uniform(0.0, 100.0, n) * (rng.random(n) < 0.7)  # with empty buckets
+            counts[0] = rng.uniform(0.5, 100.0)
+            rates.append(RateSeries(counts * 10.0**scale, 2.0, f"t{i}"))
+        params = PipelineParams(alpha, t_smooth, log_floor)
+        for rate, row in zip(rates, preprocess_rows(rates, params)):
+            chain = log_transform(
+                smooth(spike_emphasize(baseline_normalize(rate), alpha), t_smooth), log_floor
+            )
+            assert row.tobytes() == chain.values.tobytes()
+            assert row.tobytes() == one_topic_at_a_time(rate.counts, params).tobytes()
+            assert preprocess(rate, params) == TimeSeries(1, row, id=rate.topic_id)
+            assert not row.flags.writeable
+
+    def test_blocks_hold_at_most_block_values(self, rng, monkeypatch):
+        rates = [random_rate(rng, n=n, topic=f"t{i}") for i, n in enumerate([30, 7, 30, 30, 7, 30])]
+        params = PipelineParams(alpha=1.2, t_smooth=5, log_floor=1e-12)
+        want = [preprocess(rate, params).values for rate in rates]
+        sizes = []
+
+        def chain(counts, params, out, _original=pipeline._chain):
+            sizes.append(counts.shape)
+            _original(counts, params, out)
+
+        monkeypatch.setattr(pipeline, "_chain", chain)
+        monkeypatch.setattr(core, "BLOCK_VALUES", 2 * pipeline._WORK_ARRAYS * 30)
+        got = preprocess_rows(rates, params)
+        assert sizes == [(2, 30), (2, 30), (2, 7)]  # a batch per length, in blocks of rows
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_the_first_empty_topic_is_named(self):
+        rates = [RateSeries([1.0, 2.0], 2.0, "a"), RateSeries([0.0, 2.0, 3.0], 2.0, "b"),
+                 RateSeries([0.0, 1.0], 2.0, "c")]
+        with pytest.raises(EmptyPrefixError, match="'b'"):
+            preprocess_rows(rates, PipelineParams())
+        assert preprocess_rows([], PipelineParams()) == []
 
 
 POSITIVE = TimeSeries(1, [0.5, 1.0, 2.0, 4.0])

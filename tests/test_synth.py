@@ -20,7 +20,8 @@ from tsvote import (
     sample_series,
     training_size,
 )
-from tsvote.synth import derive_streams, gaussian_kernel, sample_draws
+import tsvote.core as core
+from tsvote.synth import MAX_SMOOTHING_SCALE, derive_streams, gaussian_kernel, sample_draws
 
 
 class TestMakeLatentSources:
@@ -87,6 +88,15 @@ class TestMakeLatentSources:
         with pytest.raises(ParamError, match="^seed must be"):
             GeneratorConfig(m=2, series_length=10, seed=seed)
         assert GeneratorConfig(m=2, series_length=10, seed=3.0).seed == 3
+
+    @pytest.mark.parametrize("scale", [1e15, math.nextafter(MAX_SMOOTHING_SCALE, math.inf)])
+    def test_a_kernel_beyond_block_values_is_refused(self, scale):
+        # 1e15 used to ask numpy for 56.8 PiB when the sources were made
+        with pytest.raises(ParamError, match="^smoothing_scale must be <= 8191.75"):
+            make_latent_sources(GeneratorConfig(m=2, series_length=10, smoothing_scale=scale))
+        with pytest.raises(ParamError, match="^scale must be <= 8191.75"):
+            gaussian_kernel(scale)
+        assert len(gaussian_kernel(MAX_SMOOTHING_SCALE)) == core.BLOCK_VALUES - 1
 
     def test_integral_float_sizes_become_ints(self):
         cfg = GeneratorConfig(m=2.0, series_length=40.0)

@@ -2,11 +2,15 @@
 
     python tools/float_gate.py PARENT_SRC CHANGE_SRC
 
-Each src directory is imported in a process of its own. It first runs
-`tsvote experiment` on configs/desk.cfg with 2 trials, unhooked, and keeps the
-bytes of every file it writes: experiment certifies most labels from GEMM
-bounds and computes exact distances only for the rows they leave undecided,
-so its scores are compared as its output, which must be byte-identical.
+Each src directory is imported in a process of its own. It first runs, unhooked,
+`tsvote experiment` on configs/desk.cfg with 2 trials and `tsvote detect` on
+configs/detect.cfg (15 shifts), again with detection.h_hours = 1.6 and
+detection.T = 16 (33 shifts, more than core.SHIFT_GROUP), and again with
+detection.gamma_grid = [0.3, 1, 3, 10], and keeps the bytes of every file each
+run writes, which must be byte-identical between the trees: experiment
+certifies most labels from GEMM bounds and computes exact distances only for
+the rows they leave undecided, and detect votes one block of trace distances
+at every gamma, so neither calls the entry points below for every score.
 Then it records every per-example log lambda: wmv from
 VotingKernel.gwmv_block, nn from knn_block (k-NN of any k), map from
 MapKernel.classify_block and trace from log_lambda_many; both trees must
@@ -14,14 +18,13 @@ have these block entry points. Values are kept under a (T, n, k) key per
 stream (n is the training size, None for the oracle; k for nn only), in call
 order within each key, so two trees that cut the same queries into different
 blocks record the same sequence per key. The runs are a replay of that
-experiment through the exact entry points (`replay_experiment`), `tsvote
-detect` on configs/detect.cfg (15 shifts), and again with detection.h_hours =
-1.6 and detection.T = 16 (33 shifts, more than core.SHIFT_GROUP, whose traces
-sit under a key of their own; detect runs in min mode and scores each
-setting's test topics in a few blocked log_lambda_many calls, so each of these
-traces comes from ShiftWindows.expansion_minimum, one GEMM per shift that
-carries the window norms in a column of its own), one pass of
-perfbench's PoolStream at seed 0, then nearest_neighbor, classify_knn (k = 5)
+experiment through the exact entry points (`replay_experiment`), a replay of
+each of the three detect runs (`replay_detect`: every (gamma, T, t_smooth, h)
+setting in that order, one log_lambda_many call per chunk of test topics, as
+detect scored them before gammas shared distances; traces of 33 shifts sit
+under a key of their own, and each comes from ShiftWindows.expansion_minimum,
+one GEMM per shift that carries the window norms in a column of its own), one
+pass of perfbench's PoolStream at seed 0, then nearest_neighbor, classify_knn (k = 5)
 and classify_gwmv, in that order, on each of its queries (so k-NN and voting
 read a shift minimum that another call computed), then sum-mode
 log_lambda_many on the block of its queries (a trace stream key of its own,
@@ -35,7 +38,7 @@ n first minimizing shifts. The runs compute no class gap, so every call is per
 series; the axis argument of older trees' minimum is passed through. These are
 exact by contract, so the min stream must be byte-identical between the trees.
 
-Exits 1 unless the experiment outputs and the min streams are byte-identical,
+Exits 1 unless the experiment and detect outputs and the min streams are byte-identical,
 and for the other streams both trees record the same keys with the same
 number of values per key, every value has |change - parent| <= 1e-12
 max(1, |parent|), and every label flip is a near-tie, |parent - log theta|
@@ -55,6 +58,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -117,6 +121,52 @@ def replay_experiment(cfg) -> None:
                     kernel.knn_block(d, 1)
 
 
+def replay_detect(cfg) -> None:
+    """Score every (gamma, T, t_smooth, h) setting of `tsvote detect` on cfg,
+    in that order, through log_lambda_many, as detect scored them before its
+    gammas shared distances: the same corpus, split, training set and anchors,
+    and one log_lambda_many call per core.blocks chunk of test topics."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from tsvote import Label
+    from tsvote.config import corpus_config, detection_config, sweep_grid
+    from tsvote.core import blocks
+    from tsvote.experiments import (
+        _detection_kernel,
+        make_detection_corpus,
+        prepare_training,
+        split_topics,
+    )
+    from tsvote.pipeline import preprocess, window_buckets
+
+    grid, base = sweep_grid(cfg), detection_config(cfg)
+    trends, non_trends = make_detection_corpus(corpus_config(cfg))
+    split_ss, sweep_ss = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    training, corpus = split_topics(trends, non_trends, split_ss)
+    seed = int(sweep_ss.generate_state(1, np.uint64)[0])
+    train_ss, anchor_ss = np.random.SeedSequence(seed).spawn(2)
+    train_children, anchor_children = train_ss.spawn(len(training)), anchor_ss.spawn(len(corpus))
+    bw = base.bucket_width_minutes
+    for gamma, T, t_smooth, h in itertools.product(grid.gammas, grid.Ts, grid.t_smooths, grid.h_hours):
+        pipeline = dataclasses.replace(base.pipeline, t_smooth=t_smooth)
+        det = dataclasses.replace(base, h_hours=h, T=T, gamma=gamma, pipeline=pipeline)
+        rngs = [np.random.default_rng(c) for c in train_children]
+        kernel = _detection_kernel(prepare_training(training, det, rngs), det)
+        half = window_buckets(h, bw)
+        regions = []
+        for (rate, label), child in zip(corpus, anchor_children):
+            processed = preprocess(rate, pipeline)
+            if label == Label.POSITIVE:
+                anchor = rate.onset_index
+            else:
+                lo, hi = half + T, processed.end_index - half
+                anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
+            regions.append(processed.window(anchor - half - T + 1, anchor + half))
+        views = sliding_window_view(np.stack(regions), T, axis=1)
+        for b in blocks(len(regions), (2 * half + 1) * T):
+            kernel.log_lambda_many(views[b].reshape(-1, T))
+
+
 def tree_digests(directory: Path) -> dict:
     """sha256 of every file under directory, keyed by its relative path."""
     return {
@@ -125,9 +175,17 @@ def tree_digests(directory: Path) -> dict:
     }
 
 
+# detect runs: output name -> --set overrides of configs/detect.cfg
+DETECT_RUNS = {
+    "detect": [],
+    "detect-wide": ["detection.h_hours=1.6", "detection.T=16"],
+    "detect-gammas": ["detection.gamma_grid=[0.3,1,3,10]"],
+}
+
+
 def record(src: str, path: str) -> None:
-    """Run experiment unhooked, then the hooked workloads, on the tsvote in
-    src; write the output digests and the streams to path."""
+    """Run experiment and detect unhooked, then the hooked workloads, on the
+    tsvote in src; write the output digests and the streams to path."""
     sys.path.insert(0, src)
     import tsvote.classify
     import tsvote.cli
@@ -141,9 +199,14 @@ def record(src: str, path: str) -> None:
             raise SystemExit(f"{src}: tsvote {argv[0]} failed")
 
     trials = "experiment.trials=2"
+    outputs = {}
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
         cli("experiment", "--config", desk, "--set", trials, "--out", f"{work}/exp")
-        experiment = tree_digests(Path(work) / "exp")
+        outputs["experiment"] = tree_digests(Path(work) / "exp")
+        for name, sets in DETECT_RUNS.items():
+            cli("detect", "--config", detect, *(a for s in sets for a in ("--set", s)),
+                "--out", f"{work}/{name}")
+            outputs[name] = tree_digests(Path(work) / name)
 
     streams = {stream: {} for stream in HOOKS}
     for stream, (cls_name, name) in HOOKS.items():
@@ -167,9 +230,8 @@ def record(src: str, path: str) -> None:
 
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
         replay_experiment(experiment_config(load_config(desk, [trials])))
-        cli("detect", "--config", detect, "--out", f"{work}/detect")
-        cli("detect", "--config", detect, "--set", "detection.h_hours=1.6",
-            "--set", "detection.T=16", "--out", f"{work}/detect-wide")
+        for sets in DETECT_RUNS.values():
+            replay_detect(load_config(detect, sets))
         pool = workloads.PoolStream(0, Path(work))
         pool.run_pass()
         for q in pool.queries:
@@ -192,8 +254,7 @@ def record(src: str, path: str) -> None:
                 "--method", method, "--out", f"{work}/classify-{i}")
     points = {"wmv": [0.0], "nn": [0.0], "map": [0.0]}
     points["trace"] = [math.log(t) for t in sweep_grid(load_config(detect)).thetas]
-    doc = {"source": tsvote.__file__, "experiment": experiment, "streams": streams,
-           "points": points}
+    doc = {"source": tsvote.__file__, "outputs": outputs, "streams": streams, "points": points}
     Path(path).write_text(json.dumps(doc))
 
 
@@ -270,12 +331,14 @@ def main(argv: list) -> int:
             runs.append(json.loads(Path(path).read_text()))
     parent, change = runs
     print(f"parent {parent['source']}\nchange {change['source']}")
-    same = parent["experiment"] == change["experiment"]
-    differ = sorted(f for f in parent["experiment"].keys() | change["experiment"].keys()
-                    if parent["experiment"].get(f) != change["experiment"].get(f))
-    print(f"experiment output: {len(parent['experiment'])} files, differing {differ}, "
-          f"byte-identical required: {'ok' if same else 'FAIL'}")
-    results = [same] + [
+    results = []
+    for run, files in parent["outputs"].items():
+        other = change["outputs"].get(run, {})
+        differ = sorted(f for f in files.keys() | other.keys() if files.get(f) != other.get(f))
+        results.append(not differ)
+        print(f"{run} output: {len(files)} files, differing {differ}, "
+              f"byte-identical required: {'ok' if not differ else 'FAIL'}")
+    results += [
         compare_exact(name, values, change["streams"][name]) if name == "min"
         else compare(name, values, change["streams"][name], parent["points"][name])
         for name, values in parent["streams"].items()
