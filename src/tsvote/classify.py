@@ -11,8 +11,8 @@ and nearest neighbor read the minimum. Traces (`log_lambda_many`) take two
 steps: `trace_distances` gives each block's distances, in `min` mode the GEMM
 form's minimum over shifts, unverified (`expansion_minimum`, one GEMM per
 shift), and in `sum` mode `_vote_dists`, bit for bit as `gwmv_block` votes;
-`trace_votes` votes one block at one gamma, so a sweep over gammas computes
-the distances once.
+`trace_votes` votes one block at every gamma of a sweep, which so shares the
+distances and each class's row minima.
 `_log_votes` turns one class's distances into its log vote (through
 `_logsumexp`) and `_vote_ratio` both classes' into the log ratio, which
 `require_defined` refuses where it is NaN. Labels
@@ -96,33 +96,38 @@ class BlockOutcome(NamedTuple):
         return ClassificationOutcome(label, float(self.log_lambda[p]), (float(pos[p]), float(neg[p])))
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) along the last axis, overwriting a; -inf where it is empty or all -inf."""
-    m = a.max(axis=-1, initial=NEG_INF)
+def _logsumexp(a: np.ndarray, top=None) -> np.ndarray:
+    """log(sum(exp(a))) along the last axis, overwriting a; -inf where it is
+    empty or all -inf. top, when given, is a's maximum along that axis."""
+    m = a.max(axis=-1, initial=NEG_INF) if top is None else top
     shift = np.where(m == NEG_INF, 0.0, m)
     a -= shift[..., None]
     with np.errstate(divide="ignore"):  # log(0): a class that casts no vote
         return shift + np.log(np.exp(a, out=a).sum(axis=-1))
 
 
-def _log_votes(gamma, d, log_w=None) -> np.ndarray:
+def _log_votes(gamma, d, log_w=None, d_low=None) -> np.ndarray:
     """log of the exp(-gamma * d + log_w) votes summed along the last axis
     (log_w None: no weights); at gamma = 0 every vote is exp(log_w), even
-    where d is +inf."""
+    where d is +inf. d_low, when given, is d's minimum along that axis
+    (initial +inf); without weights, -gamma * d_low is then the largest
+    exponent, bit for bit, as rounding is monotone, so it need not be searched."""
     if gamma == 0.0:
-        d = np.zeros_like(d)  # 0 * inf would be NaN
+        d, d_low = np.zeros_like(d), None  # 0 * inf would be NaN
     # gamma * d overflowing to inf is a zero vote, so numpy need not warn about it
     with np.errstate(over="ignore"):
         a = -gamma * d
+        top = None if d_low is None or log_w is not None else -gamma * d_low
     if log_w is not None:
         np.add(a, log_w, out=a)  # in place: one temporary of d's size
-    return _logsumexp(a)
+    return _logsumexp(a, top)
 
 
-def _log_ratio(gamma, pos_d, neg_d, pos_log_w=None, neg_log_w=None) -> tuple:
+def _log_ratio(gamma, pos_d, neg_d, pos_log_w=None, neg_log_w=None, lows=(None, None)) -> tuple:
     """(log ratio, positive log vote, negative log vote) of the two classes'
-    _log_votes; the ratio is NaN where both votes are zero."""
-    pos, neg = _log_votes(gamma, pos_d, pos_log_w), _log_votes(gamma, neg_d, neg_log_w)
+    _log_votes (lows: their d_low); the ratio is NaN where both votes are zero."""
+    pos = _log_votes(gamma, pos_d, pos_log_w, lows[0])
+    neg = _log_votes(gamma, neg_d, neg_log_w, lows[1])
     with np.errstate(invalid="ignore"):
         return pos - neg, pos, neg
 
@@ -360,18 +365,18 @@ class VotingKernel:
         D, R = _block(D, self.n), _block(R, self.n)
         return _certified_nearest(self.params.gamma, D, R, self.n_pos)
 
-    def _votes(self, D: np.ndarray, gamma: float) -> tuple:
-        """_log_ratio at gamma of voting distances whose last axis runs over
-        the examples (min mode) or over every (example, shift) cell (sum mode)."""
+    def _classes(self, D: np.ndarray) -> tuple:
+        """The positive and negative parts of voting distances whose last axis
+        runs over the examples (min mode) or every (example, shift) cell (sum mode)."""
         split = self.n_pos * self._per_example
-        return _log_ratio(gamma, D[..., :split], D[..., split:])
+        return D[..., :split], D[..., split:]
 
     def gwmv_block(self, D) -> BlockOutcome:
         """Voting verdicts of a (P, n) block of per-example minimum distances
         (min mode), or of every (example, shift) cell in (P, n S) (sum mode)."""
         D = _block(D, self.width)
-        ratio, pos, neg = self._votes(D, self.params.gamma)
-        return _outcome((require_defined(ratio), pos, neg), math.log(self.params.theta))
+        votes = _vote_ratio(self.params.gamma, *self._classes(D))
+        return _outcome(votes, math.log(self.params.theta))
 
     def knn_block(self, D, k: int) -> BlockOutcome:
         """k-NN verdicts of a (P, n) block of per-example minimum distances.
@@ -459,7 +464,10 @@ class VotingKernel:
         callers that compare traces keep these blocks; the votes of a row do
         not depend on the others.
         """
-        Q = _queries(observations, self.params.T)
+        return self._trace_blocks(_queries(observations, self.params.T))
+
+    def _trace_blocks(self, Q: np.ndarray):
+        """trace_distances of a (P, T) block Q that _queries has checked."""
         if self.params.shift_mode == "sum":
             width, distances = self.width, lambda q: _vote_dists(self._windows, q, "sum")
         else:
@@ -467,11 +475,14 @@ class VotingKernel:
         for b in blocks(len(Q), width):
             yield b, distances(Q[b])
 
-    def trace_votes(self, D: np.ndarray, gamma: float) -> np.ndarray:
-        """The (p,) log vote ratios at gamma of a block D from trace_distances,
-        NaN where both classes' votes are zero: one block of distances serves
-        every gamma."""
-        return self._votes(D, gamma)[0]
+    def trace_votes(self, D: np.ndarray, gammas: Sequence[float]) -> list:
+        """Per gamma, the (p,) log vote ratios of a block D from
+        trace_distances, NaN where both classes' votes are zero: the block's
+        distances, and each class's row minima (every gamma's largest
+        exponent), serve every gamma."""
+        pos_d, neg_d = self._classes(D)
+        lows = pos_d.min(axis=-1, initial=np.inf), neg_d.min(axis=-1, initial=np.inf)
+        return [_log_ratio(gamma, pos_d, neg_d, lows=lows)[0] for gamma in gammas]
 
     def log_lambda_many(self, observations: np.ndarray) -> np.ndarray:
         """log vote ratio for each row of a (P, T) observation matrix:
@@ -479,8 +490,8 @@ class VotingKernel:
         which require_defined checks. In sum mode that is bit for bit gwmv."""
         Q = _queries(observations, self.params.T)
         out = np.empty(len(Q))
-        for b, D in self.trace_distances(Q):
-            out[b] = require_defined(self.trace_votes(D, self.params.gamma))
+        for b, D in self._trace_blocks(Q):
+            out[b] = require_defined(self.trace_votes(D, [self.params.gamma])[0])
             del D  # before the next block's distances
         return out
 

@@ -120,16 +120,25 @@ class TimeSeries:
         """Values on [first, last] as a read-only view."""
         if last < first:
             raise ParamError(f"empty window [{first}, {last}]")
-        if not self.covers(first, last):
-            raise SupportError(
-                f"series {self.id!r} is defined on [{self.start_index}, "
-                f"{self.end_index}] but [{first}, {last}] was requested"
-            )
+        require_support(self.id, self.start_index, self.end_index, first, last)
         offset = first - self.start_index
         return self.values[offset : offset + (last - first + 1)]
 
     def value_at(self, t: int) -> float:
         return float(self.window(t, t)[0])
+
+
+def require_support(
+    series_id: str, start_index: int, end_index: int, first: int, last: int
+) -> None:
+    """SupportError unless [first, last] lies inside the support [start_index,
+    end_index] of series series_id: TimeSeries.window's check, for callers
+    that hold only a series' bounds."""
+    if not (start_index <= first and last <= end_index):
+        raise SupportError(
+            f"series {series_id!r} is defined on [{start_index}, "
+            f"{end_index}] but [{first}, {last}] was requested"
+        )
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ threshold each log ratio falls on: labels are certified from GEMM bounds on
 the distances, and exact distances are computed only for the rows the bounds
 leave undecided (`_trial_rates`), so every rate is the exact path's.
 
-The detection sweep (`roc_sweep`) computes nothing twice that a parameter
-does not change: each side of the split is preprocessed once per t_smooth
-(`pipeline.preprocess_rows`), each (T, t_smooth, h) setting builds its
-training set and kernel once and computes its trace distances once
-(`VotingKernel.trace_distances`), every gamma votes on those distances
-(`trace_votes`), and every theta reads the running maxima of the traces.
+The detection sweep (`roc_sweep`) loops over (T, t_smooth, h): each setting
+preprocesses both sides of the split as one batch of rows
+(`pipeline.preprocess_rows`), builds its training set and kernel once and
+computes its trace distances once (`VotingKernel.trace_distances`); every
+gamma votes on those distances (`trace_votes`), and every theta reads the
+running maxima of the traces.
 """
 
 from __future__ import annotations
@@ -31,15 +31,16 @@ from .core import (
     blocks,
     integer_at_least,
     real_at_least,
+    require_support,
     stacked_windows,
 )
 from .errors import ParamError, SupportError
 from .pipeline import (
     PipelineParams,
     RateSeries,
-    preprocess,
     preprocess_rows,
-    slice_training_window,
+    require_prefix,
+    training_slice_start,
     window_buckets,
 )
 from .synth import (
@@ -325,8 +326,8 @@ def _running_maxima(kernel: VotingKernel, regions: np.ndarray, half: int, gammas
     traces = [[] for _ in gammas]
     for chunk in blocks(len(regions), width * T):
         for _, D in kernel.trace_distances(views[chunk].reshape(-1, T)):
-            for trace, gamma in zip(traces, gammas):
-                trace.append(kernel.trace_votes(D, gamma))
+            for trace, ratios in zip(traces, kernel.trace_votes(D, gammas)):
+                trace.append(ratios)
             del D  # before the next block's distances
     return [np.maximum.accumulate(np.concatenate(t).reshape(-1, width), axis=1) for t in traces]
 
@@ -337,22 +338,13 @@ def _first_crossings(maxima: np.ndarray, log_theta: float) -> np.ndarray:
     return np.where(maxima[:, -1] >= log_theta, (maxima >= log_theta).argmax(axis=1), -1)
 
 
-def _detections(topics: list, maxima, log_theta: float, half: int, bw: float, made=None) -> tuple:
-    """DetectionResult per (id, truth, anchor) of topics at its first crossing.
-    made, a dict, keeps the results by (topic, crossing), so that the other
-    thetas and gammas of a setting share the equal ones; they are immutable."""
-    made = {} if made is None else made
-    out = []
-    for k, i in enumerate(_first_crossings(maxima, log_theta).tolist()):
-        result = made.get((k, i))
-        if result is None:
-            sid, truth, anchor = topics[k]
-            result = made[k, i] = (
-                DetectionResult(sid, True, anchor - half + i, (i - half) * bw, truth) if i >= 0
-                else DetectionResult(sid, False, None, None, truth)
-            )
-        out.append(result)
-    return tuple(out)
+def _detections(topics: list, maxima, log_theta: float, half: int, bw: float) -> tuple:
+    """DetectionResult per (id, truth, anchor) of topics at its first crossing."""
+    return tuple(
+        DetectionResult(sid, True, anchor - half + i, (i - half) * bw, truth) if i >= 0
+        else DetectionResult(sid, False, None, None, truth)
+        for (sid, truth, anchor), i in zip(topics, _first_crossings(maxima, log_theta).tolist())
+    )
 
 
 def detect_online(
@@ -510,99 +502,62 @@ def split_topics(
     return train, test
 
 
-def _training_window(cfg: DetectionConfig) -> int:
-    """The buckets of a training slice: h_hours of them, at least T."""
-    w = window_buckets(cfg.h_hours, cfg.bucket_width_minutes)
-    if w < cfg.T:
-        raise ParamError(f"h={cfg.h_hours}h gives {w}-bucket slices, shorter than T={cfg.T}")
-    return w
-
-
-def _training_slice(rate: RateSeries, label: Label, cfg: DetectionConfig, stream) -> TimeSeries:
-    """One topic's training slice through preprocess and slice_training_window,
-    which raise its error if it has one."""
-    processed = preprocess(rate, cfg.pipeline)
-    if label == Label.POSITIVE:
-        if rate.onset_index is None:
-            raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
-        anchor, mode = rate.onset_index, "pre_onset"
-    else:
-        anchor, mode = 0, "random"
-    return slice_training_window(processed, anchor, cfg.h_hours, cfg.bucket_width_minutes, mode, stream)
-
-
-def _training_starts(topics: Sequence, cfg: DetectionConfig, streams, w: int) -> list:
-    """The first bucket of each topic's w-bucket training slice, as
-    slice_training_window places it on the preprocessed series (background
-    slices at random, drawn from the topic's stream), checked in topic order:
-    a topic that does not fit goes through _training_slice, which raises its
-    error."""
-    starts = []
-    for (rate, label), stream in zip(topics, streams):
-        if label == Label.POSITIVE:
-            first = None if rate.onset_index is None else rate.onset_index - w + 1
-        elif len(rate) >= w:
-            first = 1 + int(as_generator(stream).integers(0, len(rate) - w + 1))
-        else:
-            first = None
-        if first is None or first < 1 or rate.counts[0] == 0.0:
-            _training_slice(rate, label, cfg, stream)  # raises this topic's error
-        starts.append(first)
-    return starts
-
-
-def _training_set(topics: Sequence, rows: list, starts: list, T: int, w: int) -> LabeledDataset:
-    """The slices of topics, each w values of its preprocessed row from its
-    start, re-indexed to begin at 1 - (w - T) // 2: one TimeSeries each."""
-    first = 1 - (w - T) // 2
-    return LabeledDataset.from_draws(
-        (TimeSeries(first, row[start - 1 : start - 1 + w], id=rate.topic_id), label, None)
-        for (rate, label), row, start in zip(topics, rows, starts)
-    )
-
-
 def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> LabeledDataset:
     """Preprocess, slice, and align the training half.
 
     Trend slices end at their onset; background slices are placed at random.
     Slices are re-indexed symmetrically around the observation window so the
     shift range covers (almost) every T-chunk of each slice. rng_stream may be
-    a seed, a SeedSequence, or a pre-built per-topic stream sequence. The
-    topics are checked one by one, then preprocessed as one batch.
+    a seed, a SeedSequence, or a pre-built per-topic stream sequence. Each
+    topic's slice is placed (pipeline.training_slice_start) in topic order, so
+    the first topic with an error raises it; then the topics are preprocessed
+    as one batch (preprocess_rows) and each slice is cut from its row.
     """
-    w = _training_window(cfg)
+    w = window_buckets(cfg.h_hours, cfg.bucket_width_minutes)
+    if w < cfg.T:
+        raise ParamError(f"h={cfg.h_hours}h gives {w}-bucket slices, shorter than T={cfg.T}")
     if isinstance(rng_stream, (list, tuple)):
         streams = list(rng_stream)
         if len(streams) != len(topics):
             raise ParamError("need one rng stream per training topic")
     else:
         streams = derive_streams(rng_stream, len(topics))
-    starts = _training_starts(topics, cfg, streams, w)
+    starts = []
+    for (rate, label), stream in zip(topics, streams):
+        require_prefix(rate)
+        if label == Label.POSITIVE:
+            if rate.onset_index is None:
+                raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
+            anchor, mode = rate.onset_index, "pre_onset"
+        else:
+            anchor, mode = 0, "random"
+        starts.append(training_slice_start(rate.topic_id, 1, len(rate), anchor, w, mode, stream))
     rows = preprocess_rows([rate for rate, _ in topics], cfg.pipeline)
-    return _training_set(topics, rows, starts, cfg.T, w)
+    target_start = 1 - (w - cfg.T) // 2
+    return LabeledDataset.from_draws(
+        (TimeSeries(target_start, row[first - 1 : first - 1 + w], id=rate.topic_id), label, None)
+        for (rate, label), row, first in zip(topics, rows, starts)
+    )
 
 
-def _test_anchors(corpus: Sequence, children, pipeline: PipelineParams, half: int, T: int) -> list:
+def _test_anchors(corpus: Sequence, children, half: int, T: int) -> list:
     """Each test topic's anchor: its onset, or for a background topic a
     position drawn from its child seed where the detection region
-    [anchor - half - T + 1, anchor + half] fits. Checked in topic order; a
-    topic with an empty first bucket, or whose region does not fit, raises
-    through preprocess and TimeSeries.window."""
+    [anchor - half - T + 1, anchor + half] fits. Checked in topic order, with
+    preprocess's and TimeSeries.window's errors."""
     anchors = []
     for (rate, label), child in zip(corpus, children):
-        if rate.counts[0] == 0.0:
-            preprocess(rate, pipeline)  # raises EmptyPrefixError
+        require_prefix(rate)
         if label == Label.POSITIVE:
             if rate.onset_index is None:
                 raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
             anchor = rate.onset_index
-            if anchor - half - T < 0 or anchor + half > len(rate):  # raises SupportError
-                preprocess(rate, pipeline).window(anchor - half - T + 1, anchor + half)
         else:
             lo, hi = half + T, len(rate) - half
             if hi < lo:
                 raise SupportError(f"topic {rate.topic_id!r} is too short for the detection region")
             anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
+        require_support(rate.topic_id, 1, len(rate), anchor - half - T + 1, anchor + half)
         anchors.append(anchor)
     return anchors
 
@@ -696,10 +651,10 @@ def roc_sweep(
     """Run detection over the test topics at every grid point and aggregate rates.
 
     corpus and training are sequences of (RateSeries, Label) from split_topics;
-    the two sides must be disjoint by topic id. Each side is preprocessed once
-    per t_smooth, as one batch per length. Each (T, t_smooth, h) setting builds
-    its training set and kernel once and computes the distances of all test
-    topics' windows once, in a few blocked calls; every gamma votes on them, and
+    the two sides must be disjoint by topic id. Each (T, t_smooth, h) setting
+    preprocesses each side as one batch per length, builds its training set
+    and kernel once and computes the distances of all test topics' windows
+    once, in a few blocked calls; every gamma votes on them, and
     each theta only reads the running maxima of those traces. Points come in
     (gamma, T, t_smooth, h, theta) order, and an error is the one a sweep in
     that order would meet first: a setting's own errors (its topics, its
@@ -718,38 +673,31 @@ def roc_sweep(
     train_children = train_ss.spawn(len(training))
     anchor_children = anchor_ss.spawn(len(corpus))
     bw = base_cfg.bucket_width_minutes
-    rows = {}  # (side, t_smooth) -> that side's preprocessed rows, in topic order
-
-    def preprocessed(side: str, pipeline: PipelineParams) -> list:
-        if (side, pipeline.t_smooth) not in rows:
-            topics = training if side == "train" else corpus
-            rows[side, pipeline.t_smooth] = preprocess_rows([rate for rate, _ in topics], pipeline)
-        return rows[side, pipeline.t_smooth]
-
     settings = []  # per (T, t_smooth, h): its parameters, test topics, half and maxima per gamma
     for T, t_smooth, h in itertools.product(grid.Ts, grid.t_smooths, grid.h_hours):
         pipeline = replace(base_cfg.pipeline, t_smooth=t_smooth)
         cfg = replace(base_cfg, h_hours=h, T=T, pipeline=pipeline)  # gammas are voted below
-        w = _training_window(cfg)
-        starts = _training_starts(training, cfg, train_children, w)
-        data = _training_set(training, preprocessed("train", pipeline), starts, T, w)
-        kernel = _detection_kernel(data, cfg)
+        rngs = [np.random.default_rng(c) for c in train_children]
+        kernel = _detection_kernel(prepare_training(training, cfg, rngs), cfg)
         half = window_buckets(h, bw)
-        anchors = _test_anchors(corpus, anchor_children, pipeline, half, T)
+        anchors = _test_anchors(corpus, anchor_children, half, T)
+        rows = preprocess_rows([rate for rate, _ in corpus], pipeline)
         regions = np.array(
-            [row[a - half - T : a + half] for row, a in zip(preprocessed("test", pipeline), anchors)]
+            [row[a - half - T : a + half] for row, a in zip(rows, anchors)]
         ).reshape(len(corpus), 2 * half + T)
         maxima = _running_maxima(kernel, regions, half, grid.gammas)
         require_defined(maxima[0][:, -1])  # the first gamma's error comes before the next setting's
         topics = [(rate.topic_id, label, a) for (rate, label), a in zip(corpus, anchors)]
-        settings.append(((T, t_smooth, h), topics, half, maxima, {}))
+        settings.append(((T, t_smooth, h), topics, half, maxima))
     points, per_point_results = [], []
     for i, gamma in enumerate(grid.gammas):
-        for (T, t_smooth, h), topics, half, maxima, made in settings:
+        for (T, t_smooth, h), topics, half, maxima in settings:
             require_defined(maxima[i][:, -1])
             for theta in grid.thetas:
-                results = _detections(topics, maxima[i], math.log(theta), half, bw, made)
-                params = {"gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta}
+                results = _detections(topics, maxima[i], math.log(theta), half, bw)
+                params = {
+                    "gamma": gamma, "T": T, "t_smooth": t_smooth, "h_hours": h, "theta": theta
+                }
                 points.append(_roc_point(results, params))
                 per_point_results.append(results)
     return RocSweepResult(tuple(points), tuple(per_point_results))

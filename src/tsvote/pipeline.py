@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, blocks, integer_at_least, real_at_least
+from .core import TimeSeries, blocks, integer_at_least, real_at_least, require_support
 from .errors import EmptyPrefixError, ParamError, SupportError
 from .synth import RngStream, as_generator
 
@@ -72,7 +72,8 @@ class PipelineParams:
 _WORK_ARRAYS = 4
 
 
-def _require_prefix(rho: RateSeries) -> None:
+def require_prefix(rho: RateSeries) -> None:
+    """EmptyPrefixError if rho's first bucket is empty: preprocess's first error."""
     if rho.counts[0] == 0.0:
         raise EmptyPrefixError(
             f"topic {rho.topic_id!r}: first bucket is empty, normalization is undefined"
@@ -114,7 +115,7 @@ def _chain(counts: np.ndarray, params: PipelineParams, out: np.ndarray) -> None:
 
 def baseline_normalize(rho: RateSeries) -> TimeSeries:
     """Counts relative to their running total: out(t) = counts(t) / sum(counts(1..t))."""
-    _require_prefix(rho)
+    require_prefix(rho)
     return TimeSeries(1, _normalized(rho.counts[None])[0], id=rho.topic_id)
 
 
@@ -133,7 +134,8 @@ def smooth(rho_bs: TimeSeries, t_smooth: int) -> TimeSeries:
 def log_transform(rho_bsc: TimeSeries, log_floor: float) -> TimeSeries:
     """Natural log after clamping below at log_floor, keeping everything finite."""
     log_floor = real_at_least("log_floor", log_floor, 0, strict=True)
-    return TimeSeries(rho_bsc.start_index, _logged(rho_bsc.values[None], log_floor)[0], id=rho_bsc.id)
+    values = _logged(rho_bsc.values[None], log_floor)[0]
+    return TimeSeries(rho_bsc.start_index, values, id=rho_bsc.id)
 
 
 def preprocess_rows(rates: Sequence[RateSeries], params: PipelineParams) -> list:
@@ -146,7 +148,7 @@ def preprocess_rows(rates: Sequence[RateSeries], params: PipelineParams) -> list
     first bucket is empty.
     """
     for rate in rates:
-        _require_prefix(rate)
+        require_prefix(rate)
     by_length = {}
     for i, rate in enumerate(rates):
         by_length.setdefault(len(rate), []).append(i)
@@ -179,6 +181,39 @@ def window_buckets(h_hours: float, bucket_width_minutes: float) -> int:
     return buckets
 
 
+def training_slice_start(
+    series_id: str,
+    start_index: int,
+    length: int,
+    anchor: int,
+    w: int,
+    mode: str = "pre_onset",
+    rng_stream: Optional[RngStream] = None,
+) -> int:
+    """First index of the w-bucket slice that slice_training_window cuts from
+    series series_id, of length values from start_index.
+
+    pre_onset ends the slice at the anchor; random places it uniformly inside
+    the series, from one draw of rng_stream. Raises the error of a bad mode or
+    anchor, a missing stream, or a slice the series does not cover.
+    """
+    if mode == "pre_onset":
+        first = integer_at_least("anchor", anchor) - w + 1
+    elif mode == "random":
+        if rng_stream is None:
+            raise ParamError("random mode needs an rng_stream")
+        span = length - w
+        if span < 0:
+            raise SupportError(
+                f"series {series_id!r} has {length} entries, shorter than the {w}-bucket window"
+            )
+        first = start_index + int(as_generator(rng_stream).integers(0, span + 1))
+    else:
+        raise ParamError(f"mode must be 'pre_onset' or 'random', got {mode!r}")
+    require_support(series_id, start_index, start_index + length - 1, first, first + w - 1)
+    return first
+
+
 def slice_training_window(
     series: TimeSeries,
     anchor: int,
@@ -187,26 +222,11 @@ def slice_training_window(
     mode: str = "pre_onset",
     rng_stream: Optional[RngStream] = None,
 ) -> TimeSeries:
-    """Cut an h-hour window out of a preprocessed series.
-
-    pre_onset takes the window ending at the anchor; random places the window
-    uniformly inside the series (seeded through rng_stream). The slice keeps
-    its original indexing.
+    """Cut an h-hour window out of a preprocessed series, where
+    training_slice_start places it. The slice keeps its original indexing.
     """
     w = window_buckets(h_hours, bucket_width_minutes)
-    if mode == "pre_onset":
-        first = integer_at_least("anchor", anchor) - w + 1
-    elif mode == "random":
-        if rng_stream is None:
-            raise ParamError("random mode needs an rng_stream")
-        span = len(series) - w
-        if span < 0:
-            raise SupportError(
-                f"series {series.id!r} has {len(series)} entries, shorter than the "
-                f"{w}-bucket window"
-            )
-        rng = as_generator(rng_stream)
-        first = series.start_index + int(rng.integers(0, span + 1))
-    else:
-        raise ParamError(f"mode must be 'pre_onset' or 'random', got {mode!r}")
+    first = training_slice_start(
+        series.id, series.start_index, len(series), anchor, w, mode, rng_stream
+    )
     return TimeSeries(first, series.window(first, first + w - 1), id=series.id)

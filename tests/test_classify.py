@@ -35,6 +35,7 @@ from tsvote import dataio
 from tsvote.classify import (
     MapKernel,
     VotingKernel,
+    _log_ratio,
     _log_votes,
     _nearest,
     _tie_order,
@@ -522,6 +523,24 @@ class TestKernelConsistency:
         kernel = VotingKernel(data, VotingParams(0.5, 4, 1, shift_mode=shift_mode))
         trace = kernel.log_lambda_many(np.empty((0, 4)))
         assert trace.shape == (0,) and trace.dtype == np.float64
+
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    def test_trace_votes_at_many_gammas_are_each_gammas_votes(self, rng, shift_mode):
+        # trace_votes takes every gamma's largest exponent from the row minima
+        # it shares; _log_ratio searches each gamma's own, bit for bit the same
+        data, _ = random_instance(rng, 3, 4, T=5, delta_max=1)
+        kernel = VotingKernel(data, VotingParams(0.5, 5, 1, shift_mode=shift_mode))
+        split = kernel.n_pos * (3 if shift_mode == "sum" else 1)
+        gammas = [0.3, 0.0, 1.0, 10.0, 1e300, 1.0]
+        for _, D in kernel.trace_distances(rng.standard_normal((7, 5)) * 30):
+            edge = np.zeros((3, D.shape[1]))
+            edge[0] = np.inf  # no class casts a vote but at gamma = 0
+            edge[1, :split] = 1e300  # overflows gamma * d
+            edge[2, split:] = np.inf
+            D = np.vstack([D, edge])
+            want = [_log_ratio(gamma, D[:, :split], D[:, split:])[0] for gamma in gammas]
+            got = kernel.trace_votes(D, gammas)
+            assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
     def test_gamma_limit_agrees_with_nearest_neighbor(self, rng):
         agree = checked = 0

@@ -37,7 +37,7 @@ import tsvote.core as core
 import tsvote.pipeline as pipeline
 from tsvote.classify import MapKernel, VotingKernel
 from tsvote.core import VotingParams, advance, stacked_windows
-from tsvote.synth import make_latent_sources, sample_draws, training_size
+from tsvote.synth import derive_streams, make_latent_sources, sample_draws, training_size
 from tsvote.config import corpus_config, detection_config, load_config
 from tsvote.experiments import (
     RocSweepResult,
@@ -617,6 +617,20 @@ class TestCorpusAndSweep:
             assert ts.start_index == 1 - dmax
             assert len(ts) == w
 
+    def test_prepare_training_cuts_each_topics_slice_training_window(self):
+        train, _ = mixed_length_topics()  # rows of two lengths
+        cfg = small_base_cfg()
+        bw, first = cfg.bucket_width_minutes, 1 - (30 - cfg.T) // 2
+        draws = []
+        for (rate, label), stream in zip(train, derive_streams(11, len(train))):
+            processed = preprocess(rate, cfg.pipeline)
+            if label == Label.POSITIVE:
+                sl = slice_training_window(processed, rate.onset_index, cfg.h_hours, bw, "pre_onset")
+            else:
+                sl = slice_training_window(processed, 0, cfg.h_hours, bw, "random", stream)
+            draws.append((advance(sl, sl.start_index - first), label, None))
+        assert prepare_training(train, cfg, 11) == LabeledDataset.from_draws(draws)
+
     def test_sweep_deterministic_and_monotone_envelope(self):
         trends, bgs = small_corpus()
         train, test = split_topics(trends, bgs, 3)
@@ -846,9 +860,9 @@ def raised(call):
 
 
 class TestSweepSharing:
-    """roc_sweep preprocesses each side once per t_smooth and computes each
-    (T, t_smooth, h) setting's trace distances once, voted at every gamma:
-    the results, and the errors, of one sweep per setting."""
+    """roc_sweep preprocesses each side once per (T, t_smooth, h) setting,
+    as one batch, and computes the setting's trace distances once, voted at
+    every gamma: the results, and the errors, of one sweep per setting."""
 
     THETAS = (1e-300, 0.5, 2.0, 1e300)
 
