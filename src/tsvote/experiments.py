@@ -10,7 +10,8 @@ preprocesses both sides of the split as one batch of rows
 (`pipeline.preprocess_rows`), builds its training set and kernel once and
 computes its trace distances once (`VotingKernel.trace_distances`); every
 gamma votes on those distances (`trace_votes`), and every theta reads the
-running maxima of the traces.
+running maxima of the traces. One rule places both sides' windows
+(`_placed_windows`): w-bucket training slices and (2 half + T)-bucket test regions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     blocks,
     integer_at_least,
     real_at_least,
-    require_support,
     stacked_windows,
 )
 from .errors import ParamError, SupportError
@@ -502,16 +502,35 @@ def split_topics(
     return train, test
 
 
+def _placed_windows(topics: Sequence, streams, width: int, past_onset: int, pipeline) -> tuple:
+    """(starts, windows) of each topic's width-bucket window: a trend's ends
+    past_onset buckets after its onset, a background topic's is placed at
+    random from one draw of its stream (pipeline.training_slice_start). Placed
+    in topic order, so the first topic with an error raises it; then the
+    topics are preprocessed as one batch (preprocess_rows) and each window is
+    cut from its row."""
+    starts = []
+    for (rate, label), stream in zip(topics, streams):
+        require_prefix(rate)
+        if label == Label.POSITIVE:
+            if rate.onset_index is None:
+                raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
+            anchor, mode = rate.onset_index + past_onset, "pre_onset"
+        else:
+            anchor, mode = 0, "random"
+        starts.append(training_slice_start(rate.topic_id, 1, len(rate), anchor, width, mode, stream))
+    rows = preprocess_rows([rate for rate, _ in topics], pipeline)
+    return starts, [row[first - 1 : first - 1 + width] for row, first in zip(rows, starts)]
+
+
 def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> LabeledDataset:
     """Preprocess, slice, and align the training half.
 
-    Trend slices end at their onset; background slices are placed at random.
-    Slices are re-indexed symmetrically around the observation window so the
-    shift range covers (almost) every T-chunk of each slice. rng_stream may be
-    a seed, a SeedSequence, or a pre-built per-topic stream sequence. Each
-    topic's slice is placed (pipeline.training_slice_start) in topic order, so
-    the first topic with an error raises it; then the topics are preprocessed
-    as one batch (preprocess_rows) and each slice is cut from its row.
+    Trend slices end at their onset; background slices are placed at random
+    (_placed_windows). Slices are re-indexed symmetrically around the
+    observation window so the shift range covers (almost) every T-chunk of
+    each slice. rng_stream may be a seed, a SeedSequence, or a pre-built
+    per-topic stream sequence.
     """
     w = window_buckets(cfg.h_hours, cfg.bucket_width_minutes)
     if w < cfg.T:
@@ -522,44 +541,12 @@ def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> Labe
             raise ParamError("need one rng stream per training topic")
     else:
         streams = derive_streams(rng_stream, len(topics))
-    starts = []
-    for (rate, label), stream in zip(topics, streams):
-        require_prefix(rate)
-        if label == Label.POSITIVE:
-            if rate.onset_index is None:
-                raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
-            anchor, mode = rate.onset_index, "pre_onset"
-        else:
-            anchor, mode = 0, "random"
-        starts.append(training_slice_start(rate.topic_id, 1, len(rate), anchor, w, mode, stream))
-    rows = preprocess_rows([rate for rate, _ in topics], cfg.pipeline)
+    _, slices = _placed_windows(topics, streams, w, 0, cfg.pipeline)
     target_start = 1 - (w - cfg.T) // 2
     return LabeledDataset.from_draws(
-        (TimeSeries(target_start, row[first - 1 : first - 1 + w], id=rate.topic_id), label, None)
-        for (rate, label), row, first in zip(topics, rows, starts)
+        (TimeSeries(target_start, values, id=rate.topic_id), label, None)
+        for (rate, label), values in zip(topics, slices)
     )
-
-
-def _test_anchors(corpus: Sequence, children, half: int, T: int) -> list:
-    """Each test topic's anchor: its onset, or for a background topic a
-    position drawn from its child seed where the detection region
-    [anchor - half - T + 1, anchor + half] fits. Checked in topic order, with
-    preprocess's and TimeSeries.window's errors."""
-    anchors = []
-    for (rate, label), child in zip(corpus, children):
-        require_prefix(rate)
-        if label == Label.POSITIVE:
-            if rate.onset_index is None:
-                raise ParamError(f"trend topic {rate.topic_id!r} has no onset_index")
-            anchor = rate.onset_index
-        else:
-            lo, hi = half + T, len(rate) - half
-            if hi < lo:
-                raise SupportError(f"topic {rate.topic_id!r} is too short for the detection region")
-            anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
-        require_support(rate.topic_id, 1, len(rate), anchor - half - T + 1, anchor + half)
-        anchors.append(anchor)
-    return anchors
 
 
 @dataclass(frozen=True)
@@ -667,8 +654,8 @@ def roc_sweep(
         raise ParamError(
             f"training and test topics overlap: {sorted(corpus_ids & train_ids)[:5]}"
         )
-    # common random numbers across grid points: slice placement and anchors are
-    # drawn once per topic, so settings differ only in their parameters
+    # common random numbers across grid points: every setting places a topic's
+    # window from the same seed, so settings differ only in their parameters
     train_ss, anchor_ss = np.random.SeedSequence(seed).spawn(2)
     train_children = train_ss.spawn(len(training))
     anchor_children = anchor_ss.spawn(len(corpus))
@@ -677,17 +664,14 @@ def roc_sweep(
     for T, t_smooth, h in itertools.product(grid.Ts, grid.t_smooths, grid.h_hours):
         pipeline = replace(base_cfg.pipeline, t_smooth=t_smooth)
         cfg = replace(base_cfg, h_hours=h, T=T, pipeline=pipeline)  # gammas are voted below
-        rngs = [np.random.default_rng(c) for c in train_children]
-        kernel = _detection_kernel(prepare_training(training, cfg, rngs), cfg)
+        kernel = _detection_kernel(prepare_training(training, cfg, train_children), cfg)
         half = window_buckets(h, bw)
-        anchors = _test_anchors(corpus, anchor_children, half, T)
-        rows = preprocess_rows([rate for rate, _ in corpus], pipeline)
-        regions = np.array(
-            [row[a - half - T : a + half] for row, a in zip(rows, anchors)]
-        ).reshape(len(corpus), 2 * half + T)
+        # a test region ends half past its anchor, a trend's onset
+        starts, regions = _placed_windows(corpus, anchor_children, 2 * half + T, half, pipeline)
+        regions = np.array(regions).reshape(len(corpus), 2 * half + T)
         maxima = _running_maxima(kernel, regions, half, grid.gammas)
         require_defined(maxima[0][:, -1])  # the first gamma's error comes before the next setting's
-        topics = [(rate.topic_id, label, a) for (rate, label), a in zip(corpus, anchors)]
+        topics = [(r.topic_id, label, s + half + T - 1) for (r, label), s in zip(corpus, starts)]
         settings.append(((T, t_smooth, h), topics, half, maxima))
     points, per_point_results = [], []
     for i, gamma in enumerate(grid.gammas):

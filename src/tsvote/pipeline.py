@@ -95,8 +95,10 @@ def _emphasized(v: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _smoothed(v: np.ndarray, t_smooth: int) -> np.ndarray:
-    """Sum of the last t_smooth entries along each row, truncated at the start."""
-    ones, out = np.ones(t_smooth), np.empty_like(v)
+    """Sum of the last t_smooth entries along each row, truncated at the start.
+    np.convolve takes its longer operand first, so every kernel longer than
+    the rows gives the same bits: one entry past the row length is the most built."""
+    ones, out = np.ones(min(t_smooth, v.shape[-1] + 1)), np.empty_like(v)
     for row, smoothed in zip(v, out):
         smoothed[:] = np.convolve(row, ones)[: row.size]
     return out
@@ -195,7 +197,8 @@ def training_slice_start(
 
     pre_onset ends the slice at the anchor; random places it uniformly inside
     the series, from one draw of rng_stream. Raises the error of a bad mode or
-    anchor, a missing stream, or a slice the series does not cover.
+    anchor, a missing stream, or a slice the series does not cover. The
+    detection sweep's test regions are placed by it too, 2 half + T wide.
     """
     if mode == "pre_onset":
         first = integer_at_least("anchor", anchor) - w + 1

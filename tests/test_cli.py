@@ -10,7 +10,8 @@ import pytest
 
 import tsvote.core as core
 from tsvote import (
-    CorpusConfig, Label, LabeledDataset, Provenance, TimeSeries, VotingParams, make_detection_corpus
+    CorpusConfig, Label, LabeledDataset, Provenance, TimeSeries, VotingParams, make_detection_corpus,
+    split_topics,
 )
 from tsvote.classify import MapKernel, VotingKernel
 from tsvote.cli import main
@@ -468,6 +469,20 @@ class TestPreprocessCommand:
         assert len(rec["values"]) == 30
         assert rec["start_index"] == 71
 
+    def test_a_window_far_past_the_series_smooths_as_the_whole_series(self, tmp_path, capsys, rng):
+        csv_in = tmp_path / "t.csv"
+        counts = rng.uniform(1, 10, 50)
+        csv_in.write_text("t,value\n" + "\n".join(f"{t},{v}" for t, v in enumerate(counts, 1)))
+        trees = []
+        for t_smooth in (1_000_000_000_000, 51):  # 51: one bucket past the series
+            out = tmp_path / f"out-{t_smooth}"
+            argv = ["preprocess", "--csv", str(csv_in), "--set", f"pipeline.t_smooth={t_smooth}",
+                    "--out", str(out)]
+            code, _, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            trees.append(read_tree_bytes(out))
+        assert trees[0] == trees[1]
+
 
 class TestGapAndBounds:
     def test_gap_command(self, generated, tmp_path, capsys):
@@ -666,6 +681,39 @@ class TestDetectCommand:
         assert code == 3
         assert f"need >= 2 {name} topics to split in half, got 1" in err
         assert stdout == "" and not out.exists()
+
+    def run_with_short_backgrounds(self, tmp_path, capsys, length):
+        """detect on topic files whose background topics hold `length` buckets,
+        firing everywhere (theta 1e-300); returns (code, err, out, test background id)."""
+        trends, bgs = make_detection_corpus(CorpusConfig(
+            n_trends=2, n_non_trends=2, length=300, onset_low=120, onset_high=200, seed=4
+        ))
+        bgs = [dataclasses.replace(rate, counts=rate.counts[:length]) for rate in bgs]
+        _, test = split_topics(trends, bgs, np.random.SeedSequence(0).spawn(2)[0])
+        argv = ["detect", "--seed", "0"] + self.DETECT_ARGS + ["--set", "detection.theta_grid=[1e-300]"]
+        for flag, rates in (("trends", trends), ("non-trends", bgs)):
+            dataio.write_rates(tmp_path / f"{flag}.jsonl", rates)
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.jsonl")]
+        out = tmp_path / "out"
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        bg_id = next(rate.topic_id for rate, label in test if label == Label.NEGATIVE)
+        return code, err, out, bg_id
+
+    def test_a_background_exactly_the_region_long_is_its_whole_region(self, tmp_path, capsys):
+        half, T = 30, 15  # one hour of 2-minute buckets
+        code, _, out, bg_id = self.run_with_short_backgrounds(tmp_path, capsys, 2 * half + T)
+        assert code == 0
+        row = next(r for r in dataio.read_jsonl(out / "detections.jsonl") if r["topic_id"] == bg_id)
+        # fired at the region's first window, which ends at bucket T: the region starts at 1
+        assert (row["detection_index"], row["relative_minutes"]) == (T, -2.0 * half)
+
+    def test_a_background_shorter_than_the_region_names_it(self, tmp_path, capsys):
+        code, err, out, bg_id = self.run_with_short_backgrounds(tmp_path, capsys, 2 * 30 + 15 - 1)
+        assert code == 3
+        assert err.splitlines() == [
+            f"error: series {bg_id!r} has 74 entries, shorter than the 75-bucket window"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0.5", "9"])
     def test_window_hours_is_retired(self, tmp_path, capsys, value):

@@ -34,6 +34,7 @@ from tsvote import (
     split_topics,
 )
 import tsvote.core as core
+import tsvote.experiments as experiments
 import tsvote.pipeline as pipeline
 from tsvote.classify import MapKernel, VotingKernel
 from tsvote.core import VotingParams, advance, stacked_windows
@@ -825,7 +826,8 @@ def reference_sweep(corpus, training, grid, base_cfg, seed=0):
             else:
                 lo, hi = half + T, processed.end_index - half
                 if hi < lo:
-                    raise SupportError(f"topic {rate.topic_id!r} is too short for the detection region")
+                    raise SupportError(f"series {rate.topic_id!r} has {len(rate)} entries, "
+                                       f"shorter than the {2 * half + T}-bucket window")
                 anchor = lo + int(np.random.default_rng(child).integers(0, hi - lo + 1))
             regions.append(processed.window(anchor - half - T + 1, anchor + half))
             topics.append((rate.topic_id, label, anchor))
@@ -901,6 +903,26 @@ class TestSweepSharing:
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         assert seen[0]["_chain"] == 2  # one block of rows per side
+
+    def test_one_placement_rule_for_both_sides(self, monkeypatch):
+        train, test = mixed_length_topics()
+        calls = []
+
+        def spy(series_id, start_index, length, anchor, w, *args):
+            calls.append((series_id, w))
+            return original(series_id, start_index, length, anchor, w, *args)
+
+        original = experiments.training_slice_start
+        monkeypatch.setattr(experiments, "training_slice_start", spy)
+        grid = SweepGrid(gammas=(1.0, 3.0), Ts=(15, 12), t_smooths=(20,), h_hours=(1.0, 0.8),
+                         thetas=self.THETAS)
+        roc_sweep(test, train, grid, small_base_cfg(), seed=8)
+        want = []
+        for T, h in itertools.product(grid.Ts, grid.h_hours):
+            half = window_buckets(h, small_base_cfg().bucket_width_minutes)
+            want += [(rate.topic_id, half) for rate, _ in train]
+            want += [(rate.topic_id, 2 * half + T) for rate, _ in test]
+        assert calls == want
 
     @pytest.mark.parametrize("case", ["prefix_after_onset", "test_prefix", "short_test", "early_onset",
                                       "short_slice", "undefined_then_short", "undefined"])

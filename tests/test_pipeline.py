@@ -96,6 +96,15 @@ class TestSmooth:
         assert out.values[-1] == pytest.approx(6.0)
         assert np.allclose(out.values, [1.0, 3.0, 6.0])
 
+    @pytest.mark.parametrize("length", [1, 2, 7, 40, 240])
+    def test_a_window_past_the_row_is_the_full_kernel_bit_for_bit(self, rng, length):
+        # the kernel stops one entry past the row; np.convolve swaps its operands
+        # for every kernel longer than the row, so the bits are those of t_smooth's
+        v = rng.uniform(0, 1, (3, length)) ** 1.2
+        for t_smooth in (length + 1, length + 2, 2 * length + 5, 10 * length + 3, 50 * length + 11):
+            full = np.array([np.convolve(row, np.ones(t_smooth))[:length] for row in v])
+            assert pipeline._smoothed(v, t_smooth).tobytes() == full.tobytes()
+
     def test_monotone_under_pointwise_larger_input(self, rng):
         a = rng.uniform(0, 1, 25)
         b = a + rng.uniform(0, 1, 25)

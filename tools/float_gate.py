@@ -5,8 +5,11 @@
 Each src directory is imported in a process of its own. It first runs, unhooked,
 `tsvote experiment` on configs/desk.cfg with 2 trials and `tsvote detect` on
 configs/detect.cfg (15 shifts), again with detection.h_hours = 1.6 and
-detection.T = 16 (33 shifts, more than core.SHIFT_GROUP), and again with
-detection.gamma_grid = [0.3, 1, 3, 10], and keeps the bytes of every file each
+detection.T = 16 (33 shifts, more than core.SHIFT_GROUP), again with
+detection.gamma_grid = [0.3, 1, 3, 10], and again on a grid of
+detection.t_grid = [12, 15], detection.h_grid = [0.8, 1.0] and
+detection.t_smooth_grid = [7, 20] (every (T, h) setting places its training
+slices and test regions anew), and keeps the bytes of every file each
 run writes, which must be byte-identical between the trees: experiment
 certifies most labels from GEMM bounds and computes exact distances only for
 the rows they leave undecided, and detect votes one block of trace distances
@@ -19,7 +22,7 @@ stream (n is the training size, None for the oracle; k for nn only), in call
 order within each key, so two trees that cut the same queries into different
 blocks record the same sequence per key. The runs are a replay of that
 experiment through the exact entry points (`replay_experiment`), a replay of
-each of the three detect runs (`replay_detect`: every (gamma, T, t_smooth, h)
+each of the four detect runs (`replay_detect`: every (gamma, T, t_smooth, h)
 setting in that order, one log_lambda_many call per chunk of test topics, as
 detect scored them before gammas shared distances; traces of 33 shifts sit
 under a key of their own, and each comes from ShiftWindows.expansion_minimum,
@@ -180,6 +183,9 @@ DETECT_RUNS = {
     "detect": [],
     "detect-wide": ["detection.h_hours=1.6", "detection.T=16"],
     "detect-gammas": ["detection.gamma_grid=[0.3,1,3,10]"],
+    "detect-grid": [
+        "detection.t_grid=[12,15]", "detection.h_grid=[0.8,1.0]", "detection.t_smooth_grid=[7,20]"
+    ],
 }
 
 
