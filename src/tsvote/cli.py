@@ -162,7 +162,7 @@ def cmd_classify(args) -> int:
     k = None if method in ("wmv", "map") else 1 if method == "nn" else args.k
     # every window is read, so a short series raises, before any verdict is out
     windows = stacked_windows([ts for ts, _ in series], 1, params.T)
-    verdicts = []
+    lines = []  # each verdict encoded once, for stdout and verdicts.jsonl
     for b in blocks(len(series), kernel.width):
         if method == "map":
             outcomes, nearest = kernel.classify_block(windows[b]), None
@@ -174,7 +174,7 @@ def cmd_classify(args) -> int:
             if nearest is not None:
                 idx, nn_dist, _ = nearest.row(p)
                 nn_id = train.examples()[idx].id
-            verdict = {
+            lines.append(dataio.dumps_canonical({
                 "schema_version": dataio.SCHEMA_VERSION,
                 "id": ts.id,
                 "method": method,
@@ -184,12 +184,10 @@ def cmd_classify(args) -> int:
                 "log_votes_neg": outcome.per_class_log_votes[1],
                 "nearest_id": nn_id,
                 "nearest_distance": nn_dist,
-            }
-            verdicts.append(verdict)
-    for verdict in verdicts:
-        _emit(verdict)
-    out = _out_dir(cfg)
-    dataio.write_jsonl(out / "verdicts.jsonl", verdicts)
+            }) + "\n")
+    text = "".join(lines)
+    sys.stdout.write(text)
+    (_out_dir(cfg) / "verdicts.jsonl").write_text(text, encoding="utf-8")
     return 0
 
 

@@ -2,6 +2,10 @@
 
 One JSON object per line, keys sorted, no timestamps: identical inputs produce
 byte-identical files.
+
+A malformed JSONL record, invalid JSON or a field its type refuses, raises
+ConfigError("<path>:<line>: ...") with its line in the file; a refused rate
+CSV count raises ConfigError("<path>: bad rate record (...)").
 """
 
 from __future__ import annotations
@@ -10,10 +14,9 @@ import contextlib
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .core import Label, LabeledDataset, Provenance, TimeSeries, integer_at_least
 from .errors import ConfigError, ParamError
@@ -38,18 +41,7 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 
 def read_jsonl(path) -> list[dict]:
-    path = Path(path)
-    records = []
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-    return records
+    return _read_records(path, "JSON", lambda rec: rec)
 
 
 def series_to_record(
@@ -66,15 +58,36 @@ def series_to_record(
 
 @contextlib.contextmanager
 def _bad_record(where: str, kind: str):
-    """Reraise a malformed record's error as ConfigError("<where>: bad <kind>
-    record (...)"). A ParamError of a record read without a location (where is
-    empty) propagates as it is."""
+    """Reraise a malformed record's error as ConfigError naming where:
+    "<where>: bad <kind> record (...)", or "<where>: <message>" for a
+    ConfigError of the record's own checks."""
     try:
         yield
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     except (KeyError, TypeError, ValueError, ParamError) as exc:
-        if isinstance(exc, ParamError) and not where:
-            raise
         raise ConfigError(f"{where}: bad {kind} record ({exc})") from exc
+
+
+def _read_records(path, kind: str, convert) -> list:
+    """convert(record) for each record of the JSONL file at path, in file order.
+    A record is located by its line in the file, blank lines counted: invalid
+    JSON and convert's errors both raise ConfigError("<path>:<line>: ...")."""
+    path = Path(path)
+    out = []
+    with path.open("r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from exc
+            with _bad_record(where, kind):
+                out.append(convert(rec))
+    return out
 
 
 def _integer(rec: dict, key: str, default=None) -> int:
@@ -82,16 +95,26 @@ def _integer(rec: dict, key: str, default=None) -> int:
     return integer_at_least(key, rec[key] if default is None else rec.get(key, default))
 
 
-def record_to_series(rec: dict, where: str = "") -> tuple:
+def record_to_series(rec: dict) -> tuple:
     """(TimeSeries, label or None, Provenance or None) from one JSONL record."""
-    with _bad_record(where, "series"):
-        ts = TimeSeries(rec["start_index"], np.asarray(rec["values"], dtype=np.float64),
-                        id=str(rec.get("id", "")))
-        label = Label.from_int(rec["label"]) if "label" in rec else None
-        prov = None
-        if "source_index" in rec:
-            prov = Provenance(_integer(rec, "source_index"), _integer(rec, "shift", 0))
+    ts = TimeSeries(rec["start_index"], rec["values"], id=str(rec.get("id", "")))
+    label = Label.from_int(rec["label"]) if "label" in rec else None
+    prov = None
+    if "source_index" in rec:
+        prov = Provenance(_integer(rec, "source_index"), _integer(rec, "shift", 0))
     return ts, label, prov
+
+
+def _read_series(path, unlabeled: str = "") -> list:
+    """record_to_series of each record; one without a label raises ConfigError(unlabeled)."""
+
+    def convert(rec):
+        draw = record_to_series(rec)
+        if unlabeled and draw[1] is None:
+            raise ConfigError(unlabeled)
+        return draw
+
+    return _read_records(path, "series", convert)
 
 
 def write_dataset(path, data: LabeledDataset) -> None:
@@ -99,12 +122,7 @@ def write_dataset(path, data: LabeledDataset) -> None:
 
 
 def read_dataset(path) -> LabeledDataset:
-    draws = []
-    for i, rec in enumerate(read_jsonl(path), start=1):
-        draw = record_to_series(rec, where=f"{path}:{i}")
-        if draw[1] is None:
-            raise ConfigError(f"{path}:{i}: dataset records must carry a label")
-        draws.append(draw)
+    draws = _read_series(path, "dataset records must carry a label")
     if not draws:
         raise ConfigError(f"{path}: dataset file is empty")
     return LabeledDataset.from_draws(draws)
@@ -112,10 +130,7 @@ def read_dataset(path) -> LabeledDataset:
 
 def read_series_file(path) -> list:
     """All (TimeSeries, label-or-None) pairs in a JSONL series file."""
-    out = []
-    for i, rec in enumerate(read_jsonl(path), start=1):
-        ts, label, _ = record_to_series(rec, where=f"{path}:{i}")
-        out.append((ts, label))
+    out = [(ts, label) for ts, label, _ in _read_series(path)]
     if not out:
         raise ConfigError(f"{path}: no series found")
     return out
@@ -146,18 +161,13 @@ def read_model(directory) -> LatentSourceModel:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{meta_path}: invalid JSON ({exc.msg})") from exc
-    sources = []
-    for i, rec in enumerate(read_jsonl(directory / "sources.jsonl"), start=1):
-        ts, label, _ = record_to_series(rec, where=f"{directory / 'sources.jsonl'}:{i}")
-        if label is None:
-            raise ConfigError(f"{directory / 'sources.jsonl'}:{i}: source records need a label")
-        sources.append((ts, label))
+    sources = _read_series(directory / "sources.jsonl", "source records need a label")
     with _bad_record(str(meta_path), "model"):
         integers = {k: _integer(meta, k) for k in ("delta_max", "window_start", "window_length")}
         noise = NoiseSpec(meta["noise"]["family"], meta["noise"]["sigma"])
     weights = meta.get("weights")
     return LatentSourceModel(
-        sources=tuple(sources),
+        sources=tuple((ts, label) for ts, label, _ in sources),
         noise=noise,
         weights=tuple(weights) if weights is not None else None,
         **integers,
@@ -175,14 +185,9 @@ def rate_to_record(rate: RateSeries) -> dict:
     return rec
 
 
-def record_to_rate(rec: dict, where: str = "") -> RateSeries:
-    with _bad_record(where, "rate"):
-        return RateSeries(
-            np.asarray(rec["counts"], dtype=np.float64),
-            rec.get("bucket_width_minutes", 2.0),
-            str(rec.get("topic_id", "")),
-            onset_index=rec.get("onset_index"),
-        )
+def record_to_rate(rec: dict) -> RateSeries:
+    return RateSeries(rec["counts"], rec.get("bucket_width_minutes", 2.0),
+                      str(rec.get("topic_id", "")), onset_index=rec.get("onset_index"))
 
 
 def write_rates(path, rates: Sequence[RateSeries]) -> None:
@@ -190,21 +195,14 @@ def write_rates(path, rates: Sequence[RateSeries]) -> None:
 
 
 def read_rates(path) -> list[RateSeries]:
-    rates = [
-        record_to_rate(rec, where=f"{path}:{i}")
-        for i, rec in enumerate(read_jsonl(path), start=1)
-    ]
+    rates = _read_records(path, "rate", record_to_rate)
     if not rates:
         raise ConfigError(f"{path}: no rate records found")
     return rates
 
 
-def read_rate_csv(
-    path,
-    bucket_width_minutes: float = 2.0,
-    topic_id: str = "",
-    onset_index: Optional[int] = None,
-) -> RateSeries:
+def read_rate_csv(path, bucket_width_minutes: float = 2.0, topic_id: str = "",
+                  onset_index: Optional[int] = None) -> RateSeries:
     """One topic from a t,value CSV; t must be consecutive integers."""
     path = Path(path)
     counts = []
@@ -228,9 +226,9 @@ def read_rate_csv(
             counts.append(value)
     if not counts:
         raise ConfigError(f"{path}: no rate rows found")
-    return RateSeries(
-        np.asarray(counts), bucket_width_minutes, topic_id or path.stem, onset_index=onset_index
-    )
+    with _bad_record(str(path), "rate"):  # the file's counts; the arguments are the caller's
+        rate = RateSeries(counts, topic_id=topic_id or path.stem)
+    return replace(rate, bucket_width_minutes=bucket_width_minutes, onset_index=onset_index)
 
 
 def write_manifest(path, seed: int, config: dict, counts: dict, files: dict) -> dict:

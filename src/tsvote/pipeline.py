@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, blocks, integer_at_least, real_at_least, require_support
+from .core import TimeSeries, _read_only, blocks, integer_at_least, real_at_least, require_support
 from .errors import EmptyPrefixError, ParamError, SupportError
 from .synth import RngStream, as_generator
 
@@ -37,8 +37,8 @@ class RateSeries:
             raise ParamError(f"topic {self.topic_id!r}: counts must be a non-empty vector")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ParamError(f"topic {self.topic_id!r}: counts must be nonnegative and finite")
-        if arr is self.counts and arr.flags.writeable:
-            arr = arr.copy()
+        if arr is self.counts and not _read_only(arr):
+            arr = arr.copy()  # the caller could still write it, or the array it views
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
         width = real_at_least("bucket_width_minutes", self.bucket_width_minutes, 0, strict=True)

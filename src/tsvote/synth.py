@@ -21,7 +21,7 @@ from .core import (
     integer_at_least,
     real_at_least,
 )
-from .errors import ParamError, ProvenanceError, SupportError
+from .errors import ParamError, ProvenanceError
 
 RngStream = Union[int, np.random.SeedSequence, np.random.Generator]
 

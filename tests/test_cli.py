@@ -169,6 +169,39 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="broken.jsonl:2"):
             dataio.read_jsonl(path)
 
+    SERIES = {"start_index": 1, "values": [0.0, 1.0]}
+    # reader, its file, a good record, and each malformed line 4 with the error it must give
+    LOCATED_READERS = {
+        "read_dataset": (dataio.read_dataset, "train.jsonl", {**SERIES, "label": 1}, [
+            (json.dumps({**SERIES, "values": [], "label": 1}), "bad series record"),
+            (json.dumps(SERIES), "dataset records must carry a label"),
+        ]),
+        "read_series_file": (dataio.read_series_file, "series.jsonl", SERIES, [
+            (json.dumps({**SERIES, "label": 2}), "bad series record"),
+        ]),
+        "read_model": (dataio.read_model, "sources.jsonl", {**SERIES, "label": -1}, [
+            (json.dumps({**SERIES, "start_index": 1.5, "label": -1}), "bad series record"),
+            (json.dumps(SERIES), "source records need a label"),
+        ]),
+        "read_rates": (dataio.read_rates, "rates.jsonl", {"counts": [1.0, 2.0]}, [
+            (json.dumps({"counts": [1.0, -2.0]}), "bad rate record"),
+        ]),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(LOCATED_READERS))
+    def test_a_bad_record_is_located_by_its_file_line(self, tmp_path, reader):
+        # line 4, after two blank lines: a field error used to name the record's
+        # index (2), and invalid JSON on a later line (5) used to be raised first
+        read, name, good, defects = self.LOCATED_READERS[reader]
+        path = tmp_path / name
+        (tmp_path / "model.json").write_text("{}")  # read_model parses it before its sources
+        for line, reason in defects + [("not-json", "invalid JSON")]:
+            for tail in ("", "{\n"):
+                path.write_text(f"{json.dumps(good)}\n\n\n{line}\n{tail}")
+                with pytest.raises(ConfigError) as info:
+                    read(tmp_path if read is dataio.read_model else path)
+                assert str(info.value).startswith(f"{path}:4: {reason}"), str(info.value)
+
 
 class TestGenerate:
     def test_writes_everything_and_round_trips(self, tmp_path, capsys):
@@ -468,6 +501,25 @@ class TestPreprocessCommand:
         rec = dataio.read_jsonl(out / "preprocessed.jsonl")[0]
         assert len(rec["values"]) == 30
         assert rec["start_index"] == 71
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "-3"])
+    def test_a_bad_csv_count_exits_1_naming_the_file(self, tmp_path, capsys, count):
+        # such a count used to exit 3 without naming the file, unlike a rate JSONL's
+        csv_in = tmp_path / "rate.csv"
+        csv_in.write_text(f"t,value\n1,5\n2,{count}\n3,2\n")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["preprocess", "--csv", str(csv_in), "--out", str(out)], capsys)
+        assert code == 1
+        reason = "topic 'rate': counts must be nonnegative and finite"
+        assert err == f"error: {csv_in}: bad rate record ({reason})\n"
+        assert stdout == "" and not out.exists()
+        # an --onset-index past the file comes from the command line: still exit 3
+        csv_in.write_text("t,value\n1,5\n2,6\n3,2\n")
+        argv = ["preprocess", "--csv", str(csv_in), "--onset-index", "4", "--out", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 3
+        assert err == "error: topic 'rate': onset_index 4 outside [1, 3]\n"
+        assert stdout == "" and not out.exists()
 
     def test_a_window_far_past_the_series_smooths_as_the_whole_series(self, tmp_path, capsys, rng):
         csv_in = tmp_path / "t.csv"

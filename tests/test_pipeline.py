@@ -174,6 +174,18 @@ class TestPreprocess:
         assert rate.onset_index == 3 and type(rate.onset_index) is int
         assert PipelineParams(t_smooth=2.0).t_smooth == 2
 
+    def test_a_read_only_view_of_writable_counts_is_copied(self):
+        # counts were kept whenever the view itself was read-only, so writing
+        # its base could turn a validated count negative
+        base = np.ones(5)
+        view = base[:]
+        view.setflags(write=False)
+        rate = RateSeries(view)
+        base[0] = -1.0
+        assert rate.counts.tolist() == [1.0] * 5
+        # counts read-only throughout are shared
+        assert np.shares_memory(RateSeries(rate.counts).counts, rate.counts)
+
     def test_param_validation(self):
         with pytest.raises(ParamError):
             PipelineParams(alpha=0.5)
