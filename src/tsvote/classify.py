@@ -7,7 +7,12 @@ per-example minimum over shifts, bound by GEMMs and verified, bit for bit the
 grid's min and first argmin.
 `_vote_dists` is the one rule for the exact distances a query votes with: the
 minimum in `min` mode, every grid cell in `sum` mode and for the oracle; k-NN
-and nearest neighbor read the minimum. Traces (`log_lambda_many`) take two
+and nearest neighbor read the minimum. `min_dists`, `min_dists_block` and so
+the library calls verify every example's minimum for every query;
+`verdict_and_nearest_block` (the `classify` command), for k-NN and for its
+nearest example, verifies only the examples whose bounds can place them among
+a query's k nearest (`ShiftWindows.minimum` with k), which gives the same
+verdicts and nearest examples bit for bit. Traces (`log_lambda_many`) take two
 steps: `trace_distances` gives each block's distances, in `min` mode the GEMM
 form's minimum over shifts, unverified (`expansion_minimum`, one GEMM per
 shift), and in `sum` mode `_vote_dists`, bit for bit as `gwmv_block` votes;
@@ -319,8 +324,17 @@ class VotingKernel:
         """(P, n) per-example minimum distances and first minimizing shifts of
         the rows of a (P, T) block of query windows: row p is min_dists of a
         series whose [1, T] window is Q[p]."""
-        dmin, j = self._windows.minimum(_queries(Q, self.params.T))
-        return dmin.T, j.T + self._windows.first_shift
+        return self._minimum(_queries(Q, self.params.T))
+
+    def _minimum(self, Q: np.ndarray, k=None) -> tuple[np.ndarray, np.ndarray]:
+        """min_dists_block of a block Q that _queries has checked; with k,
+        ShiftWindows.minimum's: exact for every example that can be among a
+        row's k nearest, +inf for the others."""
+        windows = self._windows
+        # the full minimum is called as before, minimum(Q), so that wrappers
+        # of that signature (tests' counters, the float gate) still bind
+        dmin, j = windows.minimum(Q) if k is None else windows.minimum(Q, k=k)
+        return dmin.T, j.T + windows.first_shift
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
         """Per-example minimum distance and its first minimizing shift: exactly
@@ -365,6 +379,13 @@ class VotingKernel:
         D, R = _block(D, self.n), _block(R, self.n)
         return _certified_nearest(self.params.gamma, D, R, self.n_pos)
 
+    def _neighbours(self, k) -> int:
+        """k as an int; ParamError unless it is an integer in [1, n]."""
+        k = integer_at_least("k", k, 1)
+        if k > self.n:
+            raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
+        return k
+
     def _classes(self, D: np.ndarray) -> tuple:
         """The positive and negative parts of voting distances whose last axis
         runs over the examples (min mode) or every (example, shift) cell (sum mode)."""
@@ -387,9 +408,7 @@ class VotingKernel:
         k = 1 the one example is the first minimizer, which argmin returns
         without a sort (as in _nearest).
         """
-        k = integer_at_least("k", k, 1)
-        if k > self.n:
-            raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
+        k = self._neighbours(k)
         D = _block(D, self.n)
         if k == 1:
             selected = D.argmin(axis=-1)[:, None]
@@ -435,14 +454,21 @@ class VotingKernel:
         """The verdicts of the rows of a (P, T) block of query windows (voting,
         or k-NN when k is given) and their nearest examples, from one block
         shift minimum: row p is verdict_and_nearest of a series whose [1, T]
-        window is Q[p]."""
+        window is Q[p].
+
+        Only min-mode voting reads every example's minimum. k-NN and the
+        nearest example read a row's k nearest (1 nearest), so the minimum
+        verifies only the examples that can be among them
+        (ShiftWindows.minimum with k), and knn_block and _nearest read the
+        same exact values, bit for bit, as from the full minimum."""
         Q = _queries(Q, self.params.T)
-        dmin, shifts = self.min_dists_block(Q)
-        if k is None:
-            outcome = self.gwmv_block(_vote_dists(self._windows, Q, self.params.shift_mode, dmin))
-        else:
-            outcome = self.knn_block(dmin, k)
-        return outcome, _nearest(dmin, shifts)
+        if k is not None:
+            k = self._neighbours(k)  # before the engine runs
+            dmin, shifts = self._minimum(Q, k)
+            return self.knn_block(dmin, k), _nearest(dmin, shifts)
+        mode = self.params.shift_mode
+        dmin, shifts = self._minimum(Q, None if mode == "min" else 1)
+        return self.gwmv_block(_vote_dists(self._windows, Q, mode, dmin)), _nearest(dmin, shifts)
 
     def verdict_and_nearest(self, s: TimeSeries, k=None) -> tuple:
         """(gwmv(s), or knn(s, k) when k is given, and nearest(s)): row 0 of

@@ -162,6 +162,7 @@ def cmd_classify(args) -> int:
     k = None if method in ("wmv", "map") else 1 if method == "nn" else args.k
     # every window is read, so a short series raises, before any verdict is out
     windows = stacked_windows([ts for ts, _ in series], 1, params.T)
+    examples = train.examples() if train is not None else ()
     lines = []  # each verdict encoded once, for stdout and verdicts.jsonl
     for b in blocks(len(series), kernel.width):
         if method == "map":
@@ -173,7 +174,7 @@ def cmd_classify(args) -> int:
             nn_id, nn_dist = None, None
             if nearest is not None:
                 idx, nn_dist, _ = nearest.row(p)
-                nn_id = train.examples()[idx].id
+                nn_id = examples[idx].id
             lines.append(dataio.dumps_canonical({
                 "schema_version": dataio.SCHEMA_VERSION,
                 "id": ts.id,

@@ -15,7 +15,10 @@ use. Its forms of the distances are:
 - `minimum`, the one bound-and-verify: each series' exact minimum over shifts
   and its first minimizer, decided by the two smallest d~ over shifts (from
   the same shift walk for several queries, from one banded row for one) and
-  computed with `sq_dists`;
+  computed with `sq_dists`. Without k it verifies every series for every
+  query; given k, only the series whose bound can place them among a query's
+  k nearest (the filter-and-refine of GEMINI, Faloutsos et al., SIGMOD 1994),
+  and the others read +inf;
 - `minimum_bound` and `grid_bound`, the same two GEMM forms unverified, each
   with its radius 2 eps: the minimum over shifts, or every cell. The error
   curves certify their labels from these bounds and compute exact distances
@@ -598,9 +601,11 @@ class ShiftWindows:
         d[rows, shift] = np.inf
         return first[:, None], d.min(axis=1)[:, None], shift[:, None]
 
-    def minimum(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def minimum(self, Q: np.ndarray, *, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """(n, P) min and first argmin over shifts of the (n, S, P) exact grids
-        of the (P, T) block Q, bit for bit, without building them.
+        of the (P, T) block Q, bit for bit, without building them; with k
+        (1 <= k <= n), only of the rows that can be among each query's k
+        nearest, and +inf at shift 0 for every other row.
 
         Per row and query, where the second-smallest d~ over shifts exceeds
         the smallest by more than 2 eps (_two_smallest, expansion_slack), the
@@ -610,25 +615,73 @@ class ShiftWindows:
         are, and their first argmin is taken. Q is walked in blocks of
         queries whose five (n, p) arrays of the walk fit in BLOCK_VALUES, so
         at full scale each block is one query, a banded row.
+
+        With k, a row is a candidate for a query when its lower bound
+        first - 2 eps is at or below the k-th smallest upper bound
+        first + 2 eps of that query's rows, and only candidates are verified,
+        either way. A skipped row's exact minimum is above the exact minima
+        of k rows: let t be that k-th smallest upper bound, J the k rows
+        whose upper bounds are at most t, and D_i the exact minimum of row
+        i. first_i, the smallest computed d~ (one per query: |q|^2 is common
+        to all rows and left out of both sides), is within eps_i of
+        D_i - |q|^2, as every d~ is of its cell. As D_i <= 2 N_i, with
+        N_i = R_i + |q|^2, |first_i| + 2 eps_i is at most 2 N_i + 3 eps_i,
+        so rounding first_i -+ 2 eps_i moves it by at most u (2 N_i +
+        3 eps_i), under a tenth of eps_i >= 40 u N_i (u the unit roundoff;
+        the tiny term of eps covers subnormals). A skipped row i has
+        fl(first_i - 2 eps_i) > t >= fl(first_j + 2 eps_j) for each j in J,
+        hence D_i - |q|^2 >= first_i - eps_i > first_j + eps_j
+        >= D_j - |q|^2, so D_i > D_j. With k rows strictly nearer, row i is
+        neither among the first k in the order of a stable sort by distance
+        nor the first minimizer, and every row that is among them is a
+        candidate, hence exact. So a stable sort's first k rows, and an
+        argmin, are the same rows, with the same distances and shifts, as
+        those of the full minimum. An overflowing norm gives no bound, and
+        then every row is verified.
         """
         (n, S, T), P = self.views.shape, len(Q)
-        dmin, j = np.empty((n, P)), np.empty((n, P), dtype=np.intp)
+        dmin, j = np.full((n, P), np.inf), np.zeros((n, P), dtype=np.intp)
         for b in blocks(P, 5 * n):
             q, eps, block_min, block_j = Q[b], self.slack(Q[b]), dmin[:, b], j[:, b]
             tied = np.ones(block_min.shape, dtype=bool)  # an overflowing norm: every pair
             if eps is not None:
                 first, second, shift = self._two_smallest(q)
-                tied = second - first <= 2.0 * eps
-                block_min[:], block_j[:] = self._verify_candidates(q, shift)
-                del first, second, shift, eps  # not held into the next block's walk
+                radius = np.multiply(eps, 2.0, out=eps)
+                tied = second - first <= radius
+                if k is None:
+                    block_min[:], block_j[:] = self._verify_candidates(q, shift)
+                else:
+                    # the upper bounds, in second's buffer, which is read no more
+                    np.add(first, radius, out=second).partition(k - 1, axis=0)
+                    candidate = np.subtract(first, radius, out=first) <= second[k - 1]
+                    tied &= candidate
+                    rows, queries = np.nonzero(candidate & ~tied)
+                    block_min[rows, queries], block_j[rows, queries] = self._verify_pairs(
+                        q, rows, queries, shift[rows, queries]
+                    )
+                del first, second, shift, eps, radius  # not held into the next block's walk
             rows, queries = np.nonzero(tied)
-            # a tied pair's windows and their differences: S T values, plus its query
-            for c in blocks(rows.size, (S + 1) * T) if rows.size else ():
-                windows = self.views[rows[c]]
-                d = sq_dists(windows, q[queries[c], None], out=windows)
-                first_j = d.argmin(axis=1)  # argmin returns the first minimum
-                block_min[rows[c], queries[c]] = d[np.arange(len(d)), first_j]
-                block_j[rows[c], queries[c]] = first_j
+            if rows.size:
+                verified = self._verify_pairs(q, rows, queries)
+                block_min[rows, queries], block_j[rows, queries] = verified
+        return dmin, j
+
+    def _verify_pairs(self, Q: np.ndarray, rows, queries, shifts=None) -> tuple:
+        """(min, first argmin) over shifts of the exact cells of row rows[i]
+        and query Q[queries[i]] for each pair i: of every shift's cell, or,
+        given shifts, of the one cell at shift shifts[i]. Pairs are taken in
+        blocks whose windows and differences, plus their queries, fit in
+        BLOCK_VALUES; one-cell pairs, as _verify_candidates's, in blocks of
+        at most BLOCK_VALUES / 4 values."""
+        S, T = self.views.shape[1:]
+        dmin, j = np.empty(rows.size), np.empty(rows.size, dtype=np.intp)
+        for c in blocks(rows.size, (S + 1 if shifts is None else 4) * T) if rows.size else ():
+            r = rows[c]
+            windows = self.views[r] if shifts is None else self.views[r, shifts[c], None]
+            d = sq_dists(windows, Q[queries[c], None], out=windows)
+            first_j = d.argmin(axis=1)  # argmin returns the first minimum
+            dmin[c] = d[np.arange(len(d)), first_j]
+            j[c] = first_j if shifts is None else shifts[c]
         return dmin, j
 
     def _verify_candidates(self, Q: np.ndarray, j: np.ndarray) -> tuple:

@@ -5,7 +5,10 @@ byte-identical files.
 
 A malformed JSONL record, invalid JSON or a field its type refuses, raises
 ConfigError("<path>:<line>: ...") with its line in the file; a refused rate
-CSV count raises ConfigError("<path>: bad rate record (...)").
+CSV count raises ConfigError("<path>: bad rate record (...)"), and a refused
+model.json field, its weights among them, ConfigError("<path>: bad model
+record (...)"). An input file with no records raises a ConfigError that
+names it.
 """
 
 from __future__ import annotations
@@ -161,17 +164,19 @@ def read_model(directory) -> LatentSourceModel:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{meta_path}: invalid JSON ({exc.msg})") from exc
-    sources = _read_series(directory / "sources.jsonl", "source records need a label")
+    sources_path = directory / "sources.jsonl"
+    sources = _read_series(sources_path, "source records need a label")
+    if not sources:
+        raise ConfigError(f"{sources_path}: source file is empty")
     with _bad_record(str(meta_path), "model"):
         integers = {k: _integer(meta, k) for k in ("delta_max", "window_start", "window_length")}
-        noise = NoiseSpec(meta["noise"]["family"], meta["noise"]["sigma"])
-    weights = meta.get("weights")
-    return LatentSourceModel(
-        sources=tuple((ts, label) for ts, label, _ in sources),
-        noise=noise,
-        weights=tuple(weights) if weights is not None else None,
-        **integers,
-    )
+        weights = meta.get("weights")
+        return LatentSourceModel(
+            sources=tuple((ts, label) for ts, label, _ in sources),
+            noise=NoiseSpec(meta["noise"]["family"], meta["noise"]["sigma"]),
+            weights=tuple(weights) if weights is not None else None,
+            **integers,
+        )
 
 
 def rate_to_record(rate: RateSeries) -> dict:
@@ -208,12 +213,14 @@ def read_rate_csv(path, bucket_width_minutes: float = 2.0, topic_id: str = "",
     counts = []
     with path.open("r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        prev_t = None
+        prev_t, header = None, True  # the first non-blank row may be a header
         for lineno, row in enumerate(reader, start=1):
             if not row or not row[0].strip():
                 continue
-            if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
-                continue  # header row
+            if header:
+                header = False
+                if not row[0].strip().lstrip("-").isdigit():
+                    continue
             if len(row) < 2:
                 raise ConfigError(f"{path}:{lineno}: expected 't,value' rows")
             try:

@@ -1117,6 +1117,93 @@ class TestBlocks:
         assert nearest.row(7) == (5, 0.0, 0)  # the positive, not its twin at index 24
         assert D[7, 24] == 0.0
 
+    def k_instance(self, rng, shift_mode, overflow=False):
+        """A kernel of 24 positives and 21 negatives and 40 queries. Positives
+        0 and 1 and negative 0 (index 24) are one constant series: a query on
+        that constant is at distance 0 from all three at every shift, so each
+        pair goes through the tie path and the positives come first in tie
+        order. Negative 1 (index 25) repeats positive 5, on which a query
+        ties the two at distance 0. With overflow, positive 2's squared norm
+        overflows, so no pair has a bound."""
+        data, _ = random_instance(rng, 24, 20, T=self.T, delta_max=self.DMAX)
+        L = self.T + 2 * self.DMAX
+        constant = TimeSeries(1 - self.DMAX, np.full(L, 0.75), id="constant")
+        twin = TimeSeries(data.positives[5].start_index, data.positives[5].values, id="twin")
+        positives = (constant, constant) + data.positives[2:]
+        if overflow:
+            huge = TimeSeries(1 - self.DMAX, np.full(L, 3e153), id="huge")
+            positives = positives[:2] + (huge,) + positives[3:]
+        data = LabeledDataset(positives, (constant, twin) + data.negatives)
+        kernel = VotingKernel(data, VotingParams(0.5, self.T, self.DMAX, shift_mode=shift_mode))
+        Q = rng.standard_normal((40, self.T))
+        Q[3], Q[7] = 0.75, twin.window(1, self.T)
+        return kernel, Q
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    @pytest.mark.parametrize("shift_mode", ["min", "sum"])
+    @pytest.mark.parametrize("k", [1, 2, 5, "n"])
+    def test_k_nearest_verdicts_equal_those_of_the_full_minimum(self, rng, shift_mode, k, overflow):
+        # verdict_and_nearest_block verifies only the examples that can be
+        # among the k nearest; k-NN and the nearest example read them alone
+        kernel, Q = self.k_instance(rng, shift_mode, overflow)
+        k = kernel.n if k == "n" else k
+        D, shifts = kernel.min_dists_block(Q)
+        if overflow:
+            assert kernel._windows.slack(Q) is None
+        block, nearest = kernel.verdict_and_nearest_block(Q, k)
+        assert block_bytes(block) == block_bytes(kernel.knn_block(D, k))
+        want = _nearest(D, shifts)
+        for got, full in zip(nearest, want):
+            assert got.tobytes() == full.tobytes()
+        assert nearest.row(3) == (0, 0.0, -self.DMAX)  # the first shift of the first positive
+        assert nearest.row(7) == (5, 0.0, 0)  # the positive, not its twin at index 25
+        assert D[3, [0, 1, 24]].tolist() == [0.0] * 3 and D[7, 25] == 0.0
+
+    @pytest.mark.parametrize("k", [1, 5, "n"])
+    def test_the_k_path_verifies_only_candidate_pairs(self, rng, monkeypatch, k):
+        # a pair is a candidate where its lower bound first - 2 eps reaches the
+        # query's k-th smallest upper bound first + 2 eps; a tied candidate
+        # costs every shift's cell, any other one cell, the rest none
+        kernel, Q = self.k_instance(rng, "min")
+        k = kernel.n if k == "n" else k
+        windows = kernel._windows
+        first, second, _ = windows._two_smallest(Q)
+        radius = 2.0 * windows.slack(Q)
+        upper = np.sort(first + radius, axis=0)[k - 1]
+        candidate = first - radius <= upper
+        tied = second - first <= radius
+        S = windows.views.shape[1]
+        want = int((candidate & ~tied).sum() + S * (candidate & tied).sum())
+        assert candidate.sum(axis=0).min() >= k
+        assert tied[[0, 1, 24], 3].all()  # the constant query's three ties
+        cells, direct = [], core.sq_dists
+
+        def counting(a, b, out=None):
+            cells.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+            return direct(a, b, out=out)
+
+        monkeypatch.setattr(core, "sq_dists", counting)
+        kernel.verdict_and_nearest_block(Q, k)
+        assert sum(cells) == want
+        if k < kernel.n:
+            assert want < kernel.n * len(Q)
+
+    @pytest.mark.parametrize("k", [0, 1.5, "n + 1"])
+    def test_a_bad_k_is_refused_before_the_engine_runs(self, rng, monkeypatch, k):
+        kernel, Q = self.k_instance(rng, "min")
+        k = kernel.n + 1 if k == "n + 1" else k
+        D = np.zeros((len(Q), kernel.n))
+        with pytest.raises(ParamError) as from_knn:
+            kernel.knn_block(D, k)
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(core.ShiftWindows, "minimum", engine)
+        with pytest.raises(ParamError) as from_block:
+            kernel.verdict_and_nearest_block(Q, k)
+        assert str(from_block.value) == str(from_knn.value)
+
     @pytest.mark.parametrize(
         "entry",
         ["min_dists_block", "verdict_and_nearest_block", "MapKernel.classify_block", "log_lambda_many"],

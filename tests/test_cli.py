@@ -157,6 +157,16 @@ class TestSerialization:
         rate = dataio.read_rate_csv(path, topic_id="demo")
         assert np.array_equal(rate.counts, [5.0, 6.0, 2.0])
 
+    def test_rate_csv_header_may_follow_blank_lines(self, tmp_path):
+        # only line 1 used to be a possible header: this exited 1 with
+        # "invalid literal for int() with base 10: 't'"
+        path = tmp_path / "rate.csv"
+        path.write_text("\n ,\nt,value\n1,5\n2,6\n")
+        assert np.array_equal(dataio.read_rate_csv(path).counts, [5.0, 6.0])
+        path.write_text("\n1,5\nt,value\n")  # a header after a row is a bad row
+        with pytest.raises(ConfigError, match="rate.csv:3: invalid literal"):
+            dataio.read_rate_csv(path)
+
     def test_rate_csv_rejects_gaps(self, tmp_path):
         path = tmp_path / "rate.csv"
         path.write_text("1,5\n3,6\n")
@@ -984,6 +994,36 @@ class TestExitCodes:
         assert code == 1
         reason = f"{field} must be an integer, got {value!r}"
         assert err == f"error: {meta_path}: bad model record ({reason})\n"
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("case", ["weights=5", "weights=1,-1,...", "empty sources"])
+    def test_a_bad_model_names_its_file(self, tmp_path, capsys, case):
+        # weights used to be read outside the model record: 5 ended in a
+        # TypeError traceback and a negative weight exited 3 naming no file;
+        # an empty sources.jsonl exited 3 with "the model needs at least one source"
+        generated = tmp_path / "gen"
+        code, _, _ = run_cli(["generate", "--seed", "1", "--out", str(generated)] + GEN_ARGS, capsys)
+        assert code == 0
+        meta_path, sources = generated / "model.json", generated / "sources.jsonl"
+        meta = json.loads(meta_path.read_text())
+        m = len(dataio.read_jsonl(sources))
+        if case == "empty sources":
+            sources.write_text("\n", encoding="utf-8")
+            want = f"{sources}: source file is empty"
+        elif case == "weights=5":
+            meta["weights"] = 5
+            want = f"{meta_path}: bad model record ('int' object is not iterable)"
+        else:
+            meta["weights"] = [1, -1] + [1] * (m - 2)
+            want = f"{meta_path}: bad model record (weights must be finite and >= 0, got -1)"
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            ["classify", "--model", str(generated), "--series", str(generated / "test.jsonl"),
+             "--method", "map", "--T", "4", "--out", str(out)], capsys,
+        )
+        assert code == 1
+        assert err == f"error: {want}\n"
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["preprocess", "detect"])

@@ -40,12 +40,17 @@ under a (T, n, S) key: per query its n minimum distances over shifts, then its
 n first minimizing shifts. The runs compute no class gap, so every call is per
 series; the axis argument of older trees' minimum is passed through. These are
 exact by contract, so the min stream must be byte-identical between the trees.
+A call with k (`classify --method nn` and `knn`, which verify only the
+examples that can be among a query's k nearest) records the minimum without
+k, so the stream matches a tree that verified every example; its own result
+must equal that minimum bit for bit wherever it is finite, and be finite at
+every example among the k nearest.
 
 Exits 1 unless the experiment and detect outputs and the min streams are byte-identical,
-and for the other streams both trees record the same keys with the same
-number of values per key, every value has |change - parent| <= 1e-12
-max(1, |parent|), and every label flip is a near-tie, |parent - log theta|
-<= 1e-9. The flip point
+no call with k of either tree failed its check, and for the other streams
+both trees record the same keys with the same number of values per key,
+every value has |change - parent| <= 1e-12 max(1, |parent|), and every label
+flip is a near-tie, |parent - log theta| <= 1e-9. The flip point
 is 0 for wmv, nn and map (every run uses theta = 1) and each log theta of
 detect.cfg for traces. A value that differs where either side is not finite
 (k-NN with k = 1 gives +-inf) fails the gate and is counted on its own; the
@@ -226,7 +231,7 @@ def record(src: str, path: str) -> None:
             return out
 
         setattr(cls, name, wrapper)
-    streams["min"] = _record_minimum(tsvote.core.ShiftWindows)
+    streams["min"], restricted = _record_minimum(tsvote.core.ShiftWindows)
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
@@ -260,25 +265,46 @@ def record(src: str, path: str) -> None:
                 "--method", method, "--out", f"{work}/classify-{i}")
     points = {"wmv": [0.0], "nn": [0.0], "map": [0.0]}
     points["trace"] = [math.log(t) for t in sweep_grid(load_config(detect)).thetas]
-    doc = {"source": tsvote.__file__, "outputs": outputs, "streams": streams, "points": points}
+    doc = {"source": tsvote.__file__, "outputs": outputs, "streams": streams, "points": points,
+           "restricted": restricted}
     Path(path).write_text(json.dumps(doc))
 
 
-def _record_minimum(cls) -> dict:
-    """Wrap cls.minimum so that it records its results; returns the keys."""
-    keys, original = {}, cls.minimum
+def _record_minimum(cls) -> tuple:
+    """Wrap cls.minimum so that it records its results; returns the keys and
+    the count of calls with k and the problems found in them.
 
-    def minimum(self, Q, *axis):
+    A call with k records the unrestricted minimum, so that the stream is the
+    same as a tree's that verifies every example. Its own result must equal
+    that minimum bit for bit wherever it is finite, distances and shifts, and
+    be finite for every example that a stable sort of the unrestricted
+    distances places among a query's k nearest."""
+    keys, checked, original = {}, {"calls": 0, "problems": []}, cls.minimum
+
+    def minimum(self, Q, *axis, k=None):
         dmin, j = original(self, Q, *axis)
         n, S = self.views.shape[:2]
+        key = f"T={self.T} n={n} S={S}"
         # per query its distances, then its shifts: the same sequence whichever
         # blocks of queries the calls are given
         per_query = np.hstack([np.transpose(dmin), np.transpose(j)])
-        keys.setdefault(f"T={self.T} n={n} S={S}", []).extend(np.ravel(per_query).tolist())
-        return dmin, j
+        keys.setdefault(key, []).extend(np.ravel(per_query).tolist())
+        if k is None:
+            return dmin, j
+        got_min, got_j = original(self, Q, *axis, k=k)
+        checked["calls"] += 1
+        problems = checked["problems"]
+        finite = np.isfinite(got_min)
+        nearest = np.argsort(dmin, axis=0, kind="stable")[:k]
+        if not (got_min[finite].tobytes() == dmin[finite].tobytes()
+                and np.array_equal(got_j[finite], j[finite])):
+            problems.append(f"{key} k={k}: a finite entry differs from the full minimum")
+        if not np.take_along_axis(finite, nearest, axis=0).all():
+            problems.append(f"{key} k={k}: one of the k nearest was not verified")
+        return got_min, got_j
 
     cls.minimum = minimum
-    return keys
+    return keys, checked
 
 
 def compare_exact(name: str, parent: dict, change: dict) -> bool:
@@ -349,6 +375,13 @@ def main(argv: list) -> int:
         else compare(name, values, change["streams"][name], parent["points"][name])
         for name, values in parent["streams"].items()
     ]
+    for side, run in (("parent", parent), ("change", change)):
+        problems = run["restricted"]["problems"]
+        results.append(not problems)
+        print(f"min with k, {side}: {run['restricted']['calls']} calls, {len(problems)} "
+              f"problems: {'ok' if not problems else 'FAIL'}")
+        for problem in problems:
+            print(f"  {problem}")
     return 0 if all(results) else 1
 
 
