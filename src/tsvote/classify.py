@@ -331,9 +331,7 @@ class VotingKernel:
         ShiftWindows.minimum's: exact for every example that can be among a
         row's k nearest, +inf for the others."""
         windows = self._windows
-        # the full minimum is called as before, minimum(Q), so that wrappers
-        # of that signature (tests' counters, the float gate) still bind
-        dmin, j = windows.minimum(Q) if k is None else windows.minimum(Q, k=k)
+        dmin, j = windows.minimum(Q, k=k)
         return dmin.T, j.T + windows.first_shift
 
     def min_dists(self, s: TimeSeries) -> tuple[np.ndarray, np.ndarray]:

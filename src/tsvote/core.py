@@ -610,25 +610,26 @@ class ShiftWindows:
         Per row and query, where the second-smallest d~ over shifts exceeds
         the smallest by more than 2 eps (_two_smallest, expansion_slack), the
         smallest one's shift is the first minimizer: only that cell is
-        computed, with sq_dists. Otherwise (ties: constant or duplicated
-        windows, or an overflowing norm) all S cells of that row and query
-        are, and their first argmin is taken. Q is walked in blocks of
-        queries whose five (n, p) arrays of the walk fit in BLOCK_VALUES, so
-        at full scale each block is one query, a banded row.
+        computed, with sq_dists (_verify_cells). Otherwise (ties: constant or
+        duplicated windows, or an overflowing norm) all S cells of that row
+        and query are, and their first argmin is taken (_verify_shifts). Q is
+        walked in blocks of queries whose five (n, p) arrays of the walk fit
+        in BLOCK_VALUES, so at full scale each block is one query, a banded
+        row.
 
-        With k, a row is a candidate for a query when its lower bound
+        Only candidate pairs are verified, either way. Without k every pair
+        is one; with k, a row is a candidate for a query when its lower bound
         first - 2 eps is at or below the k-th smallest upper bound
-        first + 2 eps of that query's rows, and only candidates are verified,
-        either way. A skipped row's exact minimum is above the exact minima
-        of k rows: let t be that k-th smallest upper bound, J the k rows
-        whose upper bounds are at most t, and D_i the exact minimum of row
-        i. first_i, the smallest computed d~ (one per query: |q|^2 is common
-        to all rows and left out of both sides), is within eps_i of
-        D_i - |q|^2, as every d~ is of its cell. As D_i <= 2 N_i, with
-        N_i = R_i + |q|^2, |first_i| + 2 eps_i is at most 2 N_i + 3 eps_i,
-        so rounding first_i -+ 2 eps_i moves it by at most u (2 N_i +
-        3 eps_i), under a tenth of eps_i >= 40 u N_i (u the unit roundoff;
-        the tiny term of eps covers subnormals). A skipped row i has
+        first + 2 eps of that query's rows. A skipped row's exact minimum is
+        above the exact minima of k rows: let t be that k-th smallest upper
+        bound, J the k rows whose upper bounds are at most t, and D_i the
+        exact minimum of row i. first_i, the smallest computed d~ (one per
+        query: |q|^2 is common to all rows and left out of both sides), is
+        within eps_i of D_i - |q|^2, as every d~ is of its cell. As
+        D_i <= 2 N_i, with N_i = R_i + |q|^2, |first_i| + 2 eps_i is at most
+        2 N_i + 3 eps_i, so rounding first_i -+ 2 eps_i moves it by at most
+        u (2 N_i + 3 eps_i), under a tenth of eps_i >= 40 u N_i (u the unit
+        roundoff; the tiny term of eps covers subnormals). A skipped row i has
         fl(first_i - 2 eps_i) > t >= fl(first_j + 2 eps_j) for each j in J,
         hence D_i - |q|^2 >= first_i - eps_i > first_j + eps_j
         >= D_j - |q|^2, so D_i > D_j. With k rows strictly nearer, row i is
@@ -648,54 +649,47 @@ class ShiftWindows:
                 first, second, shift = self._two_smallest(q)
                 radius = np.multiply(eps, 2.0, out=eps)
                 tied = second - first <= radius
-                if k is None:
-                    block_min[:], block_j[:] = self._verify_candidates(q, shift)
-                else:
+                untied = ~tied
+                if k is not None:
                     # the upper bounds, in second's buffer, which is read no more
                     np.add(first, radius, out=second).partition(k - 1, axis=0)
                     candidate = np.subtract(first, radius, out=first) <= second[k - 1]
                     tied &= candidate
-                    rows, queries = np.nonzero(candidate & ~tied)
-                    block_min[rows, queries], block_j[rows, queries] = self._verify_pairs(
-                        q, rows, queries, shift[rows, queries]
-                    )
-                del first, second, shift, eps, radius  # not held into the next block's walk
+                    untied &= candidate
+                rows, queries = np.nonzero(untied)
+                cells = shift[rows, queries]
+                del first, second, shift, eps, radius, untied  # not held through the verify
+                block_min[rows, queries] = self._verify_cells(q, rows, queries, cells)
+                block_j[rows, queries] = cells
             rows, queries = np.nonzero(tied)
             if rows.size:
-                verified = self._verify_pairs(q, rows, queries)
+                verified = self._verify_shifts(q, rows, queries)
                 block_min[rows, queries], block_j[rows, queries] = verified
         return dmin, j
 
-    def _verify_pairs(self, Q: np.ndarray, rows, queries, shifts=None) -> tuple:
-        """(min, first argmin) over shifts of the exact cells of row rows[i]
-        and query Q[queries[i]] for each pair i: of every shift's cell, or,
-        given shifts, of the one cell at shift shifts[i]. Pairs are taken in
-        blocks whose windows and differences, plus their queries, fit in
-        BLOCK_VALUES; one-cell pairs, as _verify_candidates's, in blocks of
-        at most BLOCK_VALUES / 4 values."""
+    def _verify_cells(self, Q: np.ndarray, rows, queries, shifts) -> np.ndarray:
+        """The exact cell of row rows[i], query Q[queries[i]] and shift
+        shifts[i] for each i, in blocks of pairs whose gathered windows and
+        queries fit in BLOCK_VALUES, each block's differences formed in place
+        in its windows. On a 2-vCPU host, blocks a half or a quarter that
+        size made a desk-shaped minimum (185 rows, 200 queries, T = 100)
+        7 to 26% slower, and blocks four times as large 25 to 42% slower."""
+        T = self.views.shape[2]
+        d = np.empty(rows.size)
+        for c in blocks(rows.size, 2 * T):
+            windows = self.views[rows[c], shifts[c]]
+            d[c] = sq_dists(windows, Q[queries[c]], out=windows)
+        return d
+
+    def _verify_shifts(self, Q: np.ndarray, rows, queries) -> tuple:
+        """(min, first argmin) over every shift's exact cell of row rows[i]
+        and query Q[queries[i]] for each pair i, in blocks of pairs whose
+        windows and differences, plus their queries, fit in BLOCK_VALUES."""
         S, T = self.views.shape[1:]
         dmin, j = np.empty(rows.size), np.empty(rows.size, dtype=np.intp)
-        for c in blocks(rows.size, (S + 1 if shifts is None else 4) * T) if rows.size else ():
-            r = rows[c]
-            windows = self.views[r] if shifts is None else self.views[r, shifts[c], None]
+        for c in blocks(rows.size, (S + 1) * T):
+            windows = self.views[rows[c]]
             d = sq_dists(windows, Q[queries[c], None], out=windows)
-            first_j = d.argmin(axis=1)  # argmin returns the first minimum
-            dmin[c] = d[np.arange(len(d)), first_j]
-            j[c] = first_j if shifts is None else shifts[c]
-        return dmin, j
-
-    def _verify_candidates(self, Q: np.ndarray, j: np.ndarray) -> tuple:
-        """minimum of Q at one candidate per row and query, the (n, P) shifts
-        j. The windows of those cells are gathered in blocks of rows of at
-        most BLOCK_VALUES / 4 values, and each block's differences are
-        formed in place. Blocks that size stay in the allocator's heap, where
-        whole BLOCK_VALUES ones were mapped afresh (about 8.5k minor page
-        faults per desk pass); a gather into one reused buffer needs an index
-        array for np.take, and took 3.8 times as long as this copy."""
-        n, (P, T) = len(self.views), Q.shape
-        dmin = np.empty((n, P))
-        series = np.arange(n)[:, None]
-        for b in blocks(n, 4 * P * T):
-            windows = self.views[series[b], j[b]]
-            dmin[b] = sq_dists(windows, Q, out=windows)
+            j[c] = d.argmin(axis=1)  # argmin returns the first minimum
+            dmin[c] = d[np.arange(len(d)), j[c]]
         return dmin, j
