@@ -29,9 +29,9 @@ gives the bounds of the per-example minima (`ShiftWindows.minimum_bound`);
 (on every cell's bound, `ShiftWindows.grid_bound`) return the labels and
 which rows are decided. The error curves use them and score only the
 undecided rows through the exact blocks; the library calls, `classify` and
-`detect` report log ratios and stay on the exact paths. `_tie_order`
-ranks examples for k-NN, and nearest neighbor (`_nearest`) takes the first
-example in that order; `_outcome` turns the votes into verdicts.
+`detect` report log ratios and stay on the exact paths. `_tie_order` is the
+one selection of examples by distance: k-NN takes its first k, nearest
+neighbor (`_nearest`) its first; `_outcome` turns the votes into verdicts.
 
 Each classifier scores a block of queries at once: `VotingKernel.min_dists_block`
 takes a (P, T) block of query windows, `gwmv_block` and `knn_block` a (P, n)
@@ -155,6 +155,12 @@ def _vote_ratio(gamma, pos_d, neg_d, pos_log_w=None, neg_log_w=None) -> tuple:
     return require_defined(ratio), pos, neg
 
 
+def _classes(D: np.ndarray, split: int) -> tuple:
+    """The positive and negative parts of values along the last axis, positives
+    first: the examples, sources or their cells; the negatives start at split."""
+    return D[..., :split], D[..., split:]
+
+
 def _certified(gamma, pos_d, neg_d, pos_r, neg_r, log_threshold, pos_log_w=None, neg_log_w=None):
     """(labels, decided): _outcome's (P,) labels of the _log_ratio of
     distance bounds pos_d and neg_d, and where each is certified to be the
@@ -223,14 +229,16 @@ def _certified_nearest(gamma, D: np.ndarray, R: np.ndarray, n_pos: int) -> tuple
     return np.where(positive, 1, -1), finite & (positive | (neg_up < pos_low))
 
 
-def _tie_order(dmin: np.ndarray) -> np.ndarray:
+def _tie_order(D: np.ndarray, k=None) -> np.ndarray:
     """Example indices by distance along the last axis, then class +1 before -1,
-    then insertion order.
-
-    Examples are in insertion order with the positives first, so a stable sort
-    by distance alone gives exactly this order.
-    """
-    return np.argsort(dmin, axis=-1, kind="stable")
+    then insertion order; with k, the first k of them. Examples are in
+    insertion order with the positives first, so a stable sort by distance
+    alone gives exactly this order; its first is the first minimizer, which
+    argmin returns without a sort (k = 1), since distances are never NaN."""
+    if k == 1:
+        return D.argmin(axis=-1)[..., None]
+    order = np.argsort(D, axis=-1, kind="stable")
+    return order if k is None else order[..., :k]
 
 
 class NearestBlock(NamedTuple):
@@ -248,9 +256,8 @@ class NearestBlock(NamedTuple):
 
 def _nearest(dmin: np.ndarray, shifts: np.ndarray) -> NearestBlock:
     """The first example in _tie_order along each row of (P, n) minimum
-    distances and their shifts. That is the first minimizer, which argmin
-    returns without a sort, since distances are never NaN."""
-    idx = dmin.argmin(axis=-1)
+    distances and their shifts."""
+    idx = _tie_order(dmin, 1)[:, 0]
     rows = np.arange(len(dmin))
     return NearestBlock(idx, dmin[rows, idx], shifts[rows, idx])
 
@@ -304,6 +311,7 @@ class VotingKernel:
         # voting distances per example: its minimum, or one per shift
         self._per_example = 1 if params.shift_mode == "min" else 2 * params.delta_max + 1
         self.width = self.n * self._per_example  # voting distances per query
+        self._split = self.n_pos * self._per_example  # the first negative's column
         self._last = (None, None, None)  # (series, dmin, shifts): min_dists' last result
 
     @cached_property
@@ -365,9 +373,8 @@ class VotingKernel:
         distances where decided, from bounds D on them and radii R
         (min_bounds_block in min mode) through _certified."""
         D, R = _block(D, self.width), _block(R, self.width)
-        split = self.n_pos * self._per_example
-        radii = (R[:, :split].max(axis=1), R[:, split:].max(axis=1))
-        return _certified(self.params.gamma, D[:, :split], D[:, split:], *radii,
+        radii = (r.max(axis=1) for r in _classes(R, self._split))
+        return _certified(self.params.gamma, *_classes(D, self._split), *radii,
                           math.log(self.params.theta))
 
     def certified_nn_block(self, D, R) -> tuple[np.ndarray, np.ndarray]:
@@ -384,17 +391,11 @@ class VotingKernel:
             raise ParamError(f"k={k} exceeds the dataset size n={self.n}")
         return k
 
-    def _classes(self, D: np.ndarray) -> tuple:
-        """The positive and negative parts of voting distances whose last axis
-        runs over the examples (min mode) or every (example, shift) cell (sum mode)."""
-        split = self.n_pos * self._per_example
-        return D[..., :split], D[..., split:]
-
     def gwmv_block(self, D) -> BlockOutcome:
         """Voting verdicts of a (P, n) block of per-example minimum distances
         (min mode), or of every (example, shift) cell in (P, n S) (sum mode)."""
         D = _block(D, self.width)
-        votes = _vote_ratio(self.params.gamma, *self._classes(D))
+        votes = _vote_ratio(self.params.gamma, *_classes(D, self._split))
         return _outcome(votes, math.log(self.params.theta))
 
     def knn_block(self, D, k: int) -> BlockOutcome:
@@ -402,23 +403,18 @@ class VotingKernel:
 
         Each row votes with its k nearest examples (_tie_order), taken in
         insertion order. Rows that select the same number of positives vote as
-        one rectangular block, so each row accumulates as it would alone. For
-        k = 1 the one example is the first minimizer, which argmin returns
-        without a sort (as in _nearest).
+        one rectangular block, so each row accumulates as it would alone.
         """
         k = self._neighbours(k)
         D = _block(D, self.n)
-        if k == 1:
-            selected = D.argmin(axis=-1)[:, None]
-        else:
-            selected = np.sort(_tie_order(D)[:, :k], axis=-1)  # back to insertion order
+        selected = np.sort(_tie_order(D, k), axis=-1)  # back to insertion order
         d = D[np.arange(len(D))[:, None], selected]
         positives = (selected < self.n_pos).sum(axis=-1)
         votes = np.empty((3, len(D)))
         for c in set(positives.tolist()):
             rows = positives == c
             group = d[rows]
-            votes[:, rows] = _vote_ratio(self.params.gamma, group[:, :c], group[:, c:])
+            votes[:, rows] = _vote_ratio(self.params.gamma, *_classes(group, c))
         return _outcome(tuple(votes), math.log(self.params.theta))
 
     def _gwmv_from_dists(self, d: np.ndarray) -> ClassificationOutcome:
@@ -475,8 +471,10 @@ class VotingKernel:
         return outcome.row(0), nearest.row(0)
 
     def trace_distances(self, observations: np.ndarray):
-        """Yields (b, D) for each core.blocks slice b of a (P, T) observation
-        matrix: D holds the distances the rows observations[b] vote with.
+        """An iterator of (b, D) for each core.blocks slice b of a (P, T)
+        observation matrix: D holds the distances the rows observations[b]
+        vote with. The matrix is checked (_queries) at the call, before any
+        block is computed.
 
         In min mode D is the (p, n) ShiftWindows.expansion_minimum, unverified,
         per blocks of 2 n rows, whose two (n, p) arrays so fit in BLOCK_VALUES.
@@ -488,23 +486,19 @@ class VotingKernel:
         callers that compare traces keep these blocks; the votes of a row do
         not depend on the others.
         """
-        return self._trace_blocks(_queries(observations, self.params.T))
-
-    def _trace_blocks(self, Q: np.ndarray):
-        """trace_distances of a (P, T) block Q that _queries has checked."""
+        Q = _queries(observations, self.params.T)
         if self.params.shift_mode == "sum":
             width, distances = self.width, lambda q: _vote_dists(self._windows, q, "sum")
         else:
             width, distances = 2 * self.n, lambda q: self._windows.expansion_minimum(q).T
-        for b in blocks(len(Q), width):
-            yield b, distances(Q[b])
+        return ((b, distances(Q[b])) for b in blocks(len(Q), width))
 
     def trace_votes(self, D: np.ndarray, gammas: Sequence[float]) -> list:
         """Per gamma, the (p,) log vote ratios of a block D from
         trace_distances, NaN where both classes' votes are zero: the block's
         distances, and each class's row minima (every gamma's largest
         exponent), serve every gamma."""
-        pos_d, neg_d = self._classes(D)
+        pos_d, neg_d = _classes(D, self._split)
         lows = pos_d.min(axis=-1, initial=np.inf), neg_d.min(axis=-1, initial=np.inf)
         return [_log_ratio(gamma, pos_d, neg_d, lows=lows)[0] for gamma in gammas]
 
@@ -512,9 +506,9 @@ class VotingKernel:
         """log vote ratio for each row of a (P, T) observation matrix:
         trace_votes at the kernel's gamma of each block of trace_distances,
         which require_defined checks. In sum mode that is bit for bit gwmv."""
-        Q = _queries(observations, self.params.T)
-        out = np.empty(len(Q))
-        for b, D in self._trace_blocks(Q):
+        walk = self.trace_distances(observations)
+        out = np.empty(len(observations))
+        for b, D in walk:
             out[b] = require_defined(self.trace_votes(D, [self.params.gamma])[0])
             del D  # before the next block's distances
         return out
@@ -570,27 +564,28 @@ class MapKernel:
     """Posterior-ratio classifier with oracle access to the true sources.
 
     Sums votes over sources and over the one-sided shift range {0..delta_max};
-    with non-uniform source weights the weights enter as log-prior terms.
+    with non-uniform source weights the weights enter as log-prior terms. The
+    sources are stacked once, positives first (LabeledDataset.from_draws), so
+    a query's (source, shift) cells split into the two classes at one column.
     """
 
     def __init__(self, model: LatentSourceModel, params: VotingParams):
-        pos = [src for src, lab in model.sources if lab == Label.POSITIVE]
-        neg = [src for src, lab in model.sources if lab == Label.NEGATIVE]
-        if not pos or not neg:
+        labels = np.array([lab == Label.POSITIVE for _, lab in model.sources])
+        if labels.all() or not labels.any():
             raise ParamError("the model must contain sources of both labels")
+        sources = LabeledDataset.from_draws((src, lab, None) for src, lab in model.sources)
+        n_shifts = params.delta_max + 1
         self.params = params
-        self.width = len(model.sources) * (params.delta_max + 1)  # cells each query votes with
-        self._pos = ShiftWindows(pos, params.T, 0, params.delta_max)
-        self._neg = ShiftWindows(neg, params.T, 0, params.delta_max)
+        self.width = sources.n * n_shifts  # cells each query votes with
+        self._split = sources.n_pos * n_shifts  # the first negative cell's column
+        self._windows = ShiftWindows(sources.examples(), params.T, 0, params.delta_max)
+        self._logw = (None, None)
         if model.weights is not None:
-            # one log weight per (source, shift) pair, in flattened distance order
-            n_shifts = params.delta_max + 1
-            labels = np.repeat([int(lab) for _, lab in model.sources], n_shifts)
+            # one log weight per (source, shift) cell, in the windows' order
+            w = np.asarray(model.weights, dtype=np.float64)
             with np.errstate(divide="ignore"):  # zero weight: a source that never votes
-                logw = np.repeat(np.log(np.asarray(model.weights, dtype=np.float64)), n_shifts)
-            self._logw_pos, self._logw_neg = logw[labels == 1], logw[labels == -1]
-        else:
-            self._logw_pos = self._logw_neg = None
+                logw = np.repeat(np.log(np.concatenate([w[labels], w[~labels]])), n_shifts)
+            self._logw = _classes(logw, self._split)
 
     def log_lambda(self, s: TimeSeries) -> float:
         return self.classify(s).log_lambda
@@ -600,35 +595,38 @@ class MapKernel:
 
     def classify_block(self, Q: np.ndarray) -> BlockOutcome:
         """Verdicts of the rows of a (P, T) block of query windows: row p is
-        classify of a series whose [1, T] window is Q[p].
-
-        The queries are walked in core.blocks of width cells each, so the two
-        grids and the vote temporaries of a chunk hold at most BLOCK_VALUES
-        values each; rows vote independently, so the chunks change no bit."""
-        Q = _queries(Q, self.params.T)
-        chunks = [self._votes(Q[b]) for b in blocks(len(Q), self.width)]
-        votes = chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
+        classify of a series whose [1, T] window is Q[p], through _chunks."""
         # decision threshold fixed at a ratio of 1; theta plays no role here
-        return _outcome(votes, 0.0)
+        return _outcome(self._chunks(Q, self._votes), 0.0)
 
     def certified_block(self, Q) -> tuple[np.ndarray, np.ndarray]:
         """(labels, decided): classify_block(Q)'s (P,) labels where decided,
         from the GEMM bounds of every cell (ShiftWindows.grid_bound) through
         _certified, in the chunks classify_block takes."""
+        return self._chunks(Q, self._bounded)
+
+    def _chunks(self, Q, score) -> tuple:
+        """score's arrays for the rows of a (P, T) block Q, which score takes
+        in core.blocks of width cells each, so the grid and the vote
+        temporaries of a chunk hold at most BLOCK_VALUES values each; rows
+        vote independently, so the chunks change no bit."""
         Q = _queries(Q, self.params.T)
-        labels, decided = np.empty(len(Q), dtype=np.int64), np.empty(len(Q), dtype=bool)
-        for b in blocks(len(Q), self.width):
-            (pos, pos_r), (neg, neg_r) = (w.grid_bound(Q[b]) for w in (self._pos, self._neg))
-            labels[b], decided[b] = _certified(
-                self.params.gamma, *(c.reshape(len(c), c.shape[1] * c.shape[2]) for c in (pos, neg)),
-                pos_r.max(axis=0), neg_r.max(axis=0), 0.0, self._logw_pos, self._logw_neg,
-            )
-        return labels, decided
+        chunks = [score(Q[b]) for b in blocks(len(Q), self.width)]
+        return tuple(map(np.concatenate, zip(*chunks)))
 
     def _votes(self, Q: np.ndarray) -> tuple:
-        """_vote_ratio of the rows of a (P, T) block against both classes' grids."""
-        pos, neg = (_vote_dists(w, Q, "sum") for w in (self._pos, self._neg))
-        return _vote_ratio(self.params.gamma, pos, neg, self._logw_pos, self._logw_neg)
+        """_vote_ratio of the rows of a (P, T) block, class by class, on its grid."""
+        D = _vote_dists(self._windows, Q, "sum")
+        return _vote_ratio(self.params.gamma, *_classes(D, self._split), *self._logw)
+
+    def _bounded(self, Q: np.ndarray) -> tuple:
+        """_certified of the rows of a (P, T) block, class by class, on the
+        bounds of its grid; a class's radius is the largest of its sources'."""
+        cells, radius = self._windows.grid_bound(Q)
+        n_pos = self._split // (self.params.delta_max + 1)
+        radii = (r.max(axis=1) for r in _classes(radius.T, n_pos))
+        D = _classes(cells.reshape(len(Q), self.width), self._split)
+        return _certified(self.params.gamma, *D, *radii, 0.0, *self._logw)
 
 
 def classify_map(

@@ -103,6 +103,10 @@ def _within(low, high):
     return lambda v: low < v <= high or f"must be > {low} and <= {high}"
 
 
+def _between(low, high):
+    return lambda v: low < v < high or f"must be > {low} and < {high}"
+
+
 def _choice(*options):
     return lambda v: v in options or f"must be one of {options}"
 
@@ -193,9 +197,9 @@ SCHEMA: dict[str, FieldSpec] = {
     "bounds.theta": FieldSpec(_as_float, 1.0, _gt(0)),
     "bounds.delta_max": FieldSpec(_as_int, 0, _ge(0)),
     "bounds.gap": FieldSpec(_as_float, 32.0, _ge(0)),
-    "bounds.delta": FieldSpec(_as_float, 0.05, _gt(0)),
-    "bounds.g_star": FieldSpec(_none_or(_as_float), None),
-    "bounds.T": FieldSpec(_none_or(_as_int), None),
+    "bounds.delta": FieldSpec(_as_float, 0.05, _between(0, 1)),  # a failure probability
+    "bounds.g_star": FieldSpec(_none_or(_as_float), None, _ge(0)),
+    "bounds.T": FieldSpec(_none_or(_as_int), None, _ge(1)),
 }
 
 
@@ -207,9 +211,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def science_dict(self) -> dict:
         """Settings that define the run's results; excludes file placement, so

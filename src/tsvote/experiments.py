@@ -502,15 +502,23 @@ def split_topics(
     return train, test
 
 
-def _placed_windows(topics: Sequence, streams, width: int, past_onset: int, pipeline) -> tuple:
+def _placed_windows(
+    topics: Sequence, streams, width: int, past_onset: int, cfg: DetectionConfig
+) -> tuple:
     """(starts, windows) of each topic's width-bucket window: a trend's ends
     past_onset buckets after its onset, a background topic's is placed at
     random from one draw of its stream (pipeline.training_slice_start). Placed
-    in topic order, so the first topic with an error raises it; then the
-    topics are preprocessed as one batch (preprocess_rows) and each window is
-    cut from its row."""
+    in topic order, so the first topic with an error raises it; a topic whose
+    buckets are not cfg's width is one, since every window length and offset
+    counts cfg's buckets. Then the topics are preprocessed with cfg.pipeline
+    as one batch (preprocess_rows) and each window is cut from its row."""
     starts = []
     for (rate, label), stream in zip(topics, streams):
+        if rate.bucket_width_minutes != cfg.bucket_width_minutes:
+            raise ParamError(
+                f"topic {rate.topic_id!r} has {rate.bucket_width_minutes}-minute buckets, but "
+                f"detection counts {cfg.bucket_width_minutes}-minute buckets"
+            )
         require_prefix(rate)
         if label == Label.POSITIVE:
             if rate.onset_index is None:
@@ -519,7 +527,7 @@ def _placed_windows(topics: Sequence, streams, width: int, past_onset: int, pipe
         else:
             anchor, mode = 0, "random"
         starts.append(training_slice_start(rate.topic_id, 1, len(rate), anchor, width, mode, stream))
-    rows = preprocess_rows([rate for rate, _ in topics], pipeline)
+    rows = preprocess_rows([rate for rate, _ in topics], cfg.pipeline)
     return starts, [row[first - 1 : first - 1 + width] for row, first in zip(rows, starts)]
 
 
@@ -541,7 +549,7 @@ def prepare_training(topics: Sequence, cfg: DetectionConfig, rng_stream) -> Labe
             raise ParamError("need one rng stream per training topic")
     else:
         streams = derive_streams(rng_stream, len(topics))
-    _, slices = _placed_windows(topics, streams, w, 0, cfg.pipeline)
+    _, slices = _placed_windows(topics, streams, w, 0, cfg)
     target_start = 1 - (w - cfg.T) // 2
     return LabeledDataset.from_draws(
         (TimeSeries(target_start, values, id=rate.topic_id), label, None)
@@ -667,7 +675,7 @@ def roc_sweep(
         kernel = _detection_kernel(prepare_training(training, cfg, train_children), cfg)
         half = window_buckets(h, bw)
         # a test region ends half past its anchor, a trend's onset
-        starts, regions = _placed_windows(corpus, anchor_children, 2 * half + T, half, pipeline)
+        starts, regions = _placed_windows(corpus, anchor_children, 2 * half + T, half, cfg)
         regions = np.array(regions).reshape(len(corpus), 2 * half + T)
         maxima = _running_maxima(kernel, regions, half, grid.gammas)
         require_defined(maxima[0][:, -1])  # the first gamma's error comes before the next setting's

@@ -164,8 +164,11 @@ def required_gap(
     """Separation needed for the voting bound to drop below the tolerance delta.
 
     [log(class_factor) + log(2*delta_max+1) + log n + log(2/delta)] / wmv_rate;
-    ParamError unless wmv_rate is positive.
+    ParamError unless delta, a failure probability, is in (0, 1) and wmv_rate
+    is positive.
     """
+    if not (0.0 < delta < 1.0):
+        raise ParamError(f"delta must be in (0, 1), got {delta}")
     rate = wmv_rate(gamma, sigma)
     if not (rate > 0.0):
         raise ParamError(

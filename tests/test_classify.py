@@ -225,13 +225,15 @@ class TestKnn:
 
     def test_k1_is_the_first_example_in_tie_order(self, rng):
         # distances in {0, 1, 2} tie across classes in most rows, and the first
-        # row ties everywhere; k = 1 selects by argmin, which must be the
-        # example that _tie_order ranks first
+        # row ties everywhere; k = 1 selects _tie_order(D, 1), its argmin
+        # shortcut, which must be the example the full order ranks first
         data, _ = random_instance(rng, 3, 4, T=4, delta_max=1)
         kernel = VotingKernel(data, VotingParams(0.5, 4, 1))
         D = rng.integers(0, 3, size=(60, kernel.n)).astype(np.float64)
         D[0] = 1.0
         first = _tie_order(D)[:, 0]
+        assert _tie_order(D, 1).tolist() == first[:, None].tolist()
+        assert _tie_order(D, 3).tolist() == _tie_order(D)[:, :3].tolist()
         want = [
             _vote_ratio(0.5, d[[i]][: int(i < kernel.n_pos)], d[[i]][int(i < kernel.n_pos):])
             for d, i in zip(D, first)
@@ -858,6 +860,22 @@ def random_model(rng, n_sources, T, delta_max, weights=None):
     )
 
 
+def per_class_sources(model, T, delta_max):
+    """Per class (+1, then -1): the ShiftWindows of its sources over shifts
+    0..delta_max, in model order, and the log weight of each (source, shift)
+    cell, or None without weights; the oracle's classes built one by one."""
+    classes = []
+    for label in (Label.POSITIVE, Label.NEGATIVE):
+        rows = [i for i, (_, lab) in enumerate(model.sources) if lab == label]
+        windows = core.ShiftWindows([model.sources[i][0] for i in rows], T, 0, delta_max)
+        log_w = None
+        if model.weights is not None:
+            with np.errstate(divide="ignore"):  # zero weight: a source that never votes
+                log_w = np.repeat(np.log([model.weights[i] for i in rows]), delta_max + 1)
+        classes.append((windows, log_w))
+    return classes
+
+
 def certified_or_raises(certified, exact):
     """The labels of certified = (labels, decided) with each undecided row's
     label from exact(rows) instead, as error_curves scores them, or
@@ -1073,15 +1091,17 @@ class TestBlocks:
     @pytest.mark.parametrize("weights", [None, (0.4, 0.1, 0.3, 0.2), (0.5, 0.0, 0.3, 0.2)])
     def test_oracle_equals_the_per_query_path(self, rng, weights):
         T = self.T
-        oracle = self.oracle(rng, weights)
+        model = random_model(rng, 4, T, self.DMAX, weights)
+        oracle = MapKernel(model, VotingParams(0.5, T, self.DMAX))
         Q = rng.standard_normal((40, T))
         want = outcome_bytes([oracle.classify(TimeSeries(1, q)) for q in Q])
         block = oracle.classify_block(Q)
         assert block_bytes(block) == want
         # each query's 1-D grid of cells, voted class by class
+        (pos, pos_log_w), (neg, neg_log_w) = per_class_sources(model, T, self.DMAX)
         reference = [
-            _log_votes(0.5, oracle._pos.grid(q).ravel(), oracle._logw_pos)
-            - _log_votes(0.5, oracle._neg.grid(q).ravel(), oracle._logw_neg)
+            _log_votes(0.5, pos.grid(q).ravel(), pos_log_w)
+            - _log_votes(0.5, neg.grid(q).ravel(), neg_log_w)
             for q in Q
         ]
         assert block.log_lambda.tobytes() == np.array(reference).tobytes()
@@ -1282,7 +1302,7 @@ class TestLazyWindows:
 
 class TestChunkedOracle:
     """MapKernel.classify_block walks its queries in core.blocks of its width,
-    so each chunk's grids hold at most BLOCK_VALUES values, bit for bit."""
+    so each chunk's grid holds at most BLOCK_VALUES values, bit for bit."""
 
     def test_each_chunk_grid_is_bounded(self, rng, monkeypatch):
         T, dmax = 10, 4
@@ -1299,7 +1319,7 @@ class TestChunkedOracle:
         monkeypatch.setattr(core.ShiftWindows, "grid", recording)
         monkeypatch.setattr(core, "BLOCK_VALUES", 3 * oracle.width)
         assert block_bytes(oracle.classify_block(Q)) == want
-        assert sizes == [3] * 14 + [2] * 2  # 7 chunks of 3 and one of 2, two classes each
+        assert sizes == [3] * 7 + [2]  # 7 chunks of 3 and one of 2, one grid each
 
 
 class TestKernelReuse:
@@ -1549,16 +1569,16 @@ class TestTiledGrid:
     def test_sum_mode_and_oracle_votes_are_unchanged(self, rng, monkeypatch, weights):
         data, _ = random_instance(rng, 3, self.n - 3, T=self.T, delta_max=self.DMAX)
         kernel = VotingKernel(data, VotingParams(0.01, self.T, self.DMAX, shift_mode="sum"))
-        oracle = MapKernel(random_model(rng, 6, self.T, self.DMAX, weights),
-                           VotingParams(0.01, self.T, self.DMAX))
+        model = random_model(rng, 6, self.T, self.DMAX, weights)
+        oracle = MapKernel(model, VotingParams(0.01, self.T, self.DMAX))
         Q = rng.standard_normal((7, self.T))
 
         def untiled(windows):
             return sq_dists(windows.views, Q[:, None, None]).reshape(len(Q), -1)
 
         wmv = kernel.gwmv_block(untiled(kernel._windows))
-        votes = _vote_ratio(0.01, untiled(oracle._pos), untiled(oracle._neg),
-                            oracle._logw_pos, oracle._logw_neg)
+        (pos, pos_log_w), (neg, neg_log_w) = per_class_sources(model, self.T, self.DMAX)
+        votes = _vote_ratio(0.01, untiled(pos), untiled(neg), pos_log_w, neg_log_w)
         for values in self.block_values():
             monkeypatch.setattr(core, "BLOCK_VALUES", values)
             assert block_bytes(kernel.verdict_and_nearest_block(Q)[0]) == block_bytes(wmv)

@@ -618,6 +618,23 @@ class TestGapAndBounds:
         assert doc["conditions"]["g_star_ok"] is True
         assert doc["conditions"]["t_ok"] is True
 
+    @pytest.mark.parametrize("sets, key", [
+        (["bounds.delta=5"], "bounds.delta"),
+        (["bounds.delta=1"], "bounds.delta"),
+        (["bounds.delta=0"], "bounds.delta"),
+        (["bounds.g_star=10", "bounds.T=50", "bounds.delta=1.5"], "bounds.delta"),
+        (["bounds.T=-5"], "bounds.T"),
+        (["bounds.T=0"], "bounds.T"),
+        (["bounds.g_star=-3"], "bounds.g_star"),
+    ])
+    def test_bounds_inputs_out_of_range_name_their_key(self, tmp_path, capsys, sets, key):
+        out = tmp_path / "out"
+        argv = ["bounds", "--out", str(out)] + [a for s in sets for a in ("--set", s)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert f"field {key!r}" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestExperimentCommand:
     SMOKE_ARGS = [
@@ -742,6 +759,32 @@ class TestDetectCommand:
         name = "trend" if lonely == "trends" else "non-trend"
         assert code == 3
         assert f"need >= 2 {name} topics to split in half, got 1" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("width, hours", [("2", "1"), ("5", "2")])
+    def test_topic_files_count_the_configured_bucket_width(self, tmp_path, capsys, width, hours):
+        # 5-minute topics: h = 1 h would be 30 buckets of 2 minutes, 150 of their minutes
+        trends, bgs = make_detection_corpus(CorpusConfig(
+            n_trends=4, n_non_trends=4, length=300, onset_low=120, onset_high=200,
+            bucket_width_minutes=5.0,
+        ))
+        argv = ["detect", "--config", str(CONFIGS / "detect.cfg"),
+                "--set", f"detection.bucket_width_minutes={width}",
+                "--set", f"detection.h_hours={hours}"]
+        for flag, rates in (("trends", trends), ("non-trends", bgs)):
+            dataio.write_rates(tmp_path / f"{flag}.jsonl", rates)
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.jsonl")]
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+        if width == "5":
+            assert code == 0
+            rows = dataio.read_jsonl(out / "detections.jsonl")
+            minutes = {r["relative_minutes"] for r in rows if r["detected"]}
+            assert minutes and all(m % 5 == 0 and -120 <= m <= 120 for m in minutes)
+            return
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert "has 5.0-minute buckets, but detection counts 2.0-minute buckets" in err
         assert stdout == "" and not out.exists()
 
     def run_with_short_backgrounds(self, tmp_path, capsys, length):

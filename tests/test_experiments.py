@@ -632,6 +632,28 @@ class TestCorpusAndSweep:
             draws.append((advance(sl, sl.start_index - first), label, None))
         assert prepare_training(train, cfg, 11) == LabeledDataset.from_draws(draws)
 
+    def test_prepare_training_refuses_another_bucket_width(self):
+        trends, bgs = small_corpus()
+        train, _ = split_topics(trends, bgs, 3)
+        rate, label = train[5]
+        train[5] = (dataclasses.replace(rate, bucket_width_minutes=5.0), label)
+        with pytest.raises(ParamError) as err:
+            prepare_training(train, small_base_cfg(), 11)
+        assert str(err.value) == (
+            f"topic {rate.topic_id!r} has 5.0-minute buckets, but detection counts "
+            "2.0-minute buckets"
+        )
+
+    def test_sweep_refuses_a_test_topic_of_another_bucket_width(self):
+        # h = 1 h is 30 buckets of 2 minutes, but 150 minutes of 5-minute data
+        trends, bgs = small_corpus()
+        train, test = split_topics(trends, bgs, 3)
+        rate, label = test[-1]
+        test[-1] = (dataclasses.replace(rate, bucket_width_minutes=5.0), label)
+        with pytest.raises(ParamError, match=f"topic {rate.topic_id!r} has 5.0-minute buckets"):
+            roc_sweep(test, train, SweepGrid(Ts=(15,), t_smooths=(20,), h_hours=(1.0,)),
+                      small_base_cfg(), seed=0)
+
     def test_sweep_deterministic_and_monotone_envelope(self):
         trends, bgs = small_corpus()
         train, test = split_topics(trends, bgs, 3)

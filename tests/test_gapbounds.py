@@ -428,9 +428,15 @@ class TestBounds:
 
 class TestRequiredGap:
     def test_balanced_theta_one(self):
-        # first log term vanishes when theta = 1 and classes balance
-        got = required_gap(1.0, 3, 3, 6, 0, 1, 2.0, 0.125, 1.0)
-        assert got == 0.0
+        # first log term vanishes when theta = 1 and classes balance, and with
+        # delta_max = 0 and n = 1 only log(2/delta) is left, over rate 1/16
+        got = required_gap(1.0, 3, 3, 6, 0, 1, 0.5, 0.125, 1.0)
+        assert got == math.log(4.0) * 16.0
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, 5.0, -0.1, math.nan])
+    def test_rejects_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(ParamError, match=r"delta must be in \(0, 1\)"):
+            required_gap(1.0, 2, 2, 4, 1, 100, delta, 0.125, 1.0)
 
     def test_worked_value(self):
         got = required_gap(1.0, 2, 2, 4, 1, 100, 0.1, 0.125, 1.0)
