@@ -95,6 +95,12 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load(args)
+    test_length = cfg["generator.series_length"] - 2 * cfg["model.delta_max"]
+    if test_length < 1:
+        raise ConfigError(
+            "field 'generator.series_length': must exceed 2 * model.delta_max "
+            f"(got {cfg['generator.series_length']} vs delta_max={cfg['model.delta_max']})"
+        )
     out = _out_dir(cfg)
     model = make_latent_sources(
         cfgmod.generator_config(cfg),
@@ -103,12 +109,6 @@ def cmd_generate(args) -> int:
         weights=cfg["model.weights"],
     )
     n_train = training_size(cfg["experiment.beta"], model.m)
-    test_length = cfg["generator.series_length"] - 2 * cfg["model.delta_max"]
-    if test_length < 1:
-        raise ConfigError(
-            "field 'generator.series_length': must exceed 2 * model.delta_max "
-            f"(got {cfg['generator.series_length']} vs delta_max={cfg['model.delta_max']})"
-        )
     root = np.random.SeedSequence(cfg["seed"])
     train_ss, test_ss = root.spawn(2)
     train = sample_dataset(model, n_train, train_ss, id_prefix="train")

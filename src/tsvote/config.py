@@ -1,25 +1,28 @@
 """Flat key=value configuration with dotted section prefixes and a strict schema.
 
-Unknown keys are rejected; every value is validated against the owning module's
-constraints before any work starts. Command-line --set overrides use the same
-keys. A `section.field` key feeds the settings-object field of that name.
+Unknown keys are rejected; every value passes the rule its owning module
+applies to the setting, before any work starts, and a refusal is the
+ConfigError "field '<key>': <the rule's message>". Command-line --set
+overrides use the same keys. A `section.field` key feeds the settings-object
+field of that name.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
-from .core import VotingParams, integer_at_least, real_at_least
+from .core import _SHIFT_MODES, VotingParams, grid_of, integer_at_least, one_of, real_at_least
 from .errors import ConfigError, ParamError
-from .experiments import CorpusConfig, DetectionConfig, ExperimentConfig, SweepGrid
-from .gapbounds import BoundInputs
+from .experiments import CorpusConfig, DetectionConfig, ExperimentConfig, SweepGrid, pattern_count
+from .gapbounds import BoundInputs, class_sizes, failure_probability
 from .pipeline import PipelineParams, window_buckets
-from .synth import MAX_SMOOTHING_SCALE, GeneratorConfig, NoiseSpec
+from .synth import _NOISE_FAMILIES, GeneratorConfig, NoiseSpec, kernel_scale, source_weights
 
 OUTPUT_DIR_ENV = "TSVOTE_OUTPUT_DIR"
 
@@ -33,173 +36,124 @@ def _parse_scalar(raw):
     return raw
 
 
-def _as_int(key, raw):
-    try:
-        return integer_at_least(key, _parse_scalar(raw))
-    except ParamError:
-        raise ConfigError(f"field {key!r}: expected an integer, got {raw!r}") from None
-
-
-def _as_float(key, raw):
-    try:
-        return real_at_least(key, _parse_scalar(raw), -math.inf)
-    except ParamError:
-        raise ConfigError(f"field {key!r}: expected a finite number, got {raw!r}") from None
-
-
-def _as_str(key, raw):
-    v = _parse_scalar(raw)
-    if not isinstance(v, str):
-        raise ConfigError(f"field {key!r}: expected a string, got {raw!r}")
-    return v
-
-
-def _as_list(key, raw, elem):
+def _items(raw) -> list:
+    """raw as a list of scalars: a JSON list, comma-separated values or one value."""
     v = _parse_scalar(raw)
     if isinstance(v, str):
-        parts = [p.strip() for p in v.split(",") if p.strip()]
-        return [elem(key, p) for p in parts]
-    if isinstance(v, (int, float)):
-        return [elem(key, v)]
-    if isinstance(v, list):
-        return [elem(key, x) for x in v]
-    raise ConfigError(f"field {key!r}: expected a list, got {raw!r}")
+        return [_parse_scalar(p) for p in v.split(",") if p.strip()]
+    return [_parse_scalar(x) for x in v] if isinstance(v, list) else [v]
 
 
-def _int_list(key, raw):
-    return _as_list(key, raw, _as_int)
+def _string(name, value) -> str:
+    if not isinstance(value, str):
+        raise ParamError(f"{name} must be a string, got {value!r}")
+    return value
 
 
-def _float_list(key, raw):
-    return _as_list(key, raw, _as_float)
+def _retired(name, value):
+    raise ParamError(f"{name} is retired: detection spans h_hours around the anchor")
 
 
-def _none_or(parser):
-    def parse(key, raw):
-        v = _parse_scalar(raw)
-        if v is None or v == "none":
-            return None
-        return parser(key, raw)
+def _int(low):
+    return partial(integer_at_least, low=low)
 
-    return parse
+
+def _real(low, strict=False):
+    return partial(real_at_least, low=low, strict=strict)
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    parse: Callable
+    """A key's default and rule: rule(name, value) is the check the owning
+    module applies to one value, ParamError naming name. A grid is a non-empty
+    list of values, each passed through rule; a key whose default is None may
+    be left unset with none or null."""
+
     default: object
-    check: Optional[Callable] = None
+    rule: Callable
+    grid: bool = False
 
-
-def _ge(limit):
-    return lambda v: v >= limit or f"must be >= {limit}"
-
-
-def _gt(limit):
-    return lambda v: v > limit or f"must be > {limit}"
-
-
-def _within(low, high):
-    return lambda v: low < v <= high or f"must be > {low} and <= {high}"
-
-
-def _between(low, high):
-    return lambda v: low < v < high or f"must be > {low} and < {high}"
-
-
-def _choice(*options):
-    return lambda v: v in options or f"must be one of {options}"
-
-
-def _entries(check):
-    """A list check: non-empty, and check (a _ge or _gt) holds for every entry."""
-
-    def run(v):
-        if not v:
-            return "must be non-empty"
-        return next((f"every entry {m}" for m in map(check, v) if m is not True), True)
-
-    return run
-
-
-def _weights(v):
-    ok = all(x >= 0.0 for x in v) and abs(sum(v) - 1.0) <= 1e-12
-    return ok or "must be nonnegative and sum to 1"
+    def read(self, name: str, raw):
+        value = _parse_scalar(raw)
+        if self.default is None and value in (None, "none"):
+            return None
+        if self.grid:
+            return list(grid_of(name, _items(raw), self.rule))
+        return self.rule(name, value)
 
 
 SCHEMA: dict[str, FieldSpec] = {
-    "seed": FieldSpec(_as_int, 0, _ge(0)),  # a SeedSequence entropy
-    "output_dir": FieldSpec(_as_str, None),
+    "seed": FieldSpec(0, _int(0)),  # a SeedSequence entropy
+    "output_dir": FieldSpec(None, _string),
     # synthetic latent sources
-    "generator.m": FieldSpec(_as_int, 10, _ge(2)),
-    "generator.series_length": FieldSpec(_as_int, 120, _ge(1)),
-    "generator.amplitude_variance": FieldSpec(_as_float, 100.0, _gt(0)),
-    "generator.smoothing_scale": FieldSpec(_as_float, 10.0, _within(0, MAX_SMOOTHING_SCALE)),
+    "generator.m": FieldSpec(10, _int(2)),
+    "generator.series_length": FieldSpec(120, _int(1)),
+    "generator.amplitude_variance": FieldSpec(100.0, _real(0, strict=True)),
+    "generator.smoothing_scale": FieldSpec(10.0, kernel_scale),
     # sampling model
-    "model.delta_max": FieldSpec(_as_int, 10, _ge(0)),
-    "model.noise_family": FieldSpec(_as_str, "gaussian", _choice("gaussian", "uniform")),
-    "model.noise_sigma": FieldSpec(_as_float, 1.0, _ge(0)),
-    "model.weights": FieldSpec(_none_or(_float_list), None, _weights),
+    "model.delta_max": FieldSpec(10, _int(0)),
+    "model.noise_family": FieldSpec("gaussian", partial(one_of, options=_NOISE_FAMILIES)),
+    "model.noise_sigma": FieldSpec(1.0, _real(0)),
+    # entries as read; load_config passes them to source_weights with generator.m
+    "model.weights": FieldSpec(None, lambda name, value: value, grid=True),
     # voting classifier
-    "voting.gamma": FieldSpec(_as_float, 0.125, _ge(0)),
-    "voting.theta": FieldSpec(_as_float, 1.0, _gt(0)),
-    "voting.T": FieldSpec(_as_int, 100, _ge(1)),
-    "voting.delta_max": FieldSpec(_as_int, 10, _ge(0)),
-    "voting.shift_mode": FieldSpec(_as_str, "min", _choice("min", "sum")),
+    "voting.gamma": FieldSpec(0.125, _real(0)),
+    "voting.theta": FieldSpec(1.0, _real(0, strict=True)),
+    "voting.T": FieldSpec(100, _int(1)),
+    "voting.delta_max": FieldSpec(10, _int(0)),
+    "voting.shift_mode": FieldSpec("min", partial(one_of, options=_SHIFT_MODES)),
     # rate preprocessing
-    "pipeline.alpha": FieldSpec(_as_float, 1.2, _ge(1.0)),
-    "pipeline.t_smooth": FieldSpec(_as_int, 80, _ge(1)),
-    "pipeline.log_floor": FieldSpec(_as_float, 1e-12, _gt(0)),
+    "pipeline.alpha": FieldSpec(1.2, _real(1)),
+    "pipeline.t_smooth": FieldSpec(80, _int(1)),
+    "pipeline.log_floor": FieldSpec(1e-12, _real(0, strict=True)),
     # synthetic error-curve experiments
-    "experiment.beta": FieldSpec(_as_float, 8.0, _gt(1.0)),
-    "experiment.t_grid": FieldSpec(_int_list, [10, 20, 40, 70, 100], _entries(_gt(0))),
-    "experiment.beta_grid": FieldSpec(_float_list, [2.0, 4.0, 6.0, 8.0], _entries(_gt(1.0))),
-    "experiment.test_size": FieldSpec(_as_int, 200, _ge(1)),
-    "experiment.trials": FieldSpec(_as_int, 20, _ge(1)),
-    "experiment.mode": FieldSpec(_as_str, "both", _choice("T", "beta", "both")),
+    "experiment.beta": FieldSpec(8.0, _real(1, strict=True)),
+    "experiment.t_grid": FieldSpec([10, 20, 40, 70, 100], _int(1), grid=True),
+    "experiment.beta_grid": FieldSpec([2.0, 4.0, 6.0, 8.0], _real(1, strict=True), grid=True),
+    "experiment.test_size": FieldSpec(200, _int(1)),
+    "experiment.trials": FieldSpec(20, _int(1)),
+    "experiment.mode": FieldSpec("both", partial(one_of, options=("T", "beta", "both"))),
     # online detection
-    "detection.h_hours": FieldSpec(_as_float, 1.0, _gt(0)),
+    "detection.h_hours": FieldSpec(1.0, _real(0, strict=True)),
     # retired; it stays, unset, so manifests and their config hashes are unchanged
-    "detection.window_hours": FieldSpec(
-        _none_or(_as_float), None, lambda v: "is retired: detection spans h_hours around the anchor"
-    ),
-    "detection.T": FieldSpec(_as_int, 12, _ge(1)),
-    "detection.gamma": FieldSpec(_as_float, 1.0, _ge(0)),
-    "detection.theta": FieldSpec(_as_float, 1.0, _gt(0)),
-    "detection.bucket_width_minutes": FieldSpec(_as_float, 2.0, _gt(0)),
-    "detection.delta_max": FieldSpec(_none_or(_as_int), None, _ge(0)),
+    "detection.window_hours": FieldSpec(None, _retired),
+    "detection.T": FieldSpec(12, _int(1)),
+    "detection.gamma": FieldSpec(1.0, _real(0)),
+    "detection.theta": FieldSpec(1.0, _real(0, strict=True)),
+    "detection.bucket_width_minutes": FieldSpec(2.0, _real(0, strict=True)),
+    "detection.delta_max": FieldSpec(None, _int(0)),
     # sweep grids; an unset grid sweeps the single setting above
-    "detection.gamma_grid": FieldSpec(_none_or(_float_list), None, _entries(_ge(0))),
-    "detection.t_grid": FieldSpec(_none_or(_int_list), None, _entries(_ge(1))),
-    "detection.t_smooth_grid": FieldSpec(_none_or(_int_list), None, _entries(_ge(1))),
-    "detection.h_grid": FieldSpec(_none_or(_float_list), None, _entries(_gt(0))),
-    "detection.theta_grid": FieldSpec(_none_or(_float_list), None, _entries(_gt(0))),
+    "detection.gamma_grid": FieldSpec(None, _real(0), grid=True),
+    "detection.t_grid": FieldSpec(None, _int(1), grid=True),
+    "detection.t_smooth_grid": FieldSpec(None, _int(1), grid=True),
+    "detection.h_grid": FieldSpec(None, _real(0, strict=True), grid=True),
+    "detection.theta_grid": FieldSpec(None, _real(0, strict=True), grid=True),
     # synthetic detection corpus
-    "corpus.n_trends": FieldSpec(_as_int, 200, _ge(2)),  # split_topics halves each class
-    "corpus.n_non_trends": FieldSpec(_as_int, 200, _ge(2)),
-    "corpus.length": FieldSpec(_as_int, 240, _ge(1)),
-    "corpus.base_rate": FieldSpec(_as_float, 50.0, _gt(0)),
-    "corpus.burst_scale": FieldSpec(_as_float, 6.0, _gt(0)),
-    "corpus.ramp_buckets": FieldSpec(_as_int, 30, _ge(1)),
-    "corpus.n_patterns": FieldSpec(_as_int, 4, _choice(1, 2, 3, 4)),
-    "corpus.onset_low": FieldSpec(_as_int, 90, _ge(1)),
-    "corpus.onset_high": FieldSpec(_as_int, 150, _ge(1)),
-    "corpus.noise_frac": FieldSpec(_as_float, 0.12, _ge(0)),
-    "corpus.bump_scale": FieldSpec(_as_float, 0.8, _ge(0)),
+    "corpus.n_trends": FieldSpec(200, _int(2)),  # split_topics halves each class
+    "corpus.n_non_trends": FieldSpec(200, _int(2)),
+    "corpus.length": FieldSpec(240, _int(1)),
+    "corpus.base_rate": FieldSpec(50.0, _real(0, strict=True)),
+    "corpus.burst_scale": FieldSpec(6.0, _real(0, strict=True)),
+    "corpus.ramp_buckets": FieldSpec(30, _int(1)),
+    "corpus.n_patterns": FieldSpec(4, pattern_count),
+    "corpus.onset_low": FieldSpec(90, _int(1)),
+    "corpus.onset_high": FieldSpec(150, _int(1)),
+    "corpus.noise_frac": FieldSpec(0.12, _real(0)),
+    "corpus.bump_scale": FieldSpec(0.8, _real(0)),
     # closed-form bounds
-    "bounds.m": FieldSpec(_as_int, 4, _ge(1)),
-    "bounds.m_plus": FieldSpec(_as_int, 2, _ge(0)),
-    "bounds.m_minus": FieldSpec(_as_int, 2, _ge(0)),
-    "bounds.n": FieldSpec(_as_int, 10, _ge(1)),
-    "bounds.beta": FieldSpec(_as_float, 2.0, _gt(1)),
-    "bounds.sigma": FieldSpec(_as_float, 1.0, _gt(0)),
-    "bounds.gamma": FieldSpec(_as_float, 0.125, _ge(0)),
-    "bounds.theta": FieldSpec(_as_float, 1.0, _gt(0)),
-    "bounds.delta_max": FieldSpec(_as_int, 0, _ge(0)),
-    "bounds.gap": FieldSpec(_as_float, 32.0, _ge(0)),
-    "bounds.delta": FieldSpec(_as_float, 0.05, _between(0, 1)),  # a failure probability
-    "bounds.g_star": FieldSpec(_none_or(_as_float), None, _ge(0)),
-    "bounds.T": FieldSpec(_none_or(_as_int), None, _ge(1)),
+    "bounds.m": FieldSpec(4, _int(1)),
+    "bounds.m_plus": FieldSpec(2, _int(0)),
+    "bounds.m_minus": FieldSpec(2, _int(0)),
+    "bounds.n": FieldSpec(10, _int(1)),
+    "bounds.beta": FieldSpec(2.0, _real(1, strict=True)),
+    "bounds.sigma": FieldSpec(1.0, _real(0, strict=True)),
+    "bounds.gamma": FieldSpec(0.125, _real(0)),
+    "bounds.theta": FieldSpec(1.0, _real(0, strict=True)),
+    "bounds.delta_max": FieldSpec(0, _int(0)),
+    "bounds.gap": FieldSpec(32.0, _real(0)),
+    "bounds.delta": FieldSpec(0.05, failure_probability),
+    "bounds.g_star": FieldSpec(None, _real(0)),
+    "bounds.T": FieldSpec(None, _int(1)),
 }
 
 
@@ -225,13 +179,13 @@ class RunConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _validate(key: str, value) -> None:
-    spec = SCHEMA[key]
-    if value is None or spec.check is None:
-        return
-    verdict = spec.check(value)
-    if verdict is not True:
-        raise ConfigError(f"field {key!r}: {verdict} (got {value!r})")
+@contextmanager
+def _naming(key: str):
+    """Turns a ParamError in its body into the ConfigError "field '<key>': ..."."""
+    try:
+        yield
+    except ParamError as exc:
+        raise ConfigError(f"field {key!r}: {exc}") from None
 
 
 def parse_config_text(text: str, where: str = "<config>") -> dict:
@@ -268,22 +222,21 @@ def load_config(path=None, overrides: Optional[list] = None) -> RunConfig:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
 
     values = {}
-    for key, spec in SCHEMA.items():
-        if key in raw:
-            value = spec.parse(key, raw[key])
-        else:
-            value = spec.default
-        _validate(key, value)
-        values[key] = value
+    try:
+        for key, spec in SCHEMA.items():
+            values[key] = spec.read(key.rsplit(".", 1)[-1], raw.get(key, spec.default))
+    except ParamError as exc:
+        raise ConfigError(f"field {key!r}: {exc}") from None
+    if values["model.weights"] is not None:
+        with _naming("model.weights"):
+            weights = source_weights("weights", values["model.weights"], values["generator.m"])
+        values["model.weights"] = list(weights)
     if values["corpus.onset_low"] > values["corpus.onset_high"]:
         raise ConfigError("field 'corpus.onset_low': must not exceed corpus.onset_high")
     if values["corpus.onset_high"] > values["corpus.length"]:
         raise ConfigError("field 'corpus.onset_high': must not exceed corpus.length")
-    weights = values["model.weights"]
-    if weights is not None and len(weights) != values["generator.m"]:
-        raise ConfigError("field 'model.weights': must have one entry per source (generator.m)")
-    if values["bounds.m_plus"] + values["bounds.m_minus"] != values["bounds.m"]:
-        raise ConfigError("field 'bounds.m': must equal bounds.m_plus + bounds.m_minus")
+    with _naming("bounds.m"):
+        class_sizes(values["bounds.m"], values["bounds.m_plus"], values["bounds.m_minus"])
     return RunConfig(values)
 
 
@@ -315,27 +268,23 @@ def pipeline_params(cfg: RunConfig) -> PipelineParams:
 
 
 def experiment_config(cfg: RunConfig) -> ExperimentConfig:
-    # checked here rather than in load_config: only experiment observes t_grid,
-    # and generate may well draw series shorter than its default
-    needed = max(cfg["experiment.t_grid"]) + 2 * cfg["model.delta_max"]
-    if needed > cfg["generator.series_length"]:
-        raise ConfigError(
-            f"field 'experiment.t_grid': max(experiment.t_grid) + 2*model.delta_max = {needed} "
-            f"exceeds generator.series_length = {cfg['generator.series_length']}"
+    # every key passed load_config, so ExperimentConfig can refuse only its series
+    # length, which only experiment observes: generate may well draw shorter series
+    # than t_grid's default needs
+    with _naming("experiment.t_grid"):
+        return _section(
+            cfg,
+            ExperimentConfig,
+            "experiment",
+            model_cfg=generator_config(cfg),
+            T_grid=tuple(cfg["experiment.t_grid"]),
+            gamma=cfg["voting.gamma"],
+            theta=cfg["voting.theta"],
+            delta_max=cfg["model.delta_max"],
+            sigma=cfg["model.noise_sigma"],
+            noise_family=cfg["model.noise_family"],
+            seed=cfg["seed"],
         )
-    return _section(
-        cfg,
-        ExperimentConfig,
-        "experiment",
-        model_cfg=generator_config(cfg),
-        T_grid=tuple(cfg["experiment.t_grid"]),
-        gamma=cfg["voting.gamma"],
-        theta=cfg["voting.theta"],
-        delta_max=cfg["model.delta_max"],
-        sigma=cfg["model.noise_sigma"],
-        noise_family=cfg["model.noise_family"],
-        seed=cfg["seed"],
-    )
 
 
 def detection_config(cfg: RunConfig) -> DetectionConfig:
@@ -350,10 +299,8 @@ def _detection_regions(cfg: RunConfig):
     h_key = "detection.h_grid" if h_grid else "detection.h_hours"
     width = cfg["detection.bucket_width_minutes"]
     for h in h_grid or [cfg["detection.h_hours"]]:
-        try:
+        with _naming(h_key):
             half = window_buckets(h, width)
-        except ParamError as exc:
-            raise ConfigError(f"field {h_key!r}: {exc}") from None
         for T in cfg["detection.t_grid"] or [cfg["detection.T"]]:
             yield h_key, h, T, half
 

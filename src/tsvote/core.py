@@ -36,6 +36,7 @@ in `blocks` of 2 n. A block of no queries gives empty grids and minima.
 Every number a caller hands in as a setting passes one of two rules defined
 here, neither of which truncates: `integer_at_least` for sizes, shifts,
 indices, labels and seeds; `real_at_least` for finite reals bounded below.
+A named choice passes `one_of`, and a grid of settings `grid_of`.
 """
 
 from __future__ import annotations
@@ -59,10 +60,7 @@ class Label(IntEnum):
 
     @classmethod
     def from_int(cls, value: int) -> "Label":
-        value = integer_at_least("label", value)
-        if value not in (1, -1):
-            raise ParamError(f"label must be +1 or -1, got {value!r}")
-        return cls(value)
+        return cls(one_of("label", integer_at_least("label", value), (1, -1)))
 
 
 def _read_only(a) -> bool:
@@ -267,6 +265,21 @@ def real_at_least(name: str, value, low: float, *, strict: bool = False) -> floa
     return float(value)
 
 
+def one_of(name: str, value, options: tuple):
+    """value, unchanged; ParamError naming it unless it is one of options."""
+    if value not in options:
+        raise ParamError(f"{name} must be one of {options}, got {value!r}")
+    return value
+
+
+def grid_of(name: str, values, rule, **bound) -> tuple:
+    """values as a non-empty tuple, each entry passed through rule(name, entry, **bound)."""
+    grid = tuple(rule(name, v, **bound) for v in values)
+    if not grid:
+        raise ParamError(f"{name} must be non-empty")
+    return grid
+
+
 @dataclass(frozen=True)
 class VotingParams:
     """Knobs of the voting classifiers.
@@ -288,8 +301,7 @@ class VotingParams:
         object.__setattr__(self, "theta", real_at_least("theta", self.theta, 0, strict=True))
         object.__setattr__(self, "T", integer_at_least("T", self.T, 1))
         object.__setattr__(self, "delta_max", integer_at_least("delta_max", self.delta_max, 0))
-        if self.shift_mode not in _SHIFT_MODES:
-            raise ParamError(f"shift_mode must be one of {_SHIFT_MODES}, got {self.shift_mode!r}")
+        one_of("shift_mode", self.shift_mode, _SHIFT_MODES)
 
 
 def advance(q: TimeSeries, delta: int) -> TimeSeries:

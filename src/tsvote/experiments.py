@@ -30,7 +30,9 @@ from .core import (
     TimeSeries,
     VotingParams,
     blocks,
+    grid_of,
     integer_at_least,
+    one_of,
     real_at_least,
     stacked_windows,
 )
@@ -79,12 +81,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
         # a pool of n(beta <= 1) draws can miss a class
         object.__setattr__(self, "beta", real_at_least("beta", self.beta, 1, strict=True))
-        T_grid = tuple(integer_at_least("T_grid", t, 1) for t in self.T_grid)
-        beta_grid = tuple(real_at_least("beta_grid", b, 1, strict=True) for b in self.beta_grid)
-        for name, grid in (("T_grid", T_grid), ("beta_grid", beta_grid)):
-            if not grid:
-                raise ParamError(f"{name} must be non-empty")
-            object.__setattr__(self, name, grid)
+        T_grid = grid_of("T_grid", self.T_grid, integer_at_least, low=1)
+        beta_grid = grid_of("beta_grid", self.beta_grid, real_at_least, low=1, strict=True)
+        object.__setattr__(self, "T_grid", T_grid)
+        object.__setattr__(self, "beta_grid", beta_grid)
         needed = max(self.T_grid) + 2 * self.delta_max
         if self.model_cfg.series_length < needed:
             raise ParamError(
@@ -372,6 +372,11 @@ def detect_online(
 _N_BURST_SHAPES = 4  # the envelopes _burst_shape defines
 
 
+def pattern_count(name: str, n) -> int:
+    """n as an int in 1.._N_BURST_SHAPES; ParamError naming name otherwise."""
+    return one_of(name, integer_at_least(name, n), tuple(range(1, _N_BURST_SHAPES + 1)))
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """Synthetic rate corpus: bursty trend topics and flat background topics.
@@ -398,14 +403,13 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = ("n_trends", "n_non_trends", "length", "ramp_buckets", "n_patterns")
-        for name in counts + ("onset_low", "onset_high"):  # onsets are 1-based indices
-            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
-        object.__setattr__(self, "seed", integer_at_least("seed", self.seed, 0))
+        # split_topics halves each class; onsets are 1-based indices
+        for name, low in (("n_trends", 2), ("n_non_trends", 2), ("length", 1), ("ramp_buckets", 1),
+                          ("onset_low", 1), ("onset_high", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
+        object.__setattr__(self, "n_patterns", pattern_count("n_patterns", self.n_patterns))
         if not (self.onset_low <= self.onset_high <= self.length):
             raise ParamError("onset range must fit inside the series")
-        if self.n_patterns > _N_BURST_SHAPES:
-            raise ParamError(f"n_patterns must be in 1..{_N_BURST_SHAPES}, got {self.n_patterns}")
         positive = ("bucket_width_minutes", "base_rate", "burst_scale", "spike_rate")
         for name in positive + ("noise_frac", "bump_scale"):  # the last two may be 0
             value = real_at_least(name, getattr(self, name), 0, strict=name in positive)
@@ -583,15 +587,14 @@ class SweepGrid:
 
     def __post_init__(self):
         # each grid's entries pass the rule of the setting it sweeps
-        for name in ("gammas", "Ts", "t_smooths", "h_hours", "thetas"):
-            grid = getattr(self, name)
-            if not grid:
-                raise ParamError(f"sweep grid {name} must be non-empty")
-            if name in ("Ts", "t_smooths"):
-                grid = tuple(integer_at_least(name, x, 1) for x in grid)
-            else:  # gamma may be 0
-                grid = tuple(real_at_least(name, x, 0, strict=name != "gammas") for x in grid)
-            object.__setattr__(self, name, grid)
+        for name, rule, bound in (
+            ("gammas", real_at_least, {"low": 0}),  # gamma may be 0
+            ("Ts", integer_at_least, {"low": 1}),
+            ("t_smooths", integer_at_least, {"low": 1}),
+            ("h_hours", real_at_least, {"low": 0, "strict": True}),
+            ("thetas", real_at_least, {"low": 0, "strict": True}),
+        ):
+            object.__setattr__(self, name, grid_of(name, getattr(self, name), rule, **bound))
 
 
 @dataclass(frozen=True)
@@ -601,6 +604,7 @@ class RocSweepResult:
 
     def envelope(self, n_bins: int = 20) -> list:
         """Best achievable TPR per FPR bin, forced nondecreasing in FPR."""
+        n_bins = integer_at_least("n_bins", n_bins, 1)
         best = [None] * n_bins
         for p in self.points:
             b = min(int(p.fpr * n_bins), n_bins - 1)

@@ -21,8 +21,6 @@ from .core import (
     expansion_slack,
     integer_at_least,
     real_at_least,
-    sq_dists,
-    stacked_windows,
 )
 from .errors import ParamError
 from .synth import LatentSourceModel
@@ -67,17 +65,36 @@ def gap(data: LabeledDataset, T: int, delta_max: int, *, cutoff: bool = True) ->
 
 
 def gap_star(model: LatentSourceModel, T: int) -> float:
-    """Minimum squared separation over [1, T] between distinct sources, labels ignored."""
+    """Minimum squared separation over [1, T] between distinct sources, labels
+    ignored: the upper triangle of the engine's direct grid of the sources'
+    windows against each other. ParamError if it overflows float64."""
     if model.m < 2:
         raise ParamError(f"need at least two sources, got m={model.m}")
     T = integer_at_least("T", T, 1)
-    W = stacked_windows([src for src, _ in model.sources], 1, T)
-    best = math.inf
-    for i in range(model.m - 1):
-        m = float(sq_dists(W[i + 1 :], W[i]).min())
-        if m < best:
-            best = m
+    windows = ShiftWindows([src for src, _ in model.sources], T, 0, 0)
+    best = float(windows.grid(windows.rows)[:, :, 0][np.triu_indices(model.m, 1)].min())
+    if not math.isfinite(best):
+        raise ParamError(f"the source gap overflows float64 (T={T})")
     return best
+
+
+def failure_probability(name: str, delta) -> float:
+    """delta as a float; ParamError naming it unless it is a real number in (0, 1)."""
+    try:
+        if real_at_least(name, delta, 0, strict=True) < 1.0:
+            return float(delta)
+    except ParamError:
+        pass
+    raise ParamError(f"{name} must be in (0, 1), got {delta!r}")
+
+
+def class_sizes(m: int, m_plus: int, m_minus: int) -> tuple[int, int, int]:
+    """(m, m_plus, m_minus) as ints: m >= 1 sources, m_plus + m_minus of them."""
+    m = integer_at_least("m", m, 1)
+    m_plus, m_minus = integer_at_least("m_plus", m_plus, 0), integer_at_least("m_minus", m_minus, 0)
+    if m_plus + m_minus != m:
+        raise ParamError(f"m_plus + m_minus must equal m ({m_plus} + {m_minus} != {m})")
+    return m, m_plus, m_minus
 
 
 @dataclass(frozen=True)
@@ -96,12 +113,11 @@ class BoundInputs:
     gap: float
 
     def __post_init__(self):
-        for name, low in (("m", 1), ("m_plus", 0), ("m_minus", 0), ("n", 1), ("delta_max", 0)):
+        sizes = class_sizes(self.m, self.m_plus, self.m_minus)
+        for name, value in zip(("m", "m_plus", "m_minus"), sizes):
+            object.__setattr__(self, name, value)
+        for name, low in (("n", 1), ("delta_max", 0)):
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
-        if self.m_plus + self.m_minus != self.m:
-            raise ParamError(
-                f"m_plus + m_minus must equal m ({self.m_plus} + {self.m_minus} != {self.m})"
-            )
         for name, low, strict in (("beta", 1, True), ("sigma", 0, True), ("gamma", 0, False),
                                   ("theta", 0, True), ("gap", 0, False)):
             value = real_at_least(name, getattr(self, name), low, strict=strict)
@@ -164,11 +180,14 @@ def required_gap(
     """Separation needed for the voting bound to drop below the tolerance delta.
 
     [log(class_factor) + log(2*delta_max+1) + log n + log(2/delta)] / wmv_rate;
-    ParamError unless delta, a failure probability, is in (0, 1) and wmv_rate
-    is positive.
+    ParamError unless every input passes BoundInputs' rule, delta, a failure
+    probability, is in (0, 1) and wmv_rate is positive.
     """
-    if not (0.0 < delta < 1.0):
-        raise ParamError(f"delta must be in (0, 1), got {delta}")
+    m, m_plus, m_minus = class_sizes(m, m_plus, m_minus)
+    delta_max, n = integer_at_least("delta_max", delta_max, 0), integer_at_least("n", n, 1)
+    delta = failure_probability("delta", delta)
+    theta = real_at_least("theta", theta, 0, strict=True)
+    gamma, sigma = real_at_least("gamma", gamma, 0), real_at_least("sigma", sigma, 0, strict=True)
     rate = wmv_rate(gamma, sigma)
     if not (rate > 0.0):
         raise ParamError(
@@ -210,9 +229,11 @@ def gaussian_conditions(
     n: int, m: int, sigma: float, delta: float, g_star: float, T: int
 ) -> GaussianConditionsReport:
     """Check n > m*log(4m/delta), g_star >= 4*sigma^2*log(4n^2/delta),
-    and T >= (12+8*sqrt(2))*log(4n^2/delta)."""
-    if not (0.0 < delta < 1.0):
-        raise ParamError(f"delta must be in (0, 1), got {delta}")
+    and T >= (12+8*sqrt(2))*log(4n^2/delta). ParamError unless n, m and T are
+    integers >= 1, sigma and g_star finite reals >= 0 and delta is in (0, 1)."""
+    n, m, T = (integer_at_least(name, v, 1) for name, v in (("n", n), ("m", m), ("T", T)))
+    sigma, g_star = real_at_least("sigma", sigma, 0), real_at_least("g_star", g_star, 0)
+    delta = failure_probability("delta", delta)
     log_n_term = math.log(4.0 * n * n / delta)
     n_threshold = m * math.log(4.0 * m / delta)
     g_star_threshold = 4.0 * sigma**2 * log_n_term

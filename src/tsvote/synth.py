@@ -19,6 +19,7 @@ from .core import (
     Provenance,
     TimeSeries,
     integer_at_least,
+    one_of,
     real_at_least,
 )
 from .errors import ParamError, ProvenanceError
@@ -57,8 +58,7 @@ class NoiseSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _NOISE_FAMILIES:
-            raise ParamError(f"noise family must be one of {_NOISE_FAMILIES}, got {self.family!r}")
+        one_of("family", self.family, _NOISE_FAMILIES)
         object.__setattr__(self, "sigma", real_at_least("sigma", self.sigma, 0))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -67,6 +67,17 @@ class NoiseSpec:
         if self.family == "gaussian":
             return rng.normal(0.0, self.sigma, size)
         return rng.uniform(-self.sigma, self.sigma, size)
+
+
+def source_weights(name: str, weights, m: int) -> tuple:
+    """weights as a tuple of m finite floats >= 0 summing to 1 (to within
+    1e-12), the source choice probabilities; ParamError naming name otherwise."""
+    w = tuple(real_at_least(name, x, 0) for x in weights)
+    if len(w) != m:
+        raise ParamError(f"{name} must have length m={m}, got {len(w)}")
+    if abs(sum(w) - 1.0) > 1e-12:
+        raise ParamError(f"{name} must sum to 1, got {sum(w)!r}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -95,12 +106,7 @@ class LatentSourceModel:
         if self.m < 1:
             raise ParamError("the model needs at least one source")
         if self.weights is not None:
-            w = tuple(real_at_least("weights", x, 0) for x in self.weights)
-            object.__setattr__(self, "weights", w)
-            if len(w) != self.m:
-                raise ParamError(f"weights must have length m={self.m}, got {len(w)}")
-            if abs(sum(w) - 1.0) > 1e-12:
-                raise ParamError(f"weights must sum to 1, got {sum(w)!r}")
+            object.__setattr__(self, "weights", source_weights("weights", self.weights, self.m))
         lo = self.window_start
         hi = self.window_start + self.window_length - 1 + self.delta_max
         for src, _ in sources:
@@ -145,14 +151,15 @@ class GeneratorConfig:
             object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
         variance = real_at_least("amplitude_variance", self.amplitude_variance, 0, strict=True)
         object.__setattr__(self, "amplitude_variance", variance)
-        object.__setattr__(self, "smoothing_scale", _scale("smoothing_scale", self.smoothing_scale))
+        scale = kernel_scale("smoothing_scale", self.smoothing_scale)
+        object.__setattr__(self, "smoothing_scale", scale)
 
 
 # the largest scale whose kernel, 2 ceil(4 scale) + 1 taps, holds at most BLOCK_VALUES
 MAX_SMOOTHING_SCALE = (BLOCK_VALUES // 2 - 1) / 4
 
 
-def _scale(name: str, scale) -> float:
+def kernel_scale(name: str, scale) -> float:
     """A positive finite kernel scale of at most MAX_SMOOTHING_SCALE; ParamError naming name."""
     scale = real_at_least(name, scale, 0, strict=True)
     if scale > MAX_SMOOTHING_SCALE:
@@ -165,7 +172,7 @@ def _scale(name: str, scale) -> float:
 
 def gaussian_kernel(scale: float) -> np.ndarray:
     """Normalized Gaussian smoothing kernel truncated at +-4 scales."""
-    radius = max(1, math.ceil(4.0 * _scale("scale", scale)))
+    radius = max(1, math.ceil(4.0 * kernel_scale("scale", scale)))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / scale) ** 2)
     return k / k.sum()

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -18,7 +20,11 @@ from tsvote.cli import main
 from tsvote import dataio
 from tsvote import config
 from tsvote.config import SCHEMA, load_config
-from tsvote.errors import ConfigError
+from tsvote.errors import ConfigError, ParamError
+from tsvote.experiments import ExperimentConfig, pattern_count
+from tsvote.synth import (
+    MAX_SMOOTHING_SCALE, GeneratorConfig, NoiseSpec, kernel_scale, source_weights,
+)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -106,6 +112,102 @@ class TestConfig:
             keys = {k for k in SCHEMA if k.startswith(section + ".")} - self.KEYS_NOT_FIELDS
             names = {f"{section}.{f.name}" for f in dataclasses.fields(cls) if f.name not in given}
             assert keys == names - self.FIELDS_NOT_KEYS, cls.__name__
+
+    BUILDERS = (
+        config.generator_config, config.noise_spec, config.voting_params, config.pipeline_params,
+        config.experiment_config, config.detection_config, config.sweep_grid,
+        config.corpus_config, config.bound_inputs,
+    )
+
+    def section_settings(self, monkeypatch) -> dict:
+        """{key: settings(cfg)} for every SCHEMA key that feeds a settings field:
+        settings(cfg) builds the settings object that holds the key's value."""
+        calls, build, cfg = [], config._section, load_config(None, [])
+        monkeypatch.setattr(
+            config, "_section", lambda c, *call, **given: calls.append((call, given)) or
+            build(c, *call, **given)
+        )
+        for builder in self.BUILDERS:
+            builder(cfg)
+        monkeypatch.undo()
+        out = {
+            f"{section}.{f.name}": functools.partial(build, cls=cls, section=section, **given)
+            for (cls, section), given in calls for f in dataclasses.fields(cls)
+            if f.name not in given and f"{section}.{f.name}" in SCHEMA
+        }
+        # keys fed to a settings field of another name, or outside a section builder
+        return {
+            **out,
+            "seed": lambda c: CorpusConfig(seed=c["seed"]),
+            "model.noise_sigma": lambda c: NoiseSpec(sigma=c["model.noise_sigma"]),
+            "model.delta_max": lambda c: ExperimentConfig(
+                GeneratorConfig(10, 120), delta_max=c["model.delta_max"]
+            ),
+        }
+
+    @staticmethod
+    def edges(rule):
+        """(value, accepted) on both sides of each bound of a numeric key's rule,
+        or None for a rule that is not a number's."""
+        if rule is kernel_scale:
+            top = MAX_SMOOTHING_SCALE
+            return [(top, True), (math.nextafter(top, math.inf), False), (0.0, False),
+                    (5e-324, True)]
+        if rule is pattern_count:
+            return [(1, True), (0, False), (4, True), (5, False)]
+        if getattr(rule, "func", None) is core.integer_at_least:
+            low = rule.keywords["low"]
+            return [(low, True), (low - 1, False)]
+        if getattr(rule, "func", None) is core.real_at_least:
+            low, strict = rule.keywords["low"], rule.keywords["strict"]
+            return [(low, not strict), (math.nextafter(low, math.inf if strict else -math.inf),
+                                        strict)]
+        return None
+
+    # other keys a boundary value needs: the onsets fit the series, m+ + m- = m
+    COMPANIONS = {
+        "corpus.length": ["corpus.onset_low=1", "corpus.onset_high=1"],
+        "corpus.onset_high": ["corpus.onset_low=1"],
+        "bounds.m": ["bounds.m_plus=1", "bounds.m_minus=0"],
+        "bounds.m_plus": ["bounds.m_minus=4"],
+        "bounds.m_minus": ["bounds.m_plus=4"],
+    }
+
+    def test_a_key_and_its_settings_field_share_each_bound(self, monkeypatch):
+        # the bound constants appear in SCHEMA and in the settings classes: at
+        # each edge both accept, or both refuse for the same reason
+        settings = self.section_settings(monkeypatch)
+        numeric = {key for key in settings if self.edges(SCHEMA[key].rule)}
+        assert set(settings) - numeric == {"voting.shift_mode"}  # the one choice
+        for key in sorted(numeric):
+            for value, accepted in self.edges(SCHEMA[key].rule):
+                overrides = self.COMPANIONS.get(key, []) + [f"{key}={value!r}"]
+                held = [value] if SCHEMA[key].grid else value  # a grid of one entry
+                if accepted:
+                    cfg = load_config(None, overrides)
+                    assert cfg[key] == held, key
+                    settings[key](cfg)
+                    continue
+                with pytest.raises(ConfigError) as refused_key:
+                    load_config(None, overrides)
+                cfg = load_config(None, [])  # a field's own rule comes before any cross-check
+                cfg.values[key] = held
+                with pytest.raises(ParamError) as refused_field:
+                    settings[key](cfg)
+                reason = str(refused_field.value).split(" must ", 1)[1]
+                assert str(refused_key.value).startswith(f"field {key!r}: "), key
+                assert str(refused_key.value).endswith(f" must {reason}"), key
+
+    def test_weights_have_one_rule(self):
+        # load_config used to check the weights with a rule of its own
+        for weights in ([0.5, 0.5], [0.5, -0.5, 1.0], [0.25] * 3, ["a", 1]):
+            with pytest.raises(ParamError) as library:
+                source_weights("weights", weights, 3)
+            with pytest.raises(ConfigError) as key:
+                load_config(None, ["generator.m=3", f"model.weights={json.dumps(weights)}"])
+            assert str(key.value) == f"field 'model.weights': {library.value}"
+        got = load_config(None, ["generator.m=3", "model.weights=0.5, 0.25, 0.25"])
+        assert got["model.weights"] == [0.5, 0.25, 0.25]
 
     @pytest.mark.parametrize(
         "override",
@@ -626,13 +728,14 @@ class TestGapAndBounds:
         (["bounds.T=-5"], "bounds.T"),
         (["bounds.T=0"], "bounds.T"),
         (["bounds.g_star=-3"], "bounds.g_star"),
+        (["bounds.m=5"], "bounds.m"),  # gapbounds.class_sizes: m_plus + m_minus != m
     ])
     def test_bounds_inputs_out_of_range_name_their_key(self, tmp_path, capsys, sets, key):
         out = tmp_path / "out"
         argv = ["bounds", "--out", str(out)] + [a for s in sets for a in ("--set", s)]
         code, stdout, err = run_cli(argv, capsys)
         assert code == 1
-        assert f"field {key!r}" in err
+        assert err.startswith(f"error: field {key!r}: ") and err.count("\n") == 1, err
         assert stdout == "" and not out.exists()
 
 
@@ -870,7 +973,20 @@ class TestExitCodes:
         argv = ["generate", "--out", str(out), *GEN_ARGS, "--set", "generator.smoothing_scale=1e15"]
         code, stdout, err = run_cli(argv, capsys)
         assert code == 1
-        assert "field 'generator.smoothing_scale': must be > 0 and <= 8191.75" in err
+        reason = "smoothing_scale must be <= 8191.75, so that its kernel has at most BLOCK_VALUES taps"
+        assert err == f"error: field 'generator.smoothing_scale': {reason}, got 1000000000000000.0\n"
+        assert stdout == "" and not out.exists()
+
+    def test_series_too_short_for_the_test_window_is_refused_before_any_output(
+        self, tmp_path, capsys
+    ):
+        # generate used to make --out before this check, leaving an empty directory
+        out = tmp_path / "out"
+        argv = ["generate", "--out", str(out), "--set", "generator.series_length=20",
+                "--set", "model.delta_max=10"]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: field 'generator.series_length': must exceed")
         assert stdout == "" and not out.exists()
 
     def test_a_second_call_sees_none_of_the_first_calls_settings(self, monkeypatch):

@@ -41,6 +41,7 @@ from tsvote.core import VotingParams, advance, stacked_windows
 from tsvote.synth import derive_streams, make_latent_sources, sample_draws, training_size
 from tsvote.config import corpus_config, detection_config, load_config
 from tsvote.experiments import (
+    RocPoint,
     RocSweepResult,
     _detection_kernel,
     _detections,
@@ -595,6 +596,14 @@ class TestCorpusAndSweep:
         with pytest.raises(ParamError, match="n_patterns"):
             CorpusConfig(n_patterns=n_patterns)
 
+    @pytest.mark.parametrize("field", ["n_trends", "n_non_trends"])
+    def test_corpus_classes_hold_two_topics(self, field):
+        # split_topics halves each class, as the corpus.n_trends key requires;
+        # the settings class used to accept a class of one topic
+        with pytest.raises(ParamError, match=f"^{field} must be >= 2, got 1"):
+            CorpusConfig(**{field: 1})
+        assert getattr(CorpusConfig(**{field: 2}), field) == 2
+
     def test_split_disjoint_and_half(self):
         trends, bgs = small_corpus()
         train, test = split_topics(trends, bgs, 3)
@@ -666,6 +675,17 @@ class TestCorpusAndSweep:
         assert tprs == sorted(tprs)
         fprs = [f for f, _ in env]
         assert fprs == sorted(fprs)
+
+    @pytest.mark.parametrize("n_bins", [0, -3, 2.5, True, "20"])
+    def test_envelope_bins_are_a_positive_integer(self, n_bins):
+        # 0 and -3 used to raise IndexError, 2.5 TypeError, and True was one bin
+        with pytest.raises(ParamError, match="^n_bins must be"):
+            RocSweepResult((), ()).envelope(n_bins)
+
+    def test_envelope_takes_an_integral_float(self):
+        point = RocPoint(0.3, 0.5, None, None, 0.0, 1, 1, 1, 0, {})
+        result = RocSweepResult((point,), ((),))
+        assert result.envelope(2.0) == result.envelope(2) == [(0.25, 0.5)]
 
     def test_theta_extremes_hit_roc_corners(self):
         trends, bgs = small_corpus()

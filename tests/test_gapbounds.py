@@ -30,6 +30,7 @@ from tsvote import (
 )
 from tsvote import dataio
 from tsvote.cli import main
+from tsvote.gapbounds import failure_probability
 
 DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
@@ -316,6 +317,23 @@ class TestGapStar:
         model = self.make_model([[0.0, 0.0], [9.0, 9.0], [0.1, 0.0]])
         assert gap_star(model, 2) == pytest.approx(0.1**2)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_is_the_pairwise_loop_bit_for_bit(self, rng, scale):
+        # the engine's grid sums each pair's squares in the order sq_dists does
+        for _ in range(20):
+            m, T = int(rng.integers(2, 9)), int(rng.integers(1, 40))
+            model = self.make_model([scale * rng.standard_normal(T) for _ in range(m)])
+            W = core.stacked_windows([src for src, _ in model.sources], 1, T)
+            expected = min(float(core.sq_dists(W[i + 1 :], W[i]).min()) for i in range(m - 1))
+            assert gap_star(model, T) == expected
+
+    @pytest.mark.parametrize("level", [1e200, -1e200])
+    def test_an_overflowing_separation_is_refused(self, level):
+        # the pairwise loop returned inf for sources at +-1e200
+        model = self.make_model([[0.0, 0.0], [level, level]])
+        with pytest.raises(ParamError, match="overflows float64"):
+            gap_star(model, 2)
+
 
 WORKED = dict(
     m=4, m_plus=2, m_minus=2, n=10, beta=2.0, sigma=1.0, gamma=0.125, theta=1.0, delta_max=0,
@@ -450,6 +468,33 @@ class TestRequiredGap:
         with pytest.raises(ParamError):
             required_gap(1.0, 2, 2, 4, 0, 10, 0.1, 0.5, 1.0)
 
+    GOOD = dict(theta=1.0, m_plus=2, m_minus=2, m=4, delta_max=1, n=100, delta=0.1,
+                gamma=0.125, sigma=1.0)
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            # each of these used to raise ValueError("math domain error")
+            ({"theta": -1.0}, "theta must be finite and > 0"),
+            ({"n": 0}, "n must be >= 1"),
+            # ZeroDivisionError
+            ({"m": 0, "m_plus": 0, "m_minus": 0}, "m must be >= 1"),
+            ({"m_plus": 0, "m_minus": 0}, r"m_plus \+ m_minus must equal m"),
+            ({"delta_max": 1.5}, "delta_max must be an integer"),
+            ({"m_plus": True, "m_minus": 3}, "m_plus must be an integer"),
+            ({"sigma": 0.0}, "sigma must be finite and > 0"),
+            ({"gamma": math.nan}, "gamma must be finite and >= 0"),
+            ({"theta": math.inf}, "theta must be finite"),
+        ],
+    )
+    def test_every_input_passes_its_rule(self, changes, reason):
+        with pytest.raises(ParamError, match=f"^{reason}"):
+            required_gap(**{**self.GOOD, **changes})
+
+    def test_integral_floats_give_the_same_value(self):
+        sizes = dict(m_plus=2.0, m_minus=2.0, m=4.0, delta_max=1.0, n=100.0)
+        assert required_gap(**{**self.GOOD, **sizes}) == required_gap(**self.GOOD)
+
 
 class TestGaussianConditions:
     def test_worked_thresholds(self):
@@ -476,8 +521,43 @@ class TestGaussianConditions:
         assert c.t_threshold > a.t_threshold
 
     def test_delta_range(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match=r"^delta must be in \(0, 1\)"):
             gaussian_conditions(10, 4, 1.0, 1.5, 1.0, 1)
+
+    GOOD = dict(n=10, m=4, sigma=1.0, delta=0.05, g_star=40.0, T=250)
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"m": 0}, "m must be >= 1"),  # ValueError("math domain error")
+            ({"n": 0}, "n must be >= 1"),
+            ({"sigma": math.nan}, "sigma must be finite and >= 0"),  # a NaN threshold
+            ({"sigma": -1.0}, "sigma must be finite and >= 0"),
+            ({"g_star": -1.0}, "g_star must be finite and >= 0"),
+            ({"g_star": math.inf}, "g_star must be finite"),
+            ({"T": 2.5}, "T must be an integer"),
+            ({"T": 0}, "T must be >= 1"),
+            ({"delta": math.nan}, r"delta must be in \(0, 1\)"),
+        ],
+    )
+    def test_every_input_passes_its_rule(self, changes, reason):
+        with pytest.raises(ParamError, match=f"^{reason}"):
+            gaussian_conditions(**{**self.GOOD, **changes})
+
+    def test_the_report_holds_the_checked_values(self):
+        report = gaussian_conditions(**{**self.GOOD, "n": 10.0, "T": 250.0, "sigma": 0})
+        assert (report.n, report.T, report.sigma) == (10, 250, 0.0)
+        assert type(report.n) is int and type(report.T) is int
+        assert report.g_star_threshold == 0.0 and report.g_star_ok
+
+
+def test_delta_has_one_rule():
+    # required_gap, gaussian_conditions and the bounds.delta key all use it
+    for delta in (0.0, 1.0, -0.5, math.nan, math.inf, True, "0.5"):
+        with pytest.raises(ParamError, match=r"^p must be in \(0, 1\)"):
+            failure_probability("p", delta)
+    assert failure_probability("p", np.float64(0.25)) == 0.25
+    assert type(failure_probability("p", 0.25)) is float
 
 
 class TestEmpiricalSoundness:
